@@ -40,6 +40,7 @@ from .errors import (
     StablemixError,
 )
 from .processes import (
+    per_path_uniforms,
     process_from_json,
     simulate_ensemble,
     simulate_path,
@@ -261,13 +262,14 @@ def _run_simulate(cfg, outdir, workers):
         )
     trajectories = int(cfg.get("trajectories", 0))
     if trajectories > 0:
-        # Illustrative full paths on a separate deterministic stream; the
-        # ensemble statistics above never depend on these.
-        rng = np.random.default_rng(cfg["seed"])
-        paths = [
-            simulate_path(spec, ens.checkpoints[-1], rng)
-            for _ in range(trajectories)
-        ]
+        # Trajectory i replays ensemble path i from its own stream row.
+        n = ens.checkpoints[-1]
+        per_path = per_path_uniforms(spec, n)
+        rows = (
+            streams.path_generator(cfg["seed"], streams.STREAM_PROCESS, i, per_path)
+            for i in range(trajectories)
+        )
+        paths = [simulate_path(spec, n, rng) for rng in rows]
         write_paths_csv(os.path.join(outdir, "paths.csv"), paths)
         outputs.append("paths.csv")
     return stats, [], {}, outputs, True
@@ -384,6 +386,7 @@ def run_command(command: str, cfg: dict, outdir: str) -> dict:
             "series": streams.STREAM_SERIES,
             "lemma": streams.STREAM_LEMMA,
             "law": streams.STREAM_LAW,
+            "second_sample": streams.STREAM_SECOND_SAMPLE,
         },
     }
     # allow_nan=False keeps the report strict JSON; a non-finite statistic

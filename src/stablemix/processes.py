@@ -96,31 +96,18 @@ class ProcessSpec:
     def transformed_increments(self, W: np.ndarray, latent: dict) -> np.ndarray:
         return W
 
-    # Path-level scale of B_n relative to P^n; shape (count,).
+    # Path-level scale of B_n relative to P^n; shape (count,).  Every
+    # variant has B_n = b_scale * P^n and Q_n = P^n.
     def b_scale(self, latent: dict, n: int) -> np.ndarray:
         return np.ones(len(latent["in_g"]))
-
-    def b_base(self, n: int) -> np.ndarray:
-        return np.linalg.matrix_power(self.P, n)
-
-    def q_base(self, n: int) -> np.ndarray:
-        return np.linalg.matrix_power(self.P, n)
 
     # Scaled checkpoint values from the noise-side partial sums
     # wsum_n = sum_k P^{n-k} V_k; shape (count, d).
     def scaled_from_wsum(self, wsum: np.ndarray, latent: dict, n: int):
         return wsum, wsum  # (B_n U_n, Q_n U_n)
 
-    def increment_scale(self, latent: dict, step: int) -> np.ndarray:
-        """Scalar factor on ``P^-step W_step``; shape (count,)."""
-        return np.ones(len(latent["in_g"]))
-
     def to_json(self) -> dict:
         raise NotImplementedError
-
-    @property
-    def uses_factor(self) -> bool:
-        return False
 
 
 class SyntheticCanonical(ProcessSpec):
@@ -190,9 +177,6 @@ class RandomScaled(ProcessSpec):
             "eta_invertible": np.ones(len(u), dtype=bool),
         }
 
-    def increment_scale(self, latent: dict, step: int) -> np.ndarray:
-        return latent["lam"] + self.perturbation / step
-
     def transformed_increments(self, W: np.ndarray, latent: dict) -> np.ndarray:
         steps = np.arange(1, W.shape[1] + 1)
         coeff = latent["lam"][:, None] + self.perturbation / steps[None, :]
@@ -250,10 +234,6 @@ class DiscreteFactor(ProcessSpec):
                 out[mask] = W[mask] @ factor.T
         return out
 
-    @property
-    def uses_factor(self) -> bool:
-        return True
-
     def to_json(self) -> dict:
         return {
             "variant": "discrete-factor",
@@ -279,12 +259,6 @@ class ExplosiveVar(ProcessSpec):
         # The contraction driving the series view is A^-1.
         super().__init__(matalg.inverse(arr), noise_law)
         self.A = arr
-
-    def b_base(self, n: int) -> np.ndarray:
-        return np.linalg.matrix_power(self.P, n)  # P = A^-1
-
-    def q_base(self, n: int) -> np.ndarray:
-        return self.b_base(n)
 
     def to_json(self) -> dict:
         return {
@@ -427,8 +401,8 @@ def checkpoint_scaled(path: ProcessPath, checkpoints) -> list[tuple[int, np.ndar
             "in_g": np.array([path.in_g]),
         }
         scale = spec.b_scale(latent, n)[0]
-        bu = scale * (spec.b_base(n) @ path.U[n])
-        qu = spec.q_base(n) @ path.U[n]
+        qu = np.linalg.matrix_power(spec.P, n) @ path.U[n]
+        bu = scale * qu
         out.append((n, bu, qu))
     return out
 
@@ -471,9 +445,11 @@ def simulate_ensemble(
     """Simulate ``n_paths`` independent paths, keeping only checkpoint
     statistics and prefix features.
 
-    The scaled values are accumulated as ``sum_k P^{n-k} V_k`` directly (the
-    algebraic form of ``B_n U_n``), which avoids forming huge inverse powers
-    and keeps every checkpoint numerically clean.
+    The scaled values come from ``w_n = sum_{k<=n} P^{n-k} V_k``, the form
+    of ``B_n U_n`` free of huge inverse powers.  One pass of the recursion
+    ``w_k = P w_{k-1} + V_k`` snapshots every checkpoint, so the cost is
+    O(n) per path whatever the number of checkpoints.  The recursion is
+    row-local: values are bit-identical for any worker count and chunking.
     """
     checkpoints = tuple(sorted({int(c) for c in np.atleast_1d(checkpoints)}))
     if not checkpoints or checkpoints[0] < 1:
@@ -484,8 +460,8 @@ def simulate_ensemble(
     upd = spec.noise_law.uniforms_per_draw
     per_path = per_path_uniforms(spec, n)
     explosive = isinstance(spec, ExplosiveVar)
-    # Powers of the contraction: P^j, which for ExplosiveVar means A^-j.
-    kernel = matalg.power_sequence(spec.P, n)
+    if explosive:
+        kernel = matalg.power_sequence(spec.P, n)  # A^-j
 
     def chunk(start, count):
         u = streams.uniform_block(seed, streams.STREAM_PROCESS, start, count, per_path)
@@ -504,10 +480,17 @@ def simulate_ensemble(
                 bu_c[cp], qu_c[cp] = val, val
         else:
             V = spec.transformed_increments(W, latent)
-            for cp in checkpoints:
-                # sum_{k=1..cp} P^{cp-k} V_k; kernel index cp-k.
-                wsum = np.einsum("kde,cke->cd", kernel[cp - 1 :: -1], V[:, :cp])
-                bu_c[cp], qu_c[cp] = spec.scaled_from_wsum(wsum, latent, cp)
+            # w is (d, count).  Elementwise ops in a fixed order keep a
+            # path's bits independent of its chunk's row count, which a BLAS
+            # matmul does not (it switches kernels for one-row chunks).
+            w = np.zeros((spec.dim, count))
+            for k in range(1, n + 1):
+                nxt = V[:, k - 1].T.copy()
+                for i, j in np.ndindex(spec.P.shape):
+                    nxt[i] += spec.P[i, j] * w[j]
+                w = nxt
+                if k in checkpoints:
+                    bu_c[k], qu_c[k] = spec.scaled_from_wsum(w.T, latent, k)
         return {
             "bu": bu_c,
             "qu": qu_c,

@@ -1,0 +1,201 @@
+"""Property tests for the ensemble accumulation and the condition checks.
+
+``simulate_ensemble`` runs the recursion ``w_k = P w_{k-1} + V_k`` once
+over the horizon.  These tests pin it against the explicit sum
+``sum_k P^{n-k} V_k`` (the einsum the package used before, kept here as an
+oracle), across chunk boundaries, worker counts and awkward checkpoint
+lists.  The condition checks decompose one matrix per latent atom; they
+must equal a per-path SVD bit for bit.
+"""
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from stablemix import laws, matalg, streams, verify
+from stablemix.processes import (
+    DiscreteFactor,
+    ExplosiveVar,
+    RandomScaled,
+    SyntheticCanonical,
+    per_path_uniforms,
+    simulate_ensemble,
+)
+
+CHUNK = streams.CHUNK_PATHS
+PATH_COUNTS = (CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1)
+
+
+def rotation_half():
+    c, s = np.cos(np.pi / 6), np.sin(np.pi / 6)
+    return 0.5 * np.array([[c, -s], [s, c]])
+
+
+LAW2 = laws.NormalLaw(np.eye(2))
+SPECS = {
+    "canonical": SyntheticCanonical(rotation_half(), LAW2),
+    "scaled-perturbed": RandomScaled(
+        rotation_half(), LAW2, [1.0, 2.0], [0.5, 0.5], perturbation=0.3
+    ),
+    "factor": DiscreteFactor(
+        rotation_half(), LAW2, [np.eye(2), np.array([[1.0, 0.5], [0.0, 2.0]])],
+        [0.5, 0.5],
+    ),
+    "explosive": ExplosiveVar(np.array([[2.0, 0.5], [0.0, 1.5]]), LAW2),
+}
+CONTRACTING = ("canonical", "scaled-perturbed", "factor")
+
+# Unsorted, with a duplicate, and always containing checkpoint 1.
+checkpoint_lists = st.lists(st.integers(1, 12), min_size=1, max_size=4).map(
+    lambda c: c + [1, c[0]]
+)
+
+
+def explicit_sum(spec, checkpoints, n_paths, seed):
+    """Checkpoint values from the explicit sums, chunk by chunk."""
+    cps = sorted(set(checkpoints))
+    n = cps[-1]
+    per_path = per_path_uniforms(spec, n)
+    kernel = matalg.power_sequence(spec.P, n)
+    bu = {cp: [] for cp in cps}
+    qu = {cp: [] for cp in cps}
+    for start, count in streams.chunk_starts(n_paths):
+        u = streams.uniform_block(seed, streams.STREAM_PROCESS, start, count, per_path)
+        latent = spec.latent_from_uniform(
+            u[:, 0] if spec.latent_uniforms else np.zeros(count)
+        )
+        W = spec.noise_law.from_uniforms(
+            u[:, spec.latent_uniforms :].reshape(count, n, -1)
+        )
+        if isinstance(spec, ExplosiveVar):
+            csum = np.cumsum(np.einsum("kde,cke->ckd", kernel[1:], W), axis=1)
+            for cp in cps:
+                bu[cp].append(csum[:, cp - 1])
+                qu[cp].append(csum[:, cp - 1])
+            continue
+        V = spec.transformed_increments(W, latent)
+        for cp in cps:
+            wsum = np.einsum("kde,cke->cd", kernel[cp - 1 :: -1], V[:, :cp])
+            b, q = spec.scaled_from_wsum(wsum, latent, cp)
+            bu[cp].append(b)
+            qu[cp].append(q)
+    return (
+        {cp: np.concatenate(bu[cp]) for cp in cps},
+        {cp: np.concatenate(qu[cp]) for cp in cps},
+    )
+
+
+def assert_same_bits(a, b):
+    assert a.checkpoints == b.checkpoints
+    for n in a.checkpoints:
+        assert np.array_equal(a.bu[n], b.bu[n])
+        assert np.array_equal(a.qu[n], b.qu[n])
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    name=st.sampled_from(sorted(SPECS)),
+    n_paths=st.sampled_from(PATH_COUNTS),
+    checkpoints=checkpoint_lists,
+    seed=st.integers(0, 2**32),
+)
+@example(name="scaled-perturbed", n_paths=CHUNK + 1, checkpoints=[7, 1, 7, 3], seed=5)
+def test_worker_count_never_changes_bits(name, n_paths, checkpoints, seed):
+    spec = SPECS[name]
+    one = simulate_ensemble(spec, checkpoints, n_paths, seed, workers=1)
+    two = simulate_ensemble(spec, checkpoints, n_paths, seed, workers=2)
+    assert one.checkpoints == tuple(sorted(set(checkpoints)))
+    assert_same_bits(one, two)
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    name=st.sampled_from(sorted(SPECS)),
+    n_paths=st.sampled_from(PATH_COUNTS[:-1]),
+    checkpoints=checkpoint_lists,
+    seed=st.integers(0, 2**32),
+)
+def test_smaller_ensemble_is_prefix(name, n_paths, checkpoints, seed):
+    spec = SPECS[name]
+    small = simulate_ensemble(spec, checkpoints, n_paths, seed)
+    large = simulate_ensemble(spec, checkpoints, PATH_COUNTS[-1], seed, workers=2)
+    for n in small.checkpoints:
+        assert np.array_equal(small.bu[n], large.bu[n][:n_paths])
+        assert np.array_equal(small.qu[n], large.qu[n][:n_paths])
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    name=st.sampled_from(CONTRACTING),
+    n_paths=st.sampled_from(PATH_COUNTS),
+    checkpoints=checkpoint_lists,
+    seed=st.integers(0, 2**32),
+)
+@example(name="canonical", n_paths=CHUNK - 1, checkpoints=[1, 12, 1], seed=0)
+def test_recursion_matches_explicit_sum(name, n_paths, checkpoints, seed):
+    spec = SPECS[name]
+    ens = simulate_ensemble(spec, checkpoints, n_paths, seed, workers=2)
+    bu, qu = explicit_sum(spec, checkpoints, n_paths, seed)
+    for n in ens.checkpoints:
+        np.testing.assert_allclose(ens.bu[n], bu[n], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(ens.qu[n], qu[n], rtol=0, atol=1e-12)
+
+
+@settings(max_examples=8, deadline=None)
+@given(
+    n_paths=st.sampled_from(PATH_COUNTS),
+    checkpoints=checkpoint_lists,
+    seed=st.integers(0, 2**32),
+)
+def test_explosive_values_unchanged(n_paths, checkpoints, seed):
+    spec = SPECS["explosive"]
+    ens = simulate_ensemble(spec, checkpoints, n_paths, seed, workers=2)
+    bu, qu = explicit_sum(spec, checkpoints, n_paths, seed)
+    for n in ens.checkpoints:
+        assert np.array_equal(ens.bu[n], bu[n])
+        assert np.array_equal(ens.qu[n], qu[n])
+
+
+def per_path_condition_stats(ens, r_list, percentile=95.0):
+    """Conditions (i) and (iii) with one SVD per path."""
+    spec = ens.spec
+    latent = {"lam": ens.lam, "in_g": ens.in_g}
+    mask = ens.in_g & ens.eta_invertible
+    eye = np.eye(ens.dim)[None]
+
+    def top(mats):
+        return np.percentile(np.linalg.svd(mats, compute_uv=False)[:, 0], percentile)
+
+    first, third = [], []
+    for n in ens.checkpoints:
+        mats = eye * (1.0 / spec.b_scale(latent, n))[:, None, None]
+        mats -= ens.eta_scale[:, None, None] * eye
+        first.append(float(top(mats[mask])))
+        worst = 0.0
+        for r in r_list:
+            target = np.linalg.matrix_power(spec.P, r)[None]
+            scale = spec.b_scale(latent, n) / spec.b_scale(latent, n - r)
+            mats = target * scale[:, None, None] - target
+            worst = max(worst, float(top(mats[mask])))
+        third.append(worst)
+    return tuple(first), tuple(third)
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    perturbation=st.sampled_from([0.0, 0.3, 1.7]),
+    n_paths=st.sampled_from(PATH_COUNTS[:2]),
+    checkpoints=st.lists(st.integers(3, 20), min_size=1, max_size=4),
+    seed=st.integers(0, 2**32),
+)
+def test_condition_stats_equal_per_path_svd(perturbation, n_paths, checkpoints, seed):
+    spec = RandomScaled(
+        rotation_half(), LAW2, [1.0, 2.0, 3.5], [0.3, 0.3, 0.4],
+        event_values=[1.0, 3.5], perturbation=perturbation,
+    )
+    ens = simulate_ensemble(spec, checkpoints, n_paths, seed)
+    first, third = per_path_condition_stats(ens, (1, 2))
+    assert verify.check_condition_i(ens).statistics == first
+    assert verify.check_condition_iii(ens, r_list=(1, 2)).statistics == third
+    if perturbation == 0.0:
+        assert set(first) == {0.0} and set(third) == {0.0}

@@ -1,5 +1,6 @@
 """Command-line interface: configs, reports, exit codes, replay."""
 
+import csv
 import json
 
 import numpy as np
@@ -58,6 +59,7 @@ class TestSampleLaw:
         stats = report["statistics"]
         assert stats["ecf_distance"] <= stats["threshold"]
         assert report["streams"]["chunk_paths"] == 4096
+        assert report["streams"]["second_sample"] == 4
         samples = (out / "samples.csv").read_text().splitlines()
         assert samples[0] == "x_0,x_1" and len(samples) == 20001
         assert len((out / "ecf.csv").read_text().splitlines()) == 62
@@ -186,6 +188,22 @@ class TestSimulate:
         scaled = (out / "scaled.csv").read_text().splitlines()
         assert len(scaled) == 1 + 2 * 500
         assert scaled[0].startswith("path_id,checkpoint,in_g,bu_0")
+        # Trajectory i is ensemble path i: P^8 U_8 from paths.csv is its
+        # B_8 U_8 row in scaled.csv.
+        with open(out / "scaled.csv") as fh:
+            bu = {
+                int(r["path_id"]): [float(r["bu_0"]), float(r["bu_1"])]
+                for r in csv.DictReader(fh) if r["checkpoint"] == "8"
+            }
+        with open(out / "paths.csv") as fh:
+            ends = [r for r in csv.DictReader(fh) if r["step"] == "8"]
+        P8 = np.linalg.matrix_power(rotation_half(), 8)
+        assert [r["path_id"] for r in ends] == ["0", "1", "2"]
+        for r in ends:
+            u8 = [float(r["u_0"]), float(r["u_1"])]
+            np.testing.assert_allclose(
+                P8 @ u8, bu[int(r["path_id"])], rtol=1e-12, atol=1e-12
+            )
 
 
 class TestVerifyCommands:
@@ -276,6 +294,18 @@ class TestConditions:
             "scale-limit", "stochastic-boundedness", "scaling-ratio",
         ]
         assert "scale-limit.n5" in report["statistics"]
+
+    def test_ill_conditioned_contraction_passes(self, tmp_path):
+        spec = SyntheticCanonical(np.diag([0.5, 0.9]), laws.NormalLaw(np.eye(2)))
+        cfg = write_cfg(
+            tmp_path,
+            {
+                "schema_version": 1, "seed": 3, "process": spec.to_json(),
+                "checkpoints": [10, 60], "n_paths": 2000,
+            },
+        )
+        out = tmp_path / "out"
+        assert main(["conditions", "--config", cfg, "--out", str(out)]) == 0
 
 
 class TestConfigValidation:

@@ -130,7 +130,8 @@ class TestSimulatePath:
         path = simulate_path(spec, 12, _RowRng(u))
         W = spec.noise_law.from_uniforms(u.reshape(12, 2))
         for n in range(1, 13):
-            scaled_step = spec.b_base(n) @ (path.U[n] - path.U[n - 1])
+            Pn = np.linalg.matrix_power(spec.P, n)
+            scaled_step = Pn @ (path.U[n] - path.U[n - 1])
             assert np.allclose(scaled_step, W[n - 1], atol=1e-10)
 
     def test_explosive_recursion_holds(self):
@@ -193,16 +194,19 @@ class TestCheckpointScaled:
 class TestEnsemble:
     def test_row_addressing_matches_path_replay(self):
         # Ensemble row i replayed through simulate_path from its stream row
-        # gives the same checkpoint values: two independent code paths.
+        # gives the same checkpoint values: two independent code paths (the
+        # path goes through inverse powers, the ensemble through the
+        # recursion), over a long horizon.
         for spec in all_specs():
-            ens = simulate_ensemble(spec, [4, 9], 32, seed=23)
-            per = per_path_uniforms(spec, 9)
+            ens = simulate_ensemble(spec, [25, 100], 32, seed=23)
+            per = per_path_uniforms(spec, 100)
             for i in (0, 7, 31):
-                row = streams.path_uniforms(23, streams.STREAM_PROCESS, i, per)
-                path = simulate_path(spec, 9, _RowRng(row))
-                for n, bu, qu in checkpoint_scaled(path, [4, 9]):
-                    assert np.allclose(bu, ens.bu[n][i], atol=1e-9), type(spec)
-                    assert np.allclose(qu, ens.qu[n][i], atol=1e-9), type(spec)
+                rng = streams.path_generator(23, streams.STREAM_PROCESS, i, per)
+                path = simulate_path(spec, 100, rng)
+                tol = {"rtol": 1e-12, "atol": 1e-12, "err_msg": type(spec).__name__}
+                for n, bu, qu in checkpoint_scaled(path, [25, 100]):
+                    np.testing.assert_allclose(bu, ens.bu[n][i], **tol)
+                    np.testing.assert_allclose(qu, ens.qu[n][i], **tol)
 
     def test_worker_invariance_bitwise(self):
         spec = RandomScaled(

@@ -105,6 +105,15 @@ class TestConditions:
             assert max(v1.statistics) <= 1e-10 and v1.passed
             assert max(v3.statistics) <= 1e-10 and v3.passed
 
+    def test_ill_conditioned_contraction_is_not_singular(self):
+        # P^60 has condition number ~2e15, but the checks never invert it.
+        spec = SyntheticCanonical(np.diag([0.5, 0.9]), laws.NormalLaw(np.eye(2)))
+        ens = simulate_ensemble(spec, [10, 60], 2000, seed=3)
+        v1 = verify.check_condition_i(ens)
+        v3 = verify.check_condition_iii(ens)
+        assert v1.passed and v1.statistics == (0.0, 0.0)
+        assert v3.passed and v3.statistics == (0.0, 0.0)
+
     def test_perturbed_scale_decays_like_inverse_n(self):
         ens = simulate_ensemble(scaled_spec(0.5), [5, 10, 20], 2000, seed=9)
         v = verify.check_condition_i(ens)

@@ -10,7 +10,7 @@ event-based convergence verdicts.  Everything randomized is addressed by
 sizes and worker counts.
 """
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .errors import (
     ConfigError,
@@ -64,7 +64,6 @@ from .laws import (
     law_from_json,
     law_to_json,
     sample_1d_sas,
-    sample_increment,
     sas_from_uniforms,
     series_cf_values,
 )
@@ -75,8 +74,6 @@ from .series import (
     lemma_diagnostics,
     log_moment_estimate,
     recompute_tail_bound,
-    sample_limit_series,
-    sample_limit_series_many,
     series_ensemble,
     truncation_index,
     write_lemma_csv,

@@ -23,6 +23,7 @@ import time
 import numpy as np
 
 from . import __version__, laws, matalg, series, streams, verify
+from .csvio import write_csv
 from .ecf import (
     DEFAULT_DELTA,
     default_grid,
@@ -132,14 +133,8 @@ def _law_samples(law, seed: int, count: int, workers: int) -> np.ndarray:
 
 
 def _write_samples_csv(path, samples: np.ndarray) -> None:
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        dim = samples.shape[1]
-        writer.writerow([f"x_{i}" for i in range(dim)])
-        for row in samples:
-            writer.writerow([repr(float(x)) for x in row])
+    header = [f"x_{i}" for i in range(samples.shape[1])]
+    write_csv(path, header, [samples])
 
 
 # Handlers return (statistics, verdicts, derived, outputs, passed).
@@ -233,25 +228,21 @@ def _run_simulate(cfg, outdir, workers):
         spec, _need(cfg, "checkpoints"), int(_need(cfg, "n_paths")),
         cfg["seed"], workers,
     )
-    import csv
-
     outputs = ["scaled.csv"]
-    with open(os.path.join(outdir, "scaled.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        d = ens.dim
-        writer.writerow(
-            ["path_id", "checkpoint", "in_g"]
-            + [f"bu_{i}" for i in range(d)]
-            + [f"qu_{i}" for i in range(d)]
-        )
-        for n in ens.checkpoints:
-            bu, qu = ens.bu[n], ens.qu[n]
-            for pid in range(ens.n_paths):
-                writer.writerow(
-                    [pid, n, int(ens.in_g[pid])]
-                    + [repr(float(x)) for x in bu[pid]]
-                    + [repr(float(x)) for x in qu[pid]]
-                )
+    d, n_cp = ens.dim, len(ens.checkpoints)
+    write_csv(
+        os.path.join(outdir, "scaled.csv"),
+        ["path_id", "checkpoint", "in_g"]
+        + [f"bu_{i}" for i in range(d)]
+        + [f"qu_{i}" for i in range(d)],
+        [
+            np.tile(np.arange(ens.n_paths), n_cp),
+            np.repeat(ens.checkpoints, ens.n_paths),
+            np.tile(ens.in_g.astype(np.int64), n_cp),
+            np.concatenate([ens.bu[n] for n in ens.checkpoints]),
+            np.concatenate([ens.qu[n] for n in ens.checkpoints]),
+        ],
+    )
     stats = {}
     for n in ens.checkpoints:
         stats[f"bu_norm_mean.n{n}"] = float(

@@ -14,7 +14,6 @@ any worker count, and an estimate at ``theta = 0`` equals 1 exactly.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -22,6 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import streams
+from .csvio import write_csv
 from .errors import GridMismatchError, InvalidInputError
 
 DEFAULT_DELTA = 1e-3
@@ -226,17 +226,15 @@ ECF_CSV_COLUMNS = ("re", "im", "n_samples", "radius")
 
 def write_ecf_csv(path, estimate: EcfEstimate) -> None:
     """One row per grid point: theta coordinates, then value and radius."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        dim = estimate.grid.dim
-        writer.writerow([f"theta_{i}" for i in range(dim)] + list(ECF_CSV_COLUMNS))
-        for point, value in zip(estimate.grid.points, estimate.values):
-            writer.writerow(
-                [repr(float(x)) for x in point]
-                + [
-                    repr(float(value.real)),
-                    repr(float(value.imag)),
-                    estimate.n_samples,
-                    repr(estimate.radius),
-                ]
-            )
+    m = len(estimate.grid)
+    write_csv(
+        path,
+        [f"theta_{i}" for i in range(estimate.grid.dim)] + list(ECF_CSV_COLUMNS),
+        [
+            estimate.grid.points,
+            estimate.values.real,
+            estimate.values.imag,
+            np.full(m, estimate.n_samples),
+            np.full(m, estimate.radius),
+        ],
+    )

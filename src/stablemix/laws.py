@@ -18,7 +18,8 @@ four families share).
 
 Sampling transforms are built from fixed numbers of uniforms per draw
 (inverse-CDF for normals, the Chambers-Mallows-Stuck map for stable
-variates), which is what lets path-indexed streams replay exactly.
+variates, one CMS variate and so two uniforms per spectral atom), which is
+what lets path-indexed streams replay exactly.
 """
 
 from __future__ import annotations
@@ -38,6 +39,11 @@ _U_FLOOR = 1e-300
 
 # Smallest magnitude allowed for the Cauchy denominator draw.
 _W_FLOOR = 1e-16
+
+# Floor for the CMS exponential draw.  It lies below -log(1 - 2^-53), the
+# smallest nonzero value, so it only moves draws with ``u_exp == 0``; a
+# floor near 1e-300 would overflow ``(cos/w)^((1-alpha)/alpha)`` there.
+_EXP_FLOOR = 2.0**-54
 
 
 def _clean_thetas(thetas, dim: int):
@@ -124,9 +130,6 @@ class IncrementLaw:
     def cf(self, thetas) -> np.ndarray:
         raise NotImplementedError
 
-    def sample(self, rng: np.random.Generator) -> np.ndarray:
-        return self.from_uniforms(rng.random(self.uniforms_per_draw))
-
     def sample_many(self, rng: np.random.Generator, count: int) -> np.ndarray:
         return self.from_uniforms(rng.random((count, self.uniforms_per_draw)))
 
@@ -188,7 +191,7 @@ def sas_from_uniforms(alpha: float, u_angle, u_exp):
     u_angle = np.asarray(u_angle, dtype=float)
     u_exp = np.asarray(u_exp, dtype=float)
     angle = np.pi * (u_angle - 0.5)
-    w = np.maximum(-np.log(np.maximum(1.0 - u_exp, _U_FLOOR)), _U_FLOOR)
+    w = np.maximum(-np.log(np.maximum(1.0 - u_exp, _U_FLOOR)), _EXP_FLOOR)
     if alpha == 1.0:
         return np.tan(angle)
     cos_angle = np.maximum(np.cos(angle), _U_FLOOR)
@@ -213,12 +216,16 @@ class StableLaw(IncrementLaw):
 
     ``alpha`` must lie strictly inside (0, 2): the Gaussian endpoint has its
     own law class and the scalar sampler, not this one.  A draw superposes
-    one antipodal pair of rays per atom,
+    one symmetric ray per atom,
 
-        sum_k (w_k/2)^(1/alpha) * (s_k * zeta_k - s_k * zeta_k'),
+        sum_k w_k^(1/alpha) * zeta_k * s_k,
 
-    with iid scalar variates from :func:`sas_from_uniforms`, which matches
-    the characteristic function ``exp(-sum_k w_k |<theta, s_k>|^alpha)``.
+    with iid scalar variates ``zeta_k`` from :func:`sas_from_uniforms`, fed
+    by uniforms ``(2k, 2k+1)`` of the draw's ``2m``.  Since ``zeta - zeta'``
+    has the law of ``2^(1/alpha) zeta``, this is the antipodal pair
+    ``(w_k/2)^(1/alpha) (zeta_k - zeta_k') s_k`` with half the draws, and it
+    matches the characteristic function ``exp(-sum_k w_k |<theta,
+    s_k>|^alpha)``.
     """
 
     def __init__(self, alpha: float, measure: SpectralMeasure):
@@ -229,16 +236,12 @@ class StableLaw(IncrementLaw):
         self.alpha = float(alpha)
         self.measure = measure
         self.dim = measure.dim
-        self.uniforms_per_draw = 4 * measure.atoms.shape[0]
+        self.uniforms_per_draw = 2 * measure.atoms.shape[0]
 
     def from_uniforms(self, u):
-        m = self.measure.atoms.shape[0]
         u = np.asarray(u, dtype=float)
-        quads = u.reshape(u.shape[:-1] + (m, 4))
-        zeta = sas_from_uniforms(self.alpha, quads[..., 0], quads[..., 1])
-        zeta_minus = sas_from_uniforms(self.alpha, quads[..., 2], quads[..., 3])
-        scale = (0.5 * self.measure.weights) ** (1.0 / self.alpha)
-        coeff = scale * (zeta - zeta_minus)
+        zeta = sas_from_uniforms(self.alpha, u[..., 0::2], u[..., 1::2])
+        coeff = self.measure.weights ** (1.0 / self.alpha) * zeta
         return coeff @ self.measure.atoms
 
     def cf(self, thetas):
@@ -338,11 +341,6 @@ def cf_increment(law: IncrementLaw, thetas):
     if np.abs(np.atleast_1d(values)).max() > 1.0 + 1e-12:
         raise InvalidInputError("characteristic function modulus exceeded 1")
     return values
-
-
-def sample_increment(law: IncrementLaw, rng: np.random.Generator) -> np.ndarray:
-    """Draw one increment from ``law`` using the supplied generator."""
-    return law.sample(rng)
 
 
 @dataclass(frozen=True)

@@ -32,12 +32,12 @@ Determinism: path ``i`` of an ensemble is a pure function of
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import laws, matalg, streams
+from .csvio import write_csv
 from .errors import (
     HypothesisViolationError,
     InvalidInputError,
@@ -531,19 +531,20 @@ def write_paths_csv(path, paths: list[ProcessPath]) -> None:
     """One row per (path, step) with the state vector spread over columns."""
     if not paths:
         raise InvalidInputError("no paths to write")
-    dim = paths[0].dim
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(PATH_CSV_COLUMNS) + [f"u_{i}" for i in range(dim)])
-        for pid, p in enumerate(paths):
-            for k in range(p.n + 1):
-                writer.writerow(
-                    [
-                        pid,
-                        k,
-                        int(p.in_g),
-                        "" if p.lam is None else repr(p.lam),
-                        "" if p.s_index is None else p.s_index,
-                    ]
-                    + [repr(float(x)) for x in p.U[k]]
-                )
+    steps = [p.n + 1 for p in paths]
+
+    def per_path(values):
+        return np.repeat(np.array(values, dtype=object), steps)
+
+    write_csv(
+        path,
+        list(PATH_CSV_COLUMNS) + [f"u_{i}" for i in range(paths[0].dim)],
+        [
+            np.repeat(np.arange(len(paths)), steps),
+            np.concatenate([np.arange(k) for k in steps]),
+            per_path([int(p.in_g) for p in paths]),
+            per_path(["" if p.lam is None else repr(p.lam) for p in paths]),
+            per_path(["" if p.s_index is None else p.s_index for p in paths]),
+            np.concatenate([p.U for p in paths]),
+        ],
+    )

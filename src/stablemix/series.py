@@ -3,7 +3,7 @@
 The central object is the random series ``sum_j P^j Z_j`` for a contraction
 ``P`` and iid increments ``Z_j``.  This module decides where to cut the
 series (:func:`truncation_index`), draws from the truncated law
-(:func:`sample_limit_series`), and probes the convergence/divergence
+(:func:`series_ensemble`), and probes the convergence/divergence
 dichotomy on simulated paths (:func:`lemma_diagnostics`): with a finite
 log-moment the terms ``|P^j Z_j|`` die out geometrically and exceedances of
 any fixed threshold stop early; with an infinite log-moment exceedances keep
@@ -15,12 +15,12 @@ never inverses.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import matalg, streams
+from .csvio import write_csv
 from .errors import HorizonExceededError, InvalidInputError
 from .laws import IncrementLaw
 from .matalg import GelfandCertificate
@@ -111,37 +111,6 @@ def truncation_index(
     )
 
 
-def _series_from_uniforms(powers: np.ndarray, law: IncrementLaw, u: np.ndarray):
-    """Map per-sample uniform rows to truncated-series draws.
-
-    ``u`` has shape (count, (r+1) * law.uniforms_per_draw); sample ``i``
-    consumes row ``i`` only, term ``j`` the ``j``-th slice of that row.
-    """
-    count = u.shape[0]
-    terms = powers.shape[0]
-    z = law.from_uniforms(u.reshape(count, terms, law.uniforms_per_draw))
-    return np.einsum("jde,cje->cd", powers, z)
-
-
-def sample_limit_series_many(
-    P, law: IncrementLaw, plan: TruncationPlan, rng: np.random.Generator, count: int
-) -> np.ndarray:
-    """Draw ``count`` samples of ``sum_{j<=r} P^j Z_j`` with fresh increments."""
-    arr = matalg.as_square(P)
-    if arr.shape[0] != law.dim:
-        raise InvalidInputError("P dimension does not match law dimension")
-    powers = matalg.power_sequence(arr, plan.r)
-    u = rng.random((count, (plan.r + 1) * law.uniforms_per_draw))
-    return _series_from_uniforms(powers, law, u)
-
-
-def sample_limit_series(
-    P, law: IncrementLaw, plan: TruncationPlan, rng: np.random.Generator
-) -> np.ndarray:
-    """Single draw of the truncated series."""
-    return sample_limit_series_many(P, law, plan, rng, 1)[0]
-
-
 def series_ensemble(
     P,
     law: IncrementLaw,
@@ -166,7 +135,8 @@ def series_ensemble(
 
     def chunk(start, n):
         u = streams.uniform_block(seed, stream, start, n, per_path)
-        return _series_from_uniforms(powers, law, u)
+        z = law.from_uniforms(u.reshape(n, r + 1, law.uniforms_per_draw))
+        return np.einsum("jde,cje->cd", powers, z)
 
     parts = streams.map_chunks(chunk, count, workers)
     return np.concatenate(parts, axis=0)
@@ -218,6 +188,20 @@ class LemmaDiagnostics:
     reports: tuple[LemmaReport, ...]
 
 
+def _apply_powers(powers: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Terms ``P^j z_j``: ``out[..., j, i] = sum_e powers[j, i, e] * z[..., j, e]``.
+
+    Elementwise products summed over ``e`` in order from zero: the
+    arithmetic of the unoptimized einsum, at a fraction of its cost.  Matmul
+    and optimized einsum go through BLAS, whose rounding can depend on the
+    row count of the chunk.
+    """
+    out = np.empty(z.shape)
+    for i in range(z.shape[-1]):
+        out[..., i] = sum(powers[:, i, e] * z[..., e] for e in range(z.shape[-1]))
+    return out
+
+
 def lemma_diagnostics(
     P,
     law: IncrementLaw,
@@ -249,9 +233,9 @@ def lemma_diagnostics(
         u = streams.uniform_block(seed, streams.STREAM_LEMMA, start, count, per_path)
         z = law.from_uniforms(u.reshape(count, J + 1, law.uniforms_per_draw))
         with np.errstate(invalid="ignore", over="ignore"):
-            term = np.einsum("jde,cje->cjd", powers, z)
+            term = _apply_powers(powers, z)
             term_norms = np.linalg.norm(term, axis=2)
-        # 0 * inf inside the einsum leaves NaNs exactly when a draw
+        # 0 * inf inside the products leaves NaNs exactly when a draw
         # overflowed; the true magnitude there is astronomically large, so
         # record it as infinite rather than dropping the exceedance.
         term_norms = np.where(np.isnan(term_norms), np.inf, term_norms)
@@ -318,17 +302,15 @@ LEMMA_CSV_COLUMNS = (
 
 def write_lemma_csv(path, diag: LemmaDiagnostics) -> None:
     """Dump one row per simulated path."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(LEMMA_CSV_COLUMNS)
-        for i in range(diag.n_paths):
-            writer.writerow(
-                [
-                    i,
-                    diag.J,
-                    int(diag.exceedance_count[i]),
-                    int(diag.last_exceedance_index[i]),
-                    repr(float(diag.final_partial_sum[i])),
-                    repr(float(diag.last_term_norm[i])),
-                ]
-            )
+    write_csv(
+        path,
+        LEMMA_CSV_COLUMNS,
+        [
+            np.arange(diag.n_paths),
+            np.full(diag.n_paths, diag.J),
+            diag.exceedance_count,
+            diag.last_exceedance_index,
+            diag.final_partial_sum,
+            diag.last_term_norm,
+        ],
+    )

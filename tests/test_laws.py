@@ -319,3 +319,50 @@ class TestNormalLawValidation:
         law = laws.NormalLaw(np.diag([1.0, 0.0]))
         draws = law.sample_many(np.random.default_rng(2), 100)
         assert np.all(draws[:, 1] == 0.0)
+
+
+# Uniform edge values a Philox draw can take: 0, the smallest positive
+# double it yields, the centre, and the largest value below 1.
+EDGE_UNIFORMS = np.array([0.0, 2.0**-53, 0.5, 1.0 - 2.0**-53])
+EDGE_ALPHAS = (0.2, 0.3, 0.5, 1.0, 1.5, 1.9)
+
+
+def edge_rows(width: int) -> np.ndarray:
+    """Every combination of edge uniforms over ``width`` coordinates."""
+    grids = np.meshgrid(*[EDGE_UNIFORMS] * width, indexing="ij")
+    return np.stack([g.ravel() for g in grids], axis=-1)
+
+
+class TestUniformEdges:
+    @pytest.mark.parametrize("alpha", EDGE_ALPHAS)
+    def test_cms_finite_on_edges(self, alpha):
+        u = edge_rows(2)
+        assert np.isfinite(laws.sas_from_uniforms(alpha, u[:, 0], u[:, 1])).all()
+
+    @pytest.mark.parametrize("alpha", EDGE_ALPHAS)
+    def test_stable_law_finite_on_edges(self, alpha):
+        law = laws.StableLaw(alpha, two_atom_measure())
+        assert np.isfinite(law.from_uniforms(edge_rows(law.uniforms_per_draw))).all()
+
+    @pytest.mark.parametrize("law", [laws.NormalLaw(np.eye(2)), laws.CauchyLaw(2)])
+    def test_normal_and_cauchy_finite_on_edges(self, law):
+        assert np.isfinite(law.from_uniforms(edge_rows(law.uniforms_per_draw))).all()
+
+
+class TestStableLawLayout:
+    def three_atom_law(self):
+        atoms = np.array([[1.0, 0.0], [0.6, 0.8], [0.0, 1.0]])
+        return laws.StableLaw(1.3, laws.SpectralMeasure(atoms, [0.5, 0.3, 0.2]))
+
+    def test_two_uniforms_per_atom(self):
+        assert self.three_atom_law().uniforms_per_draw == 6
+        assert laws.StableLaw(0.8, two_atom_measure()).uniforms_per_draw == 4
+
+    def test_one_cms_variate_per_atom(self):
+        law = self.three_atom_law()
+        u = np.random.default_rng(9).random((257, 5, law.uniforms_per_draw))
+        w, a = law.measure.weights, law.alpha
+        oracle = (
+            w ** (1.0 / a) * laws.sas_from_uniforms(a, u[..., 0::2], u[..., 1::2])
+        ) @ law.measure.atoms
+        assert np.array_equal(law.from_uniforms(u), oracle)

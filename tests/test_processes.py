@@ -110,7 +110,7 @@ class TestUniformBudget:
             1.5,
             laws.SpectralMeasure(np.eye(2), np.array([0.5, 0.5])),
         )
-        assert per_path_uniforms(SyntheticCanonical(rotation_half(), stable), 3) == 24
+        assert per_path_uniforms(SyntheticCanonical(rotation_half(), stable), 3) == 12
 
 
 class TestSimulatePath:

@@ -106,8 +106,7 @@ class TestSeriesSampling:
         P = rotation_half()
         law = laws.NormalLaw(np.eye(2))
         plan = series.truncation_index(P, 1e-4)
-        rng = np.random.default_rng(12)
-        samples = series.sample_limit_series_many(P, law, plan, rng, 100_000)
+        samples = series.series_ensemble(P, law, plan.r, 12, 100_000)
         grid = default_grid(2)
         est = estimate_ecf(samples, grid)
         ref = laws.series_cf_values(law, P, plan.r, grid.points)
@@ -117,26 +116,15 @@ class TestSeriesSampling:
         P = rotation_half()
         law = laws.CauchyLaw(2)
         plan = series.truncation_index(P, 1e-4)
-        rng = np.random.default_rng(13)
-        samples = series.sample_limit_series_many(P, law, plan, rng, 100_000)
+        samples = series.series_ensemble(P, law, plan.r, 13, 100_000)
         est = estimate_ecf(samples, default_grid(2))
         ref = laws.series_cf_values(law, P, plan.r, default_grid(2).points)
         assert sup_distance(est, ref) <= THRESHOLD_1E5
 
-    def test_single_draw_shape(self):
-        P = rotation_half()
-        plan = series.truncation_index(P, 1e-3)
-        z = series.sample_limit_series(
-            P, laws.NormalLaw(np.eye(2)), plan, np.random.default_rng(0)
-        )
-        assert z.shape == (2,)
-
     def test_dimension_mismatch_rejected(self):
-        plan = series.truncation_index(np.array([[0.5]]), 1e-3)
         with pytest.raises(InvalidInputError):
-            series.sample_limit_series_many(
-                np.array([[0.5]]), laws.NormalLaw(np.eye(2)), plan,
-                np.random.default_rng(0), 4,
+            series.series_ensemble(
+                np.array([[0.5]]), laws.NormalLaw(np.eye(2)), 3, 0, 4
             )
 
 
@@ -208,6 +196,31 @@ class TestLogMoment:
         val, err = quad(lambda x: 2.0 / np.pi * np.log(x) / (1.0 + x * x), 1.0, np.inf)
         assert err < 1e-8
         assert val == pytest.approx(CAUCHY_LOG_MOMENT, abs=1e-9)
+
+
+class TestLemmaTerms:
+    @pytest.mark.parametrize(
+        "law",
+        [
+            laws.LogCauchyRay(2),
+            laws.StableLaw(1.5, laws.SpectralMeasure(np.eye(2), [0.5, 0.5])),
+            laws.NormalLaw(np.array([[2.0, 0.6], [0.6, 1.0]])),
+        ],
+    )
+    @pytest.mark.parametrize("P", [0.9 * np.eye(2), rotation_half()])
+    def test_terms_match_einsum_oracle(self, law, P):
+        # Uniforms next to 1 overflow the log-Cauchy ray to inf, and the
+        # zeros of a diagonal P turn those into NaNs; both must match.
+        powers = matalg.power_sequence(P, 12)
+        u = np.random.default_rng(4).random((300, 13, law.uniforms_per_draw))
+        u[:5] = 1.0 - 2.0**-53
+        z = law.from_uniforms(u)
+        with np.errstate(invalid="ignore", over="ignore"):
+            oracle = np.einsum("jde,cje->cjd", powers, z)
+            terms = series._apply_powers(powers, z)
+        if isinstance(law, laws.LogCauchyRay):
+            assert np.isinf(z).any()
+        assert np.array_equal(terms, oracle, equal_nan=True)
 
 
 class TestLemmaDiagnostics:

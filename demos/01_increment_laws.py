@@ -2,14 +2,18 @@
 
 Every distribution the package simulates is available in two forms: a
 sampler driven by uniforms, and a closed-form characteristic function.
-This script draws from each law and measures how far the empirical
-characteristic function sits from the analytic one on the default grid.
+This script draws from each law through the stream-addressed route
+(``uniform_block`` rows fed to ``from_uniforms``) and measures how far the
+empirical characteristic function sits from the analytic one on the
+default grid.
 The distances should all land well inside three Hoeffding radii.
 """
 
 import numpy as np
 
 from stablemix import (
+    STREAM_LAW,
+    STREAM_SECOND_SAMPLE,
     CauchyLaw,
     EmpiricalLaw,
     NormalLaw,
@@ -19,10 +23,18 @@ from stablemix import (
     default_grid,
     estimate_ecf,
     sup_distance,
+    uniform_block,
 )
 
 N = 100_000
-rng = np.random.default_rng(7)
+SEED = 7
+
+
+def draws(law, count, stream=STREAM_LAW):
+    """The first ``count`` draws of ``law`` from one stream of the seed."""
+    u = uniform_block(SEED, stream, 0, count, law.uniforms_per_draw)
+    return law.from_uniforms(u)
+
 
 catalog = [
     ("normal, identity cov", NormalLaw(np.eye(2))),
@@ -40,7 +52,7 @@ catalog = [
 
 print(f"{N} draws per law, default 61-point grid\n")
 for name, law in catalog:
-    samples = law.sample_many(rng, N)
+    samples = draws(law, N)
     grid = default_grid(law.dim)
     est = estimate_ecf(samples, grid, workers=4)
     dist = sup_distance(est, cf_increment(law, grid.points))
@@ -49,9 +61,9 @@ for name, law in catalog:
 
 # A finite sample pool is itself a law: its cf is an average of cosines,
 # and resampling from the pool reproduces it.
-pool = rng.standard_normal((40, 1))
+pool = draws(NormalLaw(np.eye(1)), 40, stream=STREAM_SECOND_SAMPLE)
 emp = EmpiricalLaw(pool)
-samples = emp.sample_many(rng, N)
+samples = draws(emp, N)
 grid = default_grid(1)
 est = estimate_ecf(samples, grid, workers=4)
 dist = sup_distance(est, cf_increment(emp, grid.points))

@@ -63,7 +63,6 @@ from .laws import (
     empirical_law_from_csv,
     law_from_json,
     law_to_json,
-    sample_1d_sas,
     sas_from_uniforms,
     series_cf_values,
 )

@@ -31,15 +31,7 @@ from .ecf import (
     sup_distance,
     write_ecf_csv,
 )
-from .errors import (
-    ConfigError,
-    HypothesisViolationError,
-    InsufficientDataError,
-    InvalidInputError,
-    RangeOverflowError,
-    ReproducibilityError,
-    StablemixError,
-)
+from .errors import ConfigError, ReproducibilityError, StablemixError
 from .processes import (
     per_path_uniforms,
     process_from_json,
@@ -238,7 +230,7 @@ def _run_simulate(cfg, outdir, workers):
         [
             np.tile(np.arange(ens.n_paths), n_cp),
             np.repeat(ens.checkpoints, ens.n_paths),
-            np.tile(ens.in_g.astype(np.int64), n_cp),
+            np.tile(ens.latent.in_g.astype(np.int64), n_cp),
             np.concatenate([ens.bu[n] for n in ens.checkpoints]),
             np.concatenate([ens.qu[n] for n in ens.checkpoints]),
         ],
@@ -308,7 +300,7 @@ def _run_verify(cfg, outdir, workers, stable: bool):
         if which not in ("bu", "qu"):
             raise ConfigError("statistic_of must be 'bu' or 'qu'")
         verdict = verify.verify_mixing(ens, which=which, **kwargs)
-    mask = ens.in_g & ens.eta_invertible
+    mask = ens.latent.in_g
     final = ens.checkpoints[-1]
     values = (ens.bu if which == "bu" else ens.qu)[final][mask]
     est = estimate_ecf(values, grid, kwargs["delta"], workers)
@@ -510,14 +502,7 @@ def main(argv=None) -> int:
     except ReproducibilityError as exc:
         print(f"reproducibility failure: {exc}", file=sys.stderr)
         return 1
-    except (
-        ConfigError,
-        InvalidInputError,
-        HypothesisViolationError,
-        InsufficientDataError,
-        RangeOverflowError,
-        StablemixError,
-    ) as exc:
+    except StablemixError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -130,9 +130,6 @@ class IncrementLaw:
     def cf(self, thetas) -> np.ndarray:
         raise NotImplementedError
 
-    def sample_many(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        return self.from_uniforms(rng.random((count, self.uniforms_per_draw)))
-
 
 class NormalLaw(IncrementLaw):
     """Centered Gaussian with covariance ``cov`` (symmetric PSD)."""
@@ -200,23 +197,12 @@ def sas_from_uniforms(alpha: float, u_angle, u_exp):
     return lead * rest
 
 
-def sample_1d_sas(
-    alpha: float, rng: np.random.Generator, size: int | tuple | None = None
-):
-    """Draw scalar symmetric alpha-stable variates, cf ``exp(-|t|^alpha)``."""
-    shape = () if size is None else size
-    u = rng.random(np.append(np.atleast_1d(shape), 2).astype(int) if size is not None else 2)
-    if size is None:
-        return float(sas_from_uniforms(alpha, u[0], u[1]))
-    return sas_from_uniforms(alpha, u[..., 0], u[..., 1])
-
-
 class StableLaw(IncrementLaw):
     """Symmetric alpha-stable law with discrete spectral measure.
 
     ``alpha`` must lie strictly inside (0, 2): the Gaussian endpoint has its
-    own law class and the scalar sampler, not this one.  A draw superposes
-    one symmetric ray per atom,
+    own law class and :func:`sas_from_uniforms`, not this one.  A draw
+    superposes one symmetric ray per atom,
 
         sum_k w_k^(1/alpha) * zeta_k * s_k,
 

@@ -2,25 +2,32 @@
 
 Each variant builds a cumulative process ``U_n`` from iid noise together
 with two rescalings: a possibly path-dependent one (``B``) that strips all
-randomness shared along the path, and a deterministic one (``Q``) that does
-not.  The interesting object is the pair ``(B_n U_n, Q_n U_n)`` at chosen
-checkpoints: the first converges to a fixed matrix-geometric series law for
-every path, the second drags the path-level latent scale along with it.
+randomness shared along the path, and a deterministic one (``Q_n = P^n``)
+that does not.  The interesting object is the pair ``(B_n U_n, Q_n U_n)`` at
+chosen checkpoints: the first converges to a fixed matrix-geometric series
+law for every path, the second drags the path-level latent scale along.
 
-Variants
---------
+Variants are data.  A spec may draw one latent atom per path at time zero
+from ``atom_probs``.  Each atom carries a scalar ``atom_scale`` (1 when the
+table has none), an optional matrix ``atom_factor`` and its membership
+``atom_in_g`` in the conditioning event.  With the spec's ``perturbation``
+``p``, the increments are ``dU_k = P^-k V_k`` with the transform
+
+    V_k = (scale + p/k) factor W_k,
+
+and ``B_n = P^n / (scale + p/n)`` divides the scale back out, so
+``B_n U_n = sum_k P^{n-k} V_k / (scale + p/n)``.
+
 ``SyntheticCanonical``
-    ``dU_n = P^-n W_n``, ``B_n = Q_n = P^n``.  Then ``B_n U_n`` equals
-    ``sum_k P^{n-k} W_k`` exactly; the cleanest test bench.
+    No latent draw: ``B_n U_n = Q_n U_n = sum_k P^{n-k} W_k`` exactly; the
+    cleanest test bench.
 ``RandomScaled``
-    A scalar ``lam`` drawn once at time zero scales every increment, and
-    ``B_n = (lam + perturbation/n)^-1 P^n`` undoes it (the optional
-    perturbation makes the ``Q_n B_n^-1`` limit approximate instead of
-    exact, for exercising the condition checkers).  ``Q_n = P^n`` stays
-    deterministic, so ``Q_n U_n`` keeps the factor ``lam``.
+    The atoms are scalar scales ``lam``.  ``B`` undoes them, exactly for
+    ``p = 0`` and only asymptotically otherwise (which exercises the
+    condition checkers); ``Q_n U_n`` keeps the factor ``lam``.
 ``DiscreteFactor``
-    A matrix factor drawn once at time zero multiplies every increment
-    inside the normalization: ``dU_n = P^-n S W_n``, ``B_n = Q_n = P^n``.
+    The atoms are matrix factors inside the normalization:
+    ``dU_n = P^-n S W_n``, ``B_n = Q_n = P^n``.
 ``ExplosiveVar``
     ``U_n = A U_{n-1} + eps_n`` with every eigenvalue of ``A`` outside the
     unit circle, normalized by ``B_n = A^-n``.  Provided for the series
@@ -61,11 +68,16 @@ def _check_discrete(values: np.ndarray, probs) -> np.ndarray:
 
 
 class ProcessSpec:
-    """Shared construction/validation for the contraction-driven variants."""
+    """Contraction, noise law and latent atom table shared by all variants.
+
+    The table defaults to one implicit atom that is never drawn
+    (``atom_probs`` None, no latent uniform), lies in the conditioning
+    event, and has neither a scale (``atom_scale`` None) nor a factor
+    (``atom_factor`` None).
+    """
 
     noise_law: IncrementLaw
     dim: int
-    latent_uniforms: int = 0
 
     def __init__(self, P, noise_law: IncrementLaw):
         self.P = matalg.as_square(P, "P")
@@ -79,32 +91,23 @@ class ProcessSpec:
         self.dim = self.P.shape[0]
         if noise_law.dim != self.dim:
             raise InvalidInputError("noise law dimension does not match P")
+        self.atom_probs = None
+        self.atom_scale = None
+        self.atom_factor = None
+        self.atom_in_g = np.ones(1, dtype=bool)
+        self.perturbation = 0.0
 
-    # Latent structure; overridden by variants that draw one.
-    def latent_from_uniform(self, u: np.ndarray) -> dict:
-        n = len(u)
-        return {
-            "lam": None,
-            "s_index": None,
-            "in_g": np.ones(n, dtype=bool),
-            "eta_scale": np.ones(n),
-            "eta_invertible": np.ones(n, dtype=bool),
-        }
+    @property
+    def latent_uniforms(self) -> int:
+        return 0 if self.atom_probs is None else 1
 
-    # Increment transform: V_k entering sum_k P^{n-k} V_k.  W has shape
-    # (count, n, d); latent is the dict above restricted to the chunk.
-    def transformed_increments(self, W: np.ndarray, latent: dict) -> np.ndarray:
-        return W
-
-    # Path-level scale of B_n relative to P^n; shape (count,).  Every
-    # variant has B_n = b_scale * P^n and Q_n = P^n.
-    def b_scale(self, latent: dict, n: int) -> np.ndarray:
-        return np.ones(len(latent["in_g"]))
-
-    # Scaled checkpoint values from the noise-side partial sums
-    # wsum_n = sum_k P^{n-k} V_k; shape (count, d).
-    def scaled_from_wsum(self, wsum: np.ndarray, latent: dict, n: int):
-        return wsum, wsum  # (B_n U_n, Q_n U_n)
+    def b_divisor(self, n) -> np.ndarray:
+        """Per-atom ``scale + perturbation/n``: ``B_n = P^n / b_divisor(n)``.
+        At ``n = inf`` it is the atom's scale, the limit."""
+        scale = self.atom_scale
+        if scale is None:
+            scale = np.ones(len(self.atom_in_g))
+        return scale + self.perturbation / n
 
     def to_json(self) -> dict:
         raise NotImplementedError
@@ -132,8 +135,6 @@ class RandomScaled(ProcessSpec):
     normalization.
     """
 
-    latent_uniforms = 1
-
     def __init__(
         self,
         P,
@@ -144,59 +145,34 @@ class RandomScaled(ProcessSpec):
         perturbation: float = 0.0,
     ):
         super().__init__(P, noise_law)
-        self.lam_values = np.atleast_1d(np.asarray(lam_values, dtype=float))
-        if self.lam_values.ndim != 1 or len(self.lam_values) == 0:
+        lam = np.atleast_1d(np.asarray(lam_values, dtype=float))
+        if lam.ndim != 1 or len(lam) == 0:
             raise InvalidInputError("lam_values must be a nonempty vector")
-        if not np.isfinite(self.lam_values).all() or (self.lam_values == 0.0).any():
+        if not np.isfinite(lam).all() or (lam == 0.0).any():
             raise InvalidInputError("latent scale atoms must be finite and nonzero")
-        self.lam_probs = _check_discrete(self.lam_values, lam_probs)
+        self.atom_scale = lam
+        self.atom_probs = _check_discrete(lam, lam_probs)
         if event_values is None:
-            event_values = self.lam_values
+            event_values = lam
         event_values = np.atleast_1d(np.asarray(event_values, dtype=float))
-        self.event_mask = np.isin(self.lam_values, event_values)
-        if not self.event_mask.any():
+        self.atom_in_g = np.isin(lam, event_values)
+        if not self.atom_in_g.any():
             raise InvalidInputError("conditioning event must contain at least one atom")
-        missing = set(event_values.tolist()) - set(self.lam_values.tolist())
+        missing = set(event_values.tolist()) - set(lam.tolist())
         if missing:
             raise InvalidInputError(f"event values {sorted(missing)} are not atoms")
         self.perturbation = float(perturbation)
         if not np.isfinite(self.perturbation) or self.perturbation < 0.0:
             raise InvalidInputError("perturbation must be a nonnegative float")
-        self._cum = np.cumsum(self.lam_probs)
-
-    def latent_from_uniform(self, u: np.ndarray) -> dict:
-        idx = np.minimum(
-            np.searchsorted(self._cum, u, side="right"), len(self.lam_values) - 1
-        )
-        lam = self.lam_values[idx]
-        return {
-            "lam": lam,
-            "s_index": None,
-            "in_g": self.event_mask[idx],
-            "eta_scale": lam,
-            "eta_invertible": np.ones(len(u), dtype=bool),
-        }
-
-    def transformed_increments(self, W: np.ndarray, latent: dict) -> np.ndarray:
-        steps = np.arange(1, W.shape[1] + 1)
-        coeff = latent["lam"][:, None] + self.perturbation / steps[None, :]
-        return W * coeff[:, :, None]
-
-    def b_scale(self, latent: dict, n: int) -> np.ndarray:
-        return 1.0 / (latent["lam"] + self.perturbation / n)
-
-    def scaled_from_wsum(self, wsum: np.ndarray, latent: dict, n: int):
-        bu = wsum / (latent["lam"] + self.perturbation / n)[:, None]
-        return bu, wsum
 
     def to_json(self) -> dict:
         return {
             "variant": "random-scaled",
             "P": matalg.matrix_to_json(self.P),
             "noise": laws.law_to_json(self.noise_law),
-            "lam_values": self.lam_values.tolist(),
-            "lam_probs": self.lam_probs.tolist(),
-            "event_values": self.lam_values[self.event_mask].tolist(),
+            "lam_values": self.atom_scale.tolist(),
+            "lam_probs": self.atom_probs.tolist(),
+            "event_values": self.atom_scale[self.atom_in_g].tolist(),
             "perturbation": self.perturbation,
         }
 
@@ -204,43 +180,21 @@ class RandomScaled(ProcessSpec):
 class DiscreteFactor(ProcessSpec):
     """One matrix factor drawn at time zero multiplies every increment."""
 
-    latent_uniforms = 1
-
     def __init__(self, P, noise_law: IncrementLaw, factors, factor_probs):
         super().__init__(P, noise_law)
-        self.factors = np.stack([matalg.as_square(f, "factor") for f in factors])
-        if self.factors.shape[1] != self.dim:
+        self.atom_factor = np.stack([matalg.as_square(f, "factor") for f in factors])
+        if self.atom_factor.shape[1] != self.dim:
             raise InvalidInputError("factor matrices must match the process dimension")
-        self.factor_probs = _check_discrete(self.factors, factor_probs)
-        self._cum = np.cumsum(self.factor_probs)
-
-    def latent_from_uniform(self, u: np.ndarray) -> dict:
-        idx = np.minimum(
-            np.searchsorted(self._cum, u, side="right"), len(self.factors) - 1
-        )
-        return {
-            "lam": None,
-            "s_index": idx,
-            "in_g": np.ones(len(u), dtype=bool),
-            "eta_scale": np.ones(len(u)),
-            "eta_invertible": np.ones(len(u), dtype=bool),
-        }
-
-    def transformed_increments(self, W: np.ndarray, latent: dict) -> np.ndarray:
-        out = np.empty_like(W)
-        for k, factor in enumerate(self.factors):
-            mask = latent["s_index"] == k
-            if mask.any():
-                out[mask] = W[mask] @ factor.T
-        return out
+        self.atom_probs = _check_discrete(self.atom_factor, factor_probs)
+        self.atom_in_g = np.ones(len(self.atom_factor), dtype=bool)
 
     def to_json(self) -> dict:
         return {
             "variant": "discrete-factor",
             "P": matalg.matrix_to_json(self.P),
             "noise": laws.law_to_json(self.noise_law),
-            "factors": [matalg.matrix_to_json(f) for f in self.factors],
-            "factor_probs": self.factor_probs.tolist(),
+            "factors": [matalg.matrix_to_json(f) for f in self.atom_factor],
+            "factor_probs": self.atom_probs.tolist(),
         }
 
 
@@ -317,20 +271,57 @@ def per_path_uniforms(spec: ProcessSpec, n: int) -> int:
 
 
 @dataclass(frozen=True)
+class Latent:
+    """Each path's draw at time zero: its row ``atom`` of the spec's atom
+    table (0 when the spec draws none) and that atom's membership ``in_g``
+    in the conditioning event."""
+
+    atom: np.ndarray
+    in_g: np.ndarray
+
+
+def _draw_latent(spec: ProcessSpec, u: np.ndarray) -> Latent:
+    """Latent of each row of a path-uniform block; a row's first uniform
+    is its latent one when the spec draws an atom."""
+    if spec.atom_probs is None:
+        atom = np.zeros(len(u), dtype=np.intp)
+    else:
+        cum = np.cumsum(spec.atom_probs)
+        atom = np.minimum(np.searchsorted(cum, u[:, 0], side="right"), len(cum) - 1)
+    return Latent(atom, spec.atom_in_g[atom])
+
+
+def _transformed(spec: ProcessSpec, W: np.ndarray, atom: np.ndarray) -> np.ndarray:
+    """``V_k = (scale + perturbation/k) factor W_k`` for each path's atom;
+    ``W`` has shape (count, n, d)."""
+    if spec.atom_factor is not None:
+        V = np.empty_like(W)
+        for k, factor in enumerate(spec.atom_factor):
+            mask = atom == k
+            if mask.any():
+                V[mask] = W[mask] @ factor.T
+        W = V
+    if spec.atom_scale is not None:
+        steps = np.arange(1, W.shape[1] + 1)
+        coeff = spec.atom_scale[atom][:, None] + spec.perturbation / steps[None, :]
+        W = W * coeff[:, :, None]
+    return W
+
+
+@dataclass(frozen=True)
 class ProcessPath:
     """One fully materialized trajectory.
 
     ``U[k]`` is the state after ``k`` steps (``U[0] = 0``), ``increments[k]``
-    the step taken at time ``k`` (``increments[0] = 0`` by convention).
+    the step taken at time ``k`` (``increments[0] = 0`` by convention);
+    ``latent`` is the path's one-row draw at time zero.
     """
 
     spec: ProcessSpec
     n: int
     U: np.ndarray
     increments: np.ndarray
-    lam: float | None
-    s_index: int | None
-    in_g: bool
+    latent: Latent
 
     @property
     def dim(self) -> int:
@@ -347,8 +338,7 @@ def simulate_path(spec: ProcessSpec, n: int, rng: np.random.Generator) -> Proces
     if n < 1:
         raise InvalidInputError("n must be at least 1")
     u = np.atleast_1d(rng.random(per_path_uniforms(spec, n)))
-    latent_u = u[:1] if spec.latent_uniforms else np.zeros(1)
-    latent = spec.latent_from_uniform(latent_u)
+    latent = _draw_latent(spec, u[None])
     upd = spec.noise_law.uniforms_per_draw
     W = spec.noise_law.from_uniforms(
         u[spec.latent_uniforms :].reshape(1, n, upd)
@@ -368,22 +358,12 @@ def simulate_path(spec: ProcessSpec, n: int, rng: np.random.Generator) -> Proces
                 "shorten the horizon"
             )
     else:
-        V = spec.transformed_increments(W, latent)[0]
+        V = _transformed(spec, W, latent.atom)[0]
         inv_powers = matalg.power_sequence(spec.P_inv, n)
         inc = np.zeros((n + 1, spec.dim))
         inc[1:] = np.einsum("kde,ke->kd", inv_powers[1:], V)
         U = np.concatenate([np.zeros((1, spec.dim)), np.cumsum(inc[1:], axis=0)])
-    lam = latent["lam"]
-    s_index = latent["s_index"]
-    return ProcessPath(
-        spec=spec,
-        n=n,
-        U=U,
-        increments=inc,
-        lam=None if lam is None else float(lam[0]),
-        s_index=None if s_index is None else int(s_index[0]),
-        in_g=bool(latent["in_g"][0]),
-    )
+    return ProcessPath(spec=spec, n=n, U=U, increments=inc, latent=latent)
 
 
 def checkpoint_scaled(path: ProcessPath, checkpoints) -> list[tuple[int, np.ndarray, np.ndarray]]:
@@ -396,13 +376,8 @@ def checkpoint_scaled(path: ProcessPath, checkpoints) -> list[tuple[int, np.ndar
             raise InvalidInputError(
                 f"checkpoint {n} outside the simulated range 1..{path.n}"
             )
-        latent = {
-            "lam": None if path.lam is None else np.array([path.lam]),
-            "in_g": np.array([path.in_g]),
-        }
-        scale = spec.b_scale(latent, n)[0]
         qu = np.linalg.matrix_power(spec.P, n) @ path.U[n]
-        bu = scale * qu
+        bu = (1.0 / spec.b_divisor(n)[path.latent.atom[0]]) * qu
         out.append((n, bu, qu))
     return out
 
@@ -423,16 +398,23 @@ class Ensemble:
     checkpoints: tuple[int, ...]
     bu: dict
     qu: dict
-    lam: np.ndarray | None
-    s_index: np.ndarray | None
-    in_g: np.ndarray
-    eta_scale: np.ndarray
-    eta_invertible: np.ndarray
+    latent: Latent
     noise_prefix: np.ndarray
 
     @property
     def dim(self) -> int:
         return self.spec.dim
+
+    @property
+    def in_g(self) -> np.ndarray:
+        """Shorthand for ``latent.in_g``; the benchmark tracer reads it."""
+        return self.latent.in_g
+
+    @property
+    def eta_invertible(self) -> np.ndarray:
+        """All true: every latent scale is invertible.  Its only reader is
+        the benchmark tracer's filtered-path counter (``bench/tracer.py``)."""
+        return np.ones(self.n_paths, dtype=bool)
 
 
 def simulate_ensemble(
@@ -465,8 +447,7 @@ def simulate_ensemble(
 
     def chunk(start, count):
         u = streams.uniform_block(seed, streams.STREAM_PROCESS, start, count, per_path)
-        latent_u = u[:, 0] if spec.latent_uniforms else np.zeros(count)
-        latent = spec.latent_from_uniform(latent_u)
+        latent = _draw_latent(spec, u)
         W = spec.noise_law.from_uniforms(
             u[:, spec.latent_uniforms :].reshape(count, n, upd)
         )
@@ -479,7 +460,7 @@ def simulate_ensemble(
                 val = csum[:, cp - 1]
                 bu_c[cp], qu_c[cp] = val, val
         else:
-            V = spec.transformed_increments(W, latent)
+            V = _transformed(spec, W, latent.atom)
             # w is (d, count).  Elementwise ops in a fixed order keep a
             # path's bits independent of its chunk's row count, which a BLAS
             # matmul does not (it switches kernels for one-row chunks).
@@ -490,7 +471,10 @@ def simulate_ensemble(
                     nxt[i] += spec.P[i, j] * w[j]
                 w = nxt
                 if k in checkpoints:
-                    bu_c[k], qu_c[k] = spec.scaled_from_wsum(w.T, latent, k)
+                    # Unscaled specs share one array for B_n U_n and Q_n U_n.
+                    qu_c[k] = bu_c[k] = w.T
+                    if spec.atom_scale is not None:
+                        bu_c[k] = w.T / spec.b_divisor(k)[latent.atom][:, None]
         return {
             "bu": bu_c,
             "qu": qu_c,
@@ -503,7 +487,6 @@ def simulate_ensemble(
     def cat(getter):
         return np.concatenate([getter(p) for p in parts], axis=0)
 
-    first_latent = parts[0]["latent"]
     return Ensemble(
         spec=spec,
         seed=int(seed),
@@ -511,15 +494,9 @@ def simulate_ensemble(
         checkpoints=checkpoints,
         bu={cp: cat(lambda p, c=cp: p["bu"][c]) for cp in checkpoints},
         qu={cp: cat(lambda p, c=cp: p["qu"][c]) for cp in checkpoints},
-        lam=None if first_latent["lam"] is None else cat(lambda p: p["latent"]["lam"]),
-        s_index=(
-            None
-            if first_latent["s_index"] is None
-            else cat(lambda p: p["latent"]["s_index"])
+        latent=Latent(
+            cat(lambda p: p["latent"].atom), cat(lambda p: p["latent"].in_g)
         ),
-        in_g=cat(lambda p: p["latent"]["in_g"]),
-        eta_scale=cat(lambda p: p["latent"]["eta_scale"]),
-        eta_invertible=cat(lambda p: p["latent"]["eta_invertible"]),
         noise_prefix=cat(lambda p: p["prefix"]),
     )
 
@@ -533,6 +510,12 @@ def write_paths_csv(path, paths: list[ProcessPath]) -> None:
         raise InvalidInputError("no paths to write")
     steps = [p.n + 1 for p in paths]
 
+    def drawn(p):
+        # (in_g, lam, s_index) cells; lam and s_index only where drawn.
+        atom, spec = int(p.latent.atom[0]), p.spec
+        lam = "" if spec.atom_scale is None else repr(float(spec.atom_scale[atom]))
+        return int(p.latent.in_g[0]), lam, "" if spec.atom_factor is None else atom
+
     def per_path(values):
         return np.repeat(np.array(values, dtype=object), steps)
 
@@ -542,9 +525,7 @@ def write_paths_csv(path, paths: list[ProcessPath]) -> None:
         [
             np.repeat(np.arange(len(paths)), steps),
             np.concatenate([np.arange(k) for k in steps]),
-            per_path([int(p.in_g) for p in paths]),
-            per_path(["" if p.lam is None else repr(p.lam) for p in paths]),
-            per_path(["" if p.s_index is None else p.s_index for p in paths]),
+            *(per_path(col) for col in zip(*map(drawn, paths))),
             np.concatenate([p.U for p in paths]),
         ],
     )

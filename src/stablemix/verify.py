@@ -12,9 +12,8 @@ reference with the path-conditional limit
 
     | avg 1_F exp(i<theta, Q_n U_n>)  -  avg 1_F phi_cond(latent, theta) |
 
-where ``phi_cond`` depends on the latent scale drawn at time zero.  Both are
-evaluated under the sub-population where the conditioning event holds and
-the limiting scale matrix is invertible.
+where ``phi_cond`` depends on the latent atom drawn at time zero.  Both are
+evaluated under the sub-population where the conditioning event holds.
 
 The three structural condition checkers (scale-limit match, stochastic
 boundedness, scaling-ratio stability) validate the hypotheses the limit
@@ -34,7 +33,7 @@ from typing import Callable
 import numpy as np
 
 from . import laws, streams
-from .ecf import ThetaGrid, hoeffding_radius
+from .ecf import ThetaGrid, default_grid, hoeffding_radius
 from .errors import InsufficientDataError, InvalidInputError
 from .processes import DiscreteFactor, Ensemble, ExplosiveVar, RandomScaled
 
@@ -127,12 +126,15 @@ def default_family(ensemble: Ensemble) -> EventFamily:
     ]
     spec = ensemble.spec
     if isinstance(spec, RandomScaled):
-        first = spec.lam_values[0]
+        first = spec.atom_scale[0]
         features.append(
-            PathEvent(f"lam-is-{first:g}", lambda e: e.lam == first)
+            PathEvent(
+                f"lam-is-{first:g}",
+                lambda e: e.spec.atom_scale[e.latent.atom] == first,
+            )
         )
     elif isinstance(spec, DiscreteFactor):
-        features.append(PathEvent("factor-is-0", lambda e: e.s_index == 0))
+        features.append(PathEvent("factor-is-0", lambda e: e.latent.atom == 0))
     return family_from_features(features)
 
 
@@ -160,20 +162,11 @@ class ConvergenceVerdict:
         }
 
 
-def _opnorm_by_key(keys: np.ndarray, build) -> np.ndarray:
-    """Operator norm of ``build(distinct keys)`` scattered back per key.
-    Paths share a few latent atoms, so one SVD per atom equals per-path
-    SVDs bit for bit at a fraction of the cost."""
-    distinct, inverse = np.unique(keys, return_inverse=True)
-    return np.linalg.svd(build(distinct), compute_uv=False)[:, 0][inverse]
-
-
-def _latent_dict(ensemble: Ensemble) -> dict:
-    return {"lam": ensemble.lam, "in_g": ensemble.in_g}
-
-
-def _filter_mask(ensemble: Ensemble) -> np.ndarray:
-    return ensemble.in_g & ensemble.eta_invertible
+def _opnorms(mats: np.ndarray, atom: np.ndarray) -> np.ndarray:
+    """Operator norm of each atom's matrix, given to every path of the atom.
+    One SVD per atom equals per-path SVDs bit for bit at a fraction of the
+    cost."""
+    return np.linalg.svd(mats, compute_uv=False)[:, 0][atom]
 
 
 def check_condition_i(
@@ -181,27 +174,26 @@ def check_condition_i(
 ) -> ConvergenceVerdict:
     """Does ``Q_n B_n^-1`` settle on the limiting scale matrix?
 
-    ``Q_n B_n^-1`` is the identity over ``b_scale`` for every variant, so
-    nothing is inverted.  Statistic per checkpoint: the given percentile,
-    over qualifying paths, of the operator-norm deviation from
-    ``eta_scale`` times the identity.  Exactly normalized variants report
-    0; the perturbed variant decays like 1/n.  Pass requires the deviation
+    ``B_n`` is ``P^n`` times the scalar ``b = 1 / b_divisor(n)`` of the
+    path's atom, so ``Q_n B_n^-1`` is the identity over ``b`` and nothing
+    is inverted.  Statistic per checkpoint: the given percentile, over
+    qualifying paths, of the operator-norm deviation from the atom's scale
+    times the identity.  Exactly normalized variants report 0; the
+    perturbed variant decays like 1/n.  Pass requires the deviation
     sequence to be non-increasing (up to ``tol``) and to end at or below
     ``tol``.
     """
-    mask = _filter_mask(ensemble)
+    mask = ensemble.latent.in_g
     if not mask.any():
         raise InsufficientDataError("no paths satisfy the conditioning event")
     spec = ensemble.spec
-    latent = _latent_dict(ensemble)
+    atom = ensemble.latent.atom[mask]
     eye = np.eye(ensemble.dim)[None]
+    scale = spec.b_divisor(np.inf)[:, None, None]
     stats = []
     for n in ensemble.checkpoints:
-        # Paths of one latent atom share a key, so one SVD serves them all.
-        keys = 1.0 / spec.b_scale(latent, n)[mask] + 1j * ensemble.eta_scale[mask]
-        norms = _opnorm_by_key(
-            keys, lambda k: eye * k.real[:, None, None] - k.imag[:, None, None] * eye
-        )
+        b = 1.0 / spec.b_divisor(n)[:, None, None]
+        norms = _opnorms(eye / b - scale * eye, atom)
         stats.append(float(np.percentile(norms, percentile)))
     monotone = all(b <= a + tol for a, b in zip(stats, stats[1:]))
     passed = monotone and stats[-1] <= tol
@@ -231,7 +223,7 @@ def check_condition_ii(
     levels = tuple(float(k) for k in levels)
     if not levels or min(levels) <= 0:
         raise InvalidInputError("levels must be positive")
-    mask = _filter_mask(ensemble)
+    mask = ensemble.latent.in_g
     if not mask.any():
         raise InsufficientDataError("no paths satisfy the conditioning event")
     count = int(mask.sum())
@@ -260,18 +252,19 @@ def check_condition_iii(
 ) -> ConvergenceVerdict:
     """Do scaling ratios ``B_n B_{n-r}^-1`` match the contraction powers?
 
-    The ratio is ``P^r`` times ``b_scale(n) / b_scale(n-r)``.  Statistic
-    per checkpoint: max over lags r of the percentile operator-norm
-    deviation from ``P^r``.  A lag reaching below index 0 is invalid input.
+    The ratio is ``P^r`` times ``b(n) / b(n-r)``, with ``b = 1 / b_divisor``
+    the scalar of ``B``.  Statistic per checkpoint: max over lags r of the
+    percentile operator-norm deviation from ``P^r``.  A lag reaching below
+    index 0 is invalid input.
     """
     r_list = tuple(int(r) for r in r_list)
     if not r_list or min(r_list) < 1:
         raise InvalidInputError("lags must be positive integers")
-    mask = _filter_mask(ensemble)
+    mask = ensemble.latent.in_g
     if not mask.any():
         raise InsufficientDataError("no paths satisfy the conditioning event")
     spec = ensemble.spec
-    latent = _latent_dict(ensemble)
+    atom = ensemble.latent.atom[mask]
     stats = []
     for n in ensemble.checkpoints:
         worst = 0.0
@@ -282,10 +275,8 @@ def check_condition_iii(
                     f"lag {r} reaches before time one at checkpoint {n}"
                 )
             target = np.linalg.matrix_power(spec.P, r)[None]
-            scale = spec.b_scale(latent, n) / spec.b_scale(latent, n - r)
-            norms = _opnorm_by_key(
-                scale[mask], lambda keys: target * keys[:, None, None] - target
-            )
+            ratio = (1.0 / spec.b_divisor(n)) / (1.0 / spec.b_divisor(n - r))
+            norms = _opnorms(target * ratio[:, None, None] - target, atom)
             worst = max(worst, float(np.percentile(norms, percentile)))
         stats.append(worst)
     passed = all(s <= tol for s in stats)
@@ -324,19 +315,21 @@ def mixing_reference(spec, r: int, grid: ThetaGrid) -> np.ndarray:
 
 def conditional_reference(spec, r: int) -> Callable:
     """Per-path limit characteristic function of ``Q_n U_n`` given the
-    latent draw; callable as ``(latent_value, grid) -> values``."""
+    latent draw; callable as ``(atom, grid) -> values`` with ``atom`` a row
+    of the spec's atom table."""
     if isinstance(spec, RandomScaled):
 
-        def cond(lam, grid: ThetaGrid):
+        def cond(atom, grid: ThetaGrid):
+            lam = float(spec.atom_scale[int(atom)])
             return laws.series_cf_values(
-                spec.noise_law, spec.P, r, float(lam) * grid.points
+                spec.noise_law, spec.P, r, lam * grid.points
             )
 
         return cond
     if isinstance(spec, DiscreteFactor):
 
-        def cond(index, grid: ThetaGrid):
-            factor = spec.factors[int(index)]
+        def cond(atom, grid: ThetaGrid):
+            factor = spec.atom_factor[int(atom)]
             values = np.ones(len(grid), dtype=complex)
             proj = grid.points.copy()
             for _ in range(r + 1):
@@ -378,7 +371,7 @@ def _filtered_values(ensemble: Ensemble, n: int, which: str, min_paths: int):
     n = int(n)
     if n not in ensemble.checkpoints:
         raise InvalidInputError(f"checkpoint {n} was not simulated")
-    mask = _filter_mask(ensemble)
+    mask = ensemble.latent.in_g
     if int(mask.sum()) < min_paths:
         raise InsufficientDataError(
             f"only {int(mask.sum())} paths satisfy the conditioning event; "
@@ -428,19 +421,23 @@ def stable_statistic(
     sums, counts = _statistic_core(values, inds, grid, workers)
     total = values.shape[0]
 
-    if ensemble.lam is not None:
-        atom_vals = ensemble.lam[mask]
-    elif ensemble.s_index is not None:
-        atom_vals = ensemble.s_index[mask]
-    else:
-        atom_vals = np.zeros(total)
-    atoms, inverse_idx = np.unique(atom_vals, return_inverse=True)
-    cond = np.stack([np.asarray(conditional_cf(a, grid)) for a in atoms])
-    if cond.shape != (len(atoms), len(grid)):
+    # One group per conditional law: per distinct scale and factor row.  A
+    # complex key sorts by its real part, then its imaginary one, so term2
+    # sums the groups by ascending scale, then factor row.
+    spec = ensemble.spec
+    atoms, path_atom = np.unique(ensemble.latent.atom[mask], return_inverse=True)
+    row = atoms if spec.atom_factor is not None else np.zeros_like(atoms)
+    keys, first, group = np.unique(
+        spec.b_divisor(np.inf)[atoms] + 1j * row,
+        return_index=True, return_inverse=True,
+    )
+    inverse_idx = group[path_atom]
+    cond = np.stack([np.asarray(conditional_cf(atoms[i], grid)) for i in first])
+    if cond.shape != (len(keys), len(grid)):
         raise InvalidInputError("conditional cf returned a misshaped grid row")
     counts_ea = np.stack(
         [
-            np.bincount(inverse_idx[inds[e]], minlength=len(atoms))
+            np.bincount(inverse_idx[inds[e]], minlength=len(keys))
             for e in range(len(inds))
         ]
     )
@@ -468,15 +465,48 @@ def scale_mixture_gap(
     per_atom = np.stack(
         [
             laws.series_cf_values(spec.noise_law, spec.P, r, lam * grid.points)
-            for lam in spec.lam_values
+            for lam in spec.atom_scale
         ]
     )
-    probs = spec.lam_probs
+    probs = spec.atom_probs
     gaps = {"all": float(np.abs(probs @ per_atom - ref).max())}
-    for lam, p, row in zip(spec.lam_values, probs, per_atom):
+    for lam, p, row in zip(spec.atom_scale, probs, per_atom):
         gaps[f"lam-is-{lam:g}"] = float(np.abs(p * row - p * ref).max())
     best = max(gaps.values())
     return best, gaps
+
+
+def _verdict(
+    condition, ensemble, family, grid, r, delta, factor, reference, statistic,
+    **detail,
+) -> ConvergenceVerdict:
+    """Shared tail of the verdicts: resolve the default family, grid and
+    ``r``, build the reference once, take ``statistic(n, family, grid,
+    reference)`` per checkpoint and judge the last one against
+    ``factor * hoeffding_radius`` at the filtered path count."""
+    family = default_family(ensemble) if family is None else family
+    grid = default_grid(ensemble.dim) if grid is None else grid
+    r = ensemble.checkpoints[-1] - 1 if r is None else int(r)
+    ref = reference(r, grid)
+    stats = tuple(statistic(n, family, grid, ref) for n in ensemble.checkpoints)
+    count = int(ensemble.latent.in_g.sum())
+    threshold = factor * hoeffding_radius(count, delta)
+    return ConvergenceVerdict(
+        condition=condition,
+        checkpoints=ensemble.checkpoints,
+        statistics=stats,
+        thresholds=tuple([threshold] * len(stats)),
+        passed=stats[-1] <= threshold,
+        n_paths=count,
+        detail={
+            "events": list(family.labels),
+            "grid_points": len(grid),
+            "r": r,
+            "delta": delta,
+            "factor": factor,
+            **detail,
+        },
+    )
 
 
 def verify_mixing(
@@ -501,36 +531,14 @@ def verify_mixing(
     prefix events, so the default family rightly reports a large statistic
     there; use :func:`omega_family` for the plain distributional check.
     """
-    from .ecf import default_grid
-
-    family = default_family(ensemble) if family is None else family
-    grid = default_grid(ensemble.dim) if grid is None else grid
-    r = ensemble.checkpoints[-1] - 1 if r is None else int(r)
-    ref = mixing_reference(ensemble.spec, r, grid)
-    stats = tuple(
-        mixing_statistic(
+    return _verdict(
+        "mixing", ensemble, family, grid, r, delta, factor,
+        lambda r, grid: mixing_reference(ensemble.spec, r, grid),
+        lambda n, family, grid, ref: mixing_statistic(
             ensemble, n, family, grid, ref, which=which,
             min_paths=min_paths, workers=workers,
-        )
-        for n in ensemble.checkpoints
-    )
-    count = int(_filter_mask(ensemble).sum())
-    threshold = factor * hoeffding_radius(count, delta)
-    return ConvergenceVerdict(
-        condition="mixing",
-        checkpoints=ensemble.checkpoints,
-        statistics=stats,
-        thresholds=tuple([threshold] * len(stats)),
-        passed=stats[-1] <= threshold,
-        n_paths=count,
-        detail={
-            "events": list(family.labels),
-            "grid_points": len(grid),
-            "r": r,
-            "delta": delta,
-            "factor": factor,
-            "statistic_of": which,
-        },
+        ),
+        statistic_of=which,
     )
 
 
@@ -545,32 +553,10 @@ def verify_stable(
     workers: int = 1,
 ) -> ConvergenceVerdict:
     """Stable statistic across checkpoints, judged at the last one."""
-    from .ecf import default_grid
-
-    family = default_family(ensemble) if family is None else family
-    grid = default_grid(ensemble.dim) if grid is None else grid
-    r = ensemble.checkpoints[-1] - 1 if r is None else int(r)
-    cond = conditional_reference(ensemble.spec, r)
-    stats = tuple(
-        stable_statistic(
+    return _verdict(
+        "stable", ensemble, family, grid, r, delta, factor,
+        lambda r, grid: conditional_reference(ensemble.spec, r),
+        lambda n, family, grid, cond: stable_statistic(
             ensemble, n, family, grid, cond, min_paths=min_paths, workers=workers
-        )
-        for n in ensemble.checkpoints
-    )
-    count = int(_filter_mask(ensemble).sum())
-    threshold = factor * hoeffding_radius(count, delta)
-    return ConvergenceVerdict(
-        condition="stable",
-        checkpoints=ensemble.checkpoints,
-        statistics=stats,
-        thresholds=tuple([threshold] * len(stats)),
-        passed=stats[-1] <= threshold,
-        n_paths=count,
-        detail={
-            "events": list(family.labels),
-            "grid_points": len(grid),
-            "r": r,
-            "delta": delta,
-            "factor": factor,
-        },
+        ),
     )

@@ -5,7 +5,9 @@ over the horizon.  These tests pin it against the explicit sum
 ``sum_k P^{n-k} V_k`` (the einsum the package used before, kept here as an
 oracle), across chunk boundaries, worker counts and awkward checkpoint
 lists.  The condition checks decompose one matrix per latent atom; they
-must equal a per-path SVD bit for bit.
+must equal a per-path SVD bit for bit.  The oracles rebuild the atom draw,
+the increment transform and the B-scale from the spec's atom table with
+their own arithmetic, so a fault in the package's transform shows.
 """
 
 import numpy as np
@@ -37,18 +39,53 @@ SPECS = {
     "scaled-perturbed": RandomScaled(
         rotation_half(), LAW2, [1.0, 2.0], [0.5, 0.5], perturbation=0.3
     ),
+    # Atoms out of scale order, and an event that leaves one out.
+    "scaled-unsorted": RandomScaled(
+        rotation_half(), LAW2, [2.0, 0.5, 1.0], [0.3, 0.3, 0.4],
+        event_values=[2.0, 1.0], perturbation=0.3,
+    ),
     "factor": DiscreteFactor(
         rotation_half(), LAW2, [np.eye(2), np.array([[1.0, 0.5], [0.0, 2.0]])],
         [0.5, 0.5],
     ),
     "explosive": ExplosiveVar(np.array([[2.0, 0.5], [0.0, 1.5]]), LAW2),
 }
-CONTRACTING = ("canonical", "scaled-perturbed", "factor")
+CONTRACTING = ("canonical", "scaled-perturbed", "scaled-unsorted", "factor")
 
 # Unsorted, with a duplicate, and always containing checkpoint 1.
 checkpoint_lists = st.lists(st.integers(1, 12), min_size=1, max_size=4).map(
     lambda c: c + [1, c[0]]
 )
+
+
+def oracle_atoms(spec, u):
+    """Atom row of each path: how many cumulative atom probabilities its
+    latent uniform (the first of its row) reaches, capped at the last atom.
+    Returns the atoms and the noise uniforms."""
+    if spec.atom_probs is None:
+        return np.zeros(len(u), dtype=int), u
+    cum = np.cumsum(spec.atom_probs)
+    reached = (u[:, :1] >= cum[None, :]).sum(axis=1)
+    return np.minimum(reached, len(cum) - 1), u[:, 1:]
+
+
+def oracle_scale(spec, atom):
+    """Scalar scale of each path's atom (1 without a scale table)."""
+    if spec.atom_scale is None:
+        return np.ones(len(atom))
+    return np.array([spec.atom_scale[a] for a in atom])
+
+
+def oracle_transform(spec, W, atom):
+    """``V_k = (scale + p/k) S W_k`` path by path, S the atom's factor."""
+    n, d = W.shape[1], W.shape[2]
+    V = np.empty_like(W)
+    scale = oracle_scale(spec, atom)
+    for i, a in enumerate(atom):
+        S = np.eye(d) if spec.atom_factor is None else spec.atom_factor[a]
+        coeff = np.array([scale[i] + spec.perturbation / k for k in range(1, n + 1)])
+        V[i] = coeff[:, None] * np.einsum("de,ke->kd", S, W[i])
+    return V
 
 
 def explicit_sum(spec, checkpoints, n_paths, seed):
@@ -61,24 +98,21 @@ def explicit_sum(spec, checkpoints, n_paths, seed):
     qu = {cp: [] for cp in cps}
     for start, count in streams.chunk_starts(n_paths):
         u = streams.uniform_block(seed, streams.STREAM_PROCESS, start, count, per_path)
-        latent = spec.latent_from_uniform(
-            u[:, 0] if spec.latent_uniforms else np.zeros(count)
-        )
-        W = spec.noise_law.from_uniforms(
-            u[:, spec.latent_uniforms :].reshape(count, n, -1)
-        )
+        atom, noise_u = oracle_atoms(spec, u)
+        W = spec.noise_law.from_uniforms(noise_u.reshape(count, n, -1))
         if isinstance(spec, ExplosiveVar):
             csum = np.cumsum(np.einsum("kde,cke->ckd", kernel[1:], W), axis=1)
             for cp in cps:
                 bu[cp].append(csum[:, cp - 1])
                 qu[cp].append(csum[:, cp - 1])
             continue
-        V = spec.transformed_increments(W, latent)
+        V = oracle_transform(spec, W, atom)
+        scale = oracle_scale(spec, atom)
         for cp in cps:
+            # Q_n U_n = P^n U_n = wsum; B_n = P^n / (scale + p/n).
             wsum = np.einsum("kde,cke->cd", kernel[cp - 1 :: -1], V[:, :cp])
-            b, q = spec.scaled_from_wsum(wsum, latent, cp)
-            bu[cp].append(b)
-            qu[cp].append(q)
+            bu[cp].append(wsum / (scale + spec.perturbation / cp)[:, None])
+            qu[cp].append(wsum)
     return (
         {cp: np.concatenate(bu[cp]) for cp in cps},
         {cp: np.concatenate(qu[cp]) for cp in cps},
@@ -159,39 +193,52 @@ def test_explosive_values_unchanged(n_paths, checkpoints, seed):
 def per_path_condition_stats(ens, r_list, percentile=95.0):
     """Conditions (i) and (iii) with one SVD per path."""
     spec = ens.spec
-    latent = {"lam": ens.lam, "in_g": ens.in_g}
-    mask = ens.in_g & ens.eta_invertible
+    mask = np.array([spec.atom_in_g[a] for a in ens.latent.atom])
+    lam = oracle_scale(spec, ens.latent.atom)
     eye = np.eye(ens.dim)[None]
 
     def top(mats):
         return np.percentile(np.linalg.svd(mats, compute_uv=False)[:, 0], percentile)
 
+    def b(n):  # B_n = b(n) P^n
+        return 1.0 / (lam + spec.perturbation / n)
+
     first, third = [], []
     for n in ens.checkpoints:
-        mats = eye * (1.0 / spec.b_scale(latent, n))[:, None, None]
-        mats -= ens.eta_scale[:, None, None] * eye
+        # Q_n B_n^-1 = I / b(n), against its limit lam I.
+        mats = (1.0 / b(n))[:, None, None] * eye - lam[:, None, None] * eye
         first.append(float(top(mats[mask])))
         worst = 0.0
         for r in r_list:
             target = np.linalg.matrix_power(spec.P, r)[None]
-            scale = spec.b_scale(latent, n) / spec.b_scale(latent, n - r)
-            mats = target * scale[:, None, None] - target
+            mats = target * (b(n) / b(n - r))[:, None, None] - target
             worst = max(worst, float(top(mats[mask])))
         third.append(worst)
     return tuple(first), tuple(third)
 
 
+# (lam_values, event_values): atoms in scale order, and out of it.
+ATOM_TABLES = (([1.0, 2.0, 3.5], [1.0, 3.5]), ([2.0, 0.5, 1.0], [2.0, 1.0]))
+
+
 @settings(max_examples=10, deadline=None)
 @given(
+    table=st.sampled_from(ATOM_TABLES),
     perturbation=st.sampled_from([0.0, 0.3, 1.7]),
     n_paths=st.sampled_from(PATH_COUNTS[:2]),
     checkpoints=st.lists(st.integers(3, 20), min_size=1, max_size=4),
     seed=st.integers(0, 2**32),
 )
-def test_condition_stats_equal_per_path_svd(perturbation, n_paths, checkpoints, seed):
+@example(
+    table=ATOM_TABLES[1], perturbation=0.3, n_paths=CHUNK, checkpoints=[20, 3], seed=1
+)
+def test_condition_stats_equal_per_path_svd(
+    table, perturbation, n_paths, checkpoints, seed
+):
+    lam_values, event_values = table
     spec = RandomScaled(
-        rotation_half(), LAW2, [1.0, 2.0, 3.5], [0.3, 0.3, 0.4],
-        event_values=[1.0, 3.5], perturbation=perturbation,
+        rotation_half(), LAW2, lam_values, [0.3, 0.3, 0.4],
+        event_values=event_values, perturbation=perturbation,
     )
     ens = simulate_ensemble(spec, checkpoints, n_paths, seed)
     first, third = per_path_condition_stats(ens, (1, 2))

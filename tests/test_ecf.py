@@ -189,9 +189,15 @@ class TestDistances:
     def test_two_sample_same_law(self):
         law = laws.CauchyLaw(2)
         grid = ecf.default_grid(2)
-        rng = np.random.default_rng(7)
-        a = ecf.estimate_ecf(law.sample_many(rng, 100_000), grid)
-        b = ecf.estimate_ecf(law.sample_many(rng, 100_000), grid)
+        upd = law.uniforms_per_draw
+        # Two independent samples: the same rows of two disjoint streams.
+        a, b = (
+            ecf.estimate_ecf(
+                law.from_uniforms(streams.uniform_block(7, stream, 0, 100_000, upd)),
+                grid,
+            )
+            for stream in (streams.STREAM_LAW, streams.STREAM_SECOND_SAMPLE)
+        )
         result = ecf.two_sample_distance(a, b)
         assert result.distance < result.combined_radius
         assert result.combined_radius == pytest.approx(2 * RADIUS_1E5, rel=1e-12)

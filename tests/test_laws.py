@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stablemix import laws
+from stablemix import laws, streams
 from stablemix.ecf import default_grid, estimate_ecf, hoeffding_radius, sup_distance
 from stablemix.errors import InvalidInputError
 
@@ -21,6 +21,14 @@ THRESHOLD = 0.03698867992666911
 EXP_M1 = 0.36787944117144233
 EXP_M2 = 0.1353352832366127
 EXP_M2_3 = 0.513417119032592
+
+
+def stream_draws(law, seed, count):
+    """``count`` draws of ``law`` from the first rows of the law stream."""
+    u = streams.uniform_block(
+        seed, streams.STREAM_LAW, 0, count, law.uniforms_per_draw
+    )
+    return law.from_uniforms(u)
 
 
 def two_atom_measure():
@@ -122,37 +130,20 @@ class TestCms:
         with pytest.raises(InvalidInputError):
             laws.sas_from_uniforms(2.5, 0.5, 0.5)
 
-    def test_sample_1d_sas_shapes(self):
-        rng = np.random.default_rng(1)
-        assert isinstance(laws.sample_1d_sas(1.5, rng), float)
-        assert laws.sample_1d_sas(1.5, rng, size=7).shape == (7,)
-        assert laws.sample_1d_sas(1.5, rng, size=(2, 3)).shape == (2, 3)
-
-    def test_sample_1d_sas_gaussian_endpoint(self):
-        rng = np.random.default_rng(8)
-        x = laws.sample_1d_sas(2.0, rng, size=N_SAMPLES)
+    def test_gaussian_endpoint_from_stream(self):
+        u = streams.uniform_block(8, streams.STREAM_LAW, 0, N_SAMPLES, 2)
+        x = laws.sas_from_uniforms(2.0, u[:, 0], u[:, 1])
         assert np.var(x) == pytest.approx(2.0, abs=0.06)
 
 
 class TestEcfAgainstCf:
     @pytest.mark.parametrize("law", all_standard_laws(), ids=lambda l: type(l).__name__ + str(getattr(l, "alpha", getattr(l, "dim", ""))))
     def test_samples_match_cf(self, law):
-        rng = np.random.default_rng(404)
-        samples = law.sample_many(rng, N_SAMPLES)
+        samples = stream_draws(law, 404, N_SAMPLES)
         grid = default_grid(law.dim)
         est = estimate_ecf(samples, grid)
         ref = laws.cf_increment(law, grid.points)
         assert sup_distance(est, ref) <= THRESHOLD
-
-    def test_fixed_uniform_consumption(self):
-        # sample_many must consume exactly count * uniforms_per_draw
-        # variates in row order: replaying the same generator state through
-        # from_uniforms reproduces the draws bit for bit.
-        for law in all_standard_laws():
-            a = law.sample_many(np.random.default_rng(77), 128)
-            u = np.random.default_rng(77).random((128, law.uniforms_per_draw))
-            b = law.from_uniforms(u)
-            assert np.array_equal(a, b)
 
 
 @settings(max_examples=25, deadline=None)
@@ -190,7 +181,7 @@ class TestEmpiricalLaw:
     def test_draws_come_from_pool(self):
         pool = np.array([[1.0, 0.0], [0.0, 2.0], [3.0, 3.0]])
         law = laws.EmpiricalLaw(pool)
-        draws = law.sample_many(np.random.default_rng(0), 500)
+        draws = stream_draws(law, 0, 500)
         for row in draws:
             assert any(np.array_equal(row, p) for p in pool)
 
@@ -282,8 +273,7 @@ class TestLawJson:
         for law in all_standard_laws():
             back = laws.law_from_json(laws.law_to_json(law))
             assert type(back) is type(law)
-            rng1, rng2 = np.random.default_rng(3), np.random.default_rng(3)
-            assert np.array_equal(law.sample_many(rng1, 16), back.sample_many(rng2, 16))
+            assert np.array_equal(stream_draws(law, 3, 16), stream_draws(back, 3, 16))
 
     def test_diagnostic_gate(self):
         obj = laws.law_to_json(laws.LogCauchyRay(1))
@@ -317,7 +307,7 @@ class TestNormalLawValidation:
     def test_degenerate_cov_allowed(self):
         # Rank-deficient covariance is legitimate (mass on a subspace).
         law = laws.NormalLaw(np.diag([1.0, 0.0]))
-        draws = law.sample_many(np.random.default_rng(2), 100)
+        draws = stream_draws(law, 2, 100)
         assert np.all(draws[:, 1] == 0.0)
 
 

@@ -177,7 +177,7 @@ class TestCheckpointScaled:
             rotation_half(), laws.NormalLaw(np.eye(2)), [2.0], [1.0]
         )
         path = simulate_path(spec, 6, np.random.default_rng(11))
-        assert path.lam == 2.0
+        assert spec.atom_scale[path.latent.atom[0]] == 2.0
         (n, bu, qu), = checkpoint_scaled(path, [6])
         # Q keeps the latent scale, B removes it.
         assert np.allclose(qu, 2.0 * bu, atol=1e-12)
@@ -217,7 +217,7 @@ class TestEnsemble:
         for n in (3, 7):
             assert np.array_equal(a.bu[n], b.bu[n])
             assert np.array_equal(a.qu[n], b.qu[n])
-        assert np.array_equal(a.lam, b.lam)
+        assert np.array_equal(a.latent.atom, b.latent.atom)
         assert np.array_equal(a.noise_prefix, b.noise_prefix)
 
     def test_growth_keeps_prefix(self):
@@ -232,12 +232,12 @@ class TestEnsemble:
             event_values=[2.0],
         )
         ens = simulate_ensemble(spec, [6], 5000, seed=3)
-        assert set(np.unique(ens.lam)) == {1.0, 2.0}
-        assert np.array_equal(ens.in_g, ens.lam == 2.0)
-        assert np.allclose(ens.qu[6], ens.bu[6] * ens.lam[:, None], atol=1e-12)
-        assert np.array_equal(ens.eta_scale, ens.lam)
+        lam = spec.atom_scale[ens.latent.atom]
+        assert set(np.unique(lam)) == {1.0, 2.0}
+        assert np.array_equal(ens.in_g, lam == 2.0)
+        assert np.allclose(ens.qu[6], ens.bu[6] * lam[:, None], atol=1e-12)
         # Atom frequencies near one half.
-        assert abs((ens.lam == 1.0).mean() - 0.5) < 0.03
+        assert abs((lam == 1.0).mean() - 0.5) < 0.03
 
     def test_discrete_factor_latent_structure(self):
         spec = DiscreteFactor(
@@ -245,9 +245,9 @@ class TestEnsemble:
             [np.eye(1), 2.0 * np.eye(1)], [0.25, 0.75],
         )
         ens = simulate_ensemble(spec, [6], 8000, seed=5)
-        assert set(np.unique(ens.s_index)) <= {0, 1}
-        assert abs((ens.s_index == 1).mean() - 0.75) < 0.03
-        assert ens.lam is None
+        assert set(np.unique(ens.latent.atom)) <= {0, 1}
+        assert abs((ens.latent.atom == 1).mean() - 0.75) < 0.03
+        assert spec.atom_scale is None
 
     def test_noise_prefix_matches_stream(self):
         spec = SyntheticCanonical(rotation_half(), laws.NormalLaw(np.eye(2)))

@@ -10,7 +10,7 @@ import csv
 import numpy as np
 import pytest
 
-from stablemix import laws, matalg, series
+from stablemix import laws, matalg, series, streams
 from stablemix.ecf import default_grid, estimate_ecf, sup_distance
 from stablemix.errors import InvalidInputError
 
@@ -164,8 +164,10 @@ class TestCouplingBound:
         cert, norms = matalg.decay_certificate(P)
         r, k = 16, 30
         powers = matalg.power_sequence(P, r + k)
-        rng = np.random.default_rng(21)
-        z = law.sample_many(rng, r + k + 1)
+        u = streams.uniform_block(
+            21, streams.STREAM_LAW, 0, r + k + 1, law.uniforms_per_draw
+        )
+        z = law.from_uniforms(u)
         terms = np.einsum("jde,je->jd", powers, z)
         s_short = terms[: r + 1].sum(axis=0)
         s_long = terms.sum(axis=0)

@@ -149,7 +149,9 @@ class TestConditions:
 
     def test_empty_conditioning_event(self):
         ens = simulate_ensemble(canonical_spec(), [5], 100, seed=0)
-        starved = dataclasses.replace(ens, in_g=np.zeros(100, dtype=bool))
+        starved = dataclasses.replace(
+            ens, latent=dataclasses.replace(ens.latent, in_g=np.zeros(100, dtype=bool))
+        )
         for checker in (
             verify.check_condition_i,
             verify.check_condition_ii,
@@ -191,7 +193,7 @@ class TestReferences:
         expected = np.exp(
             -0.5 * sum((2.0 * 0.5**j * t) ** 2 for j in range(5))
         )
-        assert np.allclose(cond(2.0, grid), expected, atol=1e-14)
+        assert np.allclose(cond(1, grid), expected, atol=1e-14)
 
     def test_conditional_factor_applies_factor_each_term(self):
         spec = DiscreteFactor(
@@ -252,11 +254,11 @@ class TestStatistics:
         cond = verify.conditional_reference(ens.spec, 7)
         got = verify.stable_statistic(ens, 8, fam, grid, cond)
 
-        mask = ens.in_g & ens.eta_invertible
+        mask = ens.in_g
         values = ens.qu[8][mask]
         inds = fam.indicator_matrix(ens)[:, mask]
         phases = np.exp(1j * (values @ grid.points.T))
-        atoms, inverse_idx = np.unique(ens.lam[mask], return_inverse=True)
+        atoms, inverse_idx = np.unique(ens.latent.atom[mask], return_inverse=True)
         per_atom = np.stack([cond(a, grid) for a in atoms])
         per_path = per_atom[inverse_idx]
         total = values.shape[0]

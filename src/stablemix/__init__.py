@@ -10,7 +10,7 @@ event-based convergence verdicts.  Everything randomized is addressed by
 sizes and worker counts.
 """
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 from .errors import (
     ConfigError,
@@ -30,7 +30,6 @@ from .matalg import (
     gelfand_index,
     inverse,
     norm_table,
-    operator_norm,
     power_sequence,
     psd_sqrt,
     spectral_radius,
@@ -68,7 +67,6 @@ from .laws import (
 )
 from .series import (
     LemmaDiagnostics,
-    LemmaReport,
     TruncationPlan,
     lemma_diagnostics,
     log_moment_estimate,
@@ -94,12 +92,10 @@ from .processes import (
 from .ecf import (
     EcfEstimate,
     ThetaGrid,
-    TwoSampleDistance,
     default_grid,
     estimate_ecf,
     hoeffding_radius,
     sup_distance,
-    two_sample_distance,
     write_ecf_csv,
 )
 from .verify import (

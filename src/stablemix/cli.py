@@ -31,7 +31,7 @@ from .ecf import (
     sup_distance,
     write_ecf_csv,
 )
-from .errors import ConfigError, ReproducibilityError, StablemixError
+from .errors import ConfigError, ReproducibilityError, StablemixError, converted
 from .processes import (
     per_path_uniforms,
     process_from_json,
@@ -48,7 +48,7 @@ _GRID_KEYS = {"grid_directions", "grid_radii"}
 _COMMAND_KEYS = {
     "sample-law": {"law", "count", "delta", "factor"} | _GRID_KEYS,
     "series": {"P", "law", "count", "tol", "r", "delta", "factor"} | _GRID_KEYS,
-    "lemma": {"P", "law", "J", "n_paths", "detail_paths", "allow_diagnostic"},
+    "lemma": {"P", "law", "J", "n_paths", "allow_diagnostic"},
     "simulate": {"process", "checkpoints", "n_paths", "trajectories"},
     "verify-mixing": {
         "process", "checkpoints", "n_paths", "r", "delta", "factor",
@@ -101,17 +101,29 @@ def _need(cfg: dict, key: str):
     return cfg[key]
 
 
+def _read(cfg: dict, key: str, convert, default=None):
+    """Config value ``key`` passed through ``convert``; required when there
+    is no ``default``.  A malformed value is a :class:`ConfigError`."""
+    value = _need(cfg, key) if default is None else cfg.get(key, default)
+    return converted(convert, value, f"config key {key!r}", ConfigError)
+
+
+def _floats(values) -> tuple:
+    return tuple(float(x) for x in values)
+
+
 def _grid_for(cfg: dict, dim: int):
     kwargs = {}
     if "grid_directions" in cfg:
-        kwargs["n_directions"] = int(cfg["grid_directions"])
+        kwargs["n_directions"] = _read(cfg, "grid_directions", int)
     if "grid_radii" in cfg:
-        kwargs["radii"] = tuple(float(x) for x in cfg["grid_radii"])
+        kwargs["radii"] = _read(cfg, "grid_radii", _floats)
     return default_grid(dim, **kwargs)
 
 
 def _law_samples(law, seed: int, count: int, workers: int) -> np.ndarray:
-    """Stream-addressed iid draws from an increment law."""
+    """Stream-addressed iid draws from an increment law.  Chunks go in as
+    one-step 3-D blocks, so a row's bits never depend on its chunk's size."""
     if count < 1:
         raise ConfigError("count must be positive")
 
@@ -119,71 +131,62 @@ def _law_samples(law, seed: int, count: int, workers: int) -> np.ndarray:
         u = streams.uniform_block(
             seed, streams.STREAM_LAW, start, n, law.uniforms_per_draw
         )
-        return law.from_uniforms(u)
+        return law.from_uniforms(u[:, None, :])[:, 0]
 
     return np.concatenate(streams.map_chunks(chunk, count, workers), axis=0)
-
-
-def _write_samples_csv(path, samples: np.ndarray) -> None:
-    header = [f"x_{i}" for i in range(samples.shape[1])]
-    write_csv(path, header, [samples])
 
 
 # Handlers return (statistics, verdicts, derived, outputs, passed).
 
 
+def _ecf_check(cfg, outdir, workers, samples, name, reference, stats, derived):
+    """Shared tail of ``sample-law`` and ``series``: the ecf of ``samples``
+    against ``reference(grid)``, judged at ``factor`` radii, appended to
+    ``stats``; writes ``name`` and ``ecf.csv``."""
+    delta = _read(cfg, "delta", float, DEFAULT_DELTA)
+    factor = _read(cfg, "factor", float, 3.0)
+    grid = _grid_for(cfg, samples.shape[1])
+    est = estimate_ecf(samples, grid, delta, workers)
+    dist = sup_distance(est, reference(grid))
+    threshold = factor * est.radius
+    write_csv(
+        os.path.join(outdir, name),
+        [f"x_{i}" for i in range(samples.shape[1])],
+        [samples],
+    )
+    write_ecf_csv(os.path.join(outdir, "ecf.csv"), est)
+    stats.update(ecf_distance=dist, radius=est.radius, threshold=threshold)
+    return stats, [], derived, [name, "ecf.csv"], dist <= threshold
+
+
 def _run_sample_law(cfg, outdir, workers):
     law = laws.law_from_json(_need(cfg, "law"))
-    count = int(_need(cfg, "count"))
-    delta = float(cfg.get("delta", DEFAULT_DELTA))
-    factor = float(cfg.get("factor", 3.0))
-    samples = _law_samples(law, cfg["seed"], count, workers)
-    grid = _grid_for(cfg, law.dim)
-    est = estimate_ecf(samples, grid, delta, workers)
-    ref = laws.cf_increment(law, grid.points)
-    dist = sup_distance(est, ref)
-    threshold = factor * est.radius
-    _write_samples_csv(os.path.join(outdir, "samples.csv"), samples)
-    write_ecf_csv(os.path.join(outdir, "ecf.csv"), est)
-    stats = {
-        "ecf_distance": dist,
-        "radius": est.radius,
-        "threshold": threshold,
-    }
-    return stats, [], {}, ["samples.csv", "ecf.csv"], dist <= threshold
+    samples = _law_samples(law, cfg["seed"], _read(cfg, "count", int), workers)
+    return _ecf_check(
+        cfg, outdir, workers, samples, "samples.csv",
+        lambda grid: laws.cf_increment(law, grid.points), {}, {},
+    )
 
 
 def _run_series(cfg, outdir, workers):
     P = matalg.matrix_from_json(_need(cfg, "P"))
     law = laws.law_from_json(_need(cfg, "law"))
-    count = int(_need(cfg, "count"))
-    delta = float(cfg.get("delta", DEFAULT_DELTA))
-    factor = float(cfg.get("factor", 3.0))
+    count = _read(cfg, "count", int)
     if ("tol" in cfg) == ("r" in cfg):
         raise ConfigError("series needs exactly one of 'tol' or 'r'")
     if "tol" in cfg:
-        plan = series.truncation_index(P, float(cfg["tol"]))
+        plan = series.truncation_index(P, _read(cfg, "tol", float))
     else:
-        r = int(cfg["r"])
+        r = _read(cfg, "r", int)
         cert, norms = matalg.decay_certificate(P)
         plan = series.TruncationPlan(r, matalg.tail_bound(norms, cert, r), cert)
     samples = series.series_ensemble(P, law, plan.r, cfg["seed"], count, workers)
-    grid = _grid_for(cfg, law.dim)
-    est = estimate_ecf(samples, grid, delta, workers)
-    ref = laws.series_cf_values(law, P, plan.r, grid.points)
-    dist = sup_distance(est, ref)
-    threshold = factor * est.radius
-    _write_samples_csv(os.path.join(outdir, "series_samples.csv"), samples)
-    write_ecf_csv(os.path.join(outdir, "ecf.csv"), est)
-    stats = {
-        "r": float(plan.r),
-        "tail_norm_bound": plan.tail_norm_bound,
-        "ecf_distance": dist,
-        "radius": est.radius,
-        "threshold": threshold,
-    }
-    derived = {"truncation_plan": plan.to_json()}
-    return stats, [], derived, ["series_samples.csv", "ecf.csv"], dist <= threshold
+    return _ecf_check(
+        cfg, outdir, workers, samples, "series_samples.csv",
+        lambda grid: laws.series_cf_values(law, P, plan.r, grid.points),
+        {"r": float(plan.r), "tail_norm_bound": plan.tail_norm_bound},
+        {"truncation_plan": plan.to_json()},
+    )
 
 
 def _run_lemma(cfg, outdir, workers):
@@ -194,11 +197,10 @@ def _run_lemma(cfg, outdir, workers):
     diag = series.lemma_diagnostics(
         P,
         law,
-        int(_need(cfg, "J")),
-        int(_need(cfg, "n_paths")),
+        _read(cfg, "J", int),
+        _read(cfg, "n_paths", int),
         cfg["seed"],
         workers=workers,
-        detail_paths=int(cfg.get("detail_paths", 8)),
     )
     series.write_lemma_csv(os.path.join(outdir, "lemma.csv"), diag)
     # Median rather than mean: heavy-tailed samplers overflow some draws
@@ -214,12 +216,20 @@ def _run_lemma(cfg, outdir, workers):
     return stats, [], derived, ["lemma.csv"], True
 
 
-def _run_simulate(cfg, outdir, workers):
-    spec = process_from_json(_need(cfg, "process"))
-    ens = simulate_ensemble(
-        spec, _need(cfg, "checkpoints"), int(_need(cfg, "n_paths")),
-        cfg["seed"], workers,
+def _ensemble(cfg, workers):
+    """The ensemble a process command runs on: its spec, checkpoints and
+    path count from the config."""
+    return simulate_ensemble(
+        process_from_json(_need(cfg, "process")),
+        _need(cfg, "checkpoints"),
+        _read(cfg, "n_paths", int),
+        cfg["seed"],
+        workers,
     )
+
+
+def _run_simulate(cfg, outdir, workers):
+    ens = _ensemble(cfg, workers)
     outputs = ["scaled.csv"]
     d, n_cp = ens.dim, len(ens.checkpoints)
     write_csv(
@@ -243,16 +253,16 @@ def _run_simulate(cfg, outdir, workers):
         stats[f"qu_norm_mean.n{n}"] = float(
             np.linalg.norm(ens.qu[n], axis=1).mean()
         )
-    trajectories = int(cfg.get("trajectories", 0))
+    trajectories = _read(cfg, "trajectories", int, 0)
     if trajectories > 0:
         # Trajectory i replays ensemble path i from its own stream row.
         n = ens.checkpoints[-1]
-        per_path = per_path_uniforms(spec, n)
+        per_path = per_path_uniforms(ens.spec, n)
         rows = (
             streams.path_generator(cfg["seed"], streams.STREAM_PROCESS, i, per_path)
             for i in range(trajectories)
         )
-        paths = [simulate_path(spec, n, rng) for rng in rows]
+        paths = [simulate_path(ens.spec, n, rng) for rng in rows]
         write_paths_csv(os.path.join(outdir, "paths.csv"), paths)
         outputs.append("paths.csv")
     return stats, [], {}, outputs, True
@@ -276,20 +286,14 @@ def _verdict_stats(verdict) -> dict:
 
 
 def _run_verify(cfg, outdir, workers, stable: bool):
-    spec = process_from_json(_need(cfg, "process"))
-    ens = simulate_ensemble(
-        spec, _need(cfg, "checkpoints"), int(_need(cfg, "n_paths")),
-        cfg["seed"], workers,
-    )
-    family = _family_for(cfg, ens)
-    grid = _grid_for(cfg, spec.dim)
+    ens = _ensemble(cfg, workers)
     kwargs = dict(
-        family=family,
-        grid=grid,
-        r=cfg.get("r"),
-        delta=float(cfg.get("delta", DEFAULT_DELTA)),
-        factor=float(cfg.get("factor", 3.0)),
-        min_paths=int(cfg.get("min_paths", verify.MIN_FILTERED_PATHS)),
+        family=_family_for(cfg, ens),
+        grid=_grid_for(cfg, ens.dim),
+        r=_read(cfg, "r", int) if "r" in cfg else None,
+        delta=_read(cfg, "delta", float, DEFAULT_DELTA),
+        factor=_read(cfg, "factor", float, 3.0),
+        min_paths=_read(cfg, "min_paths", int, verify.MIN_FILTERED_PATHS),
         workers=workers,
     )
     if stable:
@@ -303,27 +307,25 @@ def _run_verify(cfg, outdir, workers, stable: bool):
     mask = ens.latent.in_g
     final = ens.checkpoints[-1]
     values = (ens.bu if which == "bu" else ens.qu)[final][mask]
-    est = estimate_ecf(values, grid, kwargs["delta"], workers)
+    est = estimate_ecf(values, kwargs["grid"], kwargs["delta"], workers)
     write_ecf_csv(os.path.join(outdir, "ecf.csv"), est)
     return _verdict_stats(verdict), [verdict], {}, ["ecf.csv"], verdict.passed
 
 
 def _run_conditions(cfg, outdir, workers):
-    spec = process_from_json(_need(cfg, "process"))
-    ens = simulate_ensemble(
-        spec, _need(cfg, "checkpoints"), int(_need(cfg, "n_paths")),
-        cfg["seed"], workers,
-    )
-    tol = float(cfg.get("tol", verify.DEFAULT_TOLERANCE))
+    ens = _ensemble(cfg, workers)
+    tol = _read(cfg, "tol", float, verify.DEFAULT_TOLERANCE)
     verdicts = [
         verify.check_condition_i(ens, tol=tol),
         verify.check_condition_ii(
             ens,
-            levels=tuple(cfg.get("levels", (2.0, 4.0, 8.0, 16.0))),
-            bound=float(cfg.get("bound", 0.05)),
+            levels=_read(cfg, "levels", _floats, (2.0, 4.0, 8.0, 16.0)),
+            bound=_read(cfg, "bound", float, 0.05),
         ),
         verify.check_condition_iii(
-            ens, r_list=tuple(cfg.get("lags", (1, 2, 4))), tol=tol
+            ens,
+            r_list=_read(cfg, "lags", lambda v: tuple(int(x) for x in v), (1, 2, 4)),
+            tol=tol,
         ),
     ]
     stats = {}
@@ -347,7 +349,7 @@ _RUNNERS = {
 def run_command(command: str, cfg: dict, outdir: str) -> dict:
     """Validate, execute, and write ``report.json``; returns the report."""
     validate_config(command, cfg)
-    workers = int(cfg.get("workers", 1))
+    workers = _read(cfg, "workers", int, 1)
     os.makedirs(outdir, exist_ok=True)
     started = time.perf_counter()
     stats, verdicts, derived, outputs, passed = _RUNNERS[command](

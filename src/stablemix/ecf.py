@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -78,19 +77,6 @@ class ThetaGrid:
     def matches(self, other: "ThetaGrid") -> bool:
         return self.points.shape == other.points.shape and np.array_equal(
             self.points, other.points
-        )
-
-    def to_json(self) -> dict:
-        return {"points": self.points.tolist()}
-
-    @staticmethod
-    def from_json(obj: dict) -> "ThetaGrid":
-        if "points" in obj:
-            return ThetaGrid(np.asarray(obj["points"], dtype=float))
-        return default_grid(
-            int(obj["dim"]),
-            int(obj.get("n_directions", DEFAULT_DIRECTIONS)),
-            tuple(obj.get("radii", DEFAULT_RADII)),
         )
 
 
@@ -159,16 +145,6 @@ class EcfEstimate:
     def radius(self) -> float:
         return hoeffding_radius(self.n_samples, self.delta)
 
-    def to_json(self) -> dict:
-        return {
-            "grid": self.grid.to_json(),
-            "re": self.values.real.tolist(),
-            "im": self.values.imag.tolist(),
-            "n_samples": self.n_samples,
-            "delta": self.delta,
-            "radius": self.radius,
-        }
-
 
 def estimate_ecf(
     samples, grid: ThetaGrid, delta: float = DEFAULT_DELTA, workers: int = 1
@@ -204,21 +180,6 @@ def sup_distance(estimate: EcfEstimate, reference) -> float:
     second estimate)."""
     ref = _aligned_values(estimate, reference)
     return float(np.abs(estimate.values - ref).max())
-
-
-class TwoSampleDistance(NamedTuple):
-    distance: float
-    combined_radius: float
-
-
-def two_sample_distance(a: EcfEstimate, b: EcfEstimate) -> TwoSampleDistance:
-    """Sup distance between two empirical estimates plus the radius their
-    difference must respect when both sampled the same law."""
-    if not isinstance(b, EcfEstimate):
-        raise InvalidInputError("two_sample_distance compares two estimates")
-    return TwoSampleDistance(
-        distance=sup_distance(a, b), combined_radius=a.radius + b.radius
-    )
 
 
 ECF_CSV_COLUMNS = ("re", "im", "n_samples", "radius")

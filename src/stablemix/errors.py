@@ -46,3 +46,12 @@ class ConfigError(StablemixError, ValueError):
 
 class ReproducibilityError(StablemixError, RuntimeError):
     """A replay produced statistics that differ from the recorded report."""
+
+
+def converted(convert, value, name: str, error: type = InvalidInputError):
+    """``convert(value)`` for a value read from JSON input, with the
+    TypeError or ValueError of a malformed value raised as ``error``."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError):
+        raise error(f"{name} is malformed: {value!r:.60}") from None

@@ -24,14 +24,14 @@ what lets path-indexed streams replay exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtri
 
 from . import matalg
-from .errors import InvalidInputError
-from .matalg import GelfandCertificate
+from .errors import InvalidInputError, converted
+from .matalg import GelfandCertificate, as_floats
 
 # Floor applied to raw uniforms before inverse transforms; keeps ndtri and
 # log finite without measurably perturbing the distribution.
@@ -76,8 +76,8 @@ class SpectralMeasure:
     weights: np.ndarray
 
     def __post_init__(self):
-        atoms = np.atleast_2d(np.asarray(self.atoms, dtype=float))
-        weights = np.atleast_1d(np.asarray(self.weights, dtype=float))
+        atoms = np.atleast_2d(as_floats(self.atoms, "spectral atoms"))
+        weights = np.atleast_1d(as_floats(self.weights, "spectral weights"))
         if atoms.ndim != 2 or atoms.shape[0] == 0:
             raise InvalidInputError("spectral measure needs at least one atom")
         if weights.shape != (atoms.shape[0],):
@@ -104,13 +104,6 @@ class SpectralMeasure:
 
     def to_json(self) -> dict:
         return {"atoms": self.atoms.tolist(), "weights": self.weights.tolist()}
-
-    @staticmethod
-    def from_json(obj: dict) -> "SpectralMeasure":
-        return SpectralMeasure(
-            atoms=np.asarray(obj["atoms"], dtype=float),
-            weights=np.asarray(obj["weights"], dtype=float),
-        )
 
 
 class IncrementLaw:
@@ -241,7 +234,7 @@ class EmpiricalLaw(IncrementLaw):
     """Uniform draws from a finite pool of d-vectors."""
 
     def __init__(self, pool):
-        arr = np.atleast_2d(np.asarray(pool, dtype=float))
+        arr = np.atleast_2d(as_floats(pool, "empirical pool"))
         if arr.ndim != 2 or arr.shape[0] == 0:
             raise InvalidInputError("empirical pool must be a nonempty (n, d) array")
         if not np.isfinite(arr).all():
@@ -481,23 +474,20 @@ def law_from_json(obj: dict, allow_diagnostic: bool = False) -> IncrementLaw:
             ) from None
 
     if tag == "normal":
-        return NormalLaw(np.asarray(field("cov"), dtype=float))
+        return NormalLaw(field("cov"))
     if tag == "cauchy":
-        return CauchyLaw(int(field("dim")))
+        return CauchyLaw(converted(int, field("dim"), "cauchy dim"))
     if tag == "stable":
-        measure = SpectralMeasure(
-            np.asarray(field("atoms"), dtype=float),
-            np.asarray(field("weights"), dtype=float),
-        )
-        return StableLaw(float(field("alpha")), measure)
+        measure = SpectralMeasure(field("atoms"), field("weights"))
+        return StableLaw(converted(float, field("alpha"), "stable alpha"), measure)
     if tag == "empirical":
         if "csv" in obj:
             return empirical_law_from_csv(obj["csv"])
         if "pool" in obj:
-            return EmpiricalLaw(np.asarray(obj["pool"], dtype=float))
+            return EmpiricalLaw(obj["pool"])
         raise InvalidInputError("empirical law JSON needs 'pool' or 'csv'")
     if not allow_diagnostic:
         raise InvalidInputError(
             "log-cauchy-ray is a diagnostic sampler, not a limit law"
         )
-    return LogCauchyRay(int(obj.get("dim", 1)))
+    return LogCauchyRay(converted(int, obj.get("dim", 1), "log-cauchy-ray dim"))

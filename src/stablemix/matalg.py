@@ -19,6 +19,7 @@ from .errors import (
     InvalidInputError,
     RangeOverflowError,
     SingularMatrixError,
+    converted,
 )
 
 # Condition-number threshold beyond which a matrix is treated as singular.
@@ -28,9 +29,14 @@ COND_LIMIT = 1e12
 POWER_OVERFLOW = 1e300
 
 
+def as_floats(value, name: str = "value") -> np.ndarray:
+    """``value`` as a float array; non-numeric or ragged input is an input error."""
+    return converted(lambda v: np.asarray(v, dtype=float), value, name)
+
+
 def as_square(matrix, name: str = "matrix") -> np.ndarray:
     """Validate and return a finite square float matrix as a C-contiguous array."""
-    arr = np.asarray(matrix, dtype=float)
+    arr = as_floats(matrix, name)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
         raise InvalidInputError(
             f"{name} must be a nonempty square matrix, got shape {arr.shape}"
@@ -38,12 +44,6 @@ def as_square(matrix, name: str = "matrix") -> np.ndarray:
     if not np.isfinite(arr).all():
         raise InvalidInputError(f"{name} has non-finite entries")
     return np.ascontiguousarray(arr)
-
-
-def operator_norm(matrix) -> float:
-    """Operator 2-norm (largest singular value)."""
-    arr = as_square(matrix)
-    return float(np.linalg.norm(arr, ord=2))
 
 
 def spectral_radius(matrix) -> float:
@@ -128,12 +128,6 @@ class GelfandCertificate:
 
     def to_json(self) -> dict:
         return {"rho": self.rho, "k0": self.k0, "horizon": self.horizon}
-
-    @staticmethod
-    def from_json(obj: dict) -> "GelfandCertificate":
-        return GelfandCertificate(
-            rho=float(obj["rho"]), k0=int(obj["k0"]), horizon=int(obj["horizon"])
-        )
 
 
 def _ratio_holds(norms: np.ndarray, ratio: float) -> np.ndarray:
@@ -268,7 +262,7 @@ def matrix_from_json(obj: dict) -> np.ndarray:
     if not isinstance(obj, dict) or "dim" not in obj or "rows" not in obj:
         raise InvalidInputError("matrix JSON must have 'dim' and 'rows' fields")
     arr = as_square(obj["rows"], "rows")
-    if arr.shape[0] != int(obj["dim"]):
+    if arr.shape[0] != converted(int, obj["dim"], "matrix dim"):
         raise InvalidInputError(
             f"declared dim {obj['dim']} does not match rows shape {arr.shape}"
         )

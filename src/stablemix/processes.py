@@ -49,6 +49,7 @@ from .errors import (
     HypothesisViolationError,
     InvalidInputError,
     RangeOverflowError,
+    converted,
 )
 from .laws import IncrementLaw
 
@@ -57,7 +58,7 @@ PREFIX_KEEP = 2
 
 
 def _check_discrete(values: np.ndarray, probs) -> np.ndarray:
-    probs = np.asarray(probs, dtype=float)
+    probs = matalg.as_floats(probs, "atom probabilities")
     if probs.shape != (len(values),):
         raise InvalidInputError("probabilities do not match the number of atoms")
     if not np.isfinite(probs).all() or probs.min() <= 0.0:
@@ -145,7 +146,7 @@ class RandomScaled(ProcessSpec):
         perturbation: float = 0.0,
     ):
         super().__init__(P, noise_law)
-        lam = np.atleast_1d(np.asarray(lam_values, dtype=float))
+        lam = np.atleast_1d(matalg.as_floats(lam_values, "lam_values"))
         if lam.ndim != 1 or len(lam) == 0:
             raise InvalidInputError("lam_values must be a nonempty vector")
         if not np.isfinite(lam).all() or (lam == 0.0).any():
@@ -154,7 +155,7 @@ class RandomScaled(ProcessSpec):
         self.atom_probs = _check_discrete(lam, lam_probs)
         if event_values is None:
             event_values = lam
-        event_values = np.atleast_1d(np.asarray(event_values, dtype=float))
+        event_values = np.atleast_1d(matalg.as_floats(event_values, "event_values"))
         self.atom_in_g = np.isin(lam, event_values)
         if not self.atom_in_g.any():
             raise InvalidInputError("conditioning event must contain at least one atom")
@@ -182,9 +183,10 @@ class DiscreteFactor(ProcessSpec):
 
     def __init__(self, P, noise_law: IncrementLaw, factors, factor_probs):
         super().__init__(P, noise_law)
-        self.atom_factor = np.stack([matalg.as_square(f, "factor") for f in factors])
-        if self.atom_factor.shape[1] != self.dim:
+        factors = [matalg.as_square(f, "factor") for f in factors]
+        if not factors or any(f.shape != self.P.shape for f in factors):
             raise InvalidInputError("factor matrices must match the process dimension")
+        self.atom_factor = np.stack(factors)
         self.atom_probs = _check_discrete(self.atom_factor, factor_probs)
         self.atom_in_g = np.ones(len(self.atom_factor), dtype=bool)
 
@@ -232,37 +234,37 @@ def _field(obj: dict, key: str, tag: str):
         ) from None
 
 
+_VARIANTS = ("synthetic-canonical", "random-scaled", "discrete-factor", "explosive-var")
+
+
 def process_from_json(obj: dict) -> ProcessSpec:
     if not isinstance(obj, dict) or "variant" not in obj:
         raise InvalidInputError("process JSON must be an object with a 'variant' tag")
     tag = obj["variant"]
-    if tag == "synthetic-canonical":
-        return SyntheticCanonical(
-            matalg.matrix_from_json(_field(obj, "P", tag)),
-            laws.law_from_json(_field(obj, "noise", tag)),
-        )
+    if tag not in _VARIANTS:
+        raise InvalidInputError(f"unknown process variant {tag!r}")
+    matrix = matalg.matrix_from_json(
+        _field(obj, "A" if tag == "explosive-var" else "P", tag)
+    )
+    noise = laws.law_from_json(_field(obj, "noise", tag))
     if tag == "random-scaled":
         return RandomScaled(
-            matalg.matrix_from_json(_field(obj, "P", tag)),
-            laws.law_from_json(_field(obj, "noise", tag)),
+            matrix, noise,
             _field(obj, "lam_values", tag),
             _field(obj, "lam_probs", tag),
             obj.get("event_values"),
-            float(obj.get("perturbation", 0.0)),
+            converted(float, obj.get("perturbation", 0.0), "perturbation"),
         )
     if tag == "discrete-factor":
+        factors = converted(list, _field(obj, "factors", tag), "factors")
         return DiscreteFactor(
-            matalg.matrix_from_json(_field(obj, "P", tag)),
-            laws.law_from_json(_field(obj, "noise", tag)),
-            [matalg.matrix_from_json(f) for f in _field(obj, "factors", tag)],
+            matrix, noise,
+            [matalg.matrix_from_json(f) for f in factors],
             _field(obj, "factor_probs", tag),
         )
     if tag == "explosive-var":
-        return ExplosiveVar(
-            matalg.matrix_from_json(_field(obj, "A", tag)),
-            laws.law_from_json(_field(obj, "noise", tag)),
-        )
-    raise InvalidInputError(f"unknown process variant {tag!r}")
+        return ExplosiveVar(matrix, noise)
+    return SyntheticCanonical(matrix, noise)
 
 
 def per_path_uniforms(spec: ProcessSpec, n: int) -> int:
@@ -433,7 +435,10 @@ def simulate_ensemble(
     O(n) per path whatever the number of checkpoints.  The recursion is
     row-local: values are bit-identical for any worker count and chunking.
     """
-    checkpoints = tuple(sorted({int(c) for c in np.atleast_1d(checkpoints)}))
+    checkpoints = converted(
+        lambda c: tuple(sorted({int(x) for x in np.atleast_1d(c)})),
+        checkpoints, "checkpoints",
+    )
     if not checkpoints or checkpoints[0] < 1:
         raise InvalidInputError("checkpoints must be positive integers")
     if n_paths < 1:

@@ -52,14 +52,6 @@ class TruncationPlan:
             "certificate": self.certificate.to_json(),
         }
 
-    @staticmethod
-    def from_json(obj: dict) -> "TruncationPlan":
-        return TruncationPlan(
-            r=int(obj["r"]),
-            tail_norm_bound=float(obj["tail_norm_bound"]),
-            certificate=GelfandCertificate.from_json(obj["certificate"]),
-        )
-
 
 def recompute_tail_bound(P, certificate: GelfandCertificate, r: int) -> float:
     """Re-derive the tail bound a plan stored, from scratch."""
@@ -153,27 +145,13 @@ def log_moment_estimate(samples) -> float:
 
 
 @dataclass(frozen=True)
-class LemmaReport:
-    """Per-path summary of the term sequence ``|P^j Z_j|``, j = 0..J."""
-
-    path_id: int
-    J: int
-    exceedance_count: int
-    last_exceedance_index: int  # -1 when the path never exceeds the level
-    partial_sums: np.ndarray  # cumulative sums of |P^j Z_j|, non-decreasing
-    last_term_norm: float
-    log_moment_estimate: float
-
-
-@dataclass(frozen=True)
 class LemmaDiagnostics:
     """Ensemble view of the convergence/divergence dichotomy.
 
     ``late_exceedance_fraction`` is the share of paths whose last exceedance
     of the unit level lands beyond ``J/2``: near zero when the log-moment is
-    finite, bounded away from zero when it is not.  ``reports`` carries fully
-    detailed term trajectories for the first few paths only; the per-path
-    arrays cover the whole ensemble.
+    finite, bounded away from zero when it is not.  The per-path arrays
+    cover the whole ensemble.
     """
 
     J: int
@@ -185,7 +163,6 @@ class LemmaDiagnostics:
     final_partial_sum: np.ndarray  # shape (n_paths,)
     last_term_norm: np.ndarray  # shape (n_paths,)
     log_moment: np.ndarray  # shape (n_paths,)
-    reports: tuple[LemmaReport, ...]
 
 
 def _apply_powers(powers: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -209,7 +186,6 @@ def lemma_diagnostics(
     n_paths: int,
     seed: int,
     workers: int = 1,
-    detail_paths: int = 8,
 ) -> LemmaDiagnostics:
     """Simulate iid term sequences and summarize their exceedance behavior.
 
@@ -227,7 +203,6 @@ def lemma_diagnostics(
         raise InvalidInputError("n_paths must be positive")
     powers = matalg.power_sequence(arr, J)
     per_path = (J + 1) * law.uniforms_per_draw
-    detail = min(detail_paths, n_paths)
 
     def chunk(start, count):
         u = streams.uniform_block(seed, streams.STREAM_LEMMA, start, count, per_path)
@@ -247,20 +222,6 @@ def lemma_diagnostics(
         with np.errstate(over="ignore"):
             z_norms = np.linalg.norm(z, axis=2)
         log_mom = np.mean(np.log(np.maximum(z_norms, 1.0)), axis=1)
-        details = []
-        for i in range(start, min(start + count, detail)):
-            row = i - start
-            details.append(
-                LemmaReport(
-                    path_id=i,
-                    J=J,
-                    exceedance_count=int(counts[row]),
-                    last_exceedance_index=int(last_idx[row]),
-                    partial_sums=np.cumsum(term_norms[row]),
-                    last_term_norm=float(term_norms[row, J]),
-                    log_moment_estimate=float(log_mom[row]),
-                )
-            )
         return {
             "exceed_totals": exceed.sum(axis=0, dtype=np.int64),
             "late": int((last_idx > J / 2).sum()),
@@ -269,13 +230,11 @@ def lemma_diagnostics(
             "final_sum": term_norms.sum(axis=1),
             "last_norm": term_norms[:, J],
             "log_mom": log_mom,
-            "reports": details,
         }
 
     parts = streams.map_chunks(chunk, n_paths, workers)
     exceed_totals = np.sum([p["exceed_totals"] for p in parts], axis=0)
     late = sum(p["late"] for p in parts)
-    reports = [rep for p in parts for rep in p["reports"]]
     return LemmaDiagnostics(
         J=J,
         n_paths=n_paths,
@@ -286,7 +245,6 @@ def lemma_diagnostics(
         final_partial_sum=np.concatenate([p["final_sum"] for p in parts]),
         last_term_norm=np.concatenate([p["last_norm"] for p in parts]),
         log_moment=np.concatenate([p["log_mom"] for p in parts]),
-        reports=tuple(reports),
     )
 
 

@@ -10,9 +10,10 @@ simultaneously is what separates genuine mixing-type convergence from mere
 convergence in distribution.  The *stable* statistic replaces the factorized
 reference with the path-conditional limit
 
-    | avg 1_F exp(i<theta, Q_n U_n>)  -  avg 1_F phi_cond(latent, theta) |
+    | avg 1_F exp(i<theta, Q_n U_n>)  -  avg 1_F phi_cond(atom, theta) |
 
-where ``phi_cond`` depends on the latent atom drawn at time zero.  Both are
+where ``phi_cond`` is read off the spec's latent atom table (each atom's
+scale and factor) at the atom each path drew at time zero.  Both are
 evaluated under the sub-population where the conditioning event holds.
 
 The three structural condition checkers (scale-limit match, stochastic
@@ -28,14 +29,15 @@ bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
-from . import laws, streams
+from . import streams
 from .ecf import ThetaGrid, default_grid, hoeffding_radius
 from .errors import InsufficientDataError, InvalidInputError
-from .processes import DiscreteFactor, Ensemble, ExplosiveVar, RandomScaled
+from .processes import Ensemble, ExplosiveVar
 
 MIN_FILTERED_PATHS = 1000
 
@@ -120,12 +122,13 @@ def family_from_features(features: list[PathEvent]) -> EventFamily:
 
 def default_family(ensemble: Ensemble) -> EventFamily:
     """Two binary prefix features: sign of the first noise coordinate, and
-    the identity of the latent atom when the variant draws one."""
+    whether the latent draw matches the first atom's scale, or else is the
+    first factor, when the atom table has either."""
     features = [
         PathEvent("noise0-nonneg", lambda e: e.noise_prefix[:, 0, 0] >= 0.0)
     ]
     spec = ensemble.spec
-    if isinstance(spec, RandomScaled):
+    if spec.atom_scale is not None:
         first = spec.atom_scale[0]
         features.append(
             PathEvent(
@@ -133,7 +136,7 @@ def default_family(ensemble: Ensemble) -> EventFamily:
                 lambda e: e.spec.atom_scale[e.latent.atom] == first,
             )
         )
-    elif isinstance(spec, DiscreteFactor):
+    elif spec.atom_factor is not None:
         features.append(PathEvent("factor-is-0", lambda e: e.latent.atom == 0))
     return family_from_features(features)
 
@@ -291,58 +294,43 @@ def check_condition_iii(
     )
 
 
+def _series_cf(spec, r: int, points: np.ndarray, factor=None) -> np.ndarray:
+    """Truncated limit series cf ``prod_j phi(factor' (P^j)' theta)`` over
+    the rows of ``points``, for ``j = 0..r``; the explosive variant's partial
+    sums start at lag one, so its ``j`` runs over ``1..r+1``."""
+    values = np.ones(len(points), dtype=complex)
+    proj = points @ spec.P if isinstance(spec, ExplosiveVar) else points
+    for _ in range(r + 1):
+        values = values * spec.noise_law.cf(proj if factor is None else proj @ factor)
+        proj = proj @ spec.P
+    return values
+
+
 def mixing_reference(spec, r: int, grid: ThetaGrid) -> np.ndarray:
     """Characteristic function of the truncated limit series of ``B_n U_n``.
 
-    The latent scale never enters: for the scaled variant it cancels inside
-    ``B_n``, which is exactly what makes that limit mixing rather than
-    merely stable.  The factor variant's limit is latent-dependent, so it
-    has no factorized mixing reference; ask for the conditional one.
+    The latent scale never enters: it cancels inside ``B_n``, which is
+    exactly what makes a scaled limit mixing rather than merely stable.  A
+    latent factor does not cancel, so a spec with a factor table has no
+    factorized mixing reference; ask for the conditional one.
     """
-    if isinstance(spec, DiscreteFactor):
+    if spec.atom_factor is not None:
         raise InvalidInputError(
-            "the factor variant has a latent-dependent limit; use "
+            "a latent factor makes the limit latent-dependent; use "
             "conditional_reference with the stable statistic"
         )
-    if isinstance(spec, ExplosiveVar):
-        # Partial sums start at lag one: values are prod_{k=1..r+1} of the
-        # noise cf at (P^k)' theta.
-        return laws.series_cf_values(
-            spec.noise_law, spec.P, r, grid.points @ spec.P
-        )
-    return laws.series_cf_values(spec.noise_law, spec.P, r, grid.points)
+    return _series_cf(spec, r, grid.points)
 
 
-def conditional_reference(spec, r: int) -> Callable:
-    """Per-path limit characteristic function of ``Q_n U_n`` given the
-    latent draw; callable as ``(atom, grid) -> values`` with ``atom`` a row
-    of the spec's atom table."""
-    if isinstance(spec, RandomScaled):
-
-        def cond(atom, grid: ThetaGrid):
-            lam = float(spec.atom_scale[int(atom)])
-            return laws.series_cf_values(
-                spec.noise_law, spec.P, r, lam * grid.points
-            )
-
-        return cond
-    if isinstance(spec, DiscreteFactor):
-
-        def cond(atom, grid: ThetaGrid):
-            factor = spec.atom_factor[int(atom)]
-            values = np.ones(len(grid), dtype=complex)
-            proj = grid.points.copy()
-            for _ in range(r + 1):
-                values = values * spec.noise_law.cf(proj @ factor)
-                proj = proj @ spec.P
-            return values
-
-        return cond
-
-    def cond(_latent, grid: ThetaGrid):
-        return mixing_reference(spec, r, grid)
-
-    return cond
+def conditional_reference(spec, r: int, grid: ThetaGrid) -> np.ndarray:
+    """Limit characteristic function of ``Q_n U_n`` given the latent draw,
+    as an ``(n_atoms, len(grid))`` table: row ``k`` is the truncated series
+    cf at atom ``k``'s limit scale ``b_divisor(inf)`` and factor."""
+    scale = spec.b_divisor(np.inf)
+    factors = [None] * len(scale) if spec.atom_factor is None else spec.atom_factor
+    return np.stack(
+        [_series_cf(spec, r, s * grid.points, f) for s, f in zip(scale, factors)]
+    )
 
 
 def _statistic_core(values, inds, grid: ThetaGrid, workers: int):
@@ -410,45 +398,30 @@ def stable_statistic(
     n: int,
     family: EventFamily,
     grid: ThetaGrid,
-    conditional_cf: Callable,
+    conditional_values,
     min_paths: int = MIN_FILTERED_PATHS,
     workers: int = 1,
 ) -> float:
     """Max over (event, theta) of the error against the latent-conditional
-    limit characteristic function, event-averaged."""
+    limit characteristic function, event-averaged; ``conditional_values``
+    is the per-atom table of :func:`conditional_reference`."""
+    table = np.asarray(conditional_values)
+    if table.shape != (len(ensemble.spec.atom_in_g), len(grid)):
+        raise InvalidInputError(
+            "conditional values do not match the atom table and the grid"
+        )
     values, mask = _filtered_values(ensemble, n, "qu", min_paths)
     inds = family.indicator_matrix(ensemble)[:, mask]
     sums, counts = _statistic_core(values, inds, grid, workers)
     total = values.shape[0]
-
-    # One group per conditional law: per distinct scale and factor row.  A
-    # complex key sorts by its real part, then its imaginary one, so term2
-    # sums the groups by ascending scale, then factor row.
-    spec = ensemble.spec
-    atoms, path_atom = np.unique(ensemble.latent.atom[mask], return_inverse=True)
-    row = atoms if spec.atom_factor is not None else np.zeros_like(atoms)
-    keys, first, group = np.unique(
-        spec.b_divisor(np.inf)[atoms] + 1j * row,
-        return_index=True, return_inverse=True,
-    )
-    inverse_idx = group[path_atom]
-    cond = np.stack([np.asarray(conditional_cf(atoms[i], grid)) for i in first])
-    if cond.shape != (len(keys), len(grid)):
-        raise InvalidInputError("conditional cf returned a misshaped grid row")
-    counts_ea = np.stack(
-        [
-            np.bincount(inverse_idx[inds[e]], minlength=len(keys))
-            for e in range(len(inds))
-        ]
-    )
+    atom = ensemble.latent.atom[mask]
+    per_atom = np.stack([np.bincount(atom[ind], minlength=len(table)) for ind in inds])
     term1 = sums / total
-    term2 = (counts_ea @ cond) / total
+    term2 = (per_atom @ table) / total
     return float(np.abs(term1 - term2).max())
 
 
-def scale_mixture_gap(
-    spec: RandomScaled, grid: ThetaGrid, r: int
-) -> tuple[float, dict]:
+def scale_mixture_gap(spec, grid: ThetaGrid, r: int) -> tuple[float, dict]:
     """Closed-form lower bound on the mixing statistic of ``Q_n U_n``
     against the latent-free reference.
 
@@ -459,15 +432,10 @@ def scale_mixture_gap(
     characteristic functions.  A strictly positive gap certifies that the
     unscaled limit cannot be of mixing type.
     """
-    if not isinstance(spec, RandomScaled):
-        raise InvalidInputError("the closed-form gap applies to the scaled variant")
-    ref = laws.series_cf_values(spec.noise_law, spec.P, r, grid.points)
-    per_atom = np.stack(
-        [
-            laws.series_cf_values(spec.noise_law, spec.P, r, lam * grid.points)
-            for lam in spec.atom_scale
-        ]
-    )
+    if spec.atom_scale is None:
+        raise InvalidInputError("the closed-form gap needs a table of latent scales")
+    ref = mixing_reference(spec, r, grid)
+    per_atom = conditional_reference(spec, r, grid)
     probs = spec.atom_probs
     gaps = {"all": float(np.abs(probs @ per_atom - ref).max())}
     for lam, p, row in zip(spec.atom_scale, probs, per_atom):
@@ -481,14 +449,17 @@ def _verdict(
     **detail,
 ) -> ConvergenceVerdict:
     """Shared tail of the verdicts: resolve the default family, grid and
-    ``r``, build the reference once, take ``statistic(n, family, grid,
-    reference)`` per checkpoint and judge the last one against
-    ``factor * hoeffding_radius`` at the filtered path count."""
+    ``r``, build ``reference(spec, r, grid)`` once, take
+    ``statistic(ensemble, n, family, grid, reference)`` per checkpoint and
+    judge the last one against ``factor * hoeffding_radius`` at the
+    filtered path count."""
     family = default_family(ensemble) if family is None else family
     grid = default_grid(ensemble.dim) if grid is None else grid
     r = ensemble.checkpoints[-1] - 1 if r is None else int(r)
-    ref = reference(r, grid)
-    stats = tuple(statistic(n, family, grid, ref) for n in ensemble.checkpoints)
+    ref = reference(ensemble.spec, r, grid)
+    stats = tuple(
+        statistic(ensemble, n, family, grid, ref) for n in ensemble.checkpoints
+    )
     count = int(ensemble.latent.in_g.sum())
     threshold = factor * hoeffding_radius(count, delta)
     return ConvergenceVerdict(
@@ -532,12 +503,8 @@ def verify_mixing(
     there; use :func:`omega_family` for the plain distributional check.
     """
     return _verdict(
-        "mixing", ensemble, family, grid, r, delta, factor,
-        lambda r, grid: mixing_reference(ensemble.spec, r, grid),
-        lambda n, family, grid, ref: mixing_statistic(
-            ensemble, n, family, grid, ref, which=which,
-            min_paths=min_paths, workers=workers,
-        ),
+        "mixing", ensemble, family, grid, r, delta, factor, mixing_reference,
+        partial(mixing_statistic, which=which, min_paths=min_paths, workers=workers),
         statistic_of=which,
     )
 
@@ -554,9 +521,6 @@ def verify_stable(
 ) -> ConvergenceVerdict:
     """Stable statistic across checkpoints, judged at the last one."""
     return _verdict(
-        "stable", ensemble, family, grid, r, delta, factor,
-        lambda r, grid: conditional_reference(ensemble.spec, r),
-        lambda n, family, grid, cond: stable_statistic(
-            ensemble, n, family, grid, cond, min_paths=min_paths, workers=workers
-        ),
+        "stable", ensemble, family, grid, r, delta, factor, conditional_reference,
+        partial(stable_statistic, min_paths=min_paths, workers=workers),
     )

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from stablemix import laws
+from stablemix import cli, laws
 from stablemix.cli import main
 from stablemix.processes import ExplosiveVar, RandomScaled, SyntheticCanonical
 
@@ -86,6 +86,15 @@ class TestSampleLaw:
         assert main(["sample-law", "--config", cfg, "--workers", "8",
                      "--out", str(out8)]) == 0
         assert read_report(out1)["statistics"] == read_report(out8)["statistics"]
+
+    def test_draws_are_prefix_stable(self):
+        # count = 4097 leaves a one-row last chunk; its row must carry the
+        # bits it has inside a full chunk of a larger draw.
+        law = laws.NormalLaw([[1.0, 0.3], [0.3, 2.0]])
+        for seed in range(20):
+            short = cli._law_samples(law, seed, 4097, 1)
+            long = cli._law_samples(law, seed, 8192, 1)
+            assert np.array_equal(short, long[:4097])
 
 
 class TestSeries:
@@ -336,6 +345,32 @@ class TestConfigValidation:
             ["simulate", "--config", cfg, "--out", str(tmp_path / "out")]
         ) == 2
         assert "requires key 'noise'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, entries",
+        [
+            ("sample-law", {"law": {"law": "normal", "cov": SCALAR_P}}),
+            ("sample-law", {"law": {"law": "stable", "alpha": {"a": 1},
+                                    "atoms": [[1.0]], "weights": [1.0]}}),
+            ("sample-law", {"law": {"law": "cauchy", "dim": "two"}}),
+            ("series", {"P": {"dim": 1, "rows": "abc"}, "r": 3}),
+            ("simulate", {"process": {
+                "variant": "random-scaled", "P": SCALAR_P, "noise": NORMAL1,
+                "lam_values": [1.0, 2.0], "lam_probs": [0.5, 0.5],
+                "perturbation": "x",
+            }, "checkpoints": [4], "n_paths": 50}),
+            ("sample-law", {"count": "ten"}),
+        ],
+        ids=["cov-as-matrix", "alpha-object", "cauchy-dim", "P-rows",
+             "perturbation", "count"],
+    )
+    def test_malformed_values_exit_2(self, tmp_path, capsys, command, entries):
+        obj = {**self.base(), **entries}
+        if command == "simulate":
+            del obj["law"], obj["count"]
+        cfg = write_cfg(tmp_path, obj)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert "error:" in capsys.readouterr().err
 
     def test_missing_seed(self, tmp_path):
         obj = self.base()

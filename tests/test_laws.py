@@ -62,13 +62,6 @@ class TestSpectralMeasure:
         with pytest.raises(InvalidInputError):
             laws.SpectralMeasure(np.array([[1.0, 0.0]]), np.array([-1.0]))
 
-    def test_json_roundtrip(self):
-        m = two_atom_measure()
-        back = laws.SpectralMeasure.from_json(m.to_json())
-        assert np.array_equal(back.atoms, m.atoms)
-        assert np.array_equal(back.weights, m.weights)
-        assert back.total_mass == m.total_mass
-
 
 class TestCfAlgebra:
     def test_value_at_zero_is_one(self):

@@ -92,18 +92,6 @@ class TestSpectralRadius:
                 ) == pytest.approx(rho**k, rel=1e-8, abs=1e-12)
 
 
-class TestOperatorNorm:
-    def test_matches_svd(self):
-        rng = np.random.default_rng(7)
-        A = rng.normal(size=(4, 4))
-        assert matalg.operator_norm(A) == pytest.approx(
-            np.linalg.svd(A, compute_uv=False)[0], rel=1e-14
-        )
-
-    def test_orthogonal_scaling(self):
-        assert matalg.operator_norm(rotation_half()) == pytest.approx(0.5, rel=1e-14)
-
-
 class TestInverse:
     def test_roundtrip(self):
         rng = np.random.default_rng(11)
@@ -196,11 +184,6 @@ class TestGelfandIndex:
             rho=cert.rho, k0=max(1, cert.k0 - 4), horizon=cert.horizon
         )
         assert not matalg.certificate_holds(JORDAN, too_strong)
-
-    def test_json_roundtrip(self):
-        cert = matalg.gelfand_index(COMPANION)
-        back = matalg.GelfandCertificate.from_json(cert.to_json())
-        assert back == cert
 
 
 class TestDecayCertificate:

@@ -85,11 +85,6 @@ class TestTruncationIndex:
 
 
 class TestTruncationPlan:
-    def test_json_roundtrip(self):
-        plan = series.truncation_index(JORDAN, 1e-6)
-        back = series.TruncationPlan.from_json(plan.to_json())
-        assert back == plan
-
     def test_recompute_consistency(self):
         plan = series.truncation_index(JORDAN, 1e-6)
         again = series.recompute_tail_bound(JORDAN, plan.certificate, plan.r)
@@ -262,16 +257,18 @@ class TestLemmaDiagnostics:
     def test_reports_structure(self):
         diag = series.lemma_diagnostics(
             np.array([[0.5]]), laws.NormalLaw(np.eye(1)), J=16, n_paths=100,
-            seed=9, detail_paths=5,
+            seed=9,
         )
-        assert len(diag.reports) == 5
-        for i, rep in enumerate(diag.reports):
-            assert rep.path_id == i
-            assert rep.J == 16
-            assert rep.partial_sums.shape == (17,)
-            assert (np.diff(rep.partial_sums) >= 0).all()
-            assert rep.exceedance_count == diag.exceedance_count[i]
-            assert -1 <= rep.last_exceedance_index <= 16
+        for arr in (
+            diag.exceedance_count, diag.last_exceedance_index,
+            diag.final_partial_sum, diag.last_term_norm, diag.log_moment,
+        ):
+            assert arr.shape == (100,)
+        count, last = diag.exceedance_count, diag.last_exceedance_index
+        assert ((0 <= count) & (count <= 17)).all()
+        assert ((-1 <= last) & (last <= 16)).all()
+        assert np.array_equal(count == 0, last == -1)
+        assert (diag.final_partial_sum >= diag.last_term_norm).all()
 
     def test_worker_invariance_bitwise(self):
         kwargs = dict(

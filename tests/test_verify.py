@@ -189,11 +189,12 @@ class TestReferences:
         )
         grid = ecf.default_grid(1)
         t = grid.points[:, 0]
-        cond = verify.conditional_reference(spec, 4)
+        table = verify.conditional_reference(spec, 4, grid)
+        assert table.shape == (2, len(grid))
         expected = np.exp(
             -0.5 * sum((2.0 * 0.5**j * t) ** 2 for j in range(5))
         )
-        assert np.allclose(cond(1, grid), expected, atol=1e-14)
+        assert np.allclose(table[1], expected, atol=1e-14)
 
     def test_conditional_factor_applies_factor_each_term(self):
         spec = DiscreteFactor(
@@ -202,13 +203,13 @@ class TestReferences:
         )
         grid = ecf.default_grid(1)
         t = grid.points[:, 0]
-        cond = verify.conditional_reference(spec, 4)
+        table = verify.conditional_reference(spec, 4, grid)
         expected = np.exp(
             -0.5 * sum((2.0 * 0.5**j * t) ** 2 for j in range(5))
         )
-        assert np.allclose(cond(1, grid), expected, atol=1e-14)
+        assert np.allclose(table[1], expected, atol=1e-14)
         assert np.allclose(
-            cond(0, grid),
+            table[0],
             np.exp(-0.5 * sum((0.5**j * t) ** 2 for j in range(5))),
             atol=1e-14,
         )
@@ -216,9 +217,9 @@ class TestReferences:
     def test_conditional_canonical_ignores_latent(self):
         spec = canonical_spec()
         grid = ecf.default_grid(2)
-        cond = verify.conditional_reference(spec, 6)
+        table = verify.conditional_reference(spec, 6, grid)
         assert np.array_equal(
-            cond(None, grid), verify.mixing_reference(spec, 6, grid)
+            table, verify.mixing_reference(spec, 6, grid)[None]
         )
 
 
@@ -240,8 +241,8 @@ class TestStatistics:
         grid = ecf.default_grid(2)
         fam = verify.default_family(ens)
         ref = verify.mixing_reference(ens.spec, 11, grid)
-        cond = verify.conditional_reference(ens.spec, 11)
-        st = verify.stable_statistic(ens, 12, fam, grid, cond)
+        table = verify.conditional_reference(ens.spec, 11, grid)
+        st = verify.stable_statistic(ens, 12, fam, grid, table)
         mx = verify.mixing_statistic(ens, 12, fam, grid, ref, which="qu")
         assert st == mx
 
@@ -251,16 +252,14 @@ class TestStatistics:
         ens = simulate_ensemble(scaled_spec(), [8], 2000, seed=13)
         grid = ecf.default_grid(2)
         fam = verify.default_family(ens)
-        cond = verify.conditional_reference(ens.spec, 7)
-        got = verify.stable_statistic(ens, 8, fam, grid, cond)
+        table = verify.conditional_reference(ens.spec, 7, grid)
+        got = verify.stable_statistic(ens, 8, fam, grid, table)
 
         mask = ens.in_g
         values = ens.qu[8][mask]
         inds = fam.indicator_matrix(ens)[:, mask]
         phases = np.exp(1j * (values @ grid.points.T))
-        atoms, inverse_idx = np.unique(ens.latent.atom[mask], return_inverse=True)
-        per_atom = np.stack([cond(a, grid) for a in atoms])
-        per_path = per_atom[inverse_idx]
+        per_path = table[ens.latent.atom[mask]]
         total = values.shape[0]
         worst = 0.0
         for e in range(len(inds)):

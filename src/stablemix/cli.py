@@ -298,17 +298,12 @@ def _run_verify(cfg, outdir, workers, stable: bool):
     )
     if stable:
         verdict = verify.verify_stable(ens, **kwargs)
-        which = "qu"
     else:
         which = cfg.get("statistic_of", "bu")
         if which not in ("bu", "qu"):
             raise ConfigError("statistic_of must be 'bu' or 'qu'")
         verdict = verify.verify_mixing(ens, which=which, **kwargs)
-    mask = ens.latent.in_g
-    final = ens.checkpoints[-1]
-    values = (ens.bu if which == "bu" else ens.qu)[final][mask]
-    est = estimate_ecf(values, kwargs["grid"], kwargs["delta"], workers)
-    write_ecf_csv(os.path.join(outdir, "ecf.csv"), est)
+    write_ecf_csv(os.path.join(outdir, "ecf.csv"), verdict.ecf)
     return _verdict_stats(verdict), [verdict], {}, ["ecf.csv"], verdict.passed
 
 
@@ -386,9 +381,10 @@ def replay_report(report_path: str, outdir: str | None = None,
                   seed: int | None = None, workers: int | None = None) -> dict:
     """Re-execute a report's embedded config and compare statistics bitwise.
 
-    Raises :class:`ReproducibilityError` naming the first statistic that
-    diverged.  Overriding the seed is the intended negative test: any
-    honest statistic must move.
+    Raises :class:`ReproducibilityError` naming every statistic that
+    diverged, with its stored and replayed values and their relative delta.
+    Overriding the seed is the intended negative test: any honest statistic
+    must move.
     """
     try:
         with open(report_path) as fh:
@@ -417,12 +413,19 @@ def replay_report(report_path: str, outdir: str | None = None,
             "replay produced a different set of statistics: "
             f"{sorted(set(old) ^ set(new))}"
         )
+    diverged = []
     for key in old:
         a, b = float(old[key]), float(new[key])
         if a == b or (math.isnan(a) and math.isnan(b)):
             continue
+        delta = abs(b - a) / abs(a) if a else math.inf
+        diverged.append(
+            f"{key!r}: stored {a!r}, replayed {b!r}, relative delta {delta:.3g}"
+        )
+    if diverged:
         raise ReproducibilityError(
-            f"statistic {key!r} diverged: stored {a!r}, replayed {b!r}"
+            f"{len(diverged)} of {len(old)} statistics diverged:\n  "
+            + "\n  ".join(diverged)
         )
     return fresh
 

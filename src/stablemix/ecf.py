@@ -10,12 +10,21 @@ Accumulation discipline: sample sums are computed per fixed-size row chunk
 and folded in chunk order with compensated summation (see
 :mod:`stablemix.streams`), so estimates are bit-for-bit reproducible for
 any worker count, and an estimate at ``theta = 0`` equals 1 exactly.
+
+One kernel, :func:`phase_sums`, forms every such sum, for the plain ecf
+and for the event-wise sums of :mod:`stablemix.verify`.  On an antipodally
+symmetric grid (every default grid) it evaluates ``exp(i <theta, x>)`` at
+one point of each pair ``+-theta`` only: the partner's sum is the
+conjugate, and a zero row's sum is the event's count, both exact.  A grid
+without that symmetry, or with a repeated nonzero row, takes the full
+route and evaluates every row.  Both routes give the same bits.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -79,6 +88,27 @@ class ThetaGrid:
             self.points, other.points
         )
 
+    @cached_property
+    def _phase_plan(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(evaluated, mirrored, zeros)`` row indices for :func:`phase_sums`.
+
+        On an antipodally symmetric grid, ``evaluated`` holds one row of each
+        pair ``+-theta``, ``mirrored[k]`` the partner of ``evaluated[k]``,
+        and ``zeros`` the zero rows.  Any other grid evaluates every row and
+        fills none.
+        """
+        pts = self.points
+        zero = ~pts.any(axis=1)
+        nonzero = np.flatnonzero(~zero)
+        # Float tuples compare and hash -0.0 equal to 0.0, as == does.
+        index = {tuple(p): i for i, p in zip(nonzero, pts[nonzero].tolist())}
+        partner = [index.get(tuple(p)) for p in (-pts[nonzero]).tolist()]
+        if len(index) < len(nonzero) or None in partner:
+            return np.arange(len(pts)), np.arange(0), np.arange(0)
+        pairs = [(i, j) for i, j in zip(nonzero, partner) if i < j]
+        evaluated, mirrored = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+        return evaluated, mirrored, np.flatnonzero(zero)
+
 
 def default_grid(
     dim: int,
@@ -90,7 +120,9 @@ def default_grid(
     Directions come from a fixed-key counter generator (antipodally
     symmetrized, so ``-theta`` is on the grid whenever ``theta`` is) and are
     identical across runs and machines.  Exact duplicate rows are merged,
-    which matters only in dimension one.
+    which matters only in dimension one.  The symmetry is what lets
+    :func:`phase_sums` evaluate only half of the nonzero rows; a custom
+    :class:`ThetaGrid` without it is summed row by row.
     """
     if dim < 1:
         raise InvalidInputError("dim must be positive")
@@ -108,23 +140,70 @@ def default_grid(
     return ThetaGrid(np.vstack([np.zeros((1, dim)), pts]))
 
 
-def chunked_phase_sums(values: np.ndarray, grid: ThetaGrid, workers: int = 1):
-    """Per-chunk complex sums of ``exp(i <theta, x>)`` plus the fold.
-
-    Returns ``(total_sum, per_chunk_sums)``; the fold is the canonical
-    deterministic reduction every consumer in this package must share.
-    """
+def _phase_parts(values, inds, grid: ThetaGrid, workers: int) -> list:
+    """Per-chunk ``(sums, counts)`` of :func:`phase_sums`, in chunk order."""
     vals = np.atleast_2d(np.asarray(values, dtype=float))
     if vals.shape[1] != grid.dim:
         raise InvalidInputError(
             f"sample dimension {vals.shape[1]} does not match grid dim {grid.dim}"
         )
+    if not np.isfinite(vals).all():
+        raise InvalidInputError("samples contain non-finite entries")
+    if inds is not None:
+        inds = np.asarray(inds, dtype=bool)
+        if inds.ndim != 2 or inds.shape[1] != vals.shape[0]:
+            raise InvalidInputError(
+                f"event indicators have shape {inds.shape}, expected "
+                f"(n_events, {vals.shape[0]})"
+            )
+    evaluated, mirrored, zeros = grid._phase_plan
+    points = grid.points[evaluated].T
 
     def chunk(start, count):
-        phases = np.exp(1j * (vals[start : start + count] @ grid.points.T))
-        return phases.sum(axis=0)
+        phases = 1j * (vals[start : start + count] @ points)
+        np.exp(phases, out=phases)  # in place: a fresh array costs page faults
+        if inds is None:
+            sums = phases.sum(axis=0)[None]
+            counts = np.array([count], dtype=np.int64)
+        else:
+            block = inds[:, start : start + count]
+            sums = np.stack([phases[ind].sum(axis=0) for ind in block])
+            counts = block.sum(axis=1, dtype=np.int64)
+        out = np.empty((len(sums), len(grid)), dtype=complex)
+        out[:, evaluated] = sums
+        # exp(i<-theta, x>) is conj(exp(i<theta, x>)) bit for bit; 0.0 - im
+        # (not -im) keeps an exactly cancelled or empty sum at +0.
+        paired = sums[:, : len(mirrored)]
+        out.real[:, mirrored] = paired.real
+        out.imag[:, mirrored] = 0.0 - paired.imag
+        out[:, zeros] = counts[:, None]
+        return out, counts
 
-    parts = streams.map_chunks(chunk, vals.shape[0], workers)
+    return streams.map_chunks(chunk, vals.shape[0], workers)
+
+
+def phase_sums(values, inds, grid: ThetaGrid, workers: int = 1):
+    """Event-wise sums of ``exp(i <theta, x>)`` over sample rows.
+
+    ``inds`` is an ``(n_events, n)`` boolean matrix, or None for the one
+    event holding every row.  Returns ``(sums, counts)`` with shapes
+    ``(n_events, len(grid))`` and ``(n_events,)``.  Sums are taken per
+    fixed chunk and folded in chunk order, so they are bit-identical for any
+    worker count, and the row of an event holding every sample equals the
+    one-event sums of :func:`chunked_phase_sums`.
+    """
+    parts = _phase_parts(values, inds, grid, workers)
+    sums = streams.kahan_fold([p[0] for p in parts])
+    return sums, np.sum([p[1] for p in parts], axis=0)
+
+
+def chunked_phase_sums(values: np.ndarray, grid: ThetaGrid, workers: int = 1):
+    """Per-chunk complex sums of ``exp(i <theta, x>)`` plus the fold.
+
+    Returns ``(total_sum, per_chunk_sums)``; the one-event case of
+    :func:`phase_sums`, which shares its chunk trace and fold.
+    """
+    parts = [p[0][0] for p in _phase_parts(values, None, grid, workers)]
     return streams.kahan_fold(parts), parts
 
 
@@ -153,8 +232,6 @@ def estimate_ecf(
     arr = np.atleast_2d(np.asarray(samples, dtype=float))
     if arr.shape[0] < 1:
         raise InvalidInputError("need at least one sample")
-    if not np.isfinite(arr).all():
-        raise InvalidInputError("samples contain non-finite entries")
     hoeffding_radius(arr.shape[0], delta)  # validates both arguments
     total, _ = chunked_phase_sums(arr, grid, workers)
     return EcfEstimate(

@@ -20,10 +20,11 @@ The three structural condition checkers (scale-limit match, stochastic
 boundedness, scaling-ratio stability) validate the hypotheses the limit
 statements rest on, directly from simulated ensembles.
 
-All statistics share the chunked compensated accumulation of
-:mod:`stablemix.ecf`; with the trivial event family the mixing statistic
-reproduces ``sup_distance`` of the plain empirical characteristic function
-bit for bit.
+Both statistics take their event-wise sums from
+:func:`stablemix.ecf.phase_sums`, the kernel behind the plain empirical
+characteristic function; with the trivial event family the mixing
+statistic is ``sup_distance`` of that ecf, bit for bit.  A verdict keeps
+the sure event's sums at its final checkpoint as an :class:`EcfEstimate`.
 """
 
 from __future__ import annotations
@@ -34,9 +35,14 @@ from typing import Callable
 
 import numpy as np
 
-from . import streams
-from .ecf import ThetaGrid, default_grid, hoeffding_radius
-from .errors import InsufficientDataError, InvalidInputError
+from .ecf import (
+    EcfEstimate,
+    ThetaGrid,
+    default_grid,
+    hoeffding_radius,
+    phase_sums,
+)
+from .errors import GridMismatchError, InsufficientDataError, InvalidInputError
 from .processes import Ensemble, ExplosiveVar
 
 MIN_FILTERED_PATHS = 1000
@@ -85,7 +91,10 @@ class EventFamily:
         return tuple(e.label for e in self.events)
 
     def indicator_matrix(self, ensemble: Ensemble) -> np.ndarray:
-        return np.stack([e.evaluate(ensemble) for e in self.events])
+        inds = np.stack([e.evaluate(ensemble) for e in self.events])
+        if not inds[0].all():
+            raise InvalidInputError("the family's first event must hold on every path")
+        return inds
 
 
 def _sure_event() -> PathEvent:
@@ -143,7 +152,13 @@ def default_family(ensemble: Ensemble) -> EventFamily:
 
 @dataclass(frozen=True)
 class ConvergenceVerdict:
-    """Outcome of one check: per-checkpoint statistics against thresholds."""
+    """Outcome of one check: per-checkpoint statistics against thresholds.
+
+    ``ecf`` is, for the stable and mixing verdicts, the plain empirical
+    characteristic function of the final checkpoint's filtered values,
+    taken from the statistic's own sure-event sums; it is not part of the
+    JSON form or of equality.
+    """
 
     condition: str
     checkpoints: tuple[int, ...]
@@ -152,6 +167,7 @@ class ConvergenceVerdict:
     passed: bool
     n_paths: int
     detail: dict = field(default_factory=dict)
+    ecf: EcfEstimate | None = field(default=None, compare=False, repr=False)
 
     def to_json(self) -> dict:
         return {
@@ -306,6 +322,11 @@ def _series_cf(spec, r: int, points: np.ndarray, factor=None) -> np.ndarray:
     return values
 
 
+def _check_grid(grid: ThetaGrid, dim: int) -> None:
+    if grid.dim != dim:
+        raise GridMismatchError(f"grid dim {grid.dim} does not match process dim {dim}")
+
+
 def mixing_reference(spec, r: int, grid: ThetaGrid) -> np.ndarray:
     """Characteristic function of the truncated limit series of ``B_n U_n``.
 
@@ -314,6 +335,7 @@ def mixing_reference(spec, r: int, grid: ThetaGrid) -> np.ndarray:
     latent factor does not cancel, so a spec with a factor table has no
     factorized mixing reference; ask for the conditional one.
     """
+    _check_grid(grid, spec.dim)
     if spec.atom_factor is not None:
         raise InvalidInputError(
             "a latent factor makes the limit latent-dependent; use "
@@ -326,6 +348,7 @@ def conditional_reference(spec, r: int, grid: ThetaGrid) -> np.ndarray:
     """Limit characteristic function of ``Q_n U_n`` given the latent draw,
     as an ``(n_atoms, len(grid))`` table: row ``k`` is the truncated series
     cf at atom ``k``'s limit scale ``b_divisor(inf)`` and factor."""
+    _check_grid(grid, spec.dim)
     scale = spec.b_divisor(np.inf)
     factors = [None] * len(scale) if spec.atom_factor is None else spec.atom_factor
     return np.stack(
@@ -333,29 +356,11 @@ def conditional_reference(spec, r: int, grid: ThetaGrid) -> np.ndarray:
     )
 
 
-def _statistic_core(values, inds, grid: ThetaGrid, workers: int):
-    """Event-wise complex sums and counts with the canonical reduction.
-
-    Returns ``(sums, counts)`` with shapes (n_events, n_grid) and
-    (n_events,).  The sure event's row follows exactly the same chunk trace
-    as :func:`stablemix.ecf.estimate_ecf` over the same rows, keeping the
-    two code paths bit-identical.
-    """
-
-    def chunk(start, count):
-        phases = np.exp(1j * (values[start : start + count] @ grid.points.T))
-        sums = np.stack(
-            [phases[inds[e, start : start + count]].sum(axis=0) for e in range(len(inds))]
-        )
-        return sums, inds[:, start : start + count].sum(axis=1, dtype=np.int64)
-
-    parts = streams.map_chunks(chunk, values.shape[0], workers)
-    sums = streams.kahan_fold([p[0] for p in parts])
-    counts = np.sum([p[1] for p in parts], axis=0)
-    return sums, counts
-
-
-def _filtered_values(ensemble: Ensemble, n: int, which: str, min_paths: int):
+def _event_sums(ensemble, n, family, grid, which, min_paths, workers, sure_sums):
+    """Event-wise phase sums of the filtered ``which`` values at checkpoint
+    ``n``, as ``(sums, counts, inds, mask)`` with ``inds`` the filtered
+    indicator matrix.  When ``sure_sums`` is a list, the sure event's sums
+    and the filtered path count are appended to it."""
     n = int(n)
     if n not in ensemble.checkpoints:
         raise InvalidInputError(f"checkpoint {n} was not simulated")
@@ -365,8 +370,12 @@ def _filtered_values(ensemble: Ensemble, n: int, which: str, min_paths: int):
             f"only {int(mask.sum())} paths satisfy the conditioning event; "
             f"need at least {min_paths}"
         )
-    store = ensemble.bu if which == "bu" else ensemble.qu
-    return store[n][mask], mask
+    values = (ensemble.bu if which == "bu" else ensemble.qu)[n][mask]
+    inds = family.indicator_matrix(ensemble)[:, mask]
+    sums, counts = phase_sums(values, inds, grid, workers)
+    if sure_sums is not None:
+        sure_sums.append((sums[0], values.shape[0]))
+    return sums, counts, inds, mask
 
 
 def mixing_statistic(
@@ -378,16 +387,23 @@ def mixing_statistic(
     which: str = "bu",
     min_paths: int = MIN_FILTERED_PATHS,
     workers: int = 1,
+    sure_sums: list | None = None,
 ) -> float:
     """Max over (event, theta) of the factorization error against a fixed
-    limit characteristic function."""
+    limit characteristic function.
+
+    When ``sure_sums`` is a list, the sure event's phase sums and the
+    filtered path count are appended to it, so a caller can form the plain
+    ecf without a second pass over the values.
+    """
+    _check_grid(grid, ensemble.dim)
     ref = np.asarray(reference_values)
     if ref.shape != (len(grid),):
         raise InvalidInputError("reference values do not match the grid")
-    values, mask = _filtered_values(ensemble, n, which, min_paths)
-    inds = family.indicator_matrix(ensemble)[:, mask]
-    sums, counts = _statistic_core(values, inds, grid, workers)
-    total = values.shape[0]
+    sums, counts, inds, _ = _event_sums(
+        ensemble, n, family, grid, which, min_paths, workers, sure_sums
+    )
+    total = inds.shape[1]
     means = sums / total
     freqs = counts / total
     return float(np.abs(means - freqs[:, None] * ref[None, :]).max())
@@ -401,19 +417,22 @@ def stable_statistic(
     conditional_values,
     min_paths: int = MIN_FILTERED_PATHS,
     workers: int = 1,
+    sure_sums: list | None = None,
 ) -> float:
     """Max over (event, theta) of the error against the latent-conditional
     limit characteristic function, event-averaged; ``conditional_values``
-    is the per-atom table of :func:`conditional_reference`."""
+    is the per-atom table of :func:`conditional_reference`.  ``sure_sums``
+    is as for :func:`mixing_statistic`."""
+    _check_grid(grid, ensemble.dim)
     table = np.asarray(conditional_values)
     if table.shape != (len(ensemble.spec.atom_in_g), len(grid)):
         raise InvalidInputError(
             "conditional values do not match the atom table and the grid"
         )
-    values, mask = _filtered_values(ensemble, n, "qu", min_paths)
-    inds = family.indicator_matrix(ensemble)[:, mask]
-    sums, counts = _statistic_core(values, inds, grid, workers)
-    total = values.shape[0]
+    sums, _, inds, mask = _event_sums(
+        ensemble, n, family, grid, "qu", min_paths, workers, sure_sums
+    )
+    total = inds.shape[1]
     atom = ensemble.latent.atom[mask]
     per_atom = np.stack([np.bincount(atom[ind], minlength=len(table)) for ind in inds])
     term1 = sums / total
@@ -452,15 +471,18 @@ def _verdict(
     ``r``, build ``reference(spec, r, grid)`` once, take
     ``statistic(ensemble, n, family, grid, reference)`` per checkpoint and
     judge the last one against ``factor * hoeffding_radius`` at the
-    filtered path count."""
+    filtered path count.  The final checkpoint's sure-event sums become the
+    verdict's ``ecf``."""
     family = default_family(ensemble) if family is None else family
     grid = default_grid(ensemble.dim) if grid is None else grid
     r = ensemble.checkpoints[-1] - 1 if r is None else int(r)
     ref = reference(ensemble.spec, r, grid)
+    sure_sums = []
     stats = tuple(
-        statistic(ensemble, n, family, grid, ref) for n in ensemble.checkpoints
+        statistic(ensemble, n, family, grid, ref, sure_sums=sure_sums)
+        for n in ensemble.checkpoints
     )
-    count = int(ensemble.latent.in_g.sum())
+    sums, count = sure_sums[-1]
     threshold = factor * hoeffding_radius(count, delta)
     return ConvergenceVerdict(
         condition=condition,
@@ -477,6 +499,7 @@ def _verdict(
             "factor": factor,
             **detail,
         },
+        ecf=EcfEstimate(grid, sums / count, count, delta),
     )
 
 

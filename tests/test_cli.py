@@ -6,9 +6,14 @@ import json
 import numpy as np
 import pytest
 
-from stablemix import cli, laws
+from stablemix import cli, ecf, laws
 from stablemix.cli import main
-from stablemix.processes import ExplosiveVar, RandomScaled, SyntheticCanonical
+from stablemix.processes import (
+    ExplosiveVar,
+    RandomScaled,
+    SyntheticCanonical,
+    simulate_ensemble,
+)
 
 
 def rotation_half():
@@ -287,6 +292,40 @@ class TestVerifyCommands:
         ) == 2
 
 
+class TestVerifyEcfCsv:
+    # ecf.csv comes from the verdict's own final-checkpoint sums; it must be
+    # the bytes of the plain ecf of the final filtered values.  The
+    # conditioning event keeps two of three atoms, so the filter matters.
+    SPEC = RandomScaled(
+        rotation_half(), laws.NormalLaw(np.eye(2)), [2.0, 0.5, 1.0],
+        [0.3, 0.3, 0.4], event_values=[2.0, 1.0], perturbation=0.3,
+    )
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize(
+        "command, which",
+        [("verify-stable", "qu"), ("verify-mixing", "bu"), ("verify-mixing", "qu")],
+    )
+    def test_bytes_match_plain_ecf(self, tmp_path, command, which, workers):
+        cfg = {
+            "schema_version": 1, "seed": 41, "workers": workers,
+            "process": self.SPEC.to_json(), "checkpoints": [5, 10],
+            "n_paths": 4097, "delta": 0.01,
+        }
+        if command == "verify-mixing":
+            cfg["statistic_of"] = which
+        out = tmp_path / "out"
+        argv = [command, "--config", write_cfg(tmp_path, cfg), "--out", str(out)]
+        assert main(argv) in (0, 1)
+
+        ens = simulate_ensemble(self.SPEC, [5, 10], 4097, seed=41)
+        values = (ens.bu if which == "bu" else ens.qu)[10][ens.latent.in_g]
+        assert len(values) < 4097
+        want = tmp_path / "want.csv"
+        ecf.write_ecf_csv(want, ecf.estimate_ecf(values, ecf.default_grid(2), 0.01))
+        assert (out / "ecf.csv").read_bytes() == want.read_bytes()
+
+
 class TestConditions:
     def test_all_three_reported(self, tmp_path):
         cfg = write_cfg(
@@ -456,6 +495,35 @@ class TestReplay:
         assert code == 1
         err = capsys.readouterr().err
         assert "diverged" in err and "ecf_distance" in err
+
+    def test_changed_seed_names_every_diverging_statistic(self, tmp_path, capsys):
+        cfg = write_cfg(
+            tmp_path,
+            {
+                "schema_version": 1, "seed": 5, "process": scaled_json(),
+                "checkpoints": [4, 8, 12], "n_paths": 2000,
+            },
+        )
+        out = tmp_path / "run"
+        main(["verify-stable", "--config", cfg, "--out", str(out)])
+        stored = read_report(out)["statistics"]
+        capsys.readouterr()
+        code = main(
+            ["replay", str(out / "report.json"), "--seed", "6",
+             "--out", str(tmp_path / "r")]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        fresh = read_report(tmp_path / "r")["statistics"]
+        for n in (4, 8, 12):
+            key = f"stable.n{n}"
+            a, b = stored[key], fresh[key]
+            assert a != b
+            assert (
+                f"{key!r}: stored {a!r}, replayed {b!r}, "
+                f"relative delta {abs(b - a) / abs(a):.3g}"
+            ) in err
+        assert "3 of 4 statistics diverged" in err
 
     def test_rejects_non_reports(self, tmp_path):
         assert main(["replay", str(tmp_path / "absent.json")]) == 2

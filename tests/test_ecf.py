@@ -4,6 +4,8 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stablemix import ecf, laws, streams
 from stablemix.errors import GridMismatchError, InvalidInputError
@@ -208,3 +210,141 @@ class TestCsv:
         assert len(rows) == 62
         assert float(rows[1][2]) == 1.0 and float(rows[1][3]) == 0.0
         assert int(rows[1][4]) == 200
+
+
+def oracle_phase_sums(values, inds, grid, workers=1):
+    """The event-wise sums as first written: ``exp`` at every grid row, then
+    a boolean gather per event, with the package's chunk grid and fold."""
+
+    def chunk(start, count):
+        phases = np.exp(1j * (values[start : start + count] @ grid.points.T))
+        block = inds[:, start : start + count]
+        sums = np.stack([phases[ind].sum(axis=0) for ind in block])
+        return sums, block.sum(axis=1, dtype=np.int64)
+
+    parts = streams.map_chunks(chunk, values.shape[0], workers)
+    return streams.kahan_fold([p[0] for p in parts]), np.sum(
+        [p[1] for p in parts], axis=0
+    )
+
+
+def _bits(arr):
+    return np.ascontiguousarray(arr).view(np.uint64)
+
+
+_D2 = ecf.default_grid(2).points
+GRIDS = {
+    "default-1": ecf.default_grid(1),
+    "default-2": ecf.default_grid(2),
+    "default-3": ecf.default_grid(3),
+    # Symmetric with two zero rows, the second one signed.
+    "zeros-symmetric": ecf.ThetaGrid(np.vstack([_D2[:1], _D2[1:], [[-0.0, 0.0]]])),
+    "asymmetric": ecf.ThetaGrid(
+        np.array([[0.0, 0.0], [1.0, 0.5], [-1.0, -0.5], [0.3, -2.0]])
+    ),
+    "repeated-rows": ecf.ThetaGrid(
+        np.vstack([np.zeros((2, 2)), _D2[1:], _D2[5:6]])
+    ),
+}
+HALF_ROUTE = {"default-1", "default-2", "default-3", "zeros-symmetric"}
+
+
+def _samples(seed, n, dim, kind):
+    rng = np.random.default_rng(seed)
+    vals = rng.standard_normal((n, dim))
+    if kind == "negative":
+        vals = -np.abs(vals)
+    elif kind == "wide":
+        vals *= 1e3
+    elif kind == "zero-rows":
+        vals[::3] = 0.0
+    return vals
+
+
+def _events(seed, n):
+    rng = np.random.default_rng(seed + 1)
+    return np.stack([
+        np.ones(n, dtype=bool),
+        rng.random(n) < 0.5,
+        np.zeros(n, dtype=bool),
+        rng.random(n) < 0.01,
+        np.arange(n) >= n - 1,
+    ])
+
+
+class TestPhaseSums:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.sampled_from([4095, 4096, 4097, 8193]),
+        grid_name=st.sampled_from(sorted(GRIDS)),
+        kind=st.sampled_from(["normal", "negative", "wide", "zero-rows"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_full_grid_oracle_bitwise(self, n, grid_name, kind, seed):
+        grid = GRIDS[grid_name]
+        vals = _samples(seed, n, grid.dim, kind)
+        inds = _events(seed, n)
+        want_sums, want_counts = oracle_phase_sums(vals, inds, grid)
+        sums, counts = ecf.phase_sums(vals, inds, grid)
+        assert np.array_equal(_bits(sums), _bits(want_sums))
+        assert np.array_equal(counts, want_counts)
+        total, parts = ecf.chunked_phase_sums(vals, grid)
+        assert np.array_equal(_bits(total), _bits(want_sums[0]))
+        assert len(parts) == len(streams.chunk_starts(n))
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        n=st.sampled_from([4097, 8193]),
+        grid_name=st.sampled_from(sorted(GRIDS)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_worker_invariance_bitwise(self, n, grid_name, seed):
+        grid = GRIDS[grid_name]
+        vals = _samples(seed, n, grid.dim, "normal")
+        inds = _events(seed, n)
+        one = ecf.phase_sums(vals, inds, grid, workers=1)
+        two = ecf.phase_sums(vals, inds, grid, workers=2)
+        assert np.array_equal(_bits(one[0]), _bits(two[0]))
+        assert np.array_equal(one[1], two[1])
+
+    @pytest.mark.parametrize("kind", ["normal", "negative"])
+    @pytest.mark.parametrize("grid_name", sorted(GRIDS))
+    def test_zero_column_is_count(self, grid_name, kind):
+        grid = GRIDS[grid_name]
+        vals = _samples(5, 4097, grid.dim, kind)
+        inds = _events(5, 4097)
+        sums, counts = ecf.phase_sums(vals, inds, grid)
+        zero_rows = np.flatnonzero(~grid.points.any(axis=1))
+        for row in zero_rows:
+            want = counts.astype(float) + 0j
+            assert np.array_equal(_bits(sums[:, row]), _bits(want))
+
+    @pytest.mark.parametrize("grid_name", sorted(GRIDS))
+    def test_route_follows_grid_symmetry(self, grid_name):
+        grid = GRIDS[grid_name]
+        evaluated, mirrored, zeros = grid._phase_plan
+        n_zero = int((~grid.points.any(axis=1)).sum())
+        if grid_name in HALF_ROUTE:
+            assert len(evaluated) == len(mirrored) == (len(grid) - n_zero) // 2
+            assert np.array_equal(grid.points[mirrored], -grid.points[evaluated])
+            assert len(zeros) == n_zero
+        else:
+            assert np.array_equal(evaluated, np.arange(len(grid)))
+            assert len(mirrored) == len(zeros) == 0
+
+    def test_one_event_default(self):
+        vals = _samples(9, 5000, 2, "normal")
+        grid = GRIDS["default-2"]
+        sums, counts = ecf.phase_sums(vals, None, grid)
+        full = ecf.phase_sums(vals, np.ones((1, 5000), dtype=bool), grid)
+        assert np.array_equal(_bits(sums), _bits(full[0]))
+        assert counts.tolist() == [5000]
+
+    def test_validation(self):
+        grid = GRIDS["default-2"]
+        with pytest.raises(InvalidInputError, match="does not match grid dim"):
+            ecf.phase_sums(np.zeros((10, 3)), None, grid)
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            ecf.phase_sums(np.array([[np.inf, 0.0]]), None, grid)
+        with pytest.raises(InvalidInputError, match="event indicators"):
+            ecf.phase_sums(np.zeros((10, 2)), np.ones((2, 9), dtype=bool), grid)

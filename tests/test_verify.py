@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from stablemix import ecf, laws, verify
-from stablemix.errors import InsufficientDataError, InvalidInputError
+from stablemix.errors import GridMismatchError, InsufficientDataError, InvalidInputError
 from stablemix.processes import (
     DiscreteFactor,
     ExplosiveVar,
@@ -88,6 +88,12 @@ class TestFamilies:
             verify.EventFamily((ev,))
         with pytest.raises(InvalidInputError):
             verify.EventFamily(())
+
+    def test_first_event_must_hold_everywhere(self):
+        fake = verify.PathEvent("all", lambda e: e.noise_prefix[:, 0, 0] >= 0)
+        ens = simulate_ensemble(canonical_spec(), [3], 16, seed=0)
+        with pytest.raises(InvalidInputError, match="first event"):
+            verify.EventFamily((fake,)).indicator_matrix(ens)
 
     def test_event_shape_validated(self):
         ev = verify.PathEvent("bad", lambda e: np.ones(3, bool))
@@ -221,6 +227,36 @@ class TestReferences:
         assert np.array_equal(
             table, verify.mixing_reference(spec, 6, grid)[None]
         )
+
+
+class TestGridDimension:
+    # A 3-d grid against 2-d specs whose first step is a matmul (A or a
+    # factor table) must be a named mismatch, not a bare numpy error.
+    SPECS = {
+        "explosive": ExplosiveVar(
+            np.array([[2.0, 1.0], [0.0, 2.0]]), laws.NormalLaw(np.eye(2))
+        ),
+        "factor": DiscreteFactor(
+            rotation_half(), laws.NormalLaw(np.eye(2)),
+            [np.eye(2), 2 * np.eye(2)], [0.5, 0.5],
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(SPECS))
+    def test_references_and_statistics_reject_grid(self, name):
+        spec = self.SPECS[name]
+        grid = ecf.default_grid(3)
+        with pytest.raises(GridMismatchError):
+            verify.mixing_reference(spec, 5, grid)
+        with pytest.raises(GridMismatchError):
+            verify.conditional_reference(spec, 5, grid)
+        ens = simulate_ensemble(spec, [6], 1500, seed=0)
+        fam = verify.omega_family()
+        with pytest.raises(GridMismatchError):
+            verify.mixing_statistic(ens, 6, fam, grid, np.ones(len(grid)))
+        table = np.ones((len(spec.atom_in_g), len(grid)))
+        with pytest.raises(GridMismatchError):
+            verify.stable_statistic(ens, 6, fam, grid, table)
 
 
 class TestStatistics:
@@ -362,6 +398,26 @@ class TestVerdicts:
         with pytest.raises(InsufficientDataError):
             verify.verify_mixing(ens)
         assert verify.verify_mixing(ens, min_paths=100).n_paths == 200
+
+    def test_verdict_keeps_final_sure_event_ecf(self):
+        spec = RandomScaled(
+            rotation_half(), laws.NormalLaw(np.eye(2)), [2.0, 0.5, 1.0],
+            [0.3, 0.3, 0.4], event_values=[2.0, 1.0],
+        )
+        ens = simulate_ensemble(spec, [6, 12], 4097, seed=34)
+        mask = ens.latent.in_g
+        grid = ecf.default_grid(2)
+        for v, values in (
+            (verify.verify_stable(ens, delta=1e-2), ens.qu[12][mask]),
+            (verify.verify_mixing(ens, delta=1e-2), ens.bu[12][mask]),
+        ):
+            want = ecf.estimate_ecf(values, grid, delta=1e-2)
+            assert v.ecf.values.view(np.uint64).tolist() == (
+                want.values.view(np.uint64).tolist()
+            )
+            assert (v.ecf.n_samples, v.ecf.delta) == (int(mask.sum()), 1e-2)
+            assert "ecf" not in v.to_json()
+            assert dataclasses.replace(v, ecf=None) == v
 
     def test_worker_invariance(self):
         ens = simulate_ensemble(scaled_spec(), [6, 12], 20_000, seed=33)

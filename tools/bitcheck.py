@@ -1,0 +1,269 @@
+"""Bit-identity check of two source trees over a matrix of CLI runs.
+
+Usage:
+
+    python3 tools/bitcheck.py OLD_SRC NEW_SRC [--work DIR] [--max-lines N]
+
+``OLD_SRC`` and ``NEW_SRC`` are directories holding the ``stablemix``
+package (the ``src`` directory of two checkouts).  Every case of the matrix
+runs through ``stablemix.cli.main`` on both trees, each tree in one fresh
+child process.  The matrix covers every process variant through
+``simulate``, ``verify-stable``, ``verify-mixing`` (``bu`` and ``qu``) and
+``conditions``, and ``sample-law``, ``series`` and ``lemma``, at path or
+draw counts 4095, 4096 and 4097 (one chunk less one, one chunk, one chunk
+plus one) and at 1 and 2 workers.
+
+The two trees must agree on every exit code, on the set of files each run
+writes, on every byte of every CSV and on every ``report.json`` value
+except ``wall_clock_s``.  Each difference is printed; the exit status is 1
+if there is any, else 0.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import math
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+
+_C, _S = math.cos(math.pi / 6), math.sin(math.pi / 6)
+ROTATION_HALF = {"dim": 2, "rows": [[0.5 * _C, -0.5 * _S], [0.5 * _S, 0.5 * _C]]}
+NORMAL_2D = {"law": "normal", "cov": [[1.0, 0.0], [0.0, 1.0]]}
+CORRELATED_2D = {"law": "normal", "cov": [[2.0, 0.6], [0.6, 1.0]]}
+CAUCHY_2D = {"law": "cauchy", "dim": 2}
+STABLE_2D = {
+    "law": "stable", "alpha": 1.5,
+    "atoms": [[1.0, 0.0], [0.0, 1.0]], "weights": [0.5, 0.5],
+}
+
+PROCESSES = {
+    "canonical-cauchy": {
+        "variant": "synthetic-canonical", "P": ROTATION_HALF, "noise": CAUCHY_2D,
+    },
+    "scaled": {
+        "variant": "random-scaled", "P": ROTATION_HALF, "noise": NORMAL_2D,
+        "lam_values": [1.0, 2.0], "lam_probs": [0.5, 0.5],
+    },
+    "scaled-perturbed": {
+        "variant": "random-scaled", "P": ROTATION_HALF, "noise": NORMAL_2D,
+        "lam_values": [2.0, 0.5, 1.0], "lam_probs": [0.3, 0.3, 0.4],
+        "event_values": [2.0, 1.0], "perturbation": 0.3,
+    },
+    "scaled-repeated": {
+        "variant": "random-scaled", "P": ROTATION_HALF, "noise": STABLE_2D,
+        "lam_values": [1.0, 2.0, 1.0], "lam_probs": [0.25, 0.5, 0.25],
+    },
+    "factor": {
+        "variant": "discrete-factor", "P": ROTATION_HALF, "noise": NORMAL_2D,
+        "factors": [
+            {"dim": 2, "rows": [[1.0, 0.0], [0.0, 1.0]]},
+            {"dim": 2, "rows": [[2.0, 0.5], [0.0, 1.0]]},
+        ],
+        "factor_probs": [0.5, 0.5],
+    },
+    "explosive": {
+        "variant": "explosive-var", "A": {"dim": 2, "rows": [[2.0, 1.0], [0.0, 2.0]]},
+        "noise": NORMAL_2D,
+    },
+    "explosive-1d": {
+        "variant": "explosive-var", "A": {"dim": 1, "rows": [[1.5]]},
+        "noise": {"law": "normal", "cov": [[1.0]]},
+    },
+}
+
+SIZES = (4095, 4096, 4097)
+WORKERS = (1, 2)
+CHECKPOINTS = [5, 10, 20]
+
+
+def cases() -> list[tuple[str, str, dict]]:
+    """``(case id, subcommand, config)`` for the whole matrix."""
+    out = []
+
+    def add(name, command, size, workers, cfg):
+        full = {"schema_version": 1, "seed": 7, "workers": workers, **cfg}
+        out.append((f"{name}.n{size}.w{workers}", command, full))
+
+    for size in SIZES:
+        for workers in WORKERS:
+            for pname, proc in PROCESSES.items():
+                base = {"process": proc, "checkpoints": CHECKPOINTS, "n_paths": size}
+                add(f"simulate.{pname}", "simulate", size, workers,
+                    {**base, "trajectories": 3})
+                add(f"stable.{pname}", "verify-stable", size, workers, base)
+                for which in ("bu", "qu"):
+                    add(f"mixing-{which}.{pname}", "verify-mixing", size, workers,
+                        {**base, "statistic_of": which})
+                add(f"mixing-omega.{pname}", "verify-mixing", size, workers,
+                    {**base, "family": "omega"})
+                add(f"conditions.{pname}", "conditions", size, workers, base)
+            for lname, law in (("normal", NORMAL_2D), ("correlated", CORRELATED_2D),
+                               ("cauchy", CAUCHY_2D), ("stable", STABLE_2D)):
+                add(f"sample-law.{lname}", "sample-law", size, workers,
+                    {"law": law, "count": size})
+            series = {"P": ROTATION_HALF, "law": NORMAL_2D, "count": size}
+            add("series.tol", "series", size, workers, {**series, "tol": 1e-6})
+            add("series.r", "series", size, workers, {**series, "r": 12})
+            add("lemma", "lemma", size, workers,
+                {"P": ROTATION_HALF, "law": STABLE_2D, "J": 16, "n_paths": size})
+    return out
+
+
+def run_child(src: str, work: str) -> None:
+    """Run every case on the package under ``src``; exit codes go to
+    ``work/codes.json`` and each case's output to ``work/<case id>``."""
+    sys.path.insert(0, os.path.abspath(src))
+    import contextlib
+    import io
+
+    from stablemix import cli
+
+    codes = {}
+    for case, command, cfg in cases():
+        outdir = os.path.join(work, case)
+        os.makedirs(outdir)
+        path = os.path.join(outdir, "config.json")
+        with open(path, "w") as fh:
+            json.dump(cfg, fh)
+        sink = io.StringIO()
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            codes[case] = cli.main([command, "--config", path, "--out", outdir])
+        os.remove(path)
+    with open(os.path.join(work, "codes.json"), "w") as fh:
+        json.dump(codes, fh)
+
+
+def _flatten(obj, prefix=""):
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from _flatten(value, f"{prefix}.{key}" if prefix else key)
+    elif isinstance(obj, list):
+        for i, value in enumerate(obj):
+            yield from _flatten(value, f"{prefix}[{i}]")
+    else:
+        yield prefix, obj
+
+
+def _same(a, b) -> bool:
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, float):
+        return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+    return a == b
+
+
+def compare_reports(old_path: str, new_path: str) -> list[str]:
+    with open(old_path) as fh:
+        old = dict(_flatten(json.load(fh)))
+    with open(new_path) as fh:
+        new = dict(_flatten(json.load(fh)))
+    diffs = []
+    for key in sorted(set(old) | set(new)):
+        if key == "wall_clock_s":
+            continue
+        if key not in old or key not in new:
+            diffs.append(f"{key}: only in {'old' if key in old else 'new'}")
+            continue
+        a, b = old[key], new[key]
+        if _same(a, b):
+            continue
+        line = f"{key}: {a!r} -> {b!r}"
+        if isinstance(a, float) and isinstance(b, float) and a != b:
+            rel = abs(b - a) / abs(a) if a else math.inf
+            line += f" (delta {b - a:.3g}, relative {rel:.3g})"
+        diffs.append(line)
+    return diffs
+
+
+def compare_bytes(old_path: str, new_path: str, max_lines: int) -> list[str]:
+    with open(old_path, "rb") as fh:
+        old = fh.read()
+    with open(new_path, "rb") as fh:
+        new = fh.read()
+    if old == new:
+        return []
+    a, b = old.splitlines(), new.splitlines()
+    bad = [i for i in range(max(len(a), len(b)))
+           if i >= len(a) or i >= len(b) or a[i] != b[i]]
+    diffs = [f"{len(bad)} of {max(len(a), len(b))} lines differ "
+             f"({len(old)} -> {len(new)} bytes)"]
+    for i in bad[:max_lines]:
+        left = a[i].decode() if i < len(a) else "<missing>"
+        right = b[i].decode() if i < len(b) else "<missing>"
+        diffs.append(f"line {i + 1}: {left} -> {right}")
+    return diffs
+
+
+def compare(old_work: str, new_work: str, max_lines: int) -> int:
+    with open(os.path.join(old_work, "codes.json")) as fh:
+        old_codes = json.load(fh)
+    with open(os.path.join(new_work, "codes.json")) as fh:
+        new_codes = json.load(fh)
+    n_files = n_bad = 0
+    for case, _, _ in cases():
+        problems = []
+        if old_codes[case] != new_codes[case]:
+            problems.append(f"exit code {old_codes[case]} -> {new_codes[case]}")
+        old_dir, new_dir = os.path.join(old_work, case), os.path.join(new_work, case)
+        old_files, new_files = set(os.listdir(old_dir)), set(os.listdir(new_dir))
+        for name in sorted(old_files ^ new_files):
+            side = "old" if name in old_files else "new"
+            problems.append(f"{name}: written only by the {side} tree")
+        for name in sorted(old_files & new_files):
+            n_files += 1
+            a, b = os.path.join(old_dir, name), os.path.join(new_dir, name)
+            if name == "report.json":
+                found = compare_reports(a, b)
+            else:
+                found = compare_bytes(a, b, max_lines)
+            problems.extend(f"{name}: {line}" for line in found)
+        if problems:
+            n_bad += 1
+            print(f"DIFF {case}")
+            for line in problems:
+                print(f"    {line}")
+    total = len(old_codes)
+    print(f"{total} runs, {n_files} files compared, {n_bad} runs differ")
+    return 1 if n_bad else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("old", help="src directory of the reference tree")
+    parser.add_argument("new", help="src directory of the tree under test")
+    parser.add_argument(
+        "--work", help="keep outputs here (default: a temporary directory)"
+    )
+    parser.add_argument("--max-lines", type=int, default=10,
+                        help="differing lines shown per file (default 10)")
+    parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.child:
+        run_child(args.old, args.new)
+        return 0
+    work = args.work or tempfile.mkdtemp(prefix="bitcheck-")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    sides = []
+    for label, src in (("old", args.old), ("new", args.new)):
+        if not os.path.isdir(os.path.join(src, "stablemix")):
+            parser.error(f"{src} holds no stablemix package")
+        side = os.path.join(work, label)
+        shutil.rmtree(side, ignore_errors=True)
+        os.makedirs(side)
+        subprocess.run(
+            [sys.executable, os.path.abspath(__file__), "--child", src, side],
+            env=env, check=True,
+        )
+        sides.append(side)
+    code = compare(*sides, args.max_lines)
+    if args.work is None:
+        shutil.rmtree(work)
+    return code
+
+
+if __name__ == "__main__":
+    sys.exit(main())

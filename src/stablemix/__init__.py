@@ -83,7 +83,6 @@ from .processes import (
     ProcessSpec,
     RandomScaled,
     SyntheticCanonical,
-    checkpoint_scaled,
     process_from_json,
     simulate_ensemble,
     simulate_path,

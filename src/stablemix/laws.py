@@ -337,102 +337,82 @@ class TruncatedCf:
     certificate: GelfandCertificate
 
 
-def _decay_data(P, r, certificate):
+def series_cf_values(
+    law: IncrementLaw, P, r: int, thetas, factor=None, start: int = 0
+) -> np.ndarray:
+    """Truncated series characteristic function on a theta grid, as the
+    product of per-term increment characteristic functions:
+
+        prod_{j=start}^{start+r} phi(factor' (P^j)' theta),
+
+    the cf of ``sum_j P^j factor Z_j`` over those lags.  ``factor`` (a
+    ``dim x dim`` matrix, identity when None) multiplies each projected row
+    last, and ``start`` skips the first lags: ``start=1`` is the explosive
+    sum ``sum_{k>=1} A^-k eps_k`` with ``P = A^-1``.  This is the one
+    truncated-series loop of the package; the named limits
+    (:func:`cf_normal_limit` and its siblings) and every ``verify``
+    reference take their values from it.
+    """
+    if r < 0 or start < 0:
+        raise InvalidInputError(
+            f"truncation index r and start lag must be nonnegative, got r={r}, "
+            f"start={start}"
+        )
     arr = matalg.as_square(P)
-    if r < 0:
-        raise InvalidInputError("truncation index r must be nonnegative")
+    grid, single = _clean_thetas(thetas, law.dim)
+    if arr.shape[0] != law.dim:
+        raise InvalidInputError("P dimension does not match law dimension")
+    if factor is not None:
+        factor = matalg.as_square(factor, "factor")
+        if factor.shape != arr.shape:
+            raise InvalidInputError("factor dimension does not match law dimension")
+    values = np.ones(grid.shape[0], dtype=complex)
+    proj = grid.copy()
+    for _ in range(start):
+        proj = proj @ arr
+    for _ in range(r + 1):
+        values *= law.cf(proj if factor is None else proj @ factor)
+        proj = proj @ arr  # theta P^(j+1) rows are (P^(j+1))' theta
+    return values[0] if single else values
+
+
+def _truncated_limit(law, P, thetas, r, certificate, exponent, scale) -> TruncatedCf:
+    """Series cf values plus the certified tail ``scale * |theta|^exponent
+    * sum_{j>r} |P^j|^exponent``, for a law whose exponent obeys
+    ``-log|phi(u)| <= scale * |u|^exponent``."""
+    values = series_cf_values(law, P, r, thetas)
     if certificate is None:
-        cert, norms = matalg.decay_certificate(arr)
+        cert, norms = matalg.decay_certificate(P)
     else:
-        cert = certificate
-        norms = matalg.norm_table(arr, cert.horizon)
-    return arr, cert, norms
+        cert, norms = certificate, matalg.norm_table(P, certificate.horizon)
+    tail = matalg.tail_bound(norms, cert, r, exponent=exponent)
+    theta_norms = np.linalg.norm(np.asarray(thetas, dtype=float), axis=-1)
+    return TruncatedCf(values, scale * theta_norms**exponent * tail, r, cert)
 
 
 def cf_normal_limit(P, cov, thetas, r: int, certificate=None) -> TruncatedCf:
     """Gaussian limit characteristic function truncated at ``r``:
-    ``exp(-theta' S_r theta / 2)`` with ``S_r = sum_{j<=r} P^j cov P^j'``.
-
-    The tail bound per point is ``|theta|^2 |cov| sum_{j>r} |P^j|^2 / 2``.
-    """
-    arr, cert, norms = _decay_data(P, r, certificate)
-    matalg.psd_sqrt(cov)  # rejects asymmetric or indefinite covariance
-    cov = matalg.as_square(cov, "cov")
-    grid, single = _clean_thetas(thetas, arr.shape[0])
-    sigma = np.zeros_like(arr)
-    pj = np.eye(arr.shape[0])
-    for _ in range(r + 1):
-        sigma += pj @ cov @ pj.T
-        pj = pj @ arr
-    quad = np.einsum("md,de,me->m", grid, sigma, grid)
-    values = np.exp(-0.5 * quad).astype(complex)
-    tail = matalg.tail_bound(norms, cert, r, exponent=2.0)
-    cov_norm = float(np.linalg.norm(cov, ord=2))
-    per_point = 0.5 * np.linalg.norm(grid, axis=1) ** 2 * cov_norm * tail
-    if single:
-        return TruncatedCf(values[0], per_point[0], r, cert)
-    return TruncatedCf(values, per_point, r, cert)
+    ``exp(-theta' S_r theta / 2)`` with ``S_r = sum_{j<=r} P^j cov P^j'``."""
+    law = NormalLaw(cov)
+    return _truncated_limit(
+        law, P, thetas, r, certificate, 2.0, 0.5 * np.linalg.norm(law.cov, ord=2)
+    )
 
 
 def cf_cauchy_limit(P, thetas, r: int, certificate=None) -> TruncatedCf:
     """Cauchy limit characteristic function truncated at ``r``:
-    ``exp(-sum_{j<=r} |P^j' theta|)`` with geometric tail ``|theta| *
-    sum_{j>r}`` of certified power norms."""
-    arr, cert, norms = _decay_data(P, r, certificate)
-    grid, single = _clean_thetas(thetas, arr.shape[0])
-    exponent = np.zeros(grid.shape[0])
-    proj = grid.copy()
-    for _ in range(r + 1):
-        exponent += np.linalg.norm(proj, axis=1)
-        proj = proj @ arr  # theta P^(j+1) rows are (P^(j+1))' theta
-    values = np.exp(-exponent).astype(complex)
-    per_point = np.linalg.norm(grid, axis=1) * matalg.tail_bound(norms, cert, r)
-    if single:
-        return TruncatedCf(values[0], per_point[0], r, cert)
-    return TruncatedCf(values, per_point, r, cert)
+    ``exp(-sum_{j<=r} |P^j' theta|)``."""
+    law = CauchyLaw(matalg.as_square(P).shape[0])
+    return _truncated_limit(law, P, thetas, r, certificate, 1.0, 1.0)
 
 
 def cf_stable_limit(
     P, alpha: float, measure: SpectralMeasure, thetas, r: int, certificate=None
 ) -> TruncatedCf:
     """Symmetric alpha-stable limit characteristic function truncated at ``r``:
-    ``exp(-sum_{j<=r} sum_k w_k |<P^j' theta, s_k>|^alpha)``.
-
-    Tail bound per point: ``|theta|^alpha * mass * sum_{j>r} |P^j|^alpha``.
-    """
-    if not (0.0 < alpha < 2.0):
-        raise InvalidInputError(f"alpha must lie in (0, 2), got {alpha}")
-    arr, cert, norms = _decay_data(P, r, certificate)
-    if measure.dim != arr.shape[0]:
-        raise InvalidInputError("spectral measure dimension does not match P")
-    grid, single = _clean_thetas(thetas, arr.shape[0])
-    exponent = np.zeros(grid.shape[0])
-    proj = grid.copy()
-    for _ in range(r + 1):
-        inner = np.abs(proj @ measure.atoms.T) ** alpha
-        exponent += (inner * measure.weights).sum(axis=1)
-        proj = proj @ arr
-    values = np.exp(-exponent).astype(complex)
-    tail = matalg.tail_bound(norms, cert, r, exponent=alpha)
-    per_point = np.linalg.norm(grid, axis=1) ** alpha * measure.total_mass * tail
-    if single:
-        return TruncatedCf(values[0], per_point[0], r, cert)
-    return TruncatedCf(values, per_point, r, cert)
-
-
-def series_cf_values(law: IncrementLaw, P, r: int, thetas) -> np.ndarray:
-    """Characteristic function of ``sum_{j<=r} P^j Z_j`` on a theta grid,
-    as the product of per-term increment characteristic functions."""
-    arr = matalg.as_square(P)
-    grid, single = _clean_thetas(thetas, law.dim)
-    if arr.shape[0] != law.dim:
-        raise InvalidInputError("P dimension does not match law dimension")
-    values = np.ones(grid.shape[0], dtype=complex)
-    proj = grid.copy()
-    for _ in range(r + 1):
-        values *= law.cf(proj)
-        proj = proj @ arr
-    return values[0] if single else values
+    ``exp(-sum_{j<=r} sum_k w_k |<P^j' theta, s_k>|^alpha)``."""
+    law = StableLaw(alpha, measure)
+    return _truncated_limit(law, P, thetas, r, certificate, alpha, measure.total_mass)
 
 
 _LAW_TAGS = {"normal", "cauchy", "stable", "empirical", "log-cauchy-ray"}

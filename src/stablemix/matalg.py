@@ -28,6 +28,9 @@ COND_LIMIT = 1e12
 # Norms beyond this are treated as overflow when building power sequences.
 POWER_OVERFLOW = 1e300
 
+# Largest norm-table horizon a decay certificate may grow to.
+MAX_HORIZON = 1 << 15
+
 
 def as_floats(value, name: str = "value") -> np.ndarray:
     """``value`` as a float array; non-numeric or ragged input is an input error."""
@@ -176,12 +179,20 @@ def decay_certificate(
     least twice ``k0``.
 
     Past that point submultiplicativity gives ``|P^j| <= ratio^j`` for every
-    ``j >= k0``, so geometric continuation beyond the horizon is sound.
+    ``j >= k0``, so geometric continuation beyond the horizon is sound.  A
+    horizon too short for the ratio bound to set in at all is doubled, up
+    to ``MAX_HORIZON``.
     """
     arr = as_square(matrix)
     horizon = max(int(min_horizon), 2)
     for _ in range(40):
-        cert = gelfand_index(arr, horizon)
+        try:
+            cert = gelfand_index(arr, horizon)
+        except HorizonExceededError:
+            if horizon >= MAX_HORIZON:
+                raise
+            horizon = min(2 * horizon, MAX_HORIZON)
+            continue
         if cert.horizon >= 2 * cert.k0:
             return cert, norm_table(arr, cert.horizon)
         horizon = 2 * cert.k0

@@ -74,11 +74,13 @@ class ProcessSpec:
     The table defaults to one implicit atom that is never drawn
     (``atom_probs`` None, no latent uniform), lies in the conditioning
     event, and has neither a scale (``atom_scale`` None) nor a factor
-    (``atom_factor`` None).
+    (``atom_factor`` None).  ``first_lag`` is the lowest power of ``P``
+    in the limit series of ``B_n U_n``.
     """
 
     noise_law: IncrementLaw
     dim: int
+    first_lag = 0
 
     def __init__(self, P, noise_law: IncrementLaw):
         self.P = matalg.as_square(P, "P")
@@ -202,7 +204,10 @@ class DiscreteFactor(ProcessSpec):
 
 class ExplosiveVar(ProcessSpec):
     """First-order autoregression with an explosive coefficient matrix,
-    normalized by inverse powers.  Diagnostics bench only."""
+    normalized by inverse powers.  Diagnostics bench only.  Its limit
+    ``sum_{k>=1} A^-k eps_k`` starts at lag one."""
+
+    first_lag = 1
 
     def __init__(self, A, noise_law: IncrementLaw):
         arr = matalg.as_square(A, "A")
@@ -366,22 +371,6 @@ def simulate_path(spec: ProcessSpec, n: int, rng: np.random.Generator) -> Proces
         inc[1:] = np.einsum("kde,ke->kd", inv_powers[1:], V)
         U = np.concatenate([np.zeros((1, spec.dim)), np.cumsum(inc[1:], axis=0)])
     return ProcessPath(spec=spec, n=n, U=U, increments=inc, latent=latent)
-
-
-def checkpoint_scaled(path: ProcessPath, checkpoints) -> list[tuple[int, np.ndarray, np.ndarray]]:
-    """Literal ``(n, B_n U_n, Q_n U_n)`` for each requested checkpoint."""
-    out = []
-    spec = path.spec
-    for n in checkpoints:
-        n = int(n)
-        if not (1 <= n <= path.n):
-            raise InvalidInputError(
-                f"checkpoint {n} outside the simulated range 1..{path.n}"
-            )
-        qu = np.linalg.matrix_power(spec.P, n) @ path.U[n]
-        bu = (1.0 / spec.b_divisor(n)[path.latent.atom[0]]) * qu
-        out.append((n, bu, qu))
-    return out
 
 
 @dataclass(frozen=True)

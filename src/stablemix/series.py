@@ -60,7 +60,7 @@ def recompute_tail_bound(P, certificate: GelfandCertificate, r: int) -> float:
 
 
 def truncation_index(
-    P, tol: float, min_horizon: int = 256, max_horizon: int = 1 << 15
+    P, tol: float, min_horizon: int = 256, max_horizon: int = matalg.MAX_HORIZON
 ) -> TruncationPlan:
     """Smallest ``r`` whose certified tail bound is at most ``tol``.
 

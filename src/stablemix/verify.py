@@ -43,7 +43,8 @@ from .ecf import (
     phase_sums,
 )
 from .errors import GridMismatchError, InsufficientDataError, InvalidInputError
-from .processes import Ensemble, ExplosiveVar
+from .laws import series_cf_values
+from .processes import Ensemble
 
 MIN_FILTERED_PATHS = 1000
 
@@ -310,18 +311,6 @@ def check_condition_iii(
     )
 
 
-def _series_cf(spec, r: int, points: np.ndarray, factor=None) -> np.ndarray:
-    """Truncated limit series cf ``prod_j phi(factor' (P^j)' theta)`` over
-    the rows of ``points``, for ``j = 0..r``; the explosive variant's partial
-    sums start at lag one, so its ``j`` runs over ``1..r+1``."""
-    values = np.ones(len(points), dtype=complex)
-    proj = points @ spec.P if isinstance(spec, ExplosiveVar) else points
-    for _ in range(r + 1):
-        values = values * spec.noise_law.cf(proj if factor is None else proj @ factor)
-        proj = proj @ spec.P
-    return values
-
-
 def _check_grid(grid: ThetaGrid, dim: int) -> None:
     if grid.dim != dim:
         raise GridMismatchError(f"grid dim {grid.dim} does not match process dim {dim}")
@@ -341,7 +330,9 @@ def mixing_reference(spec, r: int, grid: ThetaGrid) -> np.ndarray:
             "a latent factor makes the limit latent-dependent; use "
             "conditional_reference with the stable statistic"
         )
-    return _series_cf(spec, r, grid.points)
+    return series_cf_values(
+        spec.noise_law, spec.P, r, grid.points, start=spec.first_lag
+    )
 
 
 def conditional_reference(spec, r: int, grid: ThetaGrid) -> np.ndarray:
@@ -351,9 +342,10 @@ def conditional_reference(spec, r: int, grid: ThetaGrid) -> np.ndarray:
     _check_grid(grid, spec.dim)
     scale = spec.b_divisor(np.inf)
     factors = [None] * len(scale) if spec.atom_factor is None else spec.atom_factor
-    return np.stack(
-        [_series_cf(spec, r, s * grid.points, f) for s, f in zip(scale, factors)]
-    )
+    return np.stack([
+        series_cf_values(spec.noise_law, spec.P, r, s * grid.points, f, spec.first_lag)
+        for s, f in zip(scale, factors)
+    ])
 
 
 def _event_sums(ensemble, n, family, grid, which, min_paths, workers, sure_sums):

@@ -134,10 +134,21 @@ def test_04_stable_limit_cf():
     P = rotation_half()
     r = 23
     grid = default_grid(2)
+    measure = two_atom_measure()
     worst = 0.0
+    routes_agree = True
     for alpha in (0.8, 1.5):
-        law = laws.StableLaw(alpha, two_atom_measure())
-        ref = laws.cf_stable_limit(P, alpha, two_atom_measure(), grid.points, r).values
+        law = laws.StableLaw(alpha, measure)
+        # Literal formula, written out independently of the library routine.
+        exponent = np.zeros(len(grid))
+        proj = grid.points.copy()
+        for _ in range(r + 1):
+            inner = np.abs(proj @ measure.atoms.T) ** alpha
+            exponent += (inner * measure.weights).sum(axis=1)
+            proj = proj @ P
+        ref = np.exp(-exponent) + 0j
+        routine = laws.cf_stable_limit(P, alpha, measure, grid.points, r).values
+        routes_agree &= bool(np.allclose(routine, ref, atol=1e-12))
         samples = series.series_ensemble(P, law, r, 404, N_LARGE, workers=4)
         worst = max(
             worst, sup_distance(estimate_ecf(samples, grid, workers=4), ref)
@@ -151,7 +162,7 @@ def test_04_stable_limit_cf():
         laws.cf_stable_limit(np.array([[0.5]]), 1.0, measure_1d, [[1.0]], 60).values[0]
     )
     spot_ok = abs(spot - math.exp(-2.0)) < 1e-12
-    ok = worst <= THRESHOLD and spot_ok
+    ok = worst <= THRESHOLD and routes_agree and spot_ok
     check(
         "stable-limit",
         ok,

@@ -131,6 +131,20 @@ class TestSeries:
         stats = read_report(out)["statistics"]
         assert stats["r"] == 8.0 and stats["tail_norm_bound"] > 0
 
+    def test_r_route_on_slow_jordan_block(self, tmp_path):
+        # Its decay certificate needs a horizon past the default start of 64.
+        cfg = write_cfg(
+            tmp_path,
+            {
+                "schema_version": 1, "seed": 1, "law": NORMAL2, "count": 2000,
+                "P": {"dim": 2, "rows": [[0.95, 1.0], [0.0, 0.95]]}, "r": 10,
+            },
+        )
+        out = tmp_path / "out"
+        assert main(["series", "--config", cfg, "--out", str(out)]) == 0
+        plan = read_report(out)["derived"]["truncation_plan"]
+        assert plan["certificate"]["horizon"] >= 2 * plan["certificate"]["k0"]
+
     def test_tol_and_r_are_exclusive(self, tmp_path, capsys):
         base = {
             "schema_version": 1, "seed": 1, "P": SCALAR_P, "law": NORMAL1,
@@ -259,6 +273,19 @@ class TestVerifyCommands:
         assert main(["verify-stable", "--config", cfg, "--out", str(out)]) == 0
         verdicts = read_report(out)["verdicts"]
         assert len(verdicts) == 1 and verdicts[0]["condition"] == "stable"
+
+    def test_negative_r_exits_2(self, tmp_path, capsys):
+        cfg = write_cfg(
+            tmp_path,
+            {
+                "schema_version": 1, "seed": 3, "process": canonical_json(),
+                "checkpoints": [6, 12], "n_paths": 2000, "r": -1,
+            },
+        )
+        for command in ("verify-mixing", "verify-stable"):
+            out = tmp_path / command
+            assert main([command, "--config", cfg, "--out", str(out)]) == 2
+            assert "must be nonnegative" in capsys.readouterr().err
 
     def test_explosive_family_choice_decides(self, tmp_path):
         spec = ExplosiveVar(np.array([[2.0]]), laws.NormalLaw(np.eye(1)))

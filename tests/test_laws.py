@@ -10,9 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stablemix import laws, streams
+from stablemix import laws, streams, verify
 from stablemix.ecf import default_grid, estimate_ecf, hoeffding_radius, sup_distance
 from stablemix.errors import InvalidInputError
+from stablemix.processes import ExplosiveVar
 
 N_SAMPLES = 100_000
 # 3 * sqrt(2 ln(2/1e-3) / 1e5), frozen.
@@ -35,6 +36,38 @@ def two_atom_measure():
     return laws.SpectralMeasure(
         atoms=np.array([[1.0, 0.0], [0.0, 1.0]]), weights=np.array([0.5, 0.5])
     )
+
+
+def normal_limit_oracle(P, cov, thetas, r):
+    """Closed form ``exp(-theta' S_r theta / 2)``, ``S_r = sum_{j<=r} P^j
+    cov P^j'``: one covariance sum, independent of the product route."""
+    sigma = np.zeros_like(P)
+    pj = np.eye(P.shape[0])
+    for _ in range(r + 1):
+        sigma += pj @ cov @ pj.T
+        pj = pj @ P
+    return np.exp(-0.5 * np.einsum("md,de,me->m", thetas, sigma, thetas))
+
+
+def cauchy_limit_oracle(P, thetas, r):
+    """Closed form ``exp(-sum_{j<=r} |P^j' theta|)``."""
+    exponent = np.zeros(len(thetas))
+    proj = np.array(thetas, dtype=float)
+    for _ in range(r + 1):
+        exponent += np.linalg.norm(proj, axis=1)
+        proj = proj @ P
+    return np.exp(-exponent)
+
+
+def stable_limit_oracle(P, alpha, measure, thetas, r):
+    """Closed form ``exp(-sum_{j<=r} sum_k w_k |<P^j' theta, s_k>|^alpha)``."""
+    exponent = np.zeros(len(thetas))
+    proj = np.array(thetas, dtype=float)
+    for _ in range(r + 1):
+        inner = np.abs(proj @ measure.atoms.T) ** alpha
+        exponent += (inner * measure.weights).sum(axis=1)
+        proj = proj @ P
+    return np.exp(-exponent)
 
 
 def all_standard_laws():
@@ -219,25 +252,66 @@ class TestTruncatedLimitCfs:
 
     @pytest.mark.parametrize("r", [3, 8, 15])
     def test_matches_series_product_route(self, r):
-        # Dual route: the closed-form accumulators must agree with the
-        # plain product of per-term cfs at the same truncation.
+        # Dual route: the product of per-term cfs, and the named limits built
+        # on it, must agree with the closed-form accumulators at the same
+        # truncation.
         P = 0.5 * np.array(
             [[np.cos(np.pi / 6), -np.sin(np.pi / 6)], [np.sin(np.pi / 6), np.cos(np.pi / 6)]]
         )
         grid = default_grid(2)
         cov = np.array([[1.5, 0.2], [0.2, 0.7]])
-        a = laws.cf_normal_limit(P, cov, grid.points, r).values
+        oracle = normal_limit_oracle(P, cov, grid.points, r)
         b = laws.series_cf_values(laws.NormalLaw(cov), P, r, grid.points)
-        assert np.allclose(a, b, atol=1e-13)
+        assert np.allclose(oracle, b, atol=1e-13)
+        assert np.array_equal(laws.cf_normal_limit(P, cov, grid.points, r).values, b)
 
-        a = laws.cf_cauchy_limit(P, grid.points, r).values
+        oracle = cauchy_limit_oracle(P, grid.points, r)
         b = laws.series_cf_values(laws.CauchyLaw(2), P, r, grid.points)
-        assert np.allclose(a, b, atol=1e-13)
+        assert np.allclose(oracle, b, atol=1e-13)
+        assert np.array_equal(laws.cf_cauchy_limit(P, grid.points, r).values, b)
 
         m = two_atom_measure()
-        a = laws.cf_stable_limit(P, 1.5, m, grid.points, r).values
+        oracle = stable_limit_oracle(P, 1.5, m, grid.points, r)
         b = laws.series_cf_values(laws.StableLaw(1.5, m), P, r, grid.points)
-        assert np.allclose(a, b, atol=1e-13)
+        assert np.allclose(oracle, b, atol=1e-13)
+        assert np.array_equal(laws.cf_stable_limit(P, 1.5, m, grid.points, r).values, b)
+
+    def test_factor_and_start_match_literal_product(self):
+        # prod_{j=start}^{start+r} phi(F' (P^j)' theta), term by term with
+        # matrix_power, for a non-normal P and a non-symmetric F.
+        P = np.array([[0.4, 0.3], [-0.1, 0.5]])
+        F = np.array([[1.0, 0.5], [0.0, 2.0]])
+        law = laws.NormalLaw(np.array([[1.5, 0.2], [0.2, 0.7]]))
+        grid = default_grid(2).points
+        r = 4
+        for start in (0, 1, 3):
+            for factor in (None, F):
+                lit = np.ones(len(grid), dtype=complex)
+                for j in range(start, start + r + 1):
+                    row = grid @ np.linalg.matrix_power(P, j)
+                    lit *= law.cf(row if factor is None else row @ factor)
+                got = laws.series_cf_values(law, P, r, grid, factor, start)
+                assert np.allclose(got, lit, atol=1e-14), (start, factor)
+        # The explosive limit sum_{k>=1} A^-k eps_k starts at lag one.
+        A = np.array([[2.0, 1.0], [0.0, 2.0]])
+        spec = ExplosiveVar(A, law)
+        assert spec.first_lag == 1
+        lit = np.ones(len(grid), dtype=complex)
+        for k in range(1, r + 2):
+            lit *= law.cf(grid @ np.linalg.matrix_power(np.linalg.inv(A), k))
+        got = verify.mixing_reference(spec, r, default_grid(2))
+        assert np.allclose(got, lit, atol=1e-14)
+        assert np.array_equal(verify.conditional_reference(spec, r, default_grid(2))[0], got)
+
+    def test_negative_truncation_or_start_rejected(self):
+        law = laws.NormalLaw(np.eye(2))
+        grid = default_grid(2).points
+        with pytest.raises(InvalidInputError):
+            laws.series_cf_values(law, 0.5 * np.eye(2), -1, grid)
+        with pytest.raises(InvalidInputError):
+            laws.series_cf_values(law, 0.5 * np.eye(2), 3, grid, start=-1)
+        with pytest.raises(InvalidInputError):
+            laws.series_cf_values(law, 0.5 * np.eye(2), 3, grid, factor=np.eye(3))
 
     def test_tail_bound_validity(self):
         # Extending the truncation moves log-modulus by at most the

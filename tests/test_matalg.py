@@ -194,6 +194,24 @@ class TestDecayCertificate:
             assert len(norms) == cert.horizon + 1
             assert matalg.certificate_holds(P, cert)
 
+    @pytest.mark.parametrize(
+        "lam,k0,horizon", [(0.95, 208, 416), (0.99, 1447, 2894)]
+    )
+    def test_grows_horizon_past_a_miss(self, lam, k0, horizon):
+        # Slow Jordan blocks: the ratio bound has not set in anywhere inside
+        # the default start horizon, so the horizon doubles until it does.
+        P = [[lam, 1.0], [0.0, lam]]
+        with pytest.raises(HorizonExceededError):
+            matalg.gelfand_index(P, horizon=64)
+        cert, norms = matalg.decay_certificate(P)
+        assert (cert.k0, cert.horizon) == (k0, horizon)
+        assert len(norms) == horizon + 1
+        assert matalg.certificate_holds(P, cert)
+
+    def test_horizon_growth_is_capped(self):
+        with pytest.raises(HorizonExceededError, match=str(matalg.MAX_HORIZON)):
+            matalg.decay_certificate([[0.99999, 1.0], [0.0, 0.99999]])
+
 
 class TestTailBound:
     def test_dominates_true_tail(self):

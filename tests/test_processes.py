@@ -21,13 +21,28 @@ from stablemix.processes import (
     ExplosiveVar,
     RandomScaled,
     SyntheticCanonical,
-    checkpoint_scaled,
     per_path_uniforms,
     process_from_json,
     simulate_ensemble,
     simulate_path,
     write_paths_csv,
 )
+
+
+def checkpoint_scaled(path, checkpoints):
+    """Literal ``(n, B_n U_n, Q_n U_n)`` of one path at each checkpoint."""
+    out = []
+    spec = path.spec
+    for n in checkpoints:
+        n = int(n)
+        if not (1 <= n <= path.n):
+            raise InvalidInputError(
+                f"checkpoint {n} outside the simulated range 1..{path.n}"
+            )
+        qu = np.linalg.matrix_power(spec.P, n) @ path.U[n]
+        bu = (1.0 / spec.b_divisor(n)[path.latent.atom[0]]) * qu
+        out.append((n, bu, qu))
+    return out
 
 
 def rotation_half():

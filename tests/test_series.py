@@ -79,6 +79,14 @@ class TestTruncationIndex:
         # And r is minimal: one step earlier the certified bound exceeds tol.
         assert series.recompute_tail_bound(JORDAN, plan.certificate, plan.r - 1) > 1e-6
 
+    def test_slow_jordan_block_grows_its_horizon(self):
+        # The decay bound of this block sets in only past horizon 1024.
+        P = np.array([[0.99, 1.0], [0.0, 0.99]])
+        plan = series.truncation_index(P, 1e-3)
+        assert plan.r == 1902
+        assert plan.tail_norm_bound <= 1e-3
+        assert series.recompute_tail_bound(P, plan.certificate, plan.r - 1) > 1e-3
+
     def test_rejects_bad_tol(self):
         with pytest.raises(InvalidInputError):
             series.truncation_index(JORDAN, 0.0)

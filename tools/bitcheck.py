@@ -8,10 +8,12 @@ Usage:
 package (the ``src`` directory of two checkouts).  Every case of the matrix
 runs through ``stablemix.cli.main`` on both trees, each tree in one fresh
 child process.  The matrix covers every process variant through
-``simulate``, ``verify-stable``, ``verify-mixing`` (``bu`` and ``qu``) and
-``conditions``, and ``sample-law``, ``series`` and ``lemma``, at path or
-draw counts 4095, 4096 and 4097 (one chunk less one, one chunk, one chunk
-plus one) and at 1 and 2 workers.
+``simulate``, ``verify-stable``, ``verify-mixing`` (``bu`` and ``qu``),
+both verdicts again at an explicit ``r`` below the default, and
+``conditions``; ``sample-law`` and ``series`` (``tol`` and ``r``) on the
+normal, Cauchy and stable laws; and ``lemma``.  Each runs at path or draw
+counts 4095, 4096 and 4097 (one chunk less one, one chunk, one chunk plus
+one) and at 1 and 2 workers.
 
 The two trees must agree on every exit code, on the set of files each run
 writes, on every byte of every CSV and on every ``report.json`` value
@@ -78,6 +80,8 @@ PROCESSES = {
 SIZES = (4095, 4096, 4097)
 WORKERS = (1, 2)
 CHECKPOINTS = [5, 10, 20]
+# An explicit verify truncation below the default ``CHECKPOINTS[-1] - 1``.
+SHORT_R = 7
 
 
 def cases() -> list[tuple[str, str, dict]]:
@@ -95,9 +99,13 @@ def cases() -> list[tuple[str, str, dict]]:
                 add(f"simulate.{pname}", "simulate", size, workers,
                     {**base, "trajectories": 3})
                 add(f"stable.{pname}", "verify-stable", size, workers, base)
+                add(f"stable-r.{pname}", "verify-stable", size, workers,
+                    {**base, "r": SHORT_R})
                 for which in ("bu", "qu"):
                     add(f"mixing-{which}.{pname}", "verify-mixing", size, workers,
                         {**base, "statistic_of": which})
+                add(f"mixing-r.{pname}", "verify-mixing", size, workers,
+                    {**base, "r": SHORT_R})
                 add(f"mixing-omega.{pname}", "verify-mixing", size, workers,
                     {**base, "family": "omega"})
                 add(f"conditions.{pname}", "conditions", size, workers, base)
@@ -105,9 +113,13 @@ def cases() -> list[tuple[str, str, dict]]:
                                ("cauchy", CAUCHY_2D), ("stable", STABLE_2D)):
                 add(f"sample-law.{lname}", "sample-law", size, workers,
                     {"law": law, "count": size})
-            series = {"P": ROTATION_HALF, "law": NORMAL_2D, "count": size}
-            add("series.tol", "series", size, workers, {**series, "tol": 1e-6})
-            add("series.r", "series", size, workers, {**series, "r": 12})
+            for lname, law in (("normal", NORMAL_2D), ("cauchy", CAUCHY_2D),
+                               ("stable", STABLE_2D)):
+                series = {"P": ROTATION_HALF, "law": law, "count": size}
+                add(f"series-{lname}.tol", "series", size, workers,
+                    {**series, "tol": 1e-6})
+                add(f"series-{lname}.r", "series", size, workers,
+                    {**series, "r": 12})
             add("lemma", "lemma", size, workers,
                 {"P": ROTATION_HALF, "law": STABLE_2D, "J": 16, "n_paths": size})
     return out

@@ -32,13 +32,7 @@ from .ecf import (
     write_ecf_csv,
 )
 from .errors import ConfigError, ReproducibilityError, StablemixError, converted
-from .processes import (
-    per_path_uniforms,
-    process_from_json,
-    simulate_ensemble,
-    simulate_path,
-    write_paths_csv,
-)
+from .processes import process_from_json, simulate_ensemble, write_paths_csv
 
 SCHEMA_VERSION = 1
 
@@ -229,6 +223,9 @@ def _ensemble(cfg, workers):
 
 
 def _run_simulate(cfg, outdir, workers):
+    trajectories = _read(cfg, "trajectories", int, 0)
+    if trajectories < 0:
+        raise ConfigError("trajectories must be nonnegative")
     ens = _ensemble(cfg, workers)
     outputs = ["scaled.csv"]
     d, n_cp = ens.dim, len(ens.checkpoints)
@@ -253,17 +250,12 @@ def _run_simulate(cfg, outdir, workers):
         stats[f"qu_norm_mean.n{n}"] = float(
             np.linalg.norm(ens.qu[n], axis=1).mean()
         )
-    trajectories = _read(cfg, "trajectories", int, 0)
     if trajectories > 0:
-        # Trajectory i replays ensemble path i from its own stream row.
-        n = ens.checkpoints[-1]
-        per_path = per_path_uniforms(ens.spec, n)
-        rows = (
-            streams.path_generator(cfg["seed"], streams.STREAM_PROCESS, i, per_path)
-            for i in range(trajectories)
-        )
-        paths = [simulate_path(ens.spec, n, rng) for rng in rows]
-        write_paths_csv(os.path.join(outdir, "paths.csv"), paths)
+        # Trajectory i is ensemble path i: the same stream rows, with every
+        # step a checkpoint.
+        steps = range(1, ens.checkpoints[-1] + 1)
+        rows = simulate_ensemble(ens.spec, steps, trajectories, cfg["seed"], workers)
+        write_paths_csv(os.path.join(outdir, "paths.csv"), rows)
         outputs.append("paths.csv")
     return stats, [], {}, outputs, True
 

@@ -144,14 +144,8 @@ def _ratio_holds(norms: np.ndarray, ratio: float) -> np.ndarray:
     return lhs <= k * np.log(ratio)
 
 
-def gelfand_index(matrix, horizon: int = 512) -> GelfandCertificate:
-    """Smallest ``k0`` with ``|P^k|^(1/k) <= (1+rho)/2`` on ``[k0, horizon]``.
-
-    Raises :class:`HypothesisViolationError` when ``rho(P) >= 1`` (no such
-    certificate can exist) and :class:`HorizonExceededError` when the bound
-    has not set in anywhere inside the horizon.
-    """
-    arr = as_square(matrix)
+def _gelfand(arr: np.ndarray, horizon: int) -> tuple[GelfandCertificate, np.ndarray]:
+    """:func:`gelfand_index` plus the norm table its scan built."""
     if horizon < 1:
         raise InvalidInputError("horizon must be at least 1")
     rho = spectral_radius(arr)
@@ -160,7 +154,8 @@ def gelfand_index(matrix, horizon: int = 512) -> GelfandCertificate:
             f"spectral radius {rho:.6g} >= 1; power norms cannot decay"
         )
     ratio = 0.5 * (1.0 + rho)
-    ok = _ratio_holds(norm_table(arr, horizon), ratio)
+    norms = norm_table(arr, horizon)
+    ok = _ratio_holds(norms, ratio)
     # Minimal k0 whose whole suffix satisfies the bound.
     suffix_ok = np.logical_and.accumulate(ok[::-1])[::-1]
     hits = np.flatnonzero(suffix_ok)
@@ -169,7 +164,17 @@ def gelfand_index(matrix, horizon: int = 512) -> GelfandCertificate:
             f"norm ratio bound not reached within horizon {horizon} "
             f"(rho={rho:.6g}, ratio={ratio:.6g})"
         )
-    return GelfandCertificate(rho=rho, k0=int(hits[0]) + 1, horizon=horizon)
+    return GelfandCertificate(rho=rho, k0=int(hits[0]) + 1, horizon=horizon), norms
+
+
+def gelfand_index(matrix, horizon: int = 512) -> GelfandCertificate:
+    """Smallest ``k0`` with ``|P^k|^(1/k) <= (1+rho)/2`` on ``[k0, horizon]``.
+
+    Raises :class:`HypothesisViolationError` when ``rho(P) >= 1`` (no such
+    certificate can exist) and :class:`HorizonExceededError` when the bound
+    has not set in anywhere inside the horizon.
+    """
+    return _gelfand(as_square(matrix), horizon)[0]
 
 
 def decay_certificate(
@@ -187,14 +192,14 @@ def decay_certificate(
     horizon = max(int(min_horizon), 2)
     for _ in range(40):
         try:
-            cert = gelfand_index(arr, horizon)
+            cert, norms = _gelfand(arr, horizon)
         except HorizonExceededError:
             if horizon >= MAX_HORIZON:
                 raise
             horizon = min(2 * horizon, MAX_HORIZON)
             continue
         if cert.horizon >= 2 * cert.k0:
-            return cert, norm_table(arr, cert.horizon)
+            return cert, norms
         horizon = 2 * cert.k0
     raise HorizonExceededError("norm decay threshold did not stabilize")
 

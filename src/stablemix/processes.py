@@ -34,7 +34,8 @@ and ``B_n = P^n / (scale + p/n)`` divides the scale back out, so
     diagnostics; its ``B_n U_n`` is the partial sum ``sum_k A^-k eps_k``.
 
 Determinism: path ``i`` of an ensemble is a pure function of
-``(seed, stream, i)``; see :mod:`stablemix.streams`.
+``(seed, stream, i)``; see :mod:`stablemix.streams`.  A trajectory is an
+ensemble row checkpointed at every step, with raw states ``U_k = P^-k Q_k U_k``.
 """
 
 from __future__ import annotations
@@ -315,62 +316,96 @@ def _transformed(spec: ProcessSpec, W: np.ndarray, atom: np.ndarray) -> np.ndarr
     return W
 
 
+def _scaled_rows(spec: ProcessSpec, u: np.ndarray, checkpoints) -> dict:
+    """The one accumulation kernel: scaled statistics of the paths whose
+    uniform rows are ``u``, shape (count, per_path_uniforms).
+
+    Returns each row's latent draw, ``B_n U_n`` and ``Q_n U_n`` at every
+    checkpoint ``n`` of the sorted tuple ``checkpoints``, and the first raw
+    noise increments.  The scaled values come from ``w_n = sum_{k<=n}
+    P^{n-k} V_k``, the form free of huge inverse powers; one pass of the
+    recursion ``w_k = P w_{k-1} + V_k`` snapshots every checkpoint.
+    """
+    count, n = len(u), checkpoints[-1]
+    wanted = set(checkpoints)
+    latent = _draw_latent(spec, u)
+    W = spec.noise_law.from_uniforms(
+        u[:, spec.latent_uniforms :].reshape(count, n, spec.noise_law.uniforms_per_draw)
+    )
+    bu, qu = {}, {}
+    if isinstance(spec, ExplosiveVar):
+        # wsum_n = sum_{k<=n} A^-k eps_k accumulates once.
+        terms = np.einsum("kde,cke->ckd", matalg.power_sequence(spec.P, n)[1:], W)
+        csum = np.cumsum(terms, axis=1)
+        for cp in checkpoints:
+            bu[cp] = qu[cp] = csum[:, cp - 1]
+    else:
+        V = _transformed(spec, W, latent.atom)
+        # w is (d, count).  Elementwise ops in a fixed order keep a path's
+        # bits independent of its chunk's row count, which a BLAS matmul
+        # does not (it switches kernels for one-row chunks).
+        w = np.zeros((spec.dim, count))
+        for k in range(1, n + 1):
+            nxt = V[:, k - 1].T.copy()
+            for i, j in np.ndindex(spec.P.shape):
+                nxt[i] += spec.P[i, j] * w[j]
+            w = nxt
+            if k in wanted:
+                # Unscaled specs share one array for B_n U_n and Q_n U_n.
+                qu[k] = bu[k] = w.T
+                if spec.atom_scale is not None:
+                    bu[k] = w.T / spec.b_divisor(k)[latent.atom][:, None]
+    prefix = W[:, : min(PREFIX_KEEP, n)].copy()
+    return {"bu": bu, "qu": qu, "latent": latent, "prefix": prefix}
+
+
+def _raw_states(spec: ProcessSpec, qu: dict, n: int) -> np.ndarray:
+    """Raw states ``U_k = P^-k Q_k U_k`` for ``k = 0..n`` (``U_0 = 0``) from
+    ``qu[k]``, the ``(paths, d)`` values of ``Q_k U_k`` at every step.
+
+    Raw paths grow geometrically, so a state past the float range raises
+    :class:`RangeOverflowError` for every variant alike.
+    """
+    scaled = np.stack([qu[k] for k in range(1, n + 1)], axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        U = np.einsum(
+            "kde,cke->ckd", matalg.power_sequence(spec.P_inv, n)[1:], scaled
+        )
+    if not np.isfinite(U).all():
+        raise RangeOverflowError(
+            f"raw state overflowed within {n} steps; shorten the horizon"
+        )
+    return np.concatenate([np.zeros((len(U), 1, spec.dim)), U], axis=1)
+
+
 @dataclass(frozen=True)
 class ProcessPath:
     """One fully materialized trajectory.
 
-    ``U[k]`` is the state after ``k`` steps (``U[0] = 0``), ``increments[k]``
-    the step taken at time ``k`` (``increments[0] = 0`` by convention);
-    ``latent`` is the path's one-row draw at time zero.
+    ``U[k]`` is the state after ``k`` steps (``U[0] = 0``), recovered as
+    ``U_k = P^-k Q_k U_k`` from the accumulation kernel's values at every
+    step; ``latent`` is the path's one-row draw at time zero.
     """
 
     spec: ProcessSpec
     n: int
     U: np.ndarray
-    increments: np.ndarray
     latent: Latent
-
-    @property
-    def dim(self) -> int:
-        return self.spec.dim
 
 
 def simulate_path(spec: ProcessSpec, n: int, rng: np.random.Generator) -> ProcessPath:
     """Draw one trajectory of length ``n``.
 
-    Consumes exactly :func:`per_path_uniforms` uniforms in the ensemble
-    layout (latent first, then per-step noise), so a generator positioned on
-    a path's stream row reproduces that ensemble path.
+    Takes exactly :func:`per_path_uniforms` uniforms from ``rng`` as one
+    stream row (latent first, then per-step noise) and runs it through the
+    ensemble's accumulation kernel with every step a checkpoint, so a
+    generator handing out a path's stream row reproduces that ensemble path.
     """
     if n < 1:
         raise InvalidInputError("n must be at least 1")
     u = np.atleast_1d(rng.random(per_path_uniforms(spec, n)))
-    latent = _draw_latent(spec, u[None])
-    upd = spec.noise_law.uniforms_per_draw
-    W = spec.noise_law.from_uniforms(
-        u[spec.latent_uniforms :].reshape(1, n, upd)
-    )
-    if isinstance(spec, ExplosiveVar):
-        # Direct recursion U_k = A U_{k-1} + eps_k.
-        U = np.zeros((n + 1, spec.dim))
-        inc = np.zeros((n + 1, spec.dim))
-        with np.errstate(over="ignore", invalid="ignore"):
-            for k in range(1, n + 1):
-                nxt = spec.A @ U[k - 1] + W[0, k - 1]
-                inc[k] = nxt - U[k - 1]
-                U[k] = nxt
-        if not np.isfinite(U).all():
-            raise RangeOverflowError(
-                f"explosive state overflowed within {n} steps; "
-                "shorten the horizon"
-            )
-    else:
-        V = _transformed(spec, W, latent.atom)[0]
-        inv_powers = matalg.power_sequence(spec.P_inv, n)
-        inc = np.zeros((n + 1, spec.dim))
-        inc[1:] = np.einsum("kde,ke->kd", inv_powers[1:], V)
-        U = np.concatenate([np.zeros((1, spec.dim)), np.cumsum(inc[1:], axis=0)])
-    return ProcessPath(spec=spec, n=n, U=U, increments=inc, latent=latent)
+    rows = _scaled_rows(spec, u[None], tuple(range(1, n + 1)))
+    return ProcessPath(spec, n, _raw_states(spec, rows["qu"], n)[0], rows["latent"])
 
 
 @dataclass(frozen=True)
@@ -418,11 +453,10 @@ def simulate_ensemble(
     """Simulate ``n_paths`` independent paths, keeping only checkpoint
     statistics and prefix features.
 
-    The scaled values come from ``w_n = sum_{k<=n} P^{n-k} V_k``, the form
-    of ``B_n U_n`` free of huge inverse powers.  One pass of the recursion
-    ``w_k = P w_{k-1} + V_k`` snapshots every checkpoint, so the cost is
-    O(n) per path whatever the number of checkpoints.  The recursion is
-    row-local: values are bit-identical for any worker count and chunking.
+    Each chunk of stream rows goes through the accumulation kernel, whose
+    one pass snapshots every checkpoint, so the cost is O(n) per path
+    whatever the number of checkpoints.  The kernel is row-local: values
+    are bit-identical for any worker count and chunking.
     """
     checkpoints = converted(
         lambda c: tuple(sorted({int(x) for x in np.atleast_1d(c)})),
@@ -432,49 +466,11 @@ def simulate_ensemble(
         raise InvalidInputError("checkpoints must be positive integers")
     if n_paths < 1:
         raise InvalidInputError("n_paths must be positive")
-    n = checkpoints[-1]
-    upd = spec.noise_law.uniforms_per_draw
-    per_path = per_path_uniforms(spec, n)
-    explosive = isinstance(spec, ExplosiveVar)
-    if explosive:
-        kernel = matalg.power_sequence(spec.P, n)  # A^-j
+    per_path = per_path_uniforms(spec, checkpoints[-1])
 
     def chunk(start, count):
         u = streams.uniform_block(seed, streams.STREAM_PROCESS, start, count, per_path)
-        latent = _draw_latent(spec, u)
-        W = spec.noise_law.from_uniforms(
-            u[:, spec.latent_uniforms :].reshape(count, n, upd)
-        )
-        bu_c, qu_c = {}, {}
-        if explosive:
-            # wsum_n = sum_{k<=n} A^-k eps_k accumulates once.
-            terms = np.einsum("kde,cke->ckd", kernel[1:], W)
-            csum = np.cumsum(terms, axis=1)
-            for cp in checkpoints:
-                val = csum[:, cp - 1]
-                bu_c[cp], qu_c[cp] = val, val
-        else:
-            V = _transformed(spec, W, latent.atom)
-            # w is (d, count).  Elementwise ops in a fixed order keep a
-            # path's bits independent of its chunk's row count, which a BLAS
-            # matmul does not (it switches kernels for one-row chunks).
-            w = np.zeros((spec.dim, count))
-            for k in range(1, n + 1):
-                nxt = V[:, k - 1].T.copy()
-                for i, j in np.ndindex(spec.P.shape):
-                    nxt[i] += spec.P[i, j] * w[j]
-                w = nxt
-                if k in checkpoints:
-                    # Unscaled specs share one array for B_n U_n and Q_n U_n.
-                    qu_c[k] = bu_c[k] = w.T
-                    if spec.atom_scale is not None:
-                        bu_c[k] = w.T / spec.b_divisor(k)[latent.atom][:, None]
-        return {
-            "bu": bu_c,
-            "qu": qu_c,
-            "latent": latent,
-            "prefix": W[:, : min(PREFIX_KEEP, n)].copy(),
-        }
+        return _scaled_rows(spec, u, checkpoints)
 
     parts = streams.map_chunks(chunk, n_paths, workers)
 
@@ -495,31 +491,33 @@ def simulate_ensemble(
     )
 
 
-PATH_CSV_COLUMNS = ("path_id", "step", "in_g", "lam", "s_index")
-
-
-def write_paths_csv(path, paths: list[ProcessPath]) -> None:
-    """One row per (path, step) with the state vector spread over columns."""
-    if not paths:
-        raise InvalidInputError("no paths to write")
-    steps = [p.n + 1 for p in paths]
-
-    def drawn(p):
-        # (in_g, lam, s_index) cells; lam and s_index only where drawn.
-        atom, spec = int(p.latent.atom[0]), p.spec
-        lam = "" if spec.atom_scale is None else repr(float(spec.atom_scale[atom]))
-        return int(p.latent.in_g[0]), lam, "" if spec.atom_factor is None else atom
+def write_paths_csv(path, ensemble: Ensemble) -> None:
+    """One row per (path, step) of every ensemble path, with the raw state
+    ``U_k = P^-k Q_k U_k`` spread over columns.  The ensemble must be
+    checkpointed at every step ``1..n``, so trajectory ``i`` is its row
+    ``i``."""
+    n = ensemble.checkpoints[-1]
+    if ensemble.checkpoints != tuple(range(1, n + 1)):
+        raise InvalidInputError("paths.csv needs an ensemble checkpointed at every step")
+    spec, atom = ensemble.spec, ensemble.latent.atom
+    # lam and s_index cells only where the spec draws them.
+    blank = np.full(ensemble.n_paths, "", dtype=object)
+    lam = blank if spec.atom_scale is None else spec.atom_scale[atom]
+    s_index = blank if spec.atom_factor is None else atom
 
     def per_path(values):
-        return np.repeat(np.array(values, dtype=object), steps)
+        return np.repeat(values, n + 1)
 
     write_csv(
         path,
-        list(PATH_CSV_COLUMNS) + [f"u_{i}" for i in range(paths[0].dim)],
+        ["path_id", "step", "in_g", "lam", "s_index"]
+        + [f"u_{i}" for i in range(spec.dim)],
         [
-            np.repeat(np.arange(len(paths)), steps),
-            np.concatenate([np.arange(k) for k in steps]),
-            *(per_path(col) for col in zip(*map(drawn, paths))),
-            np.concatenate([p.U for p in paths]),
+            per_path(np.arange(ensemble.n_paths)),
+            np.tile(np.arange(n + 1), ensemble.n_paths),
+            per_path(ensemble.latent.in_g.astype(np.int64)),
+            per_path(lam),
+            per_path(s_index),
+            _raw_states(spec, ensemble.qu, n).reshape(-1, spec.dim),
         ],
     )

@@ -74,16 +74,6 @@ def uniform_block(
     return rows[:, :per_path]
 
 
-def path_generator(seed: int, stream: int, path_index: int, per_path: int):
-    """Generator whose first ``per_path`` draws are row ``path_index`` of
-    :func:`uniform_block`, so a ``Generator`` consumer replays that path."""
-    if path_index < 0:
-        raise InvalidInputError("path_index must be nonnegative")
-    offset = path_index * (padded_width(per_path) // _WORDS_PER_BLOCK)
-    key = [_check_seed(seed), int(stream)]
-    return np.random.Generator(np.random.Philox(counter=[offset, 0, 0, 0], key=key))
-
-
 def chunk_starts(n_paths: int, chunk: int = CHUNK_PATHS) -> list[tuple[int, int]]:
     """Fixed (start, count) grid covering ``range(n_paths)``."""
     if n_paths < 0:

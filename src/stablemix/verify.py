@@ -362,7 +362,7 @@ def _event_sums(ensemble, n, family, grid, which, min_paths, workers, sure_sums)
             f"only {int(mask.sum())} paths satisfy the conditioning event; "
             f"need at least {min_paths}"
         )
-    values = (ensemble.bu if which == "bu" else ensemble.qu)[n][mask]
+    values = getattr(ensemble, which)[n][mask]
     inds = family.indicator_matrix(ensemble)[:, mask]
     sums, counts = phase_sums(values, inds, grid, workers)
     if sure_sums is not None:
@@ -389,6 +389,8 @@ def mixing_statistic(
     ecf without a second pass over the values.
     """
     _check_grid(grid, ensemble.dim)
+    if which not in ("bu", "qu"):
+        raise InvalidInputError(f"which must be 'bu' or 'qu', got {which!r}")
     ref = np.asarray(reference_values)
     if ref.shape != (len(grid),):
         raise InvalidInputError("reference values do not match the grid")

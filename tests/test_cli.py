@@ -233,6 +233,31 @@ class TestSimulate:
                 P8 @ u8, bu[int(r["path_id"])], rtol=1e-12, atol=1e-12
             )
 
+    @pytest.mark.parametrize(
+        "process,checkpoints,trajectories",
+        [
+            (canonical_json(), [4], -3),
+            # P^-996 stays in range while the raw state U_996 overflows.
+            ({"variant": "synthetic-canonical", "P": SCALAR_P,
+              "noise": {"law": "empirical", "pool": [[1e10]]}}, [996], 2),
+        ],
+        ids=["negative-count", "state-overflow"],
+    )
+    def test_bad_trajectories_exit_2(
+        self, tmp_path, capsys, process, checkpoints, trajectories
+    ):
+        cfg = write_cfg(
+            tmp_path,
+            {
+                "schema_version": 1, "seed": 2, "process": process,
+                "checkpoints": checkpoints, "n_paths": 10,
+                "trajectories": trajectories,
+            },
+        )
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+        assert not (out / "paths.csv").exists()
+
 
 class TestVerifyCommands:
     def test_mixing_passes_on_canonical(self, tmp_path, capsys):

@@ -208,6 +208,25 @@ class TestDecayCertificate:
         assert len(norms) == horizon + 1
         assert matalg.certificate_holds(P, cert)
 
+    @pytest.mark.parametrize(
+        "P,horizons",
+        [([[0.5]], [64]), ([[0.95, 1.0], [0.0, 0.95]], [64, 128, 256, 416])],
+    )
+    def test_one_norm_table_per_scan(self, monkeypatch, P, horizons):
+        # The returned table is the last scan's own: one power sequence per
+        # horizon tried, none rebuilt for the return, values unchanged.
+        calls = []
+        original = matalg.power_sequence
+
+        def counted(matrix, count):
+            calls.append(count)
+            return original(matrix, count)
+
+        monkeypatch.setattr(matalg, "power_sequence", counted)
+        cert, norms = matalg.decay_certificate(P)
+        assert calls == horizons
+        assert np.array_equal(norms, matalg.norm_table(P, cert.horizon))
+
     def test_horizon_growth_is_capped(self):
         with pytest.raises(HorizonExceededError, match=str(matalg.MAX_HORIZON)):
             matalg.decay_certificate([[0.99999, 1.0], [0.0, 0.99999]])

@@ -133,7 +133,6 @@ class TestSimulatePath:
         for spec in all_specs():
             path = simulate_path(spec, 8, np.random.default_rng(1))
             assert np.array_equal(path.U[0], np.zeros(2))
-            assert np.array_equal(path.increments[0], np.zeros(2))
             assert path.U.shape == (9, 2)
 
     def test_scaled_increment_is_transformed_noise(self):
@@ -150,22 +149,27 @@ class TestSimulatePath:
             assert np.allclose(scaled_step, W[n - 1], atol=1e-10)
 
     def test_explosive_recursion_holds(self):
+        # U_k - A U_{k-1} is the k-th noise draw of the path's stream row.
         A = np.array([[2.0, 0.5], [0.0, 2.5]])
         spec = ExplosiveVar(A, laws.NormalLaw(np.eye(2)))
-        path = simulate_path(spec, 10, np.random.default_rng(3))
+        u = streams.uniform_block(3, streams.STREAM_PROCESS, 5, 1, 20)[0]
+        path = simulate_path(spec, 10, _RowRng(u))
+        eps = spec.noise_law.from_uniforms(u.reshape(10, 2))
         for k in range(1, 11):
-            step = path.U[k] - A @ path.U[k - 1]
-            # The recovered noise must be the stored increment residue.
-            assert np.allclose(
-                path.U[k], A @ path.U[k - 1] + (path.increments[k] - (A - np.eye(2)) @ path.U[k - 1]),
-                atol=1e-9,
+            np.testing.assert_allclose(
+                path.U[k] - A @ path.U[k - 1], eps[k - 1], rtol=1e-9, atol=1e-9
             )
-            assert np.isfinite(step).all()
 
     def test_canonical_overflow_names_limit(self):
         spec = SyntheticCanonical(np.array([[0.5]]), laws.NormalLaw(np.eye(1)))
         with pytest.raises(RangeOverflowError):
             simulate_path(spec, 1100, np.random.default_rng(0))
+
+    def test_canonical_state_overflow_raises(self):
+        # P^-n stays in range while U_n = P^-n Q_n U_n does not.
+        spec = SyntheticCanonical(np.array([[0.5]]), laws.EmpiricalLaw([[1e10]]))
+        with pytest.raises(RangeOverflowError):
+            simulate_path(spec, 996, np.random.default_rng(0))
 
     def test_explosive_overflow_raises(self):
         spec = ExplosiveVar(np.array([[2.0]]), laws.NormalLaw(np.eye(1)))
@@ -209,15 +213,13 @@ class TestCheckpointScaled:
 class TestEnsemble:
     def test_row_addressing_matches_path_replay(self):
         # Ensemble row i replayed through simulate_path from its stream row
-        # gives the same checkpoint values: two independent code paths (the
-        # path goes through inverse powers, the ensemble through the
-        # recursion), over a long horizon.
+        # gives the same checkpoint values over a long horizon.
         for spec in all_specs():
             ens = simulate_ensemble(spec, [25, 100], 32, seed=23)
             per = per_path_uniforms(spec, 100)
             for i in (0, 7, 31):
-                rng = streams.path_generator(23, streams.STREAM_PROCESS, i, per)
-                path = simulate_path(spec, 100, rng)
+                u = streams.uniform_block(23, streams.STREAM_PROCESS, i, 1, per)[0]
+                path = simulate_path(spec, 100, _RowRng(u))
                 tol = {"rtol": 1e-12, "atol": 1e-12, "err_msg": type(spec).__name__}
                 for n, bu, qu in checkpoint_scaled(path, [25, 100]):
                     np.testing.assert_allclose(bu, ens.bu[n][i], **tol)
@@ -334,12 +336,39 @@ class TestPathsCsv:
         spec = RandomScaled(
             rotation_half(), laws.NormalLaw(np.eye(2)), [1.0, 2.0], [0.5, 0.5]
         )
-        paths = [simulate_path(spec, 4, np.random.default_rng(s)) for s in (0, 1)]
+        ens = simulate_ensemble(spec, range(1, 5), 2, seed=0)
         out = tmp_path / "paths.csv"
-        write_paths_csv(out, paths)
+        write_paths_csv(out, ens)
         with open(out) as fh:
             rows = list(csv.reader(fh))
         assert rows[0][:5] == ["path_id", "step", "in_g", "lam", "s_index"]
         assert len(rows) == 1 + 2 * 5
         assert rows[1][1] == "0"
         assert float(rows[1][5]) == 0.0
+        lam = spec.atom_scale[ens.latent.atom]
+        assert [float(r[3]) for r in rows[1::5]] == lam.tolist()
+
+    def test_trajectory_is_ensemble_row(self, tmp_path):
+        # U_k = P^-k Q_k U_k of ensemble row i, and the same state as
+        # simulate_path replaying that row.
+        for spec in all_specs():
+            ens = simulate_ensemble(spec, range(1, 9), 3, seed=4)
+            out = tmp_path / "paths.csv"
+            write_paths_csv(out, ens)
+            table = np.loadtxt(out, delimiter=",", skiprows=1, usecols=(5, 6))
+            per = per_path_uniforms(spec, 8)
+            for i in range(3):
+                u = streams.uniform_block(4, streams.STREAM_PROCESS, i, 1, per)[0]
+                path = simulate_path(spec, 8, _RowRng(u))
+                assert np.array_equal(table[9 * i : 9 * (i + 1)], path.U)
+                for k in (3, 8):
+                    np.testing.assert_allclose(
+                        np.linalg.matrix_power(spec.P, k) @ path.U[k],
+                        ens.qu[k][i], rtol=1e-12, atol=1e-12,
+                    )
+
+    def test_needs_every_step(self, tmp_path):
+        spec = SyntheticCanonical(rotation_half(), laws.NormalLaw(np.eye(2)))
+        ens = simulate_ensemble(spec, [2, 4], 2, seed=0)
+        with pytest.raises(InvalidInputError, match="every step"):
+            write_paths_csv(tmp_path / "paths.csv", ens)

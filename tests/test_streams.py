@@ -53,14 +53,6 @@ class TestUniformBlock:
         assert not np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
-    def test_path_uniforms_row(self):
-        whole = streams.uniform_block(9, streams.STREAM_LEMMA, 0, 50, 6)
-        for i in (0, 1, 31, 49):
-            rng = streams.path_generator(9, streams.STREAM_LEMMA, i, 6)
-            assert np.array_equal(rng.random(6), whole[i])
-        with pytest.raises(InvalidInputError):
-            streams.path_generator(9, streams.STREAM_LEMMA, -1, 6)
-
     def test_rejects_bad_args(self):
         with pytest.raises(InvalidInputError):
             streams.uniform_block(-1, 0, 0, 1, 1)

@@ -319,6 +319,17 @@ class TestStatistics:
                 ens, 6, verify.omega_family(), grid, np.ones(5)
             )
 
+    def test_which_names_bu_or_qu(self):
+        ens = simulate_ensemble(scaled_spec(), [6], 3000, seed=1)
+        grid = ecf.default_grid(2)
+        ref = verify.mixing_reference(ens.spec, 5, grid)
+        family = verify.omega_family()
+        for which in ("BU", "QU", "u"):
+            with pytest.raises(InvalidInputError, match="'bu' or 'qu'"):
+                verify.mixing_statistic(ens, 6, family, grid, ref, which=which)
+        with pytest.raises(InvalidInputError):
+            verify.verify_mixing(ens, which="BU")
+
     def test_min_paths_enforced(self):
         ens = simulate_ensemble(canonical_spec(), [6], 500, seed=0)
         grid = ecf.default_grid(2)

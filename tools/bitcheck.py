@@ -17,8 +17,10 @@ one) and at 1 and 2 workers.
 
 The two trees must agree on every exit code, on the set of files each run
 writes, on every byte of every CSV and on every ``report.json`` value
-except ``wall_clock_s``.  Each difference is printed; the exit status is 1
-if there is any, else 0.
+except ``wall_clock_s``.  Each difference is printed, and a differing CSV
+is sized by its largest absolute and relative numeric change.  A change of
+the report ``version`` is printed once, on the summary line.  The exit
+status is 1 if there is any difference or version change, else 0.
 """
 
 from __future__ import annotations
@@ -168,14 +170,16 @@ def _same(a, b) -> bool:
     return a == b
 
 
-def compare_reports(old_path: str, new_path: str) -> list[str]:
+def compare_reports(old_path: str, new_path: str) -> tuple[list[str], tuple]:
+    """Differing report values, and the ``(old, new)`` report versions,
+    which are left out of the differences."""
     with open(old_path) as fh:
         old = dict(_flatten(json.load(fh)))
     with open(new_path) as fh:
         new = dict(_flatten(json.load(fh)))
     diffs = []
     for key in sorted(set(old) | set(new)):
-        if key == "wall_clock_s":
+        if key in ("wall_clock_s", "version"):
             continue
         if key not in old or key not in new:
             diffs.append(f"{key}: only in {'old' if key in old else 'new'}")
@@ -188,7 +192,29 @@ def compare_reports(old_path: str, new_path: str) -> list[str]:
             rel = abs(b - a) / abs(a) if a else math.inf
             line += f" (delta {b - a:.3g}, relative {rel:.3g})"
         diffs.append(line)
-    return diffs
+    return diffs, (old.get("version"), new.get("version"))
+
+
+def _largest_change(a: list[bytes], b: list[bytes], lines) -> tuple[float, float]:
+    """Largest absolute and relative change between the numeric fields of
+    the given lines that both files hold; a changed non-numeric field, or a
+    change from zero, counts as relatively infinite."""
+    worst_abs = worst_rel = 0.0
+    for i in lines:
+        if i >= len(a) or i >= len(b):
+            continue
+        for x, y in zip(a[i].split(b","), b[i].split(b",")):
+            if x == y:
+                continue
+            try:
+                fx, fy = float(x), float(y)
+            except ValueError:
+                worst_rel = math.inf
+                continue
+            delta = abs(fy - fx)
+            worst_abs = max(worst_abs, delta)
+            worst_rel = max(worst_rel, delta / abs(fx) if fx else math.inf)
+    return worst_abs, worst_rel
 
 
 def compare_bytes(old_path: str, new_path: str, max_lines: int) -> list[str]:
@@ -201,8 +227,10 @@ def compare_bytes(old_path: str, new_path: str, max_lines: int) -> list[str]:
     a, b = old.splitlines(), new.splitlines()
     bad = [i for i in range(max(len(a), len(b)))
            if i >= len(a) or i >= len(b) or a[i] != b[i]]
+    worst_abs, worst_rel = _largest_change(a, b, bad)
     diffs = [f"{len(bad)} of {max(len(a), len(b))} lines differ "
-             f"({len(old)} -> {len(new)} bytes)"]
+             f"({len(old)} -> {len(new)} bytes); largest numeric change "
+             f"{worst_abs:.3g} absolute, {worst_rel:.3g} relative"]
     for i in bad[:max_lines]:
         left = a[i].decode() if i < len(a) else "<missing>"
         right = b[i].decode() if i < len(b) else "<missing>"
@@ -216,6 +244,7 @@ def compare(old_work: str, new_work: str, max_lines: int) -> int:
     with open(os.path.join(new_work, "codes.json")) as fh:
         new_codes = json.load(fh)
     n_files = n_bad = 0
+    versions = set()
     for case, _, _ in cases():
         problems = []
         if old_codes[case] != new_codes[case]:
@@ -229,7 +258,8 @@ def compare(old_work: str, new_work: str, max_lines: int) -> int:
             n_files += 1
             a, b = os.path.join(old_dir, name), os.path.join(new_dir, name)
             if name == "report.json":
-                found = compare_reports(a, b)
+                found, version = compare_reports(a, b)
+                versions.add(version)
             else:
                 found = compare_bytes(a, b, max_lines)
             problems.extend(f"{name}: {line}" for line in found)
@@ -238,9 +268,12 @@ def compare(old_work: str, new_work: str, max_lines: int) -> int:
             print(f"DIFF {case}")
             for line in problems:
                 print(f"    {line}")
-    total = len(old_codes)
-    print(f"{total} runs, {n_files} files compared, {n_bad} runs differ")
-    return 1 if n_bad else 0
+    changed = sorted(f"{a} -> {b}" for a, b in versions if a != b)
+    summary = f"{len(old_codes)} runs, {n_files} files compared, {n_bad} runs differ"
+    if changed:
+        summary += f"; report version {', '.join(changed)}"
+    print(summary)
+    return 1 if n_bad or changed else 0
 
 
 def main(argv=None) -> int:

@@ -10,7 +10,7 @@ event-based convergence verdicts.  Everything randomized is addressed by
 sizes and worker counts.
 """
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 from .errors import (
     ConfigError,
@@ -61,7 +61,6 @@ from .laws import (
     cf_stable_limit,
     empirical_law_from_csv,
     law_from_json,
-    law_to_json,
     sas_from_uniforms,
     series_cf_values,
 )

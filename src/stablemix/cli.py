@@ -22,7 +22,7 @@ import time
 
 import numpy as np
 
-from . import __version__, laws, matalg, series, streams, verify
+from . import __version__, errors, laws, matalg, series, streams, verify
 from .csvio import write_csv
 from .ecf import (
     DEFAULT_DELTA,
@@ -58,10 +58,18 @@ _COMMAND_KEYS = {
 }
 
 
+def _finite(text: str) -> float:
+    """JSON number hook: no report could hold ``NaN``, ``Infinity`` or ``1e999``."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ConfigError(f"config holds the non-finite number {text}")
+    return value
+
+
 def load_config(path: str) -> dict:
     try:
         with open(path) as fh:
-            cfg = json.load(fh)
+            cfg = json.load(fh, parse_float=_finite, parse_constant=_finite)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -90,9 +98,7 @@ def validate_config(command: str, cfg: dict) -> None:
 
 
 def _need(cfg: dict, key: str):
-    if key not in cfg:
-        raise ConfigError(f"config is missing required key {key!r}")
-    return cfg[key]
+    return errors.required(cfg, key, "config", ConfigError)
 
 
 def _read(cfg: dict, key: str, convert, default=None):
@@ -100,6 +106,14 @@ def _read(cfg: dict, key: str, convert, default=None):
     is no ``default``.  A malformed value is a :class:`ConfigError`."""
     value = _need(cfg, key) if default is None else cfg.get(key, default)
     return converted(convert, value, f"config key {key!r}", ConfigError)
+
+
+def _factor(cfg: dict) -> float:
+    """The threshold multiple, positive so that a statistic can pass."""
+    factor = _read(cfg, "factor", float, 3.0)
+    if not factor > 0.0:
+        raise ConfigError(f"factor must be positive, got {factor}")
+    return factor
 
 
 def _floats(values) -> tuple:
@@ -138,7 +152,7 @@ def _ecf_check(cfg, outdir, workers, samples, name, reference, stats, derived):
     against ``reference(grid)``, judged at ``factor`` radii, appended to
     ``stats``; writes ``name`` and ``ecf.csv``."""
     delta = _read(cfg, "delta", float, DEFAULT_DELTA)
-    factor = _read(cfg, "factor", float, 3.0)
+    factor = _factor(cfg)
     grid = _grid_for(cfg, samples.shape[1])
     est = estimate_ecf(samples, grid, delta, workers)
     dist = sup_distance(est, reference(grid))
@@ -284,7 +298,7 @@ def _run_verify(cfg, outdir, workers, stable: bool):
         grid=_grid_for(cfg, ens.dim),
         r=_read(cfg, "r", int) if "r" in cfg else None,
         delta=_read(cfg, "delta", float, DEFAULT_DELTA),
-        factor=_read(cfg, "factor", float, 3.0),
+        factor=_factor(cfg),
         min_paths=_read(cfg, "min_paths", int, verify.MIN_FILTERED_PATHS),
         workers=workers,
     )
@@ -361,11 +375,11 @@ def run_command(command: str, cfg: dict, outdir: str) -> dict:
             "second_sample": streams.STREAM_SECOND_SAMPLE,
         },
     }
-    # allow_nan=False keeps the report strict JSON; a non-finite statistic
-    # is a bug and should fail loudly here, not poison downstream parsers.
+    # allow_nan=False keeps the report strict JSON: a non-finite statistic
+    # is a bug that fails loudly here, before the file is opened.
+    text = json.dumps(report, indent=2, allow_nan=False) + "\n"
     with open(os.path.join(outdir, "report.json"), "w") as fh:
-        json.dump(report, fh, indent=2, allow_nan=False)
-        fh.write("\n")
+        fh.write(text)
     return report
 
 

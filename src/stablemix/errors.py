@@ -55,3 +55,10 @@ def converted(convert, value, name: str, error: type = InvalidInputError):
         return convert(value)
     except (TypeError, ValueError):
         raise error(f"{name} is malformed: {value!r:.60}") from None
+
+
+def required(obj: dict, key: str, owner: str, error: type = InvalidInputError):
+    """``obj[key]`` of a JSON object read as ``owner``; a missing key is ``error``."""
+    if key not in obj:
+        raise error(f"{owner} requires key {key!r}")
+    return obj[key]

@@ -30,7 +30,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from . import matalg
-from .errors import InvalidInputError, converted
+from .errors import InvalidInputError, converted, required
 from .matalg import GelfandCertificate, as_floats
 
 # Floor applied to raw uniforms before inverse transforms; keeps ndtri and
@@ -101,9 +101,6 @@ class SpectralMeasure:
     @property
     def total_mass(self) -> float:
         return float(self.weights.sum())
-
-    def to_json(self) -> dict:
-        return {"atoms": self.atoms.tolist(), "weights": self.weights.tolist()}
 
 
 class IncrementLaw:
@@ -376,64 +373,46 @@ def series_cf_values(
     return values[0] if single else values
 
 
-def _truncated_limit(law, P, thetas, r, certificate, exponent, scale) -> TruncatedCf:
+def _truncated_limit(law, P, thetas, r, exponent, scale) -> TruncatedCf:
     """Series cf values plus the certified tail ``scale * |theta|^exponent
     * sum_{j>r} |P^j|^exponent``, for a law whose exponent obeys
     ``-log|phi(u)| <= scale * |u|^exponent``."""
     values = series_cf_values(law, P, r, thetas)
-    if certificate is None:
-        cert, norms = matalg.decay_certificate(P)
-    else:
-        cert, norms = certificate, matalg.norm_table(P, certificate.horizon)
+    cert, norms = matalg.decay_certificate(P)
     tail = matalg.tail_bound(norms, cert, r, exponent=exponent)
     theta_norms = np.linalg.norm(np.asarray(thetas, dtype=float), axis=-1)
     return TruncatedCf(values, scale * theta_norms**exponent * tail, r, cert)
 
 
-def cf_normal_limit(P, cov, thetas, r: int, certificate=None) -> TruncatedCf:
-    """Gaussian limit characteristic function truncated at ``r``:
-    ``exp(-theta' S_r theta / 2)`` with ``S_r = sum_{j<=r} P^j cov P^j'``."""
+def cf_normal_limit(P, cov, thetas, r: int) -> TruncatedCf:
+    """Gaussian limit cf truncated at ``r``, tail bound from ``P``'s decay
+    certificate: ``exp(-theta' S_r theta / 2)``, ``S_r = sum_{j<=r} P^j cov P^j'``."""
     law = NormalLaw(cov)
-    return _truncated_limit(
-        law, P, thetas, r, certificate, 2.0, 0.5 * np.linalg.norm(law.cov, ord=2)
-    )
+    scale = 0.5 * np.linalg.norm(law.cov, ord=2)
+    return _truncated_limit(law, P, thetas, r, 2.0, scale)
 
 
-def cf_cauchy_limit(P, thetas, r: int, certificate=None) -> TruncatedCf:
-    """Cauchy limit characteristic function truncated at ``r``:
-    ``exp(-sum_{j<=r} |P^j' theta|)``."""
+def cf_cauchy_limit(P, thetas, r: int) -> TruncatedCf:
+    """Cauchy limit cf truncated at ``r``, tail bound from ``P``'s decay
+    certificate: ``exp(-sum_{j<=r} |P^j' theta|)``."""
     law = CauchyLaw(matalg.as_square(P).shape[0])
-    return _truncated_limit(law, P, thetas, r, certificate, 1.0, 1.0)
+    return _truncated_limit(law, P, thetas, r, 1.0, 1.0)
 
 
 def cf_stable_limit(
-    P, alpha: float, measure: SpectralMeasure, thetas, r: int, certificate=None
+    P, alpha: float, measure: SpectralMeasure, thetas, r: int
 ) -> TruncatedCf:
-    """Symmetric alpha-stable limit characteristic function truncated at ``r``:
-    ``exp(-sum_{j<=r} sum_k w_k |<P^j' theta, s_k>|^alpha)``."""
+    """Symmetric alpha-stable limit cf truncated at ``r``, tail bound from ``P``'s
+    decay certificate: ``exp(-sum_{j<=r} sum_k w_k |<P^j' theta, s_k>|^alpha)``."""
     law = StableLaw(alpha, measure)
-    return _truncated_limit(law, P, thetas, r, certificate, alpha, measure.total_mass)
+    return _truncated_limit(law, P, thetas, r, alpha, measure.total_mass)
 
 
 _LAW_TAGS = {"normal", "cauchy", "stable", "empirical", "log-cauchy-ray"}
 
 
-def law_to_json(law: IncrementLaw) -> dict:
-    if isinstance(law, NormalLaw):
-        return {"law": "normal", "cov": law.cov.tolist()}
-    if isinstance(law, CauchyLaw):
-        return {"law": "cauchy", "dim": law.dim}
-    if isinstance(law, StableLaw):
-        return {"law": "stable", "alpha": law.alpha, **law.measure.to_json()}
-    if isinstance(law, EmpiricalLaw):
-        return {"law": "empirical", "pool": law.pool.tolist()}
-    if isinstance(law, LogCauchyRay):
-        return {"law": "log-cauchy-ray", "dim": law.dim}
-    raise InvalidInputError(f"cannot serialize law of type {type(law).__name__}")
-
-
 def law_from_json(obj: dict, allow_diagnostic: bool = False) -> IncrementLaw:
-    """Build a law from its JSON form.
+    """Build a law from its JSON config, tagged by ``law``.
 
     The diagnostic ``log-cauchy-ray`` tag is rejected unless explicitly
     allowed, so limit-law consumers cannot receive it by accident.
@@ -443,23 +422,17 @@ def law_from_json(obj: dict, allow_diagnostic: bool = False) -> IncrementLaw:
     tag = obj["law"]
     if tag not in _LAW_TAGS:
         raise InvalidInputError(f"unknown law tag {tag!r}")
-
-    def field(key: str):
-        # Missing keys must surface as input errors, not raw KeyErrors.
-        try:
-            return obj[key]
-        except KeyError:
-            raise InvalidInputError(
-                f"law {tag!r} requires key {key!r}"
-            ) from None
-
+    owner = f"law {tag!r}"
     if tag == "normal":
-        return NormalLaw(field("cov"))
+        return NormalLaw(required(obj, "cov", owner))
     if tag == "cauchy":
-        return CauchyLaw(converted(int, field("dim"), "cauchy dim"))
+        return CauchyLaw(converted(int, required(obj, "dim", owner), "cauchy dim"))
     if tag == "stable":
-        measure = SpectralMeasure(field("atoms"), field("weights"))
-        return StableLaw(converted(float, field("alpha"), "stable alpha"), measure)
+        measure = SpectralMeasure(
+            required(obj, "atoms", owner), required(obj, "weights", owner)
+        )
+        alpha = converted(float, required(obj, "alpha", owner), "stable alpha")
+        return StableLaw(alpha, measure)
     if tag == "empirical":
         if "csv" in obj:
             return empirical_law_from_csv(obj["csv"])

@@ -31,6 +31,9 @@ POWER_OVERFLOW = 1e300
 # Largest norm-table horizon a decay certificate may grow to.
 MAX_HORIZON = 1 << 15
 
+# Relative asymmetry and negative-eigenvalue tolerances of psd_sqrt.
+PSD_TOL = 1e-12
+
 
 def as_floats(value, name: str = "value") -> np.ndarray:
     """``value`` as a float array; non-numeric or ragged input is an input error."""
@@ -232,30 +235,27 @@ def tail_bound(
 
 def certificate_holds(matrix, cert: GelfandCertificate) -> bool:
     """Replay a certificate against a fresh norm table."""
-    arr = as_square(matrix)
-    if abs(cert.ratio - 0.5 * (1.0 + cert.rho)) > 1e-15:
-        return False
-    ok = _ratio_holds(norm_table(arr, cert.horizon), cert.ratio)
+    ok = _ratio_holds(norm_table(matrix, cert.horizon), cert.ratio)
     return bool(ok[cert.k0 - 1 :].all())
 
 
-def psd_sqrt(matrix, sym_tol: float = 1e-12, eig_tol: float = 1e-12) -> np.ndarray:
+def psd_sqrt(matrix) -> np.ndarray:
     """Symmetric PSD square root via an eigendecomposition.
 
-    The input must be symmetric within ``sym_tol * |V|`` and have eigenvalues
-    no smaller than ``-eig_tol * max(1, |V|)``; tiny negative eigenvalues are
+    The input must be symmetric within ``PSD_TOL * |V|`` and have eigenvalues
+    no smaller than ``-PSD_TOL * max(1, |V|)``; tiny negative eigenvalues are
     clipped to zero before the root is formed.
     """
     arr = as_square(matrix, "V")
     norm = float(np.linalg.norm(arr, ord=2))
     asym = float(np.linalg.norm(arr - arr.T, ord=2))
-    if asym > sym_tol * max(norm, 1e-300):
+    if asym > PSD_TOL * max(norm, 1e-300):
         raise InvalidInputError(
             f"matrix is not symmetric: |V - V^T| = {asym:.3e} exceeds tolerance"
         )
     sym = 0.5 * (arr + arr.T)
     eigvals, eigvecs = np.linalg.eigh(sym)
-    if eigvals.min() < -eig_tol * max(1.0, norm):
+    if eigvals.min() < -PSD_TOL * max(1.0, norm):
         raise InvalidInputError(
             f"matrix is not positive semidefinite: min eigenvalue {eigvals.min():.3e}"
         )
@@ -263,18 +263,8 @@ def psd_sqrt(matrix, sym_tol: float = 1e-12, eig_tol: float = 1e-12) -> np.ndarr
     return 0.5 * (root + root.T)
 
 
-def matrix_to_json(matrix) -> dict:
-    """Serialize to ``{"dim": d, "rows": [[...], ...]}``.
-
-    Values stay Python floats; the JSON writer renders them with shortest
-    round-trip precision, so serialization is lossless.
-    """
-    arr = as_square(matrix)
-    return {"dim": int(arr.shape[0]), "rows": arr.tolist()}
-
-
 def matrix_from_json(obj: dict) -> np.ndarray:
-    """Inverse of :func:`matrix_to_json`, with shape validation."""
+    """Matrix from its JSON config ``{"dim": d, "rows": [[...], ...]}``."""
     if not isinstance(obj, dict) or "dim" not in obj or "rows" not in obj:
         raise InvalidInputError("matrix JSON must have 'dim' and 'rows' fields")
     arr = as_square(obj["rows"], "rows")

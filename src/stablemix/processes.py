@@ -51,6 +51,7 @@ from .errors import (
     InvalidInputError,
     RangeOverflowError,
     converted,
+    required,
 )
 from .laws import IncrementLaw
 
@@ -113,19 +114,9 @@ class ProcessSpec:
             scale = np.ones(len(self.atom_in_g))
         return scale + self.perturbation / n
 
-    def to_json(self) -> dict:
-        raise NotImplementedError
-
 
 class SyntheticCanonical(ProcessSpec):
     """Exact-normalization bench: ``B_n U_n = sum_k P^{n-k} W_k`` identically."""
-
-    def to_json(self) -> dict:
-        return {
-            "variant": "synthetic-canonical",
-            "P": matalg.matrix_to_json(self.P),
-            "noise": laws.law_to_json(self.noise_law),
-        }
 
 
 class RandomScaled(ProcessSpec):
@@ -169,17 +160,6 @@ class RandomScaled(ProcessSpec):
         if not np.isfinite(self.perturbation) or self.perturbation < 0.0:
             raise InvalidInputError("perturbation must be a nonnegative float")
 
-    def to_json(self) -> dict:
-        return {
-            "variant": "random-scaled",
-            "P": matalg.matrix_to_json(self.P),
-            "noise": laws.law_to_json(self.noise_law),
-            "lam_values": self.atom_scale.tolist(),
-            "lam_probs": self.atom_probs.tolist(),
-            "event_values": self.atom_scale[self.atom_in_g].tolist(),
-            "perturbation": self.perturbation,
-        }
-
 
 class DiscreteFactor(ProcessSpec):
     """One matrix factor drawn at time zero multiplies every increment."""
@@ -192,15 +172,6 @@ class DiscreteFactor(ProcessSpec):
         self.atom_factor = np.stack(factors)
         self.atom_probs = _check_discrete(self.atom_factor, factor_probs)
         self.atom_in_g = np.ones(len(self.atom_factor), dtype=bool)
-
-    def to_json(self) -> dict:
-        return {
-            "variant": "discrete-factor",
-            "P": matalg.matrix_to_json(self.P),
-            "noise": laws.law_to_json(self.noise_law),
-            "factors": [matalg.matrix_to_json(f) for f in self.atom_factor],
-            "factor_probs": self.atom_probs.tolist(),
-        }
 
 
 class ExplosiveVar(ProcessSpec):
@@ -220,53 +191,37 @@ class ExplosiveVar(ProcessSpec):
             )
         # The contraction driving the series view is A^-1.
         super().__init__(matalg.inverse(arr), noise_law)
-        self.A = arr
-
-    def to_json(self) -> dict:
-        return {
-            "variant": "explosive-var",
-            "A": matalg.matrix_to_json(self.A),
-            "noise": laws.law_to_json(self.noise_law),
-        }
-
-
-def _field(obj: dict, key: str, tag: str):
-    # Missing keys must surface as input errors, not raw KeyErrors.
-    try:
-        return obj[key]
-    except KeyError:
-        raise InvalidInputError(
-            f"process variant {tag!r} requires key {key!r}"
-        ) from None
 
 
 _VARIANTS = ("synthetic-canonical", "random-scaled", "discrete-factor", "explosive-var")
 
 
 def process_from_json(obj: dict) -> ProcessSpec:
+    """Build a process spec from its JSON config, tagged by ``variant``."""
     if not isinstance(obj, dict) or "variant" not in obj:
         raise InvalidInputError("process JSON must be an object with a 'variant' tag")
     tag = obj["variant"]
     if tag not in _VARIANTS:
         raise InvalidInputError(f"unknown process variant {tag!r}")
+    owner = f"process variant {tag!r}"
     matrix = matalg.matrix_from_json(
-        _field(obj, "A" if tag == "explosive-var" else "P", tag)
+        required(obj, "A" if tag == "explosive-var" else "P", owner)
     )
-    noise = laws.law_from_json(_field(obj, "noise", tag))
+    noise = laws.law_from_json(required(obj, "noise", owner))
     if tag == "random-scaled":
         return RandomScaled(
             matrix, noise,
-            _field(obj, "lam_values", tag),
-            _field(obj, "lam_probs", tag),
+            required(obj, "lam_values", owner),
+            required(obj, "lam_probs", owner),
             obj.get("event_values"),
             converted(float, obj.get("perturbation", 0.0), "perturbation"),
         )
     if tag == "discrete-factor":
-        factors = converted(list, _field(obj, "factors", tag), "factors")
+        factors = converted(list, required(obj, "factors", owner), "factors")
         return DiscreteFactor(
             matrix, noise,
             [matalg.matrix_from_json(f) for f in factors],
-            _field(obj, "factor_probs", tag),
+            required(obj, "factor_probs", owner),
         )
     if tag == "explosive-var":
         return ExplosiveVar(matrix, noise)

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import matalg, streams
 from .csvio import write_csv
-from .errors import HorizonExceededError, InvalidInputError
+from .errors import HorizonExceededError, HypothesisViolationError, InvalidInputError
 from .laws import IncrementLaw
 from .matalg import GelfandCertificate
 
@@ -59,40 +59,39 @@ def recompute_tail_bound(P, certificate: GelfandCertificate, r: int) -> float:
     return matalg.tail_bound(norms, certificate, r)
 
 
-def truncation_index(
-    P, tol: float, min_horizon: int = 256, max_horizon: int = matalg.MAX_HORIZON
-) -> TruncationPlan:
+def truncation_index(P, tol: float) -> TruncationPlan:
     """Smallest ``r`` whose certified tail bound is at most ``tol``.
 
-    The norm table is extended until the geometric continuation past the
-    horizon is negligible relative to ``tol``, so the reported ``r`` is
-    governed by actual power norms rather than by the looser geometric
-    envelope.
+    One norm table, of at least 256 powers, reaches the smallest ``h`` with
+    ``ratio^(h+1) / (1 - ratio) <= 1e-12 * tol``, ``ratio = (1 + rho)/2``,
+    so ``r`` is governed by actual power norms, not the geometric envelope.
+    An ``h`` past ``matalg.MAX_HORIZON`` raises before any table is built.
     """
     if not (np.isfinite(tol) and tol > 0.0):
         raise InvalidInputError(f"tol must be a positive finite number, got {tol}")
-    horizon = min_horizon
-    while True:
-        cert, norms = matalg.decay_certificate(P, min_horizon=horizon)
-        rate = cert.ratio
-        past = rate ** (cert.horizon + 1) / (1.0 - rate)
-        if past <= 1e-12 * tol or past == 0.0:
-            break
-        if cert.horizon >= max_horizon:
-            raise HorizonExceededError(
-                f"cannot certify a tail below tol={tol:.3e} within horizon "
-                f"{max_horizon}; norm decay is too slow"
-            )
-        horizon = min(max(2 * cert.horizon, min_horizon), max_horizon)
-
-    # Suffix sums give the bound for every candidate r in one pass.
-    suffix = np.concatenate([np.cumsum(norms[::-1])[::-1][1:], [0.0]])
-    candidates = np.flatnonzero(suffix + past <= tol)
-    if candidates.size == 0:
-        raise HorizonExceededError(
-            f"no truncation index up to {cert.horizon} meets tol={tol:.3e}"
+    rho = matalg.spectral_radius(P)
+    if rho >= 1.0:
+        raise HypothesisViolationError(
+            f"spectral radius {rho:.6g} >= 1; power norms cannot decay"
         )
-    r = int(candidates[0])
+    ratio = 0.5 * (1.0 + rho)
+    # Logs throughout, so a tiny tol cannot underflow.  A ratio that rounds
+    # to 1 has no finite horizon.
+    with np.errstate(divide="ignore"):
+        steps = (np.log(1e-12) + np.log(tol) + np.log(1.0 - ratio)) / np.log(ratio)
+    horizon = np.ceil(steps) - 1.0
+    if ratio == 1.0 or horizon > matalg.MAX_HORIZON:
+        raise HorizonExceededError(
+            f"cannot certify a tail below tol={tol:.3e} within horizon "
+            f"{matalg.MAX_HORIZON}; norm decay is too slow"
+        )
+    cert, norms = matalg.decay_certificate(P, max(int(horizon), 256))
+    past = cert.ratio ** (cert.horizon + 1) / (1.0 - cert.ratio)
+
+    # Suffix sums give the bound for every candidate r in one pass; r equal
+    # to the horizon always qualifies, since past <= 1e-12 * tol.
+    suffix = np.concatenate([np.cumsum(norms[::-1])[::-1][1:], [0.0]])
+    r = int(np.flatnonzero(suffix + past <= tol)[0])
     # Settle boundary cases with the canonical bound evaluation itself.
     while r > 0 and matalg.tail_bound(norms, cert, r - 1) <= tol:
         r -= 1

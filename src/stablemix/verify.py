@@ -50,6 +50,9 @@ MIN_FILTERED_PATHS = 1000
 
 DEFAULT_TOLERANCE = 1e-8
 
+# Percentile of the per-path deviations that conditions (i) and (iii) report.
+CONDITION_PERCENTILE = 95.0
+
 
 @dataclass(frozen=True)
 class PathEvent:
@@ -190,18 +193,18 @@ def _opnorms(mats: np.ndarray, atom: np.ndarray) -> np.ndarray:
 
 
 def check_condition_i(
-    ensemble: Ensemble, tol: float = DEFAULT_TOLERANCE, percentile: float = 95.0
+    ensemble: Ensemble, tol: float = DEFAULT_TOLERANCE
 ) -> ConvergenceVerdict:
     """Does ``Q_n B_n^-1`` settle on the limiting scale matrix?
 
     ``B_n`` is ``P^n`` times the scalar ``b = 1 / b_divisor(n)`` of the
     path's atom, so ``Q_n B_n^-1`` is the identity over ``b`` and nothing
-    is inverted.  Statistic per checkpoint: the given percentile, over
-    qualifying paths, of the operator-norm deviation from the atom's scale
-    times the identity.  Exactly normalized variants report 0; the
-    perturbed variant decays like 1/n.  Pass requires the deviation
-    sequence to be non-increasing (up to ``tol``) and to end at or below
-    ``tol``.
+    is inverted.  Statistic per checkpoint: the ``CONDITION_PERCENTILE``
+    percentile, over qualifying paths, of the operator-norm deviation from
+    the atom's scale times the identity.  Exactly normalized variants
+    report 0; the perturbed variant decays like 1/n.  Pass requires the
+    deviation sequence to be non-increasing (up to ``tol``) and to end at
+    or below ``tol``.
     """
     mask = ensemble.latent.in_g
     if not mask.any():
@@ -214,7 +217,7 @@ def check_condition_i(
     for n in ensemble.checkpoints:
         b = 1.0 / spec.b_divisor(n)[:, None, None]
         norms = _opnorms(eye / b - scale * eye, atom)
-        stats.append(float(np.percentile(norms, percentile)))
+        stats.append(float(np.percentile(norms, CONDITION_PERCENTILE)))
     monotone = all(b <= a + tol for a, b in zip(stats, stats[1:]))
     passed = monotone and stats[-1] <= tol
     return ConvergenceVerdict(
@@ -224,21 +227,19 @@ def check_condition_i(
         thresholds=tuple([tol] * len(stats)),
         passed=passed,
         n_paths=int(mask.sum()),
-        detail={"percentile": percentile},
+        detail={"percentile": CONDITION_PERCENTILE},
     )
 
 
 def check_condition_ii(
-    ensemble: Ensemble,
-    levels=(2.0, 4.0, 8.0, 16.0),
-    bound: float = 0.05,
-    slack: float | None = None,
+    ensemble: Ensemble, levels=(2.0, 4.0, 8.0, 16.0), bound: float = 0.05
 ) -> ConvergenceVerdict:
     """Is ``Q_n U_n`` stochastically bounded along the checkpoints?
 
     Reports exceedance frequencies ``P(|Q_n U_n| > K)`` for each level K.
     Pass requires the largest level to stay under ``bound`` at every
-    checkpoint with no upward trend beyond sampling slack.
+    checkpoint with no upward trend beyond the sampling slack
+    ``3 / (2 sqrt(count))`` at the filtered path count (``detail["slack"]``).
     """
     levels = tuple(float(k) for k in levels)
     if not levels or min(levels) <= 0:
@@ -248,7 +249,7 @@ def check_condition_ii(
         raise InsufficientDataError("no paths satisfy the conditioning event")
     count = int(mask.sum())
     # Plain floats throughout: the verdict lands in strict-JSON reports.
-    slack = 3.0 / (2.0 * count**0.5) if slack is None else float(slack)
+    slack = 3.0 / (2.0 * count**0.5)
     table = []
     for n in ensemble.checkpoints:
         norms = np.linalg.norm(ensemble.qu[n][mask], axis=1)
@@ -267,15 +268,14 @@ def check_condition_ii(
 
 
 def check_condition_iii(
-    ensemble: Ensemble, r_list=(1, 2, 4), tol: float = DEFAULT_TOLERANCE,
-    percentile: float = 95.0,
+    ensemble: Ensemble, r_list=(1, 2, 4), tol: float = DEFAULT_TOLERANCE
 ) -> ConvergenceVerdict:
     """Do scaling ratios ``B_n B_{n-r}^-1`` match the contraction powers?
 
     The ratio is ``P^r`` times ``b(n) / b(n-r)``, with ``b = 1 / b_divisor``
     the scalar of ``B``.  Statistic per checkpoint: max over lags r of the
-    percentile operator-norm deviation from ``P^r``.  A lag reaching below
-    index 0 is invalid input.
+    ``CONDITION_PERCENTILE`` percentile operator-norm deviation from
+    ``P^r``.  A lag reaching below index 0 is invalid input.
     """
     r_list = tuple(int(r) for r in r_list)
     if not r_list or min(r_list) < 1:
@@ -297,7 +297,7 @@ def check_condition_iii(
             target = np.linalg.matrix_power(spec.P, r)[None]
             ratio = (1.0 / spec.b_divisor(n)) / (1.0 / spec.b_divisor(n - r))
             norms = _opnorms(target * ratio[:, None, None] - target, atom)
-            worst = max(worst, float(np.percentile(norms, percentile)))
+            worst = max(worst, float(np.percentile(norms, CONDITION_PERCENTILE)))
         stats.append(worst)
     passed = all(s <= tol for s in stats)
     return ConvergenceVerdict(
@@ -307,7 +307,7 @@ def check_condition_iii(
         thresholds=tuple([tol] * len(stats)),
         passed=passed,
         n_paths=int(mask.sum()),
-        detail={"lags": list(r_list), "percentile": percentile},
+        detail={"lags": list(r_list), "percentile": CONDITION_PERCENTILE},
     )
 
 
@@ -443,7 +443,8 @@ def scale_mixture_gap(spec, grid: ThetaGrid, r: int) -> tuple[float, dict]:
     reference predicts ``P(F) phi(theta)``; the maximal discrepancy over
     atom-measurable events and grid points is computable exactly from the
     characteristic functions.  A strictly positive gap certifies that the
-    unscaled limit cannot be of mixing type.
+    unscaled limit cannot be of mixing type.  ``gaps`` has one event per
+    distinct scale; atoms sharing a scale share their conditional row.
     """
     if spec.atom_scale is None:
         raise InvalidInputError("the closed-form gap needs a table of latent scales")
@@ -451,7 +452,9 @@ def scale_mixture_gap(spec, grid: ThetaGrid, r: int) -> tuple[float, dict]:
     per_atom = conditional_reference(spec, r, grid)
     probs = spec.atom_probs
     gaps = {"all": float(np.abs(probs @ per_atom - ref).max())}
-    for lam, p, row in zip(spec.atom_scale, probs, per_atom):
+    for lam in dict.fromkeys(spec.atom_scale.tolist()):
+        hit = spec.atom_scale == lam
+        p, row = probs[hit].sum(), per_atom[hit][0]
         gaps[f"lam-is-{lam:g}"] = float(np.abs(p * row - p * ref).max())
     best = max(gaps.values())
     return best, gaps

@@ -2,38 +2,26 @@
 
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
 
 from stablemix import cli, ecf, laws
 from stablemix.cli import main
-from stablemix.processes import (
-    ExplosiveVar,
-    RandomScaled,
-    SyntheticCanonical,
-    simulate_ensemble,
-)
+from stablemix.processes import process_from_json, simulate_ensemble
 
-
-def rotation_half():
-    c, s = np.cos(np.pi / 6), np.sin(np.pi / 6)
-    return 0.5 * np.array([[c, -s], [s, c]])
-
-
+_C, _S = math.cos(math.pi / 6), math.sin(math.pi / 6)
+ROTATION_HALF = {"dim": 2, "rows": [[0.5 * _C, -0.5 * _S], [0.5 * _S, 0.5 * _C]]}
 NORMAL2 = {"law": "normal", "cov": [[1.0, 0.0], [0.0, 1.0]]}
 NORMAL1 = {"law": "normal", "cov": [[1.0]]}
 SCALAR_P = {"dim": 1, "rows": [[0.5]]}
 
-
-def canonical_json():
-    return SyntheticCanonical(rotation_half(), laws.NormalLaw(np.eye(2))).to_json()
-
-
-def scaled_json():
-    return RandomScaled(
-        rotation_half(), laws.NormalLaw(np.eye(2)), [1.0, 2.0], [0.5, 0.5]
-    ).to_json()
+CANONICAL = {"variant": "synthetic-canonical", "P": ROTATION_HALF, "noise": NORMAL2}
+SCALED = {
+    "variant": "random-scaled", "P": ROTATION_HALF, "noise": NORMAL2,
+    "lam_values": [1.0, 2.0], "lam_probs": [0.5, 0.5],
+}
 
 
 def write_cfg(tmp_path, obj, name="cfg.json"):
@@ -204,7 +192,7 @@ class TestSimulate:
         cfg = write_cfg(
             tmp_path,
             {
-                "schema_version": 1, "seed": 2, "process": canonical_json(),
+                "schema_version": 1, "seed": 2, "process": CANONICAL,
                 "checkpoints": [4, 8], "n_paths": 500, "trajectories": 3,
             },
         )
@@ -225,7 +213,7 @@ class TestSimulate:
             }
         with open(out / "paths.csv") as fh:
             ends = [r for r in csv.DictReader(fh) if r["step"] == "8"]
-        P8 = np.linalg.matrix_power(rotation_half(), 8)
+        P8 = np.linalg.matrix_power(np.array(ROTATION_HALF["rows"]), 8)
         assert [r["path_id"] for r in ends] == ["0", "1", "2"]
         for r in ends:
             u8 = [float(r["u_0"]), float(r["u_1"])]
@@ -236,7 +224,7 @@ class TestSimulate:
     @pytest.mark.parametrize(
         "process,checkpoints,trajectories",
         [
-            (canonical_json(), [4], -3),
+            (CANONICAL, [4], -3),
             # P^-996 stays in range while the raw state U_996 overflows.
             ({"variant": "synthetic-canonical", "P": SCALAR_P,
               "noise": {"law": "empirical", "pool": [[1e10]]}}, [996], 2),
@@ -264,7 +252,7 @@ class TestVerifyCommands:
         cfg = write_cfg(
             tmp_path,
             {
-                "schema_version": 1, "seed": 21, "process": canonical_json(),
+                "schema_version": 1, "seed": 21, "process": CANONICAL,
                 "checkpoints": [6, 12], "n_paths": 20000,
             },
         )
@@ -277,7 +265,7 @@ class TestVerifyCommands:
         cfg = write_cfg(
             tmp_path,
             {
-                "schema_version": 1, "seed": 29, "process": scaled_json(),
+                "schema_version": 1, "seed": 29, "process": SCALED,
                 "checkpoints": [6, 12], "n_paths": 20000, "statistic_of": "qu",
             },
         )
@@ -290,7 +278,7 @@ class TestVerifyCommands:
         cfg = write_cfg(
             tmp_path,
             {
-                "schema_version": 1, "seed": 29, "process": scaled_json(),
+                "schema_version": 1, "seed": 29, "process": SCALED,
                 "checkpoints": [6, 12], "n_paths": 20000,
             },
         )
@@ -303,7 +291,7 @@ class TestVerifyCommands:
         cfg = write_cfg(
             tmp_path,
             {
-                "schema_version": 1, "seed": 3, "process": canonical_json(),
+                "schema_version": 1, "seed": 3, "process": CANONICAL,
                 "checkpoints": [6, 12], "n_paths": 2000, "r": -1,
             },
         )
@@ -313,9 +301,10 @@ class TestVerifyCommands:
             assert "must be nonnegative" in capsys.readouterr().err
 
     def test_explosive_family_choice_decides(self, tmp_path):
-        spec = ExplosiveVar(np.array([[2.0]]), laws.NormalLaw(np.eye(1)))
+        spec = {"variant": "explosive-var", "A": {"dim": 1, "rows": [[2.0]]},
+                "noise": NORMAL1}
         base = {
-            "schema_version": 1, "seed": 55, "process": spec.to_json(),
+            "schema_version": 1, "seed": 55, "process": spec,
             "checkpoints": [6, 12], "n_paths": 20000,
         }
         omega = write_cfg(tmp_path, {**base, "family": "omega"}, "omega.json")
@@ -335,7 +324,7 @@ class TestVerifyCommands:
         cfg = write_cfg(
             tmp_path,
             {
-                "schema_version": 1, "seed": 1, "process": canonical_json(),
+                "schema_version": 1, "seed": 1, "process": CANONICAL,
                 "checkpoints": [4], "n_paths": 2000, "statistic_of": "uq",
             },
         )
@@ -348,10 +337,11 @@ class TestVerifyEcfCsv:
     # ecf.csv comes from the verdict's own final-checkpoint sums; it must be
     # the bytes of the plain ecf of the final filtered values.  The
     # conditioning event keeps two of three atoms, so the filter matters.
-    SPEC = RandomScaled(
-        rotation_half(), laws.NormalLaw(np.eye(2)), [2.0, 0.5, 1.0],
-        [0.3, 0.3, 0.4], event_values=[2.0, 1.0], perturbation=0.3,
-    )
+    SPEC = {
+        "variant": "random-scaled", "P": ROTATION_HALF, "noise": NORMAL2,
+        "lam_values": [2.0, 0.5, 1.0], "lam_probs": [0.3, 0.3, 0.4],
+        "event_values": [2.0, 1.0], "perturbation": 0.3,
+    }
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize(
@@ -361,7 +351,7 @@ class TestVerifyEcfCsv:
     def test_bytes_match_plain_ecf(self, tmp_path, command, which, workers):
         cfg = {
             "schema_version": 1, "seed": 41, "workers": workers,
-            "process": self.SPEC.to_json(), "checkpoints": [5, 10],
+            "process": self.SPEC, "checkpoints": [5, 10],
             "n_paths": 4097, "delta": 0.01,
         }
         if command == "verify-mixing":
@@ -370,7 +360,7 @@ class TestVerifyEcfCsv:
         argv = [command, "--config", write_cfg(tmp_path, cfg), "--out", str(out)]
         assert main(argv) in (0, 1)
 
-        ens = simulate_ensemble(self.SPEC, [5, 10], 4097, seed=41)
+        ens = simulate_ensemble(process_from_json(self.SPEC), [5, 10], 4097, seed=41)
         values = (ens.bu if which == "bu" else ens.qu)[10][ens.latent.in_g]
         assert len(values) < 4097
         want = tmp_path / "want.csv"
@@ -383,7 +373,7 @@ class TestConditions:
         cfg = write_cfg(
             tmp_path,
             {
-                "schema_version": 1, "seed": 3, "process": canonical_json(),
+                "schema_version": 1, "seed": 3, "process": CANONICAL,
                 "checkpoints": [5, 10, 20], "n_paths": 2000,
             },
         )
@@ -396,11 +386,12 @@ class TestConditions:
         assert "scale-limit.n5" in report["statistics"]
 
     def test_ill_conditioned_contraction_passes(self, tmp_path):
-        spec = SyntheticCanonical(np.diag([0.5, 0.9]), laws.NormalLaw(np.eye(2)))
+        P = {"dim": 2, "rows": [[0.5, 0.0], [0.0, 0.9]]}
+        spec = {"variant": "synthetic-canonical", "P": P, "noise": NORMAL2}
         cfg = write_cfg(
             tmp_path,
             {
-                "schema_version": 1, "seed": 3, "process": spec.to_json(),
+                "schema_version": 1, "seed": 3, "process": spec,
                 "checkpoints": [10, 60], "n_paths": 2000,
             },
         )
@@ -462,6 +453,64 @@ class TestConfigValidation:
         cfg = write_cfg(tmp_path, obj)
         assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, entries",
+        [
+            ("sample-law", {"factor": math.nan}),
+            ("sample-law", {"factor": math.inf}),
+            ("series", {"P": SCALAR_P, "r": 3, "factor": math.nan}),
+            ("verify-stable", {"factor": math.nan}),
+            ("conditions", {"tol": math.inf}),
+            ("conditions", {"bound": -math.inf}),
+            ("conditions", {"levels": [2, math.inf]}),
+        ],
+        ids=["sample-law-nan", "sample-law-inf", "series-nan", "stable-nan",
+             "conditions-tol", "conditions-bound", "conditions-levels"],
+    )
+    def test_non_finite_numbers_exit_2(self, tmp_path, capsys, command, entries):
+        # json.dumps writes NaN and Infinity tokens, which json.load accepts.
+        obj = {**self.base(), **entries}
+        if command in ("verify-stable", "conditions"):
+            del obj["law"], obj["count"]
+            obj.update(process=CANONICAL, checkpoints=[4, 8], n_paths=2000)
+        out = tmp_path / "out"
+        cfg = write_cfg(tmp_path, obj)
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert "non-finite" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
+    def test_overflowing_literal_exits_2(self, tmp_path, capsys):
+        # 1e999 parses to inf, so it is as non-finite as Infinity.
+        text = json.dumps(self.base())[:-1] + ', "factor": 1e999}'
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        assert main(["sample-law", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "1e999" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["sample-law", "verify-stable"])
+    @pytest.mark.parametrize("factor", [-2.0, 0.0])
+    def test_non_positive_factor_exits_2(self, tmp_path, capsys, command, factor):
+        obj = {**self.base(), "factor": factor}
+        if command == "verify-stable":
+            del obj["law"], obj["count"]
+            obj.update(process=CANONICAL, checkpoints=[4, 8], n_paths=2000)
+        cfg = write_cfg(tmp_path, obj)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert "factor must be positive" in capsys.readouterr().err
+
+    def test_failed_dump_leaves_no_report(self, tmp_path, monkeypatch):
+        # A non-finite statistic is a bug that must fail loudly, and must
+        # not leave a truncated report behind.
+        monkeypatch.setitem(
+            cli._RUNNERS, "sample-law",
+            lambda cfg, outdir, workers: ({"x": math.nan}, [], {}, [], True),
+        )
+        out = tmp_path / "out"
+        with pytest.raises(ValueError):
+            cli.run_command("sample-law", self.base(), str(out))
+        assert not (out / "report.json").exists()
 
     def test_missing_seed(self, tmp_path):
         obj = self.base()
@@ -552,7 +601,7 @@ class TestReplay:
         cfg = write_cfg(
             tmp_path,
             {
-                "schema_version": 1, "seed": 5, "process": scaled_json(),
+                "schema_version": 1, "seed": 5, "process": SCALED,
                 "checkpoints": [4, 8, 12], "n_paths": 2000,
             },
         )

@@ -12,7 +12,11 @@ import pytest
 
 from stablemix import laws, matalg, series, streams
 from stablemix.ecf import default_grid, estimate_ecf, sup_distance
-from stablemix.errors import InvalidInputError
+from stablemix.errors import (
+    HorizonExceededError,
+    HypothesisViolationError,
+    InvalidInputError,
+)
 
 JORDAN = np.array([[0.5, 10.0], [0.0, 0.5]])
 
@@ -90,6 +94,39 @@ class TestTruncationIndex:
     def test_rejects_bad_tol(self):
         with pytest.raises(InvalidInputError):
             series.truncation_index(JORDAN, 0.0)
+
+    def test_slow_block_builds_one_norm_table(self, monkeypatch):
+        # The horizon follows from rho alone, so one table of 7,947 powers
+        # serves where a doubling search built several.
+        horizons = []
+        table = matalg.norm_table
+
+        def counted(matrix, horizon):
+            horizons.append(horizon)
+            return table(matrix, horizon)
+
+        monkeypatch.setattr(matalg, "norm_table", counted)
+        plan = series.truncation_index(np.array([[0.99, 1.0], [0.0, 0.99]]), 1e-3)
+        assert plan.r == 1902
+        assert horizons == [7947] == [plan.certificate.horizon]
+
+    def test_too_slow_decay_builds_no_table(self, monkeypatch):
+        def refused(matrix, horizon):
+            raise AssertionError("no norm table should be built")
+
+        monkeypatch.setattr(matalg, "norm_table", refused)
+        with pytest.raises(HorizonExceededError, match=str(matalg.MAX_HORIZON)):
+            series.truncation_index(np.array([[0.99999, 1.0], [0.0, 0.99999]]), 1e-3)
+        with pytest.raises(HypothesisViolationError):
+            series.truncation_index(np.eye(2), 1e-3)
+
+    def test_tiny_tol_does_not_underflow(self):
+        # 1e-12 * tol underflows to zero here; the horizon is sized in logs.
+        plan = series.truncation_index(np.diag([0.5, 0.1]), 5e-324)
+        assert plan.tail_norm_bound <= 5e-324
+        assert series.recompute_tail_bound(
+            np.diag([0.5, 0.1]), plan.certificate, plan.r - 1
+        ) > 5e-324
 
 
 class TestTruncationPlan:

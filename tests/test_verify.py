@@ -348,6 +348,22 @@ class TestScaleMixtureGap:
         # that event carries no gap.
         assert gaps["lam-is-1"] == 0.0
 
+    def test_repeated_scale_is_one_event(self):
+        # The event "lam = 2" holds both atoms of scale 2, so its gap is
+        # that of a single atom carrying their summed probability.
+        law = laws.NormalLaw(np.eye(2))
+        grid = ecf.default_grid(2)
+        repeated = RandomScaled(
+            rotation_half(), law, [2.0, 1.0, 2.0], [0.25, 0.5, 0.25]
+        )
+        merged = RandomScaled(rotation_half(), law, [2.0, 1.0], [0.5, 0.5])
+        best, gaps = verify.scale_mixture_gap(repeated, grid, 23)
+        want_best, want = verify.scale_mixture_gap(merged, grid, 23)
+        assert list(gaps) == ["all", "lam-is-2", "lam-is-1"]
+        assert gaps["lam-is-2"] == pytest.approx(want["lam-is-2"], rel=1e-12)
+        assert gaps["lam-is-2"] == pytest.approx(0.222, abs=1e-3)
+        assert best == pytest.approx(want_best, rel=1e-12)
+
     def test_degenerate_atom_has_no_gap(self):
         spec = RandomScaled(
             rotation_half(), laws.NormalLaw(np.eye(2)), [1.0], [1.0]

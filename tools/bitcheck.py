@@ -11,7 +11,9 @@ child process.  The matrix covers every process variant through
 ``simulate``, ``verify-stable``, ``verify-mixing`` (``bu`` and ``qu``),
 both verdicts again at an explicit ``r`` below the default, and
 ``conditions``; ``sample-law`` and ``series`` (``tol`` and ``r``) on the
-normal, Cauchy and stable laws; and ``lemma``.  Each runs at path or draw
+normal, Cauchy and stable laws; ``series`` at ``tol`` on two contractions
+whose norm-table horizon is sized past the 256 floor (``diag(0.9, 0.1)``
+and a slow Jordan block); and ``lemma``.  Each runs at path or draw
 counts 4095, 4096 and 4097 (one chunk less one, one chunk, one chunk plus
 one) and at 1 and 2 workers.
 
@@ -42,6 +44,13 @@ CAUCHY_2D = {"law": "cauchy", "dim": 2}
 STABLE_2D = {
     "law": "stable", "alpha": 1.5,
     "atoms": [[1.0, 0.0], [0.0, 1.0]], "weights": [0.5, 0.5],
+}
+
+# Contractions that decay slowly enough for ``truncation_index`` to size
+# its norm table past the floor, with the tol of each case.
+SLOW_SERIES = {
+    "diag": ({"dim": 2, "rows": [[0.9, 0.0], [0.0, 0.1]]}, 1e-4),
+    "jordan": ({"dim": 2, "rows": [[0.95, 1.0], [0.0, 0.95]]}, 1e-3),
 }
 
 PROCESSES = {
@@ -122,6 +131,9 @@ def cases() -> list[tuple[str, str, dict]]:
                     {**series, "tol": 1e-6})
                 add(f"series-{lname}.r", "series", size, workers,
                     {**series, "r": 12})
+            for pname, (P, tol) in SLOW_SERIES.items():
+                add(f"series-{pname}.tol", "series", size, workers,
+                    {"P": P, "law": NORMAL_2D, "count": size, "tol": tol})
             add("lemma", "lemma", size, workers,
                 {"P": ROTATION_HALF, "law": STABLE_2D, "J": 16, "n_paths": size})
     return out

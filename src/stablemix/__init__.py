@@ -59,7 +59,6 @@ from .laws import (
     cf_increment,
     cf_normal_limit,
     cf_stable_limit,
-    empirical_law_from_csv,
     law_from_json,
     sas_from_uniforms,
     series_cf_values,

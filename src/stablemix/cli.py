@@ -31,30 +31,32 @@ from .ecf import (
     sup_distance,
     write_ecf_csv,
 )
-from .errors import ConfigError, ReproducibilityError, StablemixError, converted
+from .errors import (
+    ConfigError,
+    ReproducibilityError,
+    StablemixError,
+    converted,
+    integral,
+)
 from .processes import process_from_json, simulate_ensemble, write_paths_csv
 
 SCHEMA_VERSION = 1
 
 # Allowed config keys per subcommand, beyond the common trio.
 _COMMON_KEYS = {"schema_version", "seed", "workers"}
-_GRID_KEYS = {"grid_directions", "grid_radii"}
 _COMMAND_KEYS = {
-    "sample-law": {"law", "count", "delta", "factor"} | _GRID_KEYS,
-    "series": {"P", "law", "count", "tol", "r", "delta", "factor"} | _GRID_KEYS,
+    "sample-law": {"law", "count", "delta", "factor"},
+    "series": {"P", "law", "count", "tol", "r", "delta", "factor"},
     "lemma": {"P", "law", "J", "n_paths", "allow_diagnostic"},
     "simulate": {"process", "checkpoints", "n_paths", "trajectories"},
     "verify-mixing": {
         "process", "checkpoints", "n_paths", "r", "delta", "factor",
-        "statistic_of", "family", "min_paths",
-    } | _GRID_KEYS,
-    "verify-stable": {
-        "process", "checkpoints", "n_paths", "r", "delta", "factor",
-        "family", "min_paths",
-    } | _GRID_KEYS,
-    "conditions": {
-        "process", "checkpoints", "n_paths", "tol", "levels", "bound", "lags",
+        "statistic_of", "family",
     },
+    "verify-stable": {
+        "process", "checkpoints", "n_paths", "r", "delta", "factor", "family",
+    },
+    "conditions": {"process", "checkpoints", "n_paths", "tol", "levels", "bound"},
 }
 
 
@@ -120,15 +122,6 @@ def _floats(values) -> tuple:
     return tuple(float(x) for x in values)
 
 
-def _grid_for(cfg: dict, dim: int):
-    kwargs = {}
-    if "grid_directions" in cfg:
-        kwargs["n_directions"] = _read(cfg, "grid_directions", int)
-    if "grid_radii" in cfg:
-        kwargs["radii"] = _read(cfg, "grid_radii", _floats)
-    return default_grid(dim, **kwargs)
-
-
 def _law_samples(law, seed: int, count: int, workers: int) -> np.ndarray:
     """Stream-addressed iid draws from an increment law.  Chunks go in as
     one-step 3-D blocks, so a row's bits never depend on its chunk's size."""
@@ -153,7 +146,7 @@ def _ecf_check(cfg, outdir, workers, samples, name, reference, stats, derived):
     ``stats``; writes ``name`` and ``ecf.csv``."""
     delta = _read(cfg, "delta", float, DEFAULT_DELTA)
     factor = _factor(cfg)
-    grid = _grid_for(cfg, samples.shape[1])
+    grid = default_grid(samples.shape[1])
     est = estimate_ecf(samples, grid, delta, workers)
     dist = sup_distance(est, reference(grid))
     threshold = factor * est.radius
@@ -169,7 +162,7 @@ def _ecf_check(cfg, outdir, workers, samples, name, reference, stats, derived):
 
 def _run_sample_law(cfg, outdir, workers):
     law = laws.law_from_json(_need(cfg, "law"))
-    samples = _law_samples(law, cfg["seed"], _read(cfg, "count", int), workers)
+    samples = _law_samples(law, cfg["seed"], _read(cfg, "count", integral), workers)
     return _ecf_check(
         cfg, outdir, workers, samples, "samples.csv",
         lambda grid: laws.cf_increment(law, grid.points), {}, {},
@@ -179,13 +172,13 @@ def _run_sample_law(cfg, outdir, workers):
 def _run_series(cfg, outdir, workers):
     P = matalg.matrix_from_json(_need(cfg, "P"))
     law = laws.law_from_json(_need(cfg, "law"))
-    count = _read(cfg, "count", int)
+    count = _read(cfg, "count", integral)
     if ("tol" in cfg) == ("r" in cfg):
         raise ConfigError("series needs exactly one of 'tol' or 'r'")
     if "tol" in cfg:
         plan = series.truncation_index(P, _read(cfg, "tol", float))
     else:
-        r = _read(cfg, "r", int)
+        r = _read(cfg, "r", integral)
         cert, norms = matalg.decay_certificate(P)
         plan = series.TruncationPlan(r, matalg.tail_bound(norms, cert, r), cert)
     samples = series.series_ensemble(P, law, plan.r, cfg["seed"], count, workers)
@@ -199,14 +192,15 @@ def _run_series(cfg, outdir, workers):
 
 def _run_lemma(cfg, outdir, workers):
     P = matalg.matrix_from_json(_need(cfg, "P"))
-    law = laws.law_from_json(
-        _need(cfg, "law"), allow_diagnostic=bool(cfg.get("allow_diagnostic", False))
-    )
+    allow = cfg.get("allow_diagnostic", False)
+    if not isinstance(allow, bool):
+        raise ConfigError(f"allow_diagnostic must be true or false, got {allow!r:.60}")
+    law = laws.law_from_json(_need(cfg, "law"), allow_diagnostic=allow)
     diag = series.lemma_diagnostics(
         P,
         law,
-        _read(cfg, "J", int),
-        _read(cfg, "n_paths", int),
+        _read(cfg, "J", integral),
+        _read(cfg, "n_paths", integral),
         cfg["seed"],
         workers=workers,
     )
@@ -230,14 +224,14 @@ def _ensemble(cfg, workers):
     return simulate_ensemble(
         process_from_json(_need(cfg, "process")),
         _need(cfg, "checkpoints"),
-        _read(cfg, "n_paths", int),
+        _read(cfg, "n_paths", integral),
         cfg["seed"],
         workers,
     )
 
 
 def _run_simulate(cfg, outdir, workers):
-    trajectories = _read(cfg, "trajectories", int, 0)
+    trajectories = _read(cfg, "trajectories", integral, 0)
     if trajectories < 0:
         raise ConfigError("trajectories must be nonnegative")
     ens = _ensemble(cfg, workers)
@@ -295,11 +289,9 @@ def _run_verify(cfg, outdir, workers, stable: bool):
     ens = _ensemble(cfg, workers)
     kwargs = dict(
         family=_family_for(cfg, ens),
-        grid=_grid_for(cfg, ens.dim),
-        r=_read(cfg, "r", int) if "r" in cfg else None,
+        r=_read(cfg, "r", integral) if "r" in cfg else None,
         delta=_read(cfg, "delta", float, DEFAULT_DELTA),
         factor=_factor(cfg),
-        min_paths=_read(cfg, "min_paths", int, verify.MIN_FILTERED_PATHS),
         workers=workers,
     )
     if stable:
@@ -323,11 +315,7 @@ def _run_conditions(cfg, outdir, workers):
             levels=_read(cfg, "levels", _floats, (2.0, 4.0, 8.0, 16.0)),
             bound=_read(cfg, "bound", float, 0.05),
         ),
-        verify.check_condition_iii(
-            ens,
-            r_list=_read(cfg, "lags", lambda v: tuple(int(x) for x in v), (1, 2, 4)),
-            tol=tol,
-        ),
+        verify.check_condition_iii(ens, tol=tol),
     ]
     stats = {}
     for v in verdicts:
@@ -350,7 +338,7 @@ _RUNNERS = {
 def run_command(command: str, cfg: dict, outdir: str) -> dict:
     """Validate, execute, and write ``report.json``; returns the report."""
     validate_config(command, cfg)
-    workers = _read(cfg, "workers", int, 1)
+    workers = _read(cfg, "workers", integral, 1)
     os.makedirs(outdir, exist_ok=True)
     started = time.perf_counter()
     stats, verdicts, derived, outputs, passed = _RUNNERS[command](
@@ -399,12 +387,20 @@ def replay_report(report_path: str, outdir: str | None = None,
         raise ConfigError(f"cannot read report {report_path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"report is not valid JSON: {exc}") from exc
-    for key in ("command", "config", "statistics"):
+    if not isinstance(stored, dict):
+        raise ConfigError("report root must be a JSON object; not a run report")
+    for key, kind in (("command", str), ("config", dict), ("statistics", dict)):
         if key not in stored:
             raise ConfigError(f"report is missing {key!r}; not a run report")
+        if not isinstance(stored[key], kind):
+            raise ConfigError(f"report field {key!r} is malformed: {stored[key]!r:.60}")
     command = stored["command"]
     if command not in _RUNNERS:
         raise ConfigError(f"report names unknown command {command!r}")
+    old = {
+        key: converted(float, value, f"report statistic {key!r}", ConfigError)
+        for key, value in stored["statistics"].items()
+    }
     cfg = dict(stored["config"])
     if seed is not None:
         cfg["seed"] = seed
@@ -413,7 +409,7 @@ def replay_report(report_path: str, outdir: str | None = None,
     if outdir is None:
         outdir = os.path.join(os.path.dirname(report_path) or ".", "replay")
     fresh = run_command(command, cfg, outdir)
-    old, new = stored["statistics"], fresh["statistics"]
+    new = fresh["statistics"]
     if sorted(old) != sorted(new):
         raise ReproducibilityError(
             "replay produced a different set of statistics: "
@@ -421,7 +417,7 @@ def replay_report(report_path: str, outdir: str | None = None,
         )
     diverged = []
     for key in old:
-        a, b = float(old[key]), float(new[key])
+        a, b = old[key], float(new[key])
         if a == b or (math.isnan(a) and math.isnan(b)):
             continue
         delta = abs(b - a) / abs(a) if a else math.inf

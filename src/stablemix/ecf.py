@@ -110,12 +110,9 @@ class ThetaGrid:
         return evaluated, mirrored, np.flatnonzero(zero)
 
 
-def default_grid(
-    dim: int,
-    n_directions: int = DEFAULT_DIRECTIONS,
-    radii: tuple = DEFAULT_RADII,
-) -> ThetaGrid:
-    """Zero plus ``n_directions`` sphere directions at each radius.
+def default_grid(dim: int) -> ThetaGrid:
+    """Zero plus ``DEFAULT_DIRECTIONS`` sphere directions at each of the
+    ``DEFAULT_RADII``.
 
     Directions come from a fixed-key counter generator (antipodally
     symmetrized, so ``-theta`` is on the grid whenever ``theta`` is) and are
@@ -126,16 +123,11 @@ def default_grid(
     """
     if dim < 1:
         raise InvalidInputError("dim must be positive")
-    if n_directions < 2 or n_directions % 2:
-        raise InvalidInputError("n_directions must be an even number >= 2")
-    radii_arr = np.asarray(radii, dtype=float)
-    if radii_arr.size == 0 or not np.isfinite(radii_arr).all() or radii_arr.min() <= 0:
-        raise InvalidInputError("radii must be positive and finite")
     rng = np.random.Generator(np.random.Philox(key=[_DIRECTION_KEY, dim]))
-    half = rng.standard_normal((n_directions // 2, dim))
+    half = rng.standard_normal((DEFAULT_DIRECTIONS // 2, dim))
     half /= np.linalg.norm(half, axis=1, keepdims=True)
     dirs = np.vstack([half, -half])
-    pts = (dirs[None, :, :] * radii_arr[:, None, None]).reshape(-1, dim)
+    pts = (dirs[None, :, :] * np.asarray(DEFAULT_RADII)[:, None, None]).reshape(-1, dim)
     pts = np.unique(pts, axis=0)
     return ThetaGrid(np.vstack([np.zeros((1, dim)), pts]))
 

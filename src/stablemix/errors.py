@@ -6,6 +6,8 @@ separate "you passed garbage" from "your inputs are valid but violate a
 mathematical hypothesis" from operational failures.
 """
 
+import numbers
+
 
 class StablemixError(Exception):
     """Base class for all stablemix errors."""
@@ -55,6 +57,17 @@ def converted(convert, value, name: str, error: type = InvalidInputError):
         return convert(value)
     except (TypeError, ValueError):
         raise error(f"{name} is malformed: {value!r:.60}") from None
+
+
+def integral(value) -> int:
+    """``value`` as an int, for use with :func:`converted`: an integer, or
+    a float with no fractional part (JSON may write ``1e5``).  A boolean,
+    a fraction or anything else raises, where ``int`` would truncate."""
+    if isinstance(value, bool) or not isinstance(value, (numbers.Integral, float)):
+        raise TypeError(f"not an integer: {value!r}")
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"not an integer: {value!r}")
+    return int(value)
 
 
 def required(obj: dict, key: str, owner: str, error: type = InvalidInputError):

@@ -30,7 +30,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from . import matalg
-from .errors import InvalidInputError, converted, required
+from .errors import InvalidInputError, converted, integral, required
 from .matalg import GelfandCertificate, as_floats
 
 # Floor applied to raw uniforms before inverse transforms; keeps ndtri and
@@ -253,26 +253,6 @@ class EmpiricalLaw(IncrementLaw):
         return out[0] if single else out
 
 
-def empirical_law_from_csv(path) -> EmpiricalLaw:
-    """Load an empirical pool from a CSV file, one column per coordinate.
-
-    A single non-numeric header line is tolerated, so sample files written
-    by this package can be fed straight back in.
-    """
-    try:
-        pool = np.loadtxt(path, delimiter=",", ndmin=2)
-    except OSError as exc:
-        raise InvalidInputError(f"cannot load empirical pool from {path}: {exc}") from exc
-    except ValueError:
-        try:
-            pool = np.loadtxt(path, delimiter=",", ndmin=2, skiprows=1)
-        except (OSError, ValueError) as exc:
-            raise InvalidInputError(
-                f"cannot load empirical pool from {path}: {exc}"
-            ) from exc
-    return EmpiricalLaw(pool)
-
-
 class LogCauchyRay(IncrementLaw):
     """Diagnostic sampler ``exp(C) * e_1`` with C standard Cauchy.
 
@@ -408,7 +388,14 @@ def cf_stable_limit(
     return _truncated_limit(law, P, thetas, r, alpha, measure.total_mass)
 
 
-_LAW_TAGS = {"normal", "cauchy", "stable", "empirical", "log-cauchy-ray"}
+# The keys each law tag takes beside ``law``; any other key is rejected.
+_LAW_KEYS = {
+    "normal": {"cov"},
+    "cauchy": {"dim"},
+    "stable": {"alpha", "atoms", "weights"},
+    "empirical": {"pool"},
+    "log-cauchy-ray": {"dim"},
+}
 
 
 def law_from_json(obj: dict, allow_diagnostic: bool = False) -> IncrementLaw:
@@ -420,13 +407,16 @@ def law_from_json(obj: dict, allow_diagnostic: bool = False) -> IncrementLaw:
     if not isinstance(obj, dict) or "law" not in obj:
         raise InvalidInputError("law JSON must be an object with a 'law' tag")
     tag = obj["law"]
-    if tag not in _LAW_TAGS:
+    if not isinstance(tag, str) or tag not in _LAW_KEYS:
         raise InvalidInputError(f"unknown law tag {tag!r}")
     owner = f"law {tag!r}"
+    unknown = sorted(set(obj) - {"law"} - _LAW_KEYS[tag])
+    if unknown:
+        raise InvalidInputError(f"unknown keys for {owner}: {', '.join(unknown)}")
     if tag == "normal":
         return NormalLaw(required(obj, "cov", owner))
     if tag == "cauchy":
-        return CauchyLaw(converted(int, required(obj, "dim", owner), "cauchy dim"))
+        return CauchyLaw(converted(integral, required(obj, "dim", owner), "cauchy dim"))
     if tag == "stable":
         measure = SpectralMeasure(
             required(obj, "atoms", owner), required(obj, "weights", owner)
@@ -434,13 +424,9 @@ def law_from_json(obj: dict, allow_diagnostic: bool = False) -> IncrementLaw:
         alpha = converted(float, required(obj, "alpha", owner), "stable alpha")
         return StableLaw(alpha, measure)
     if tag == "empirical":
-        if "csv" in obj:
-            return empirical_law_from_csv(obj["csv"])
-        if "pool" in obj:
-            return EmpiricalLaw(obj["pool"])
-        raise InvalidInputError("empirical law JSON needs 'pool' or 'csv'")
+        return EmpiricalLaw(required(obj, "pool", owner))
     if not allow_diagnostic:
         raise InvalidInputError(
             "log-cauchy-ray is a diagnostic sampler, not a limit law"
         )
-    return LogCauchyRay(converted(int, obj.get("dim", 1), "log-cauchy-ray dim"))
+    return LogCauchyRay(converted(integral, obj.get("dim", 1), "log-cauchy-ray dim"))

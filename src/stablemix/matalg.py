@@ -20,6 +20,7 @@ from .errors import (
     RangeOverflowError,
     SingularMatrixError,
     converted,
+    integral,
 )
 
 # Condition-number threshold beyond which a matrix is treated as singular.
@@ -268,7 +269,7 @@ def matrix_from_json(obj: dict) -> np.ndarray:
     if not isinstance(obj, dict) or "dim" not in obj or "rows" not in obj:
         raise InvalidInputError("matrix JSON must have 'dim' and 'rows' fields")
     arr = as_square(obj["rows"], "rows")
-    if arr.shape[0] != converted(int, obj["dim"], "matrix dim"):
+    if arr.shape[0] != converted(integral, obj["dim"], "matrix dim"):
         raise InvalidInputError(
             f"declared dim {obj['dim']} does not match rows shape {arr.shape}"
         )

@@ -51,6 +51,7 @@ from .errors import (
     InvalidInputError,
     RangeOverflowError,
     converted,
+    integral,
     required,
 )
 from .laws import IncrementLaw
@@ -414,7 +415,9 @@ def simulate_ensemble(
     are bit-identical for any worker count and chunking.
     """
     checkpoints = converted(
-        lambda c: tuple(sorted({int(x) for x in np.atleast_1d(c)})),
+        lambda c: tuple(
+            sorted({integral(x) for x in np.atleast_1d(np.array(c, dtype=object))})
+        ),
         checkpoints, "checkpoints",
     )
     if not checkpoints or checkpoints[0] < 1:

@@ -109,12 +109,11 @@ def series_ensemble(
     seed: int,
     count: int,
     workers: int = 1,
-    stream: int = streams.STREAM_SERIES,
 ) -> np.ndarray:
     """Stream-addressed batch of truncated-series draws.
 
-    Sample ``i`` is a pure function of ``(seed, stream, i)``; chunking and
-    worker count cannot change any value.
+    Sample ``i`` is a pure function of ``(seed, STREAM_SERIES, i)``;
+    chunking and worker count cannot change any value.
     """
     arr = matalg.as_square(P)
     if arr.shape[0] != law.dim:
@@ -125,7 +124,7 @@ def series_ensemble(
     per_path = (r + 1) * law.uniforms_per_draw
 
     def chunk(start, n):
-        u = streams.uniform_block(seed, stream, start, n, per_path)
+        u = streams.uniform_block(seed, streams.STREAM_SERIES, start, n, per_path)
         z = law.from_uniforms(u.reshape(n, r + 1, law.uniforms_per_draw))
         return np.einsum("jde,cje->cd", powers, z)
 

@@ -133,6 +133,13 @@ def family_from_features(features: list[PathEvent]) -> EventFamily:
     return EventFamily(tuple(events))
 
 
+def _scale_label(lam: float) -> str:
+    """Event label of the latent scale ``lam``: its shortest round-trip
+    ``repr`` with a trailing ``.0`` dropped, so distinct scales never share
+    a label and 1, 2 and 0.5 read ``lam-is-1``, ``lam-is-2``, ``lam-is-0.5``."""
+    return "lam-is-" + repr(float(lam)).removesuffix(".0")
+
+
 def default_family(ensemble: Ensemble) -> EventFamily:
     """Two binary prefix features: sign of the first noise coordinate, and
     whether the latent draw matches the first atom's scale, or else is the
@@ -145,7 +152,7 @@ def default_family(ensemble: Ensemble) -> EventFamily:
         first = spec.atom_scale[0]
         features.append(
             PathEvent(
-                f"lam-is-{first:g}",
+                _scale_label(first),
                 lambda e: e.spec.atom_scale[e.latent.atom] == first,
             )
         )
@@ -348,7 +355,7 @@ def conditional_reference(spec, r: int, grid: ThetaGrid) -> np.ndarray:
     ])
 
 
-def _event_sums(ensemble, n, family, grid, which, min_paths, workers, sure_sums):
+def _event_sums(ensemble, n, family, grid, which, workers, sure_sums):
     """Event-wise phase sums of the filtered ``which`` values at checkpoint
     ``n``, as ``(sums, counts, inds, mask)`` with ``inds`` the filtered
     indicator matrix.  When ``sure_sums`` is a list, the sure event's sums
@@ -357,10 +364,10 @@ def _event_sums(ensemble, n, family, grid, which, min_paths, workers, sure_sums)
     if n not in ensemble.checkpoints:
         raise InvalidInputError(f"checkpoint {n} was not simulated")
     mask = ensemble.latent.in_g
-    if int(mask.sum()) < min_paths:
+    if int(mask.sum()) < MIN_FILTERED_PATHS:
         raise InsufficientDataError(
             f"only {int(mask.sum())} paths satisfy the conditioning event; "
-            f"need at least {min_paths}"
+            f"need at least {MIN_FILTERED_PATHS}"
         )
     values = getattr(ensemble, which)[n][mask]
     inds = family.indicator_matrix(ensemble)[:, mask]
@@ -377,7 +384,6 @@ def mixing_statistic(
     grid: ThetaGrid,
     reference_values,
     which: str = "bu",
-    min_paths: int = MIN_FILTERED_PATHS,
     workers: int = 1,
     sure_sums: list | None = None,
 ) -> float:
@@ -395,7 +401,7 @@ def mixing_statistic(
     if ref.shape != (len(grid),):
         raise InvalidInputError("reference values do not match the grid")
     sums, counts, inds, _ = _event_sums(
-        ensemble, n, family, grid, which, min_paths, workers, sure_sums
+        ensemble, n, family, grid, which, workers, sure_sums
     )
     total = inds.shape[1]
     means = sums / total
@@ -409,7 +415,6 @@ def stable_statistic(
     family: EventFamily,
     grid: ThetaGrid,
     conditional_values,
-    min_paths: int = MIN_FILTERED_PATHS,
     workers: int = 1,
     sure_sums: list | None = None,
 ) -> float:
@@ -424,7 +429,7 @@ def stable_statistic(
             "conditional values do not match the atom table and the grid"
         )
     sums, _, inds, mask = _event_sums(
-        ensemble, n, family, grid, "qu", min_paths, workers, sure_sums
+        ensemble, n, family, grid, "qu", workers, sure_sums
     )
     total = inds.shape[1]
     atom = ensemble.latent.atom[mask]
@@ -455,23 +460,22 @@ def scale_mixture_gap(spec, grid: ThetaGrid, r: int) -> tuple[float, dict]:
     for lam in dict.fromkeys(spec.atom_scale.tolist()):
         hit = spec.atom_scale == lam
         p, row = probs[hit].sum(), per_atom[hit][0]
-        gaps[f"lam-is-{lam:g}"] = float(np.abs(p * row - p * ref).max())
+        gaps[_scale_label(lam)] = float(np.abs(p * row - p * ref).max())
     best = max(gaps.values())
     return best, gaps
 
 
 def _verdict(
-    condition, ensemble, family, grid, r, delta, factor, reference, statistic,
-    **detail,
+    condition, ensemble, family, r, delta, factor, reference, statistic, **detail,
 ) -> ConvergenceVerdict:
-    """Shared tail of the verdicts: resolve the default family, grid and
-    ``r``, build ``reference(spec, r, grid)`` once, take
+    """Shared tail of the verdicts: resolve the default family and ``r``,
+    build ``reference(spec, r, grid)`` once on the default grid, take
     ``statistic(ensemble, n, family, grid, reference)`` per checkpoint and
     judge the last one against ``factor * hoeffding_radius`` at the
     filtered path count.  The final checkpoint's sure-event sums become the
     verdict's ``ecf``."""
     family = default_family(ensemble) if family is None else family
-    grid = default_grid(ensemble.dim) if grid is None else grid
+    grid = default_grid(ensemble.dim)
     r = ensemble.checkpoints[-1] - 1 if r is None else int(r)
     ref = reference(ensemble.spec, r, grid)
     sure_sums = []
@@ -503,12 +507,10 @@ def _verdict(
 def verify_mixing(
     ensemble: Ensemble,
     family: EventFamily | None = None,
-    grid: ThetaGrid | None = None,
     r: int | None = None,
     delta: float = 1e-3,
     factor: float = 3.0,
     which: str = "bu",
-    min_paths: int = MIN_FILTERED_PATHS,
     workers: int = 1,
 ) -> ConvergenceVerdict:
     """Mixing statistic across checkpoints, judged at the last one.
@@ -523,8 +525,8 @@ def verify_mixing(
     there; use :func:`omega_family` for the plain distributional check.
     """
     return _verdict(
-        "mixing", ensemble, family, grid, r, delta, factor, mixing_reference,
-        partial(mixing_statistic, which=which, min_paths=min_paths, workers=workers),
+        "mixing", ensemble, family, r, delta, factor, mixing_reference,
+        partial(mixing_statistic, which=which, workers=workers),
         statistic_of=which,
     )
 
@@ -532,15 +534,13 @@ def verify_mixing(
 def verify_stable(
     ensemble: Ensemble,
     family: EventFamily | None = None,
-    grid: ThetaGrid | None = None,
     r: int | None = None,
     delta: float = 1e-3,
     factor: float = 3.0,
-    min_paths: int = MIN_FILTERED_PATHS,
     workers: int = 1,
 ) -> ConvergenceVerdict:
     """Stable statistic across checkpoints, judged at the last one."""
     return _verdict(
-        "stable", ensemble, family, grid, r, delta, factor, conditional_reference,
-        partial(stable_statistic, min_paths=min_paths, workers=workers),
+        "stable", ensemble, family, r, delta, factor, conditional_reference,
+        partial(stable_statistic, workers=workers),
     )

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import scipy.integrate
 
-from stablemix import laws, matalg, series, streams, verify
+from stablemix import laws, matalg, series, verify
 from stablemix.cli import replay_report, run_command
 from stablemix.ecf import (
     default_grid,
@@ -50,8 +50,8 @@ def check(tag: str, ok: bool, detail: str):
 def test_01_scaled_process_matches_series_law():
     # The normalized process at n = 24 and the r = 23 truncated series are
     # the same distribution by construction; two independent sample sets
-    # must agree within the two-sample tolerance for all three noise
-    # families.
+    # (the process and series streams) must agree within the two-sample
+    # tolerance for all three noise families.
     P = rotation_half()
     noise_laws = [
         ("normal", laws.NormalLaw(np.eye(2))),
@@ -64,10 +64,7 @@ def test_01_scaled_process_matches_series_law():
     for _name, law in noise_laws:
         ens = simulate_ensemble(SyntheticCanonical(P, law), [24], N_LARGE, seed=101)
         est_process = estimate_ecf(ens.bu[24], grid, workers=4)
-        second = series.series_ensemble(
-            P, law, 23, 101, N_LARGE, workers=4,
-            stream=streams.STREAM_SECOND_SAMPLE,
-        )
+        second = series.series_ensemble(P, law, 23, 101, N_LARGE, workers=4)
         est_series = estimate_ecf(second, grid, workers=4)
         worst = max(worst, sup_distance(est_process, est_series))
     elapsed = time.perf_counter() - started

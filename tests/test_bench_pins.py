@@ -1,0 +1,47 @@
+"""The names the benchmark tracer wraps or reads must exist.
+
+``bench/tracer.py`` rebinds the ``(module, attr)`` pairs in its
+``FUNCTIONS`` and a few further attributes when a traced benchmark run
+starts.  A deletion or rename of any of them breaks the traced run, so it
+is checked here, without installing the tracer.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+
+
+def _tracer():
+    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("module, attr", _tracer().FUNCTIONS)
+def test_traced_function_exists(module, attr):
+    assert callable(getattr(importlib.import_module(f"stablemix.{module}"), attr))
+
+
+@pytest.mark.parametrize(
+    "module, owner, attr",
+    [
+        ("processes", "Ensemble", "in_g"),
+        ("processes", "Ensemble", "eta_invertible"),
+        ("verify", "EventFamily", "indicator_matrix"),
+        ("laws", "IncrementLaw", "from_uniforms"),
+        ("streams", None, "chunk_starts"),
+        ("streams", None, "map_chunks"),
+        ("streams", None, "CHUNK_PATHS"),
+        ("cli", None, "run_command"),
+    ],
+)
+def test_read_attribute_exists(module, owner, attr):
+    obj = importlib.import_module(f"stablemix.{module}")
+    if owner is not None:
+        obj = getattr(obj, owner)
+    assert hasattr(obj, attr)

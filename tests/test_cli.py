@@ -186,6 +186,21 @@ class TestLemma:
         stats = read_report(out)["statistics"]
         assert 0.0 <= stats["infinite_log_moment_fraction"] <= 1.0
 
+    @pytest.mark.parametrize("value", ["false", 1])
+    def test_allow_diagnostic_must_be_boolean(self, tmp_path, capsys, value):
+        cfg = write_cfg(
+            tmp_path,
+            {
+                "schema_version": 1, "seed": 5, "P": SCALAR_P,
+                "law": {"law": "log-cauchy-ray", "dim": 1}, "J": 16,
+                "n_paths": 1000, "allow_diagnostic": value,
+            },
+        )
+        out = tmp_path / "out"
+        assert main(["lemma", "--config", cfg, "--out", str(out)]) == 2
+        assert "allow_diagnostic must be true or false" in capsys.readouterr().err
+        assert not (out / "lemma.csv").exists()
+
 
 class TestSimulate:
     def test_outputs(self, tmp_path):
@@ -442,9 +457,10 @@ class TestConfigValidation:
                 "perturbation": "x",
             }, "checkpoints": [4], "n_paths": 50}),
             ("sample-law", {"count": "ten"}),
+            ("sample-law", {"law": {"law": ["normal"], "cov": [[1.0]]}}),
         ],
         ids=["cov-as-matrix", "alpha-object", "cauchy-dim", "P-rows",
-             "perturbation", "count"],
+             "perturbation", "count", "law-tag-list"],
     )
     def test_malformed_values_exit_2(self, tmp_path, capsys, command, entries):
         obj = {**self.base(), **entries}
@@ -453,6 +469,82 @@ class TestConfigValidation:
         cfg = write_cfg(tmp_path, obj)
         assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def config(self, command, entries):
+        """A small valid config for ``command``, updated with ``entries``."""
+        body = {
+            "sample-law": {"law": NORMAL1, "count": 100},
+            "series": {"P": SCALAR_P, "law": NORMAL1, "count": 100, "r": 3},
+            "lemma": {"P": SCALAR_P, "law": NORMAL1, "J": 16, "n_paths": 100},
+        }.get(command, {"process": CANONICAL, "checkpoints": [4, 8], "n_paths": 2000})
+        return {"schema_version": 1, "seed": 1, **body, **entries}
+
+    @pytest.mark.parametrize(
+        "command, entries",
+        [
+            ("sample-law", {"count": 2000.7}),
+            ("sample-law", {"count": True}),
+            ("sample-law", {"workers": 1.5}),
+            ("sample-law", {"law": {"law": "cauchy", "dim": 1.5}}),
+            ("series", {"r": 3.9}),
+            ("series", {"P": {"dim": 1.5, "rows": [[0.5]]}}),
+            ("lemma", {"J": 16.5}),
+            ("lemma", {"n_paths": 100.5}),
+            ("lemma", {"law": {"law": "log-cauchy-ray", "dim": 1.5},
+                       "allow_diagnostic": True}),
+            ("simulate", {"checkpoints": [2.5, 4]}),
+            ("simulate", {"checkpoints": [True, 4]}),
+            ("simulate", {"n_paths": 10.5}),
+            ("simulate", {"trajectories": 2.5}),
+            ("verify-stable", {"r": 4.5}),
+        ],
+        ids=["count-fraction", "count-bool", "workers", "cauchy-dim", "series-r",
+             "matrix-dim", "J", "lemma-n_paths", "ray-dim", "checkpoints",
+             "checkpoints-bool", "simulate-n_paths", "trajectories", "verify-r"],
+    )
+    def test_integer_keys_must_be_integral(self, tmp_path, capsys, command, entries):
+        cfg = write_cfg(tmp_path, self.config(command, entries))
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert "malformed" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
+    @pytest.mark.parametrize(
+        "command, key, value, as_float",
+        [("sample-law", "count", 100, 1e2),
+         ("simulate", "checkpoints", [4, 8], [4.0, 8.0])],
+    )
+    def test_integral_floats_are_integers(
+        self, tmp_path, command, key, value, as_float
+    ):
+        # JSON may write an integer as 1e2 or 4.0; it reads as that integer.
+        stats = []
+        for name, v in (("int", value), ("float", as_float)):
+            cfg = write_cfg(tmp_path, self.config(command, {key: v}), f"{name}.json")
+            out = tmp_path / name
+            assert main([command, "--config", cfg, "--out", str(out)]) in (0, 1)
+            stats.append(read_report(out)["statistics"])
+        assert stats[0] == stats[1]
+
+    @pytest.mark.parametrize(
+        "command, entries, key",
+        [
+            ("sample-law", {"grid_directions": 10}, "grid_directions"),
+            ("series", {"grid_radii": [1.0]}, "grid_radii"),
+            ("verify-mixing", {"min_paths": 100}, "min_paths"),
+            ("verify-stable", {"grid_directions": 10}, "grid_directions"),
+            ("conditions", {"lags": [1, 2]}, "lags"),
+            ("sample-law", {"law": {"law": "empirical", "pool": [[1.0]],
+                                    "csv": "pool.csv"}}, "csv"),
+        ],
+        ids=["sample-law-grid", "series-grid", "min-paths", "stable-grid", "lags",
+             "law-csv"],
+    )
+    def test_removed_keys_exit_2(self, tmp_path, capsys, command, entries, key):
+        cfg = write_cfg(tmp_path, self.config(command, entries))
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "unknown" in err and key in err
 
     @pytest.mark.parametrize(
         "command, entries",
@@ -625,6 +717,26 @@ class TestReplay:
                 f"relative delta {abs(b - a) / abs(a):.3g}"
             ) in err
         assert "3 of 4 statistics diverged" in err
+
+    @pytest.mark.parametrize(
+        "field, value, named",
+        [
+            ("config", 5, "'config'"),
+            ("command", ["x"], "'command'"),
+            ("statistics", {"ecf_distance": "abc"}, "'ecf_distance'"),
+        ],
+    )
+    def test_malformed_report_exits_2(self, tmp_path, capsys, field, value, named):
+        report = {
+            "command": "sample-law",
+            "config": {"schema_version": 1, "seed": 1, "law": NORMAL1, "count": 100},
+            "statistics": {"ecf_distance": 0.1},
+            field: value,
+        }
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(report))
+        assert main(["replay", str(path), "--out", str(tmp_path / "r")]) == 2
+        assert named in capsys.readouterr().err
 
     def test_rejects_non_reports(self, tmp_path):
         assert main(["replay", str(tmp_path / "absent.json")]) == 2

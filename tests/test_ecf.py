@@ -57,7 +57,7 @@ class TestThetaGrid:
     def test_matches(self):
         a = ecf.default_grid(2)
         b = ecf.default_grid(2)
-        c = ecf.default_grid(2, radii=(1.0, 2.0, 4.0))
+        c = ecf.ThetaGrid(2.0 * a.points)
         assert a.matches(b)
         assert not a.matches(c)
 
@@ -87,19 +87,14 @@ class TestDefaultGrid:
             assert tuple(-p) in rows
 
     def test_unit_directions(self):
-        grid = ecf.default_grid(2, radii=(1.0,))
-        norms = np.linalg.norm(grid.points[1:], axis=1)
-        assert np.allclose(norms, 1.0, atol=1e-12)
+        # DEFAULT_DIRECTIONS unit directions at each of the DEFAULT_RADII.
+        norms = np.linalg.norm(ecf.default_grid(2).points[1:], axis=1)
+        want = np.repeat(ecf.DEFAULT_RADII, ecf.DEFAULT_DIRECTIONS)
+        assert np.allclose(np.sort(norms), want, rtol=1e-12, atol=0.0)
 
     def test_validation(self):
         with pytest.raises(InvalidInputError):
             ecf.default_grid(0)
-        with pytest.raises(InvalidInputError):
-            ecf.default_grid(2, n_directions=5)
-        with pytest.raises(InvalidInputError):
-            ecf.default_grid(2, radii=())
-        with pytest.raises(InvalidInputError):
-            ecf.default_grid(2, radii=(0.0, 1.0))
 
 
 class TestEstimate:
@@ -190,7 +185,8 @@ class TestDistances:
         rng = np.random.default_rng(8)
         a = ecf.estimate_ecf(rng.standard_normal((100, 2)), ecf.default_grid(2))
         b = ecf.estimate_ecf(
-            rng.standard_normal((100, 2)), ecf.default_grid(2, radii=(1.0,))
+            rng.standard_normal((100, 2)),
+            ecf.ThetaGrid(np.array([[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0]])),
         )
         with pytest.raises(GridMismatchError):
             ecf.sup_distance(a, b)

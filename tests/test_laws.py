@@ -211,16 +211,6 @@ class TestEmpiricalLaw:
         for row in draws:
             assert any(np.array_equal(row, p) for p in pool)
 
-    def test_csv_roundtrip(self, tmp_path):
-        pool = np.array([[0.5, -1.5], [2.5, 0.0]])
-        path = tmp_path / "pool.csv"
-        with open(path, "w") as fh:
-            fh.write("x_0,x_1\n")
-            for row in pool:
-                fh.write(",".join(repr(float(v)) for v in row) + "\n")
-        law = laws.empirical_law_from_csv(path)
-        assert np.array_equal(law.pool, pool)
-
     def test_cf_is_exact_average(self):
         pool = np.array([[1.0], [-1.0]])
         law = laws.EmpiricalLaw(pool)

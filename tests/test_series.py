@@ -190,9 +190,16 @@ class TestSeriesEnsemble:
         law = laws.NormalLaw(np.eye(2))
         a = series.series_ensemble(P, law, 6, seed=3, count=100)
         b = series.series_ensemble(P, law, 6, seed=4, count=100)
-        c = series.series_ensemble(P, law, 6, seed=3, count=100, stream=4)
         assert not np.array_equal(a, b)
-        assert not np.array_equal(a, c)
+        # At r = 0 a draw is one increment, read from the series stream and
+        # not from the stream that sample-law draws from.
+        c = series.series_ensemble(P, law, 0, seed=3, count=100)
+
+        def draws(stream):
+            return law.from_uniforms(streams.uniform_block(3, stream, 0, 100, 2))
+
+        assert np.array_equal(c, draws(streams.STREAM_SERIES))
+        assert not np.array_equal(c, draws(streams.STREAM_LAW))
 
 
 class TestCouplingBound:

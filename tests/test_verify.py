@@ -364,6 +364,17 @@ class TestScaleMixtureGap:
         assert gaps["lam-is-2"] == pytest.approx(0.222, abs=1e-3)
         assert best == pytest.approx(want_best, rel=1e-12)
 
+    def test_distinct_scales_never_share_a_label(self):
+        # Both scales print as 1 under "%g"; each keeps its own event.
+        spec = RandomScaled(
+            rotation_half(), laws.NormalLaw(np.eye(2)), [1.0000001, 1.0000002],
+            [0.5, 0.5],
+        )
+        _, gaps = verify.scale_mixture_gap(spec, ecf.default_grid(2), 5)
+        assert list(gaps) == ["all", "lam-is-1.0000001", "lam-is-1.0000002"]
+        ens = simulate_ensemble(spec, [4], 10, seed=0)
+        assert "lam-is-1.0000001" in verify.default_family(ens).labels
+
     def test_degenerate_atom_has_no_gap(self):
         spec = RandomScaled(
             rotation_half(), laws.NormalLaw(np.eye(2)), [1.0], [1.0]
@@ -424,7 +435,9 @@ class TestVerdicts:
         ens = simulate_ensemble(canonical_spec(), [6, 12], 200, seed=0)
         with pytest.raises(InsufficientDataError):
             verify.verify_mixing(ens)
-        assert verify.verify_mixing(ens, min_paths=100).n_paths == 200
+        # MIN_FILTERED_PATHS itself is enough.
+        ens = simulate_ensemble(canonical_spec(), [6, 12], 1000, seed=0)
+        assert verify.verify_mixing(ens).n_paths == 1000
 
     def test_verdict_keeps_final_sure_event_ecf(self):
         spec = RandomScaled(

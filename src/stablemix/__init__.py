@@ -59,7 +59,6 @@ from .laws import (
     cf_increment,
     cf_normal_limit,
     cf_stable_limit,
-    law_from_json,
     sas_from_uniforms,
     series_cf_values,
 )
@@ -81,7 +80,6 @@ from .processes import (
     ProcessSpec,
     RandomScaled,
     SyntheticCanonical,
-    process_from_json,
     simulate_ensemble,
     simulate_path,
     write_paths_csv,
@@ -95,6 +93,7 @@ from .ecf import (
     sup_distance,
     write_ecf_csv,
 )
+from .config import law_from_json, matrix_from_json, process_from_json
 from .verify import (
     ConvergenceVerdict,
     EventFamily,

@@ -1,11 +1,11 @@
 """Command-line front end.
 
-Every run is described by a JSON config (versioned, unknown keys rejected)
-plus a handful of flags that override config entries.  A run writes CSV
-outputs and a ``report.json`` that embeds the resolved config and a flat
-dictionary of named statistics; ``replay`` re-executes the embedded config
-and demands bit-identical statistics, which is the reproducibility contract
-the whole package is built around.
+Every run is described by a JSON config, read through the key table of
+:mod:`stablemix.config`, plus a handful of flags that override config
+entries.  A run writes CSV outputs and a ``report.json`` that embeds the
+resolved config and a flat dictionary of named statistics; ``replay``
+re-executes the embedded config and demands bit-identical statistics,
+which is the reproducibility contract the whole package is built around.
 
 Exit codes: 0 when every check passed, 1 when a check or a replay
 comparison failed, 2 for configuration or hypothesis errors.
@@ -22,42 +22,11 @@ import time
 
 import numpy as np
 
-from . import __version__, errors, laws, matalg, series, streams, verify
+from . import __version__, config, laws, matalg, series, streams, verify
 from .csvio import write_csv
-from .ecf import (
-    DEFAULT_DELTA,
-    default_grid,
-    estimate_ecf,
-    sup_distance,
-    write_ecf_csv,
-)
-from .errors import (
-    ConfigError,
-    ReproducibilityError,
-    StablemixError,
-    converted,
-    integral,
-)
-from .processes import process_from_json, simulate_ensemble, write_paths_csv
-
-SCHEMA_VERSION = 1
-
-# Allowed config keys per subcommand, beyond the common trio.
-_COMMON_KEYS = {"schema_version", "seed", "workers"}
-_COMMAND_KEYS = {
-    "sample-law": {"law", "count", "delta", "factor"},
-    "series": {"P", "law", "count", "tol", "r", "delta", "factor"},
-    "lemma": {"P", "law", "J", "n_paths", "allow_diagnostic"},
-    "simulate": {"process", "checkpoints", "n_paths", "trajectories"},
-    "verify-mixing": {
-        "process", "checkpoints", "n_paths", "r", "delta", "factor",
-        "statistic_of", "family",
-    },
-    "verify-stable": {
-        "process", "checkpoints", "n_paths", "r", "delta", "factor", "family",
-    },
-    "conditions": {"process", "checkpoints", "n_paths", "tol", "levels", "bound"},
-}
+from .ecf import default_grid, estimate_ecf, sup_distance, write_ecf_csv
+from .errors import ConfigError, ReproducibilityError, StablemixError, converted
+from .processes import simulate_ensemble, write_paths_csv
 
 
 def _finite(text: str) -> float:
@@ -81,52 +50,14 @@ def load_config(path: str) -> dict:
     return cfg
 
 
-def validate_config(command: str, cfg: dict) -> None:
-    if cfg.get("schema_version") != SCHEMA_VERSION:
-        raise ConfigError(
-            f"config must declare schema_version {SCHEMA_VERSION}, "
-            f"got {cfg.get('schema_version')!r}"
-        )
-    allowed = _COMMON_KEYS | _COMMAND_KEYS[command]
-    unknown = sorted(set(cfg) - allowed)
-    if unknown:
-        raise ConfigError(
-            f"unknown config keys for {command}: {', '.join(unknown)}"
-        )
-    if "seed" not in cfg:
-        raise ConfigError("seed is required (set it in the config or pass --seed)")
-    if not isinstance(cfg["seed"], int) or isinstance(cfg["seed"], bool):
-        raise ConfigError("seed must be an integer")
-
-
-def _need(cfg: dict, key: str):
-    return errors.required(cfg, key, "config", ConfigError)
-
-
-def _read(cfg: dict, key: str, convert, default=None):
-    """Config value ``key`` passed through ``convert``; required when there
-    is no ``default``.  A malformed value is a :class:`ConfigError`."""
-    value = _need(cfg, key) if default is None else cfg.get(key, default)
-    return converted(convert, value, f"config key {key!r}", ConfigError)
-
-
-def _factor(cfg: dict) -> float:
-    """The threshold multiple, positive so that a statistic can pass."""
-    factor = _read(cfg, "factor", float, 3.0)
-    if not factor > 0.0:
-        raise ConfigError(f"factor must be positive, got {factor}")
-    return factor
-
-
-def _floats(values) -> tuple:
-    return tuple(float(x) for x in values)
+def validate_config(command: str, cfg: dict) -> dict:
+    """``cfg`` read through ``command``'s schema: its converted values."""
+    return config.read(cfg, config.COMMANDS[command], f"{command} config")
 
 
 def _law_samples(law, seed: int, count: int, workers: int) -> np.ndarray:
     """Stream-addressed iid draws from an increment law.  Chunks go in as
     one-step 3-D blocks, so a row's bits never depend on its chunk's size."""
-    if count < 1:
-        raise ConfigError("count must be positive")
 
     def chunk(start, n):
         u = streams.uniform_block(
@@ -137,19 +68,18 @@ def _law_samples(law, seed: int, count: int, workers: int) -> np.ndarray:
     return np.concatenate(streams.map_chunks(chunk, count, workers), axis=0)
 
 
-# Handlers return (statistics, verdicts, derived, outputs, passed).
+# Handlers take the config's converted values (``validate_config``) and
+# return (statistics, verdicts, derived, outputs, passed).
 
 
 def _ecf_check(cfg, outdir, workers, samples, name, reference, stats, derived):
     """Shared tail of ``sample-law`` and ``series``: the ecf of ``samples``
     against ``reference(grid)``, judged at ``factor`` radii, appended to
     ``stats``; writes ``name`` and ``ecf.csv``."""
-    delta = _read(cfg, "delta", float, DEFAULT_DELTA)
-    factor = _factor(cfg)
     grid = default_grid(samples.shape[1])
-    est = estimate_ecf(samples, grid, delta, workers)
+    est = estimate_ecf(samples, grid, cfg["delta"], workers)
     dist = sup_distance(est, reference(grid))
-    threshold = factor * est.radius
+    threshold = cfg["factor"] * est.radius
     write_csv(
         os.path.join(outdir, name),
         [f"x_{i}" for i in range(samples.shape[1])],
@@ -161,8 +91,8 @@ def _ecf_check(cfg, outdir, workers, samples, name, reference, stats, derived):
 
 
 def _run_sample_law(cfg, outdir, workers):
-    law = laws.law_from_json(_need(cfg, "law"))
-    samples = _law_samples(law, cfg["seed"], _read(cfg, "count", integral), workers)
+    law = cfg["law"]
+    samples = _law_samples(law, cfg["seed"], cfg["count"], workers)
     return _ecf_check(
         cfg, outdir, workers, samples, "samples.csv",
         lambda grid: laws.cf_increment(law, grid.points), {}, {},
@@ -170,18 +100,15 @@ def _run_sample_law(cfg, outdir, workers):
 
 
 def _run_series(cfg, outdir, workers):
-    P = matalg.matrix_from_json(_need(cfg, "P"))
-    law = laws.law_from_json(_need(cfg, "law"))
-    count = _read(cfg, "count", integral)
-    if ("tol" in cfg) == ("r" in cfg):
+    P, law, r = cfg["P"], cfg["law"], cfg["r"]
+    if (cfg["tol"] is None) == (r is None):
         raise ConfigError("series needs exactly one of 'tol' or 'r'")
-    if "tol" in cfg:
-        plan = series.truncation_index(P, _read(cfg, "tol", float))
+    if r is None:
+        plan = series.truncation_index(P, cfg["tol"])
     else:
-        r = _read(cfg, "r", integral)
         cert, norms = matalg.decay_certificate(P)
         plan = series.TruncationPlan(r, matalg.tail_bound(norms, cert, r), cert)
-    samples = series.series_ensemble(P, law, plan.r, cfg["seed"], count, workers)
+    samples = series.series_ensemble(P, law, plan.r, cfg["seed"], cfg["count"], workers)
     return _ecf_check(
         cfg, outdir, workers, samples, "series_samples.csv",
         lambda grid: laws.series_cf_values(law, P, plan.r, grid.points),
@@ -191,18 +118,13 @@ def _run_series(cfg, outdir, workers):
 
 
 def _run_lemma(cfg, outdir, workers):
-    P = matalg.matrix_from_json(_need(cfg, "P"))
-    allow = cfg.get("allow_diagnostic", False)
-    if not isinstance(allow, bool):
-        raise ConfigError(f"allow_diagnostic must be true or false, got {allow!r:.60}")
-    law = laws.law_from_json(_need(cfg, "law"), allow_diagnostic=allow)
+    if isinstance(cfg["law"], laws.LogCauchyRay) and not cfg["allow_diagnostic"]:
+        raise ConfigError(
+            "log-cauchy-ray is a diagnostic sampler: lemma takes it only with "
+            "allow_diagnostic true"
+        )
     diag = series.lemma_diagnostics(
-        P,
-        law,
-        _read(cfg, "J", integral),
-        _read(cfg, "n_paths", integral),
-        cfg["seed"],
-        workers=workers,
+        cfg["P"], cfg["law"], cfg["J"], cfg["n_paths"], cfg["seed"], workers=workers
     )
     series.write_lemma_csv(os.path.join(outdir, "lemma.csv"), diag)
     # Median rather than mean: heavy-tailed samplers overflow some draws
@@ -219,21 +141,14 @@ def _run_lemma(cfg, outdir, workers):
 
 
 def _ensemble(cfg, workers):
-    """The ensemble a process command runs on: its spec, checkpoints and
-    path count from the config."""
+    """The ensemble a process command runs on."""
     return simulate_ensemble(
-        process_from_json(_need(cfg, "process")),
-        _need(cfg, "checkpoints"),
-        _read(cfg, "n_paths", integral),
-        cfg["seed"],
-        workers,
+        cfg["process"], cfg["checkpoints"], cfg["n_paths"], cfg["seed"], workers
     )
 
 
 def _run_simulate(cfg, outdir, workers):
-    trajectories = _read(cfg, "trajectories", integral, 0)
-    if trajectories < 0:
-        raise ConfigError("trajectories must be nonnegative")
+    trajectories = cfg["trajectories"]
     ens = _ensemble(cfg, workers)
     outputs = ["scaled.csv"]
     d, n_cp = ens.dim, len(ens.checkpoints)
@@ -268,15 +183,6 @@ def _run_simulate(cfg, outdir, workers):
     return stats, [], {}, outputs, True
 
 
-def _family_for(cfg, ens):
-    choice = cfg.get("family", "default")
-    if choice == "omega":
-        return verify.omega_family()
-    if choice == "default":
-        return verify.default_family(ens)
-    raise ConfigError(f"unknown event family {choice!r}")
-
-
 def _verdict_stats(verdict) -> dict:
     out = {}
     for n, v in zip(verdict.checkpoints, verdict.statistics):
@@ -288,33 +194,26 @@ def _verdict_stats(verdict) -> dict:
 def _run_verify(cfg, outdir, workers, stable: bool):
     ens = _ensemble(cfg, workers)
     kwargs = dict(
-        family=_family_for(cfg, ens),
-        r=_read(cfg, "r", integral) if "r" in cfg else None,
-        delta=_read(cfg, "delta", float, DEFAULT_DELTA),
-        factor=_factor(cfg),
+        family=cfg["family"](ens),
+        r=cfg["r"],
+        delta=cfg["delta"],
+        factor=cfg["factor"],
         workers=workers,
     )
     if stable:
         verdict = verify.verify_stable(ens, **kwargs)
     else:
-        which = cfg.get("statistic_of", "bu")
-        if which not in ("bu", "qu"):
-            raise ConfigError("statistic_of must be 'bu' or 'qu'")
-        verdict = verify.verify_mixing(ens, which=which, **kwargs)
+        verdict = verify.verify_mixing(ens, which=cfg["statistic_of"], **kwargs)
     write_ecf_csv(os.path.join(outdir, "ecf.csv"), verdict.ecf)
     return _verdict_stats(verdict), [verdict], {}, ["ecf.csv"], verdict.passed
 
 
 def _run_conditions(cfg, outdir, workers):
     ens = _ensemble(cfg, workers)
-    tol = _read(cfg, "tol", float, verify.DEFAULT_TOLERANCE)
+    tol = cfg["tol"]
     verdicts = [
         verify.check_condition_i(ens, tol=tol),
-        verify.check_condition_ii(
-            ens,
-            levels=_read(cfg, "levels", _floats, (2.0, 4.0, 8.0, 16.0)),
-            bound=_read(cfg, "bound", float, 0.05),
-        ),
+        verify.check_condition_ii(ens, levels=cfg["levels"], bound=cfg["bound"]),
         verify.check_condition_iii(ens, tol=tol),
     ]
     stats = {}
@@ -336,13 +235,12 @@ _RUNNERS = {
 
 
 def run_command(command: str, cfg: dict, outdir: str) -> dict:
-    """Validate, execute, and write ``report.json``; returns the report."""
-    validate_config(command, cfg)
-    workers = _read(cfg, "workers", integral, 1)
+    """Read the config, execute, and write ``report.json``; returns the report."""
+    values = validate_config(command, cfg)
     os.makedirs(outdir, exist_ok=True)
     started = time.perf_counter()
     stats, verdicts, derived, outputs, passed = _RUNNERS[command](
-        cfg, outdir, workers
+        values, outdir, values["workers"]
     )
     report = {
         "version": __version__,

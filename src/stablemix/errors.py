@@ -42,7 +42,7 @@ class GridMismatchError(InvalidInputError):
     """Two estimates evaluated on different theta grids were combined."""
 
 
-class ConfigError(StablemixError, ValueError):
+class ConfigError(InvalidInputError):
     """Experiment configuration is malformed, incomplete, or has unknown keys."""
 
 
@@ -64,14 +64,7 @@ def integral(value) -> int:
     a float with no fractional part (JSON may write ``1e5``).  A boolean,
     a fraction or anything else raises, where ``int`` would truncate."""
     if isinstance(value, bool) or not isinstance(value, (numbers.Integral, float)):
-        raise TypeError(f"not an integer: {value!r}")
+        raise TypeError("must be an integer")
     if isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"not an integer: {value!r}")
+        raise ValueError("must be an integer")
     return int(value)
-
-
-def required(obj: dict, key: str, owner: str, error: type = InvalidInputError):
-    """``obj[key]`` of a JSON object read as ``owner``; a missing key is ``error``."""
-    if key not in obj:
-        raise error(f"{owner} requires key {key!r}")
-    return obj[key]

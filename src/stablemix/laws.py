@@ -30,7 +30,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from . import matalg
-from .errors import InvalidInputError, converted, integral, required
+from .errors import InvalidInputError
 from .matalg import GelfandCertificate, as_floats
 
 # Floor applied to raw uniforms before inverse transforms; keeps ndtri and
@@ -386,47 +386,3 @@ def cf_stable_limit(
     decay certificate: ``exp(-sum_{j<=r} sum_k w_k |<P^j' theta, s_k>|^alpha)``."""
     law = StableLaw(alpha, measure)
     return _truncated_limit(law, P, thetas, r, alpha, measure.total_mass)
-
-
-# The keys each law tag takes beside ``law``; any other key is rejected.
-_LAW_KEYS = {
-    "normal": {"cov"},
-    "cauchy": {"dim"},
-    "stable": {"alpha", "atoms", "weights"},
-    "empirical": {"pool"},
-    "log-cauchy-ray": {"dim"},
-}
-
-
-def law_from_json(obj: dict, allow_diagnostic: bool = False) -> IncrementLaw:
-    """Build a law from its JSON config, tagged by ``law``.
-
-    The diagnostic ``log-cauchy-ray`` tag is rejected unless explicitly
-    allowed, so limit-law consumers cannot receive it by accident.
-    """
-    if not isinstance(obj, dict) or "law" not in obj:
-        raise InvalidInputError("law JSON must be an object with a 'law' tag")
-    tag = obj["law"]
-    if not isinstance(tag, str) or tag not in _LAW_KEYS:
-        raise InvalidInputError(f"unknown law tag {tag!r}")
-    owner = f"law {tag!r}"
-    unknown = sorted(set(obj) - {"law"} - _LAW_KEYS[tag])
-    if unknown:
-        raise InvalidInputError(f"unknown keys for {owner}: {', '.join(unknown)}")
-    if tag == "normal":
-        return NormalLaw(required(obj, "cov", owner))
-    if tag == "cauchy":
-        return CauchyLaw(converted(integral, required(obj, "dim", owner), "cauchy dim"))
-    if tag == "stable":
-        measure = SpectralMeasure(
-            required(obj, "atoms", owner), required(obj, "weights", owner)
-        )
-        alpha = converted(float, required(obj, "alpha", owner), "stable alpha")
-        return StableLaw(alpha, measure)
-    if tag == "empirical":
-        return EmpiricalLaw(required(obj, "pool", owner))
-    if not allow_diagnostic:
-        raise InvalidInputError(
-            "log-cauchy-ray is a diagnostic sampler, not a limit law"
-        )
-    return LogCauchyRay(converted(integral, obj.get("dim", 1), "log-cauchy-ray dim"))

@@ -20,7 +20,6 @@ from .errors import (
     RangeOverflowError,
     SingularMatrixError,
     converted,
-    integral,
 )
 
 # Condition-number threshold beyond which a matrix is treated as singular.
@@ -262,15 +261,3 @@ def psd_sqrt(matrix) -> np.ndarray:
         )
     root = (eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))) @ eigvecs.T
     return 0.5 * (root + root.T)
-
-
-def matrix_from_json(obj: dict) -> np.ndarray:
-    """Matrix from its JSON config ``{"dim": d, "rows": [[...], ...]}``."""
-    if not isinstance(obj, dict) or "dim" not in obj or "rows" not in obj:
-        raise InvalidInputError("matrix JSON must have 'dim' and 'rows' fields")
-    arr = as_square(obj["rows"], "rows")
-    if arr.shape[0] != converted(integral, obj["dim"], "matrix dim"):
-        raise InvalidInputError(
-            f"declared dim {obj['dim']} does not match rows shape {arr.shape}"
-        )
-    return arr

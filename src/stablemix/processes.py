@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import laws, matalg, streams
+from . import matalg, streams
 from .csvio import write_csv
 from .errors import (
     HypothesisViolationError,
@@ -52,7 +52,6 @@ from .errors import (
     RangeOverflowError,
     converted,
     integral,
-    required,
 )
 from .laws import IncrementLaw
 
@@ -194,41 +193,6 @@ class ExplosiveVar(ProcessSpec):
         super().__init__(matalg.inverse(arr), noise_law)
 
 
-_VARIANTS = ("synthetic-canonical", "random-scaled", "discrete-factor", "explosive-var")
-
-
-def process_from_json(obj: dict) -> ProcessSpec:
-    """Build a process spec from its JSON config, tagged by ``variant``."""
-    if not isinstance(obj, dict) or "variant" not in obj:
-        raise InvalidInputError("process JSON must be an object with a 'variant' tag")
-    tag = obj["variant"]
-    if tag not in _VARIANTS:
-        raise InvalidInputError(f"unknown process variant {tag!r}")
-    owner = f"process variant {tag!r}"
-    matrix = matalg.matrix_from_json(
-        required(obj, "A" if tag == "explosive-var" else "P", owner)
-    )
-    noise = laws.law_from_json(required(obj, "noise", owner))
-    if tag == "random-scaled":
-        return RandomScaled(
-            matrix, noise,
-            required(obj, "lam_values", owner),
-            required(obj, "lam_probs", owner),
-            obj.get("event_values"),
-            converted(float, obj.get("perturbation", 0.0), "perturbation"),
-        )
-    if tag == "discrete-factor":
-        factors = converted(list, required(obj, "factors", owner), "factors")
-        return DiscreteFactor(
-            matrix, noise,
-            [matalg.matrix_from_json(f) for f in factors],
-            required(obj, "factor_probs", owner),
-        )
-    if tag == "explosive-var":
-        return ExplosiveVar(matrix, noise)
-    return SyntheticCanonical(matrix, noise)
-
-
 def per_path_uniforms(spec: ProcessSpec, n: int) -> int:
     """Uniform budget of one path of length ``n`` (latent draw included)."""
     return spec.latent_uniforms + n * spec.noise_law.uniforms_per_draw
@@ -364,6 +328,17 @@ def simulate_path(spec: ProcessSpec, n: int, rng: np.random.Generator) -> Proces
     return ProcessPath(spec, n, _raw_states(spec, rows["qu"], n)[0], rows["latent"])
 
 
+def as_checkpoints(values) -> tuple[int, ...]:
+    """Sorted distinct checkpoints, each integral and at least 1; an object
+    array keeps a JSON ``true`` from reading as 1."""
+    checkpoints = tuple(
+        sorted({integral(x) for x in np.atleast_1d(np.array(values, dtype=object))})
+    )
+    if not checkpoints or checkpoints[0] < 1:
+        raise ValueError("must be positive integers")
+    return checkpoints
+
+
 @dataclass(frozen=True)
 class Ensemble:
     """Checkpointed scaled statistics for many independent paths.
@@ -414,14 +389,7 @@ def simulate_ensemble(
     whatever the number of checkpoints.  The kernel is row-local: values
     are bit-identical for any worker count and chunking.
     """
-    checkpoints = converted(
-        lambda c: tuple(
-            sorted({integral(x) for x in np.atleast_1d(np.array(c, dtype=object))})
-        ),
-        checkpoints, "checkpoints",
-    )
-    if not checkpoints or checkpoints[0] < 1:
-        raise InvalidInputError("checkpoints must be positive integers")
+    checkpoints = converted(as_checkpoints, checkpoints, "checkpoints")
     if n_paths < 1:
         raise InvalidInputError("n_paths must be positive")
     per_path = per_path_uniforms(spec, checkpoints[-1])

@@ -2,8 +2,9 @@
 
 ``bench/tracer.py`` rebinds the ``(module, attr)`` pairs in its
 ``FUNCTIONS`` and a few further attributes when a traced benchmark run
-starts.  A deletion or rename of any of them breaks the traced run, so it
-is checked here, without installing the tracer.
+starts, and the benchmark's job and workload scripts call a few more.  A
+deletion or rename of any of them breaks a benchmark run, so it is checked
+here, without installing the tracer.
 """
 
 import importlib
@@ -38,10 +39,17 @@ def test_traced_function_exists(module, attr):
         ("streams", None, "map_chunks"),
         ("streams", None, "CHUNK_PATHS"),
         ("cli", None, "run_command"),
+        # bench/job.py and bench/workloads.py call these directly.
+        ("cli", None, "main"),
+        ("cli", None, "load_config"),
+        ("cli", None, "validate_config"),
+        (None, None, "process_from_json"),
+        (None, None, "scale_mixture_gap"),
+        (None, None, "default_grid"),
     ],
 )
 def test_read_attribute_exists(module, owner, attr):
-    obj = importlib.import_module(f"stablemix.{module}")
+    obj = importlib.import_module(".".join(filter(None, ("stablemix", module))))
     if owner is not None:
         obj = getattr(obj, owner)
     assert hasattr(obj, attr)

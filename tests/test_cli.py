@@ -9,7 +9,8 @@ import pytest
 
 from stablemix import cli, ecf, laws
 from stablemix.cli import main
-from stablemix.processes import process_from_json, simulate_ensemble
+from stablemix.config import process_from_json
+from stablemix.processes import simulate_ensemble
 
 _C, _S = math.cos(math.pi / 6), math.sin(math.pi / 6)
 ROTATION_HALF = {"dim": 2, "rows": [[0.5 * _C, -0.5 * _S], [0.5 * _S, 0.5 * _C]]}
@@ -18,6 +19,10 @@ NORMAL1 = {"law": "normal", "cov": [[1.0]]}
 SCALAR_P = {"dim": 1, "rows": [[0.5]]}
 
 CANONICAL = {"variant": "synthetic-canonical", "P": ROTATION_HALF, "noise": NORMAL2}
+SCALED_ONE = {
+    "variant": "random-scaled", "P": ROTATION_HALF, "noise": NORMAL2,
+    "lam_values": [2.0], "lam_probs": [1.0],
+}
 SCALED = {
     "variant": "random-scaled", "P": ROTATION_HALF, "noise": NORMAL2,
     "lam_values": [1.0, 2.0], "lam_probs": [0.5, 0.5],
@@ -476,6 +481,9 @@ class TestConfigValidation:
             "sample-law": {"law": NORMAL1, "count": 100},
             "series": {"P": SCALAR_P, "law": NORMAL1, "count": 100, "r": 3},
             "lemma": {"P": SCALAR_P, "law": NORMAL1, "J": 16, "n_paths": 100},
+            "conditions": {
+                "process": CANONICAL, "checkpoints": [5, 10], "n_paths": 2000,
+            },
         }.get(command, {"process": CANONICAL, "checkpoints": [4, 8], "n_paths": 2000})
         return {"schema_version": 1, "seed": 1, **body, **entries}
 
@@ -510,6 +518,42 @@ class TestConfigValidation:
         assert not (out / "report.json").exists()
 
     @pytest.mark.parametrize(
+        "command, entries",
+        [
+            ("sample-law", {"factor": True}),
+            ("series", {"tol": True, "r": None}),
+            ("conditions", {"bound": True}),
+            ("sample-law", {"delta": True}),
+            ("sample-law", {"law": {"law": "stable", "alpha": True,
+                                    "atoms": [[1.0]], "weights": [1.0]}}),
+            ("simulate", {"process": {**SCALED_ONE, "perturbation": True}}),
+            ("conditions", {"levels": [True, 2]}),
+            ("simulate", {"process": {**SCALED_ONE, "lam_values": [True]}}),
+            ("simulate", {"process": {**SCALED_ONE, "lam_probs": [True]}}),
+            ("sample-law", {"law": {"law": "normal", "cov": [[True]]}}),
+            ("series", {"P": {"dim": 2, "rows": [[0.5, False], [False, 0.5]]},
+                        "law": NORMAL2}),
+            ("sample-law", {"law": {"law": "stable", "alpha": 1.5,
+                                    "atoms": [[True]], "weights": [1.0]}}),
+            ("sample-law", {"law": {"law": "stable", "alpha": 1.5,
+                                    "atoms": [[1.0]], "weights": [True]}}),
+            ("sample-law", {"law": {"law": "empirical", "pool": [[True]]}}),
+        ],
+        ids=["factor", "tol", "bound", "delta", "alpha", "perturbation", "levels",
+             "lam_values", "lam_probs", "cov", "rows", "atoms", "weights", "pool"],
+    )
+    def test_booleans_are_not_numbers(self, tmp_path, capsys, command, entries):
+        # JSON true is not 1.0: each of these ran at the value 1 before.  An
+        # entry of None drops that key of the base config.
+        obj = self.config(command, entries)
+        obj = {key: value for key, value in obj.items() if value is not None}
+        out = tmp_path / "out"
+        cfg = write_cfg(tmp_path, obj)
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert "malformed" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
+    @pytest.mark.parametrize(
         "command, key, value, as_float",
         [("sample-law", "count", 100, 1e2),
          ("simulate", "checkpoints", [4, 8], [4.0, 8.0])],
@@ -536,9 +580,23 @@ class TestConfigValidation:
             ("conditions", {"lags": [1, 2]}, "lags"),
             ("sample-law", {"law": {"law": "empirical", "pool": [[1.0]],
                                     "csv": "pool.csv"}}, "csv"),
+            ("simulate", {"process": {**CANONICAL, "lam_values": [1.0, 2.0]}},
+             "lam_values"),
+            ("simulate", {"process": {**CANONICAL, "P": {**ROTATION_HALF, "cols": 7}}},
+             "cols"),
+            ("simulate", {"process": {
+                "variant": "discrete-factor", "P": ROTATION_HALF, "noise": NORMAL2,
+                "factors": [{"dim": 2, "rows": [[1.0, 0.0], [0.0, 1.0]], "junk": 1}],
+                "factor_probs": [1.0],
+            }}, "junk"),
+            ("verify-stable", {"process": {
+                "variant": "explosive-var", "noise": NORMAL2, "perturbation": 0.0,
+                "A": {"dim": 2, "rows": [[2.0, 1.0], [0.0, 2.0]]},
+            }}, "perturbation"),
         ],
         ids=["sample-law-grid", "series-grid", "min-paths", "stable-grid", "lags",
-             "law-csv"],
+             "law-csv", "canonical-lam_values", "matrix-cols", "factor-junk",
+             "explosive-perturbation"],
     )
     def test_removed_keys_exit_2(self, tmp_path, capsys, command, entries, key):
         cfg = write_cfg(tmp_path, self.config(command, entries))

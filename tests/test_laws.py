@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stablemix import laws, streams, verify
+from stablemix import config, laws, streams, verify
 from stablemix.ecf import default_grid, estimate_ecf, hoeffding_radius, sup_distance
 from stablemix.errors import InvalidInputError
 from stablemix.processes import ExplosiveVar
@@ -345,28 +345,28 @@ class TestLawJson:
         # A literal config reads back into the law built directly, bit for
         # bit in every draw.
         for obj, law in literal_laws():
-            back = laws.law_from_json(obj)
+            back = config.law_from_json(obj)
             assert type(back) is type(law)
             assert np.array_equal(stream_draws(law, 3, 16), stream_draws(back, 3, 16))
 
     def test_diagnostic_gate(self):
         obj = {"law": "log-cauchy-ray", "dim": 1}
         with pytest.raises(InvalidInputError):
-            laws.law_from_json(obj)
-        ray = laws.law_from_json(obj, allow_diagnostic=True)
+            config.law_from_json(obj)
+        ray = config.law_from_json(obj, allow_diagnostic=True)
         assert isinstance(ray, laws.LogCauchyRay)
 
     def test_rejects_unknown_tag(self):
         with pytest.raises(InvalidInputError):
-            laws.law_from_json({"law": "mystery"})
+            config.law_from_json({"law": "mystery"})
         with pytest.raises(InvalidInputError):
-            laws.law_from_json({"dim": 2})
+            config.law_from_json({"dim": 2})
 
     def test_missing_key_is_input_error_not_keyerror(self):
         with pytest.raises(InvalidInputError, match="requires key 'cov'"):
-            laws.law_from_json({"law": "normal"})
+            config.law_from_json({"law": "normal"})
         with pytest.raises(InvalidInputError, match="requires key 'alpha'"):
-            laws.law_from_json({"law": "stable", "atoms": [[1.0]], "weights": [1.0]})
+            config.law_from_json({"law": "stable", "atoms": [[1.0]], "weights": [1.0]})
 
 
 class TestNormalLawValidation:

@@ -8,7 +8,7 @@ is re-run here at small horizons as a cross-check.
 import numpy as np
 import pytest
 
-from stablemix import matalg
+from stablemix import config, matalg
 from stablemix.errors import (
     HorizonExceededError,
     HypothesisViolationError,
@@ -311,11 +311,11 @@ class TestMatrixJson:
     def test_roundtrip_lossless(self):
         # The literal config reads back into the same matrix, bit for bit.
         rows = [[0.4, -0.25], [0.25, 0.4]]
-        back = matalg.matrix_from_json({"dim": 2, "rows": rows})
+        back = config.matrix_from_json({"dim": 2, "rows": rows})
         assert np.array_equal(back, np.array(rows))
 
     def test_rejects_malformed(self):
         with pytest.raises(InvalidInputError):
-            matalg.matrix_from_json({"rows": [[1.0]]})
+            config.matrix_from_json({"rows": [[1.0]]})
         with pytest.raises(InvalidInputError):
-            matalg.matrix_from_json({"dim": 2, "rows": [[1.0]]})
+            config.matrix_from_json({"dim": 2, "rows": [[1.0]]})

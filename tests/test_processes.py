@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from stablemix import laws, streams
+from stablemix.config import process_from_json
 from stablemix.errors import (
     HypothesisViolationError,
     InvalidInputError,
@@ -22,7 +23,6 @@ from stablemix.processes import (
     RandomScaled,
     SyntheticCanonical,
     per_path_uniforms,
-    process_from_json,
     simulate_ensemble,
     simulate_path,
     write_paths_csv,

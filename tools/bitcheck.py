@@ -9,11 +9,16 @@ package (the ``src`` directory of two checkouts).  Every case of the matrix
 runs through ``stablemix.cli.main`` on both trees, each tree in one fresh
 child process.  The matrix covers every process variant through
 ``simulate``, ``verify-stable``, ``verify-mixing`` (``bu`` and ``qu``),
-both verdicts again at an explicit ``r`` below the default, and
-``conditions``; ``sample-law`` and ``series`` (``tol`` and ``r``) on the
-normal, Cauchy and stable laws; ``series`` at ``tol`` on two contractions
-whose norm-table horizon is sized past the 256 floor (``diag(0.9, 0.1)``
-and a slow Jordan block); and ``lemma``.  Each runs at path or draw
+both verdicts again at an explicit ``r`` below the default,
+``verify-stable`` at a non-default ``delta`` and ``factor``, and
+``conditions`` at the default and at non-default ``tol``, ``levels`` and
+``bound``; ``sample-law`` on the normal, correlated normal, Cauchy, stable
+and empirical laws, and on the stable law at a non-default ``delta`` and
+``factor``; ``series`` (``tol`` and ``r``) on the normal, Cauchy and stable
+laws; ``series`` at ``tol`` on two contractions whose norm-table horizon is
+sized past the 256 floor (``diag(0.9, 0.1)`` and a slow Jordan block); and
+``lemma`` on the stable law and on the log-Cauchy ray with
+``allow_diagnostic``.  Each runs at path or draw
 counts 4095, 4096 and 4097 (one chunk less one, one chunk, one chunk plus
 one) and at 1 and 2 workers.
 
@@ -45,6 +50,11 @@ STABLE_2D = {
     "law": "stable", "alpha": 1.5,
     "atoms": [[1.0, 0.0], [0.0, 1.0]], "weights": [0.5, 0.5],
 }
+EMPIRICAL_2D = {"law": "empirical", "pool": [[0.5, -1.0], [2.0, 0.25], [-0.75, 1.5]]}
+RAY_2D = {"law": "log-cauchy-ray", "dim": 2}
+# Non-default values of the keys that tune a check.
+TUNED = {"delta": 0.01, "factor": 2.5}
+TUNED_CONDITIONS = {"tol": 1e-6, "levels": [1.0, 3.0], "bound": 0.2}
 
 # Contractions that decay slowly enough for ``truncation_index`` to size
 # its norm table past the floor, with the tol of each case.
@@ -120,10 +130,17 @@ def cases() -> list[tuple[str, str, dict]]:
                 add(f"mixing-omega.{pname}", "verify-mixing", size, workers,
                     {**base, "family": "omega"})
                 add(f"conditions.{pname}", "conditions", size, workers, base)
+                add(f"conditions-tuned.{pname}", "conditions", size, workers,
+                    {**base, **TUNED_CONDITIONS})
+                add(f"stable-tuned.{pname}", "verify-stable", size, workers,
+                    {**base, **TUNED})
             for lname, law in (("normal", NORMAL_2D), ("correlated", CORRELATED_2D),
-                               ("cauchy", CAUCHY_2D), ("stable", STABLE_2D)):
+                               ("cauchy", CAUCHY_2D), ("stable", STABLE_2D),
+                               ("empirical", EMPIRICAL_2D)):
                 add(f"sample-law.{lname}", "sample-law", size, workers,
                     {"law": law, "count": size})
+            add("sample-law-tuned.stable", "sample-law", size, workers,
+                {"law": STABLE_2D, "count": size, **TUNED})
             for lname, law in (("normal", NORMAL_2D), ("cauchy", CAUCHY_2D),
                                ("stable", STABLE_2D)):
                 series = {"P": ROTATION_HALF, "law": law, "count": size}
@@ -136,6 +153,9 @@ def cases() -> list[tuple[str, str, dict]]:
                     {"P": P, "law": NORMAL_2D, "count": size, "tol": tol})
             add("lemma", "lemma", size, workers,
                 {"P": ROTATION_HALF, "law": STABLE_2D, "J": 16, "n_paths": size})
+            add("lemma.ray", "lemma", size, workers,
+                {"P": ROTATION_HALF, "law": RAY_2D, "J": 16, "n_paths": size,
+                 "allow_diagnostic": True})
     return out
 
 

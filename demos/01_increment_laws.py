@@ -13,7 +13,6 @@ import numpy as np
 
 from stablemix import (
     STREAM_LAW,
-    STREAM_SECOND_SAMPLE,
     CauchyLaw,
     EmpiricalLaw,
     NormalLaw,
@@ -30,9 +29,9 @@ N = 100_000
 SEED = 7
 
 
-def draws(law, count, stream=STREAM_LAW):
-    """The first ``count`` draws of ``law`` from one stream of the seed."""
-    u = uniform_block(SEED, stream, 0, count, law.uniforms_per_draw)
+def draws(law, count, seed=SEED):
+    """The first ``count`` draws of ``law`` from the law stream of ``seed``."""
+    u = uniform_block(seed, STREAM_LAW, 0, count, law.uniforms_per_draw)
     return law.from_uniforms(u)
 
 
@@ -60,8 +59,9 @@ for name, law in catalog:
     print(f"  {name:34s} ecf distance {dist:.4f}  (3r = {3*est.radius:.4f})  {verdict}")
 
 # A finite sample pool is itself a law: its cf is an average of cosines,
-# and resampling from the pool reproduces it.
-pool = draws(NormalLaw(np.eye(1)), 40, stream=STREAM_SECOND_SAMPLE)
+# and resampling from the pool reproduces it.  The pool comes from another
+# seed, so its draws are independent of the resampling uniforms.
+pool = draws(NormalLaw(np.eye(1)), 40, seed=SEED + 1)
 emp = EmpiricalLaw(pool)
 samples = draws(emp, N)
 grid = default_grid(1)

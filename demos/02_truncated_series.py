@@ -14,7 +14,6 @@ from stablemix import (
     decay_certificate,
     default_grid,
     estimate_ecf,
-    recompute_tail_bound,
     series_cf_values,
     series_ensemble,
     spectral_radius,
@@ -58,7 +57,6 @@ for r in (5, 20, 60):
         f"  r={r:3d}: certified tail {certified:.6e} >= explicit sum "
         f"{truth:.6e}  (ratio {certified / truth:.3f})"
     )
-print(f"  recompute route agrees: {recompute_tail_bound(jordan, cert, 20):.6e}")
 
 # Sampling the truncated series: its ecf must match the analytic product
 # of per-term characteristic functions.

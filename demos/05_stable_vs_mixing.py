@@ -24,6 +24,7 @@ Three experiments:
 import numpy as np
 
 from stablemix import (
+    EventFamily,
     ExplosiveVar,
     NormalLaw,
     RandomScaled,
@@ -32,7 +33,6 @@ from stablemix import (
     default_grid,
     mixing_reference,
     mixing_statistic,
-    omega_family,
     scale_mixture_gap,
     simulate_ensemble,
     verify_mixing,
@@ -76,7 +76,7 @@ print("  of the mixture IS the reference law")
 banner("3. explosive VAR: almost-sure convergence is not mixing")
 spec = ExplosiveVar(np.array([[2.0]]), NormalLaw(np.eye(1)))
 ens = simulate_ensemble(spec, [12, 24], N, seed=3)
-v_all = verify_mixing(ens, family=omega_family(), workers=4)
+v_all = verify_mixing(ens, family=EventFamily(), workers=4)
 v_prefix = verify_mixing(ens, workers=4)
 print(f"  sure-event check (distribution only): {v_all.statistics[-1]:.4f} "
       f"-> {'ok' if v_all.passed else 'FAIL'}")

@@ -10,7 +10,7 @@ event-based convergence verdicts.  Everything randomized is addressed by
 sizes and worker counts.
 """
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
 from .errors import (
     ConfigError,
@@ -40,7 +40,6 @@ from .streams import (
     STREAM_LAW,
     STREAM_LEMMA,
     STREAM_PROCESS,
-    STREAM_SECOND_SAMPLE,
     STREAM_SERIES,
     kahan_fold,
     map_chunks,
@@ -66,8 +65,6 @@ from .series import (
     LemmaDiagnostics,
     TruncationPlan,
     lemma_diagnostics,
-    log_moment_estimate,
-    recompute_tail_bound,
     series_ensemble,
     truncation_index,
     write_lemma_csv,
@@ -103,10 +100,8 @@ from .verify import (
     check_condition_iii,
     conditional_reference,
     default_family,
-    family_from_features,
     mixing_reference,
     mixing_statistic,
-    omega_family,
     scale_mixture_gap,
     stable_statistic,
     verify_mixing,

@@ -258,7 +258,6 @@ def run_command(command: str, cfg: dict, outdir: str) -> dict:
             "series": streams.STREAM_SERIES,
             "lemma": streams.STREAM_LEMMA,
             "law": streams.STREAM_LAW,
-            "second_sample": streams.STREAM_SECOND_SAMPLE,
         },
     }
     # allow_nan=False keeps the report strict JSON: a non-finite statistic

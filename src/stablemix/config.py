@@ -5,7 +5,9 @@ command, law tag, process variant and matrix object to its converter, or
 to a :class:`Default` when it is optional.  :func:`read` rejects a
 non-object, an unknown or missing key and a value its converter refuses
 (``TypeError`` or ``ValueError``), each as a :class:`ConfigError` naming
-the key.  No converter reads a JSON boolean as a number.
+the key; a converter's own input error, such as that of
+:func:`matalg.as_floats`, keeps its type and gains the key.  No converter
+reads a JSON boolean as a number.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import numpy as np
 from . import laws, matalg, processes, verify
 from .ecf import DEFAULT_DELTA
 from .errors import ConfigError, InvalidInputError, StablemixError, integral
+from .matalg import as_floats
 
 SCHEMA_VERSION = 1
 
@@ -66,7 +69,7 @@ def _field(obj: dict, key: str, spec, owner: str):
         value = spec.value
     try:
         return (spec.convert if isinstance(spec, Default) else spec)(value)
-    except StablemixError as exc:  # from a nested object: add where it sits
+    except StablemixError as exc:  # from a nested object or a checking converter
         raise type(exc)(f"{owner} key {key!r}: {exc}") from None
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(
@@ -79,21 +82,6 @@ def real(value) -> float:
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise TypeError("must be a number")
     return float(value)
-
-
-def reals(value) -> np.ndarray:
-    """A number or a nested list of numbers as a float array."""
-    stack = [value]
-    while stack:
-        item = stack.pop()
-        if isinstance(item, list):
-            stack.extend(item)
-        elif isinstance(item, bool) or not isinstance(item, numbers.Real):
-            raise TypeError("must hold numbers only")
-    try:
-        return np.asarray(value, dtype=float)
-    except ValueError:
-        raise ValueError("must be a rectangular array of numbers") from None
 
 
 def listof(convert: Callable) -> Callable:
@@ -151,7 +139,7 @@ def _matrix(dim: int, rows: np.ndarray) -> np.ndarray:
     return arr
 
 
-MATRIX = Schema({"dim": POSITIVE_INT, "rows": reals}, _matrix)
+MATRIX = Schema({"dim": POSITIVE_INT, "rows": as_floats}, _matrix)
 
 
 def matrix_from_json(obj) -> np.ndarray:
@@ -160,13 +148,13 @@ def matrix_from_json(obj) -> np.ndarray:
 
 
 LAWS = {
-    "normal": Schema({"cov": reals}, laws.NormalLaw),
+    "normal": Schema({"cov": as_floats}, laws.NormalLaw),
     "cauchy": Schema({"dim": POSITIVE_INT}, laws.CauchyLaw),
     "stable": Schema(
-        {"alpha": real, "atoms": reals, "weights": reals},
+        {"alpha": real, "atoms": as_floats, "weights": as_floats},
         lambda alpha, *measure: laws.StableLaw(alpha, laws.SpectralMeasure(*measure)),
     ),
-    "empirical": Schema({"pool": reals}, laws.EmpiricalLaw),
+    "empirical": Schema({"pool": as_floats}, laws.EmpiricalLaw),
     "log-cauchy-ray": Schema({"dim": Default(POSITIVE_INT, 1)}, laws.LogCauchyRay),
 }
 
@@ -188,13 +176,13 @@ PROCESSES = {
     "synthetic-canonical": Schema(_SPEC, processes.SyntheticCanonical),
     "random-scaled": Schema(
         {
-            **_SPEC, "lam_values": reals, "lam_probs": reals,
-            "event_values": Default(reals, None), "perturbation": Default(real, 0.0),
+            **_SPEC, "lam_values": as_floats, "lam_probs": as_floats,
+            "event_values": Default(as_floats, None), "perturbation": Default(real, 0.0),
         },
         processes.RandomScaled,
     ),
     "discrete-factor": Schema(
-        {**_SPEC, "factors": listof(matrix_from_json), "factor_probs": reals},
+        {**_SPEC, "factors": listof(matrix_from_json), "factor_probs": as_floats},
         processes.DiscreteFactor,
     ),
     "explosive-var": Schema(
@@ -225,7 +213,7 @@ _ENSEMBLE = {
 _VERDICT = {
     **_COMMON, **_ENSEMBLE, "r": Default(NONNEGATIVE_INT, None), **_ECF_CHECK,
     "family": Default(
-        choice(default=verify.default_family, omega=lambda ens: verify.omega_family()),
+        choice(default=verify.default_family, omega=lambda ens: verify.EventFamily()),
         "default",
     ),
 }

@@ -55,8 +55,8 @@ def converted(convert, value, name: str, error: type = InvalidInputError):
     TypeError or ValueError of a malformed value raised as ``error``."""
     try:
         return convert(value)
-    except (TypeError, ValueError):
-        raise error(f"{name} is malformed: {value!r:.60}") from None
+    except (TypeError, ValueError) as exc:
+        raise error(f"{name} is malformed: {value!r:.60} ({exc})") from None
 
 
 def integral(value) -> int:

@@ -9,6 +9,7 @@ gate used by every public entry point.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,9 +36,26 @@ MAX_HORIZON = 1 << 15
 PSD_TOL = 1e-12
 
 
+def _numbers(value) -> np.ndarray:
+    stack = [value]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, (list, tuple)):
+            stack.extend(item)
+        elif isinstance(item, np.ndarray) and item.dtype.kind in "iuf":
+            continue
+        elif isinstance(item, bool) or not isinstance(item, numbers.Real):
+            raise TypeError("must hold numbers only")
+    try:
+        return np.asarray(value, dtype=float)
+    except ValueError:
+        raise ValueError("must be a rectangular array of numbers") from None
+
+
 def as_floats(value, name: str = "value") -> np.ndarray:
-    """``value`` as a float array; non-numeric or ragged input is an input error."""
-    return converted(lambda v: np.asarray(v, dtype=float), value, name)
+    """``value`` as a float array: a number, a numeric array, or a nested
+    list of them.  A boolean, a string or ragged input is an input error."""
+    return converted(_numbers, value, name)
 
 
 def as_square(matrix, name: str = "matrix") -> np.ndarray:

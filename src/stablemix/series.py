@@ -53,12 +53,6 @@ class TruncationPlan:
         }
 
 
-def recompute_tail_bound(P, certificate: GelfandCertificate, r: int) -> float:
-    """Re-derive the tail bound a plan stored, from scratch."""
-    norms = matalg.norm_table(P, certificate.horizon)
-    return matalg.tail_bound(norms, certificate, r)
-
-
 def truncation_index(P, tol: float) -> TruncationPlan:
     """Smallest ``r`` whose certified tail bound is at most ``tol``.
 
@@ -130,16 +124,6 @@ def series_ensemble(
 
     parts = streams.map_chunks(chunk, count, workers)
     return np.concatenate(parts, axis=0)
-
-
-def log_moment_estimate(samples) -> float:
-    """Mean of ``log+ |z|`` over sample rows: the empirical version of the
-    moment whose finiteness separates convergent from divergent series."""
-    arr = np.atleast_2d(np.asarray(samples, dtype=float))
-    if arr.size == 0:
-        raise InvalidInputError("log_moment_estimate needs at least one sample")
-    norms = np.linalg.norm(arr, axis=-1)
-    return float(np.mean(np.log(np.maximum(norms, 1.0))))
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,6 @@ STREAM_PROCESS = 0
 STREAM_SERIES = 1
 STREAM_LEMMA = 2
 STREAM_LAW = 3
-STREAM_SECOND_SAMPLE = 4
 
 # Fixed chunk width for reductions; part of the reproducibility contract.
 CHUNK_PATHS = 4096

@@ -13,18 +13,17 @@ reference with the path-conditional limit
     | avg 1_F exp(i<theta, Q_n U_n>)  -  avg 1_F phi_cond(atom, theta) |
 
 where ``phi_cond`` is read off the spec's latent atom table (each atom's
-scale and factor) at the atom each path drew at time zero.  Both are
-evaluated under the sub-population where the conditioning event holds.
+scale and factor) at the atom each path drew at time zero.
 
-The three structural condition checkers (scale-limit match, stochastic
-boundedness, scaling-ratio stability) validate the hypotheses the limit
-statements rest on, directly from simulated ensembles.
-
-Both statistics take their event-wise sums from
-:func:`stablemix.ecf.phase_sums`, the kernel behind the plain empirical
-characteristic function; with the trivial event family the mixing
-statistic is ``sup_distance`` of that ecf, bit for bit.  A verdict keeps
-the sure event's sums at its final checkpoint as an :class:`EcfEstimate`.
+An :class:`EventFamily` is its binary prefix features; the sure event and
+the partition cells are derived from them.  Every check, the three
+structural conditions (scale-limit match, stochastic boundedness,
+scaling-ratio stability) included, runs on the paths of the conditioning
+event and judges one statistic per checkpoint against one threshold.
+Both statistics sum through :func:`stablemix.ecf.phase_sums`: with
+``EventFamily()`` the mixing statistic is ``sup_distance`` of the plain
+ecf, bit for bit, and a verdict keeps its final sure-event sums as an
+:class:`EcfEstimate`.
 """
 
 from __future__ import annotations
@@ -74,63 +73,38 @@ class PathEvent:
 
 @dataclass(frozen=True)
 class EventFamily:
-    """Finite family of prefix events; the sure event always sits first.
+    """Finite family of prefix events, generated by binary features.
 
-    Built from binary features: the family lists the sure event, each
-    feature, and every atom of the partition the features generate, so it is
-    closed under the intersections that matter for the statistics.
+    The family is its ``features``; its events derive from them: the sure
+    event ``all``, each feature, and, with two or more features, every cell
+    of the partition they generate, so it is closed under the intersections
+    that matter for the statistics.  Without features it is the sure event
+    alone, which reduces the mixing statistic to a plain
+    empirical-characteristic-function distance.
     """
 
-    events: tuple[PathEvent, ...]
-
-    def __post_init__(self):
-        if not self.events or self.events[0].label != "all":
-            raise InvalidInputError("event family must start with the sure event")
-
-    def __len__(self) -> int:
-        return len(self.events)
+    features: tuple[PathEvent, ...] = ()
 
     @property
     def labels(self) -> tuple[str, ...]:
-        return tuple(e.label for e in self.events)
+        names = [f.label for f in self.features]
+        cells = [
+            "&".join(("" if p >> b & 1 else "not-") + f for b, f in enumerate(names))
+            for p in range(1 << len(names))
+        ] if len(names) > 1 else []
+        return ("all", *names, *cells)
 
     def indicator_matrix(self, ensemble: Ensemble) -> np.ndarray:
-        inds = np.stack([e.evaluate(ensemble) for e in self.events])
-        if not inds[0].all():
-            raise InvalidInputError("the family's first event must hold on every path")
-        return inds
-
-
-def _sure_event() -> PathEvent:
-    return PathEvent("all", lambda e: np.ones(e.n_paths, dtype=bool))
-
-
-def omega_family() -> EventFamily:
-    """Just the sure event; reduces the mixing statistic to a plain
-    empirical-characteristic-function distance."""
-    return EventFamily((_sure_event(),))
-
-
-def family_from_features(features: list[PathEvent]) -> EventFamily:
-    """Sure event + each feature + all sign-pattern atoms of the features."""
-    events = [_sure_event()]
-    events.extend(features)
-    if len(features) > 1:
-        for pattern in range(1 << len(features)):
-
-            def atom(e, pat=pattern, feats=tuple(features)):
-                mask = np.ones(e.n_paths, dtype=bool)
-                for bit, feat in enumerate(feats):
-                    want = bool((pat >> bit) & 1)
-                    mask &= feat.evaluate(e) == want
-                return mask
-
-            bits = [
-                ("" if (pattern >> b) & 1 else "not-") + f.label
-                for b, f in enumerate(features)
-            ]
-            events.append(PathEvent("&".join(bits), atom))
-    return EventFamily(tuple(events))
+        """One boolean row per label.  Each feature is evaluated once; cell
+        ``p`` holds the paths on which feature ``b`` holds exactly when bit
+        ``b`` of ``p`` is set."""
+        n = ensemble.n_paths
+        feats = np.array([f.evaluate(ensemble) for f in self.features], bool)
+        rows = [np.ones((1, n), dtype=bool), feats.reshape(-1, n)]
+        if len(feats) > 1:
+            code = (1 << np.arange(len(feats))) @ feats
+            rows.append(code == np.arange(1 << len(feats))[:, None])
+        return np.concatenate(rows)
 
 
 def _scale_label(lam: float) -> str:
@@ -158,7 +132,7 @@ def default_family(ensemble: Ensemble) -> EventFamily:
         )
     elif spec.atom_factor is not None:
         features.append(PathEvent("factor-is-0", lambda e: e.latent.atom == 0))
-    return family_from_features(features)
+    return EventFamily(tuple(features))
 
 
 @dataclass(frozen=True)
@@ -192,6 +166,28 @@ class ConvergenceVerdict:
         }
 
 
+def _judged(condition, ensemble, stats, threshold, passed, detail, ecf=None):
+    """The verdict over ``ensemble``'s filtered paths: one statistic per
+    checkpoint, each against the same ``threshold``."""
+    return ConvergenceVerdict(
+        condition, ensemble.checkpoints, tuple(stats), (threshold,) * len(stats),
+        bool(passed), int(ensemble.latent.in_g.sum()), detail, ecf,
+    )
+
+
+def _filtered(ensemble: Ensemble, minimum: int = 1) -> np.ndarray:
+    """Mask of the paths in the conditioning event; fewer than ``minimum``
+    of them is an :class:`InsufficientDataError`."""
+    mask = ensemble.latent.in_g
+    count = int(mask.sum())
+    if count < minimum:
+        raise InsufficientDataError(
+            f"only {count} paths satisfy the conditioning event; "
+            f"need at least {minimum}"
+        )
+    return mask
+
+
 def _opnorms(mats: np.ndarray, atom: np.ndarray) -> np.ndarray:
     """Operator norm of each atom's matrix, given to every path of the atom.
     One SVD per atom equals per-path SVDs bit for bit at a fraction of the
@@ -213,11 +209,8 @@ def check_condition_i(
     deviation sequence to be non-increasing (up to ``tol``) and to end at
     or below ``tol``.
     """
-    mask = ensemble.latent.in_g
-    if not mask.any():
-        raise InsufficientDataError("no paths satisfy the conditioning event")
     spec = ensemble.spec
-    atom = ensemble.latent.atom[mask]
+    atom = ensemble.latent.atom[_filtered(ensemble)]
     eye = np.eye(ensemble.dim)[None]
     scale = spec.b_divisor(np.inf)[:, None, None]
     stats = []
@@ -226,15 +219,9 @@ def check_condition_i(
         norms = _opnorms(eye / b - scale * eye, atom)
         stats.append(float(np.percentile(norms, CONDITION_PERCENTILE)))
     monotone = all(b <= a + tol for a, b in zip(stats, stats[1:]))
-    passed = monotone and stats[-1] <= tol
-    return ConvergenceVerdict(
-        condition="scale-limit",
-        checkpoints=ensemble.checkpoints,
-        statistics=tuple(stats),
-        thresholds=tuple([tol] * len(stats)),
-        passed=passed,
-        n_paths=int(mask.sum()),
-        detail={"percentile": CONDITION_PERCENTILE},
+    return _judged(
+        "scale-limit", ensemble, stats, tol, monotone and stats[-1] <= tol,
+        {"percentile": CONDITION_PERCENTILE},
     )
 
 
@@ -251,9 +238,7 @@ def check_condition_ii(
     levels = tuple(float(k) for k in levels)
     if not levels or min(levels) <= 0:
         raise InvalidInputError("levels must be positive")
-    mask = ensemble.latent.in_g
-    if not mask.any():
-        raise InsufficientDataError("no paths satisfy the conditioning event")
+    mask = _filtered(ensemble)
     count = int(mask.sum())
     # Plain floats throughout: the verdict lands in strict-JSON reports.
     slack = 3.0 / (2.0 * count**0.5)
@@ -262,15 +247,10 @@ def check_condition_ii(
         norms = np.linalg.norm(ensemble.qu[n][mask], axis=1)
         table.append([float(np.mean(norms > k)) for k in levels])
     top = [row[-1] for row in table]
-    passed = bool(max(top) <= bound and top[-1] <= top[0] + slack)
-    return ConvergenceVerdict(
-        condition="stochastic-boundedness",
-        checkpoints=ensemble.checkpoints,
-        statistics=tuple(top),
-        thresholds=tuple([bound] * len(top)),
-        passed=passed,
-        n_paths=count,
-        detail={"levels": list(levels), "exceedance": table, "slack": slack},
+    return _judged(
+        "stochastic-boundedness", ensemble, top, bound,
+        max(top) <= bound and top[-1] <= top[0] + slack,
+        {"levels": list(levels), "exceedance": table, "slack": slack},
     )
 
 
@@ -287,11 +267,8 @@ def check_condition_iii(
     r_list = tuple(int(r) for r in r_list)
     if not r_list or min(r_list) < 1:
         raise InvalidInputError("lags must be positive integers")
-    mask = ensemble.latent.in_g
-    if not mask.any():
-        raise InsufficientDataError("no paths satisfy the conditioning event")
     spec = ensemble.spec
-    atom = ensemble.latent.atom[mask]
+    atom = ensemble.latent.atom[_filtered(ensemble)]
     stats = []
     for n in ensemble.checkpoints:
         worst = 0.0
@@ -306,15 +283,9 @@ def check_condition_iii(
             norms = _opnorms(target * ratio[:, None, None] - target, atom)
             worst = max(worst, float(np.percentile(norms, CONDITION_PERCENTILE)))
         stats.append(worst)
-    passed = all(s <= tol for s in stats)
-    return ConvergenceVerdict(
-        condition="scaling-ratio",
-        checkpoints=ensemble.checkpoints,
-        statistics=tuple(stats),
-        thresholds=tuple([tol] * len(stats)),
-        passed=passed,
-        n_paths=int(mask.sum()),
-        detail={"lags": list(r_list), "percentile": CONDITION_PERCENTILE},
+    return _judged(
+        "scaling-ratio", ensemble, stats, tol, all(s <= tol for s in stats),
+        {"lags": list(r_list), "percentile": CONDITION_PERCENTILE},
     )
 
 
@@ -328,15 +299,13 @@ def mixing_reference(spec, r: int, grid: ThetaGrid) -> np.ndarray:
 
     The latent scale never enters: it cancels inside ``B_n``, which is
     exactly what makes a scaled limit mixing rather than merely stable.  A
-    latent factor does not cancel, so a spec with a factor table has no
-    factorized mixing reference; ask for the conditional one.
+    latent factor does not cancel: the limit law is then the atom mixture
+    of the :func:`conditional_reference` rows, which events that see the
+    factor do not factorize against.
     """
     _check_grid(grid, spec.dim)
     if spec.atom_factor is not None:
-        raise InvalidInputError(
-            "a latent factor makes the limit latent-dependent; use "
-            "conditional_reference with the stable statistic"
-        )
+        return spec.atom_probs @ conditional_reference(spec, r, grid)
     return series_cf_values(
         spec.noise_law, spec.P, r, grid.points, start=spec.first_lag
     )
@@ -360,15 +329,11 @@ def _event_sums(ensemble, n, family, grid, which, workers, sure_sums):
     ``n``, as ``(sums, counts, inds, mask)`` with ``inds`` the filtered
     indicator matrix.  When ``sure_sums`` is a list, the sure event's sums
     and the filtered path count are appended to it."""
+    _check_grid(grid, ensemble.dim)
     n = int(n)
     if n not in ensemble.checkpoints:
         raise InvalidInputError(f"checkpoint {n} was not simulated")
-    mask = ensemble.latent.in_g
-    if int(mask.sum()) < MIN_FILTERED_PATHS:
-        raise InsufficientDataError(
-            f"only {int(mask.sum())} paths satisfy the conditioning event; "
-            f"need at least {MIN_FILTERED_PATHS}"
-        )
+    mask = _filtered(ensemble, MIN_FILTERED_PATHS)
     values = getattr(ensemble, which)[n][mask]
     inds = family.indicator_matrix(ensemble)[:, mask]
     sums, counts = phase_sums(values, inds, grid, workers)
@@ -394,7 +359,6 @@ def mixing_statistic(
     filtered path count are appended to it, so a caller can form the plain
     ecf without a second pass over the values.
     """
-    _check_grid(grid, ensemble.dim)
     if which not in ("bu", "qu"):
         raise InvalidInputError(f"which must be 'bu' or 'qu', got {which!r}")
     ref = np.asarray(reference_values)
@@ -422,7 +386,6 @@ def stable_statistic(
     limit characteristic function, event-averaged; ``conditional_values``
     is the per-atom table of :func:`conditional_reference`.  ``sure_sums``
     is as for :func:`mixing_statistic`."""
-    _check_grid(grid, ensemble.dim)
     table = np.asarray(conditional_values)
     if table.shape != (len(ensemble.spec.atom_in_g), len(grid)):
         raise InvalidInputError(
@@ -485,22 +448,11 @@ def _verdict(
     )
     sums, count = sure_sums[-1]
     threshold = factor * hoeffding_radius(count, delta)
-    return ConvergenceVerdict(
-        condition=condition,
-        checkpoints=ensemble.checkpoints,
-        statistics=stats,
-        thresholds=tuple([threshold] * len(stats)),
-        passed=stats[-1] <= threshold,
-        n_paths=count,
-        detail={
-            "events": list(family.labels),
-            "grid_points": len(grid),
-            "r": r,
-            "delta": delta,
-            "factor": factor,
-            **detail,
-        },
-        ecf=EcfEstimate(grid, sums / count, count, delta),
+    return _judged(
+        condition, ensemble, stats, threshold, stats[-1] <= threshold,
+        {"events": list(family.labels), "grid_points": len(grid), "r": r,
+         "delta": delta, "factor": factor, **detail},
+        EcfEstimate(grid, sums / count, count, delta),
     )
 
 
@@ -522,7 +474,7 @@ def verify_mixing(
     surely, to a limit that keeps non-vanishing weight on the earliest
     increments.  That convergence is stable but not mixing with respect to
     prefix events, so the default family rightly reports a large statistic
-    there; use :func:`omega_family` for the plain distributional check.
+    there; use ``EventFamily()`` for the plain distributional check.
     """
     return _verdict(
         "mixing", ensemble, family, r, delta, factor, mixing_reference,

@@ -57,7 +57,6 @@ class TestSampleLaw:
         stats = report["statistics"]
         assert stats["ecf_distance"] <= stats["threshold"]
         assert report["streams"]["chunk_paths"] == 4096
-        assert report["streams"]["second_sample"] == 4
         samples = (out / "samples.csv").read_text().splitlines()
         assert samples[0] == "x_0,x_1" and len(samples) == 20001
         assert len((out / "ecf.csv").read_text().splitlines()) == 62
@@ -552,6 +551,15 @@ class TestConfigValidation:
         assert main([command, "--config", cfg, "--out", str(out)]) == 2
         assert "malformed" in capsys.readouterr().err
         assert not (out / "report.json").exists()
+
+    def test_boolean_matrix_entry_names_its_key_path(self, tmp_path, capsys):
+        law = {"law": "normal", "cov": [[True, 0], [0, 1]]}
+        cfg = write_cfg(tmp_path, self.config("sample-law", {"law": law}))
+        out = tmp_path / "out"
+        assert main(["sample-law", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "key 'law': law 'normal' key 'cov'" in err and "malformed" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "command, key, value, as_float",

@@ -95,8 +95,8 @@ def laws(draw, d, diagnostic=False):
 
 
 @st.composite
-def process_objects(draw, d, variants):
-    variant = draw(st.sampled_from(variants))
+def process_objects(draw, d):
+    variant = draw(st.sampled_from(list(config.PROCESSES)))
     values = {
         "P": matrix(draw(triangular(d, small))),
         "noise": draw(laws(d)),
@@ -162,12 +162,7 @@ def configs(draw, command):
         keep = ("allow_diagnostic",) if ray else ()
     else:
         values.update(
-            process=draw(process_objects(d, [
-                # verify_mixing refuses a latent factor by design: its mixing
-                # limit would depend on the latent draw.
-                v for v in config.PROCESSES
-                if command != "verify-mixing" or v != "discrete-factor"
-            ])),
+            process=draw(process_objects(d)),
             checkpoints=draw(checkpoint_lists(
                 CONDITION_LAG + 1 if command == "conditions" else 1, 8
             )),

@@ -175,7 +175,7 @@ class TestDistances:
                 law.from_uniforms(streams.uniform_block(7, stream, 0, 100_000, upd)),
                 grid,
             )
-            for stream in (streams.STREAM_LAW, streams.STREAM_SECOND_SAMPLE)
+            for stream in (streams.STREAM_LAW, streams.STREAM_SERIES)
         )
         combined = a.radius + b.radius
         assert ecf.sup_distance(a, b) < combined

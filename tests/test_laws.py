@@ -84,6 +84,14 @@ def all_standard_laws():
     ]
 
 
+class TestNumericInput:
+    def test_boolean_covariance_is_refused(self):
+        with pytest.raises(InvalidInputError, match="cov is malformed"):
+            laws.NormalLaw([[True, 0], [0, 1]])
+        with pytest.raises(InvalidInputError):
+            laws.EmpiricalLaw([["0.5"], ["1.0"]])
+
+
 class TestSpectralMeasure:
     def test_rejects_non_unit_atoms(self):
         with pytest.raises(InvalidInputError):

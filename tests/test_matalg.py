@@ -67,6 +67,19 @@ class TestValidation:
         arr = matalg.as_square([[1, 2], [3, 4]])
         assert arr.dtype == float and arr.shape == (2, 2)
 
+    def test_floats_accept_numbers_and_numeric_arrays(self):
+        for value in (3, np.int64(3), [np.float64(1.5), 2], (1, 2), np.arange(3),
+                      np.eye(2, dtype=np.float32), [np.eye(2), 2 * np.eye(2)]):
+            arr = matalg.as_floats(value)
+            assert arr.dtype == float
+            assert np.array_equal(arr, np.asarray(value, dtype=float))
+
+    def test_floats_refuse_booleans_and_strings(self):
+        for value in (True, [[True, 0], [0, 1]], [np.True_], np.array([True]),
+                      "1.5", ["1", 2], np.array(["1.0"]), [[1.0, 2.0], [3.0]]):
+            with pytest.raises(InvalidInputError, match="malformed"):
+                matalg.as_floats(value, "entries")
+
 
 class TestSpectralRadius:
     def test_companion_matrix_exact(self):

@@ -44,6 +44,11 @@ def exhaustive_r(P, tol, H=4000):
     return int(next(r for r in range(H) if tails[r + 1] <= tol))
 
 
+def recomputed_tail_bound(P, cert, r):
+    """Oracle: the tail bound re-derived from a fresh norm table."""
+    return matalg.tail_bound(matalg.norm_table(P, cert.horizon), cert, r)
+
+
 class TestTruncationIndex:
     def test_scalar_frozen(self):
         plan = series.truncation_index(np.array([[0.5]]), 2.0**-10)
@@ -81,7 +86,7 @@ class TestTruncationIndex:
         plan = series.truncation_index(JORDAN, 1e-6)
         assert plan.tail_norm_bound <= 1e-6
         # And r is minimal: one step earlier the certified bound exceeds tol.
-        assert series.recompute_tail_bound(JORDAN, plan.certificate, plan.r - 1) > 1e-6
+        assert recomputed_tail_bound(JORDAN, plan.certificate, plan.r - 1) > 1e-6
 
     def test_slow_jordan_block_grows_its_horizon(self):
         # The decay bound of this block sets in only past horizon 1024.
@@ -89,7 +94,7 @@ class TestTruncationIndex:
         plan = series.truncation_index(P, 1e-3)
         assert plan.r == 1902
         assert plan.tail_norm_bound <= 1e-3
-        assert series.recompute_tail_bound(P, plan.certificate, plan.r - 1) > 1e-3
+        assert recomputed_tail_bound(P, plan.certificate, plan.r - 1) > 1e-3
 
     def test_rejects_bad_tol(self):
         with pytest.raises(InvalidInputError):
@@ -124,7 +129,7 @@ class TestTruncationIndex:
         # 1e-12 * tol underflows to zero here; the horizon is sized in logs.
         plan = series.truncation_index(np.diag([0.5, 0.1]), 5e-324)
         assert plan.tail_norm_bound <= 5e-324
-        assert series.recompute_tail_bound(
+        assert recomputed_tail_bound(
             np.diag([0.5, 0.1]), plan.certificate, plan.r - 1
         ) > 5e-324
 
@@ -132,7 +137,7 @@ class TestTruncationIndex:
 class TestTruncationPlan:
     def test_recompute_consistency(self):
         plan = series.truncation_index(JORDAN, 1e-6)
-        again = series.recompute_tail_bound(JORDAN, plan.certificate, plan.r)
+        again = recomputed_tail_bound(JORDAN, plan.certificate, plan.r)
         assert again == pytest.approx(plan.tail_norm_bound, rel=1e-12)
 
     def test_rejects_negative_r(self):
@@ -224,20 +229,25 @@ class TestCouplingBound:
 
 
 class TestLogMoment:
+    # The per-path log-moment column of lemma_diagnostics: the mean of
+    # log+ |Z_j| over the path's J + 1 draws.
     def test_unit_ball_gives_zero(self):
-        assert series.log_moment_estimate(np.full((10, 2), 0.1)) == 0.0
+        law = laws.EmpiricalLaw(np.full((3, 2), 0.1))
+        diag = series.lemma_diagnostics(0.5 * np.eye(2), law, J=4, n_paths=10, seed=0)
+        assert (diag.log_moment == 0.0).all()
 
     def test_known_value(self):
-        samples = np.full((5, 1), np.e**2)
-        assert series.log_moment_estimate(samples) == pytest.approx(2.0, rel=1e-12)
+        law = laws.EmpiricalLaw(np.full((1, 1), np.e**2))
+        diag = series.lemma_diagnostics(np.array([[0.5]]), law, J=4, n_paths=5, seed=0)
+        assert diag.log_moment == pytest.approx(np.full(5, 2.0), rel=1e-12)
 
     def test_cauchy_constant(self):
         # E log+ |C| = (2/pi) * Catalan, frozen from quadrature; one million
         # draws put the sample mean within five standard errors.
-        rng = np.random.default_rng(1234)
-        x = rng.standard_cauchy(1_000_000)
-        est = series.log_moment_estimate(x[:, None])
-        assert est == pytest.approx(CAUCHY_LOG_MOMENT, abs=0.005)
+        diag = series.lemma_diagnostics(
+            np.array([[0.5]]), laws.CauchyLaw(1), J=999, n_paths=1000, seed=12
+        )
+        assert diag.log_moment.mean() == pytest.approx(CAUCHY_LOG_MOMENT, abs=0.005)
 
     def test_quadrature_cross_check(self):
         from scipy.integrate import quad

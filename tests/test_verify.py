@@ -44,35 +44,79 @@ def scaled_spec(perturbation=0.0):
     )
 
 
+def cell_loop(features, ensemble):
+    """Labels and rows of the sign-pattern cells, one feature test per
+    cell and bit: the oracle for the family's derived cells."""
+    labels, rows = [], []
+    for pattern in range(1 << len(features)):
+        mask = np.ones(ensemble.n_paths, dtype=bool)
+        for bit, feat in enumerate(features):
+            mask &= feat.evaluate(ensemble) == bool((pattern >> bit) & 1)
+        rows.append(mask)
+        labels.append("&".join(
+            ("" if (pattern >> b) & 1 else "not-") + f.label
+            for b, f in enumerate(features)
+        ))
+    return labels, rows
+
+
 class TestFamilies:
     def test_omega(self):
-        fam = verify.omega_family()
+        fam = verify.EventFamily()
         assert fam.labels == ("all",)
         ens = simulate_ensemble(canonical_spec(), [3], 16, seed=0)
+        assert fam.indicator_matrix(ens).shape == (1, 16)
         assert fam.indicator_matrix(ens).all()
 
     def test_single_feature_adds_no_atoms(self):
         feat = verify.PathEvent("f", lambda e: e.noise_prefix[:, 0, 0] >= 0)
-        fam = verify.family_from_features([feat])
+        fam = verify.EventFamily((feat,))
         assert fam.labels == ("all", "f")
+        ens = simulate_ensemble(canonical_spec(), [3], 64, seed=1)
+        inds = fam.indicator_matrix(ens)
+        assert inds.shape == (2, 64)
+        assert np.array_equal(inds[1], feat.evaluate(ens))
 
     def test_two_features_full_partition(self):
         a = verify.PathEvent("a", lambda e: e.noise_prefix[:, 0, 0] >= 0)
         b = verify.PathEvent("b", lambda e: e.noise_prefix[:, 0, 1] >= 0)
-        fam = verify.family_from_features([a, b])
-        assert len(fam) == 7
-        assert "a&b" in fam.labels and "not-a&not-b" in fam.labels
+        c = verify.PathEvent("c", lambda e: e.noise_prefix[:, 1, 0] >= 0)
         ens = simulate_ensemble(canonical_spec(), [3], 512, seed=1)
-        inds = fam.indicator_matrix(ens)
-        # The four atoms tile the path set exactly once.
-        assert np.array_equal(inds[3:].sum(axis=0), np.ones(512, dtype=np.int64))
+        for features in ((a, b), (a, b, c)):
+            fam = verify.EventFamily(features)
+            k = len(features)
+            labels, rows = cell_loop(features, ens)
+            want = np.stack(
+                [np.ones(512, dtype=bool)] + [f.evaluate(ens) for f in features] + rows
+            )
+            assert fam.labels == ("all", *(f.label for f in features), *labels)
+            assert len(fam.labels) == 1 + k + (1 << k)
+            inds = fam.indicator_matrix(ens)
+            assert inds.dtype == bool and inds.tobytes() == want.tobytes()
+            # The cells tile the path set exactly once.
+            assert np.array_equal(
+                inds[1 + k:].sum(axis=0), np.ones(512, dtype=np.int64)
+            )
+        assert fam.labels[4:6] == ("not-a&not-b&not-c", "a&not-b&not-c")
+
+    def test_features_evaluated_once(self):
+        calls = []
+
+        def counted(e):
+            calls.append(1)
+            return e.noise_prefix[:, 0, 0] >= 0
+
+        b = verify.PathEvent("b", lambda e: e.noise_prefix[:, 0, 1] >= 0)
+        ens = simulate_ensemble(canonical_spec(), [3], 64, seed=1)
+        verify.EventFamily((verify.PathEvent("a", counted), b)).indicator_matrix(ens)
+        assert len(calls) == 1
 
     def test_default_family_shapes(self):
         can = simulate_ensemble(canonical_spec(), [3], 64, seed=2)
         assert verify.default_family(can).labels == ("all", "noise0-nonneg")
         rs = simulate_ensemble(scaled_spec(), [3], 64, seed=2)
         fam = verify.default_family(rs)
-        assert len(fam) == 7 and "lam-is-1" in fam.labels
+        assert len(fam.labels) == 7 and "lam-is-1" in fam.labels
         df = simulate_ensemble(
             DiscreteFactor(
                 rotation_half(), laws.NormalLaw(np.eye(2)),
@@ -83,17 +127,17 @@ class TestFamilies:
         assert "factor-is-0" in verify.default_family(df).labels
 
     def test_family_must_start_with_sure_event(self):
+        # The sure event is derived, so every family starts with it.
         ev = verify.PathEvent("f", lambda e: np.ones(e.n_paths, bool))
-        with pytest.raises(InvalidInputError):
-            verify.EventFamily((ev,))
-        with pytest.raises(InvalidInputError):
-            verify.EventFamily(())
+        assert verify.EventFamily((ev,)).labels[0] == "all"
+        assert verify.EventFamily(()).labels == ("all",)
 
     def test_first_event_must_hold_everywhere(self):
+        # A feature labelled like the sure event is still only a feature.
         fake = verify.PathEvent("all", lambda e: e.noise_prefix[:, 0, 0] >= 0)
         ens = simulate_ensemble(canonical_spec(), [3], 16, seed=0)
-        with pytest.raises(InvalidInputError, match="first event"):
-            verify.EventFamily((fake,)).indicator_matrix(ens)
+        inds = verify.EventFamily((fake,)).indicator_matrix(ens)
+        assert inds[0].all() and not inds[1].all()
 
     def test_event_shape_validated(self):
         ev = verify.PathEvent("bad", lambda e: np.ones(3, bool))
@@ -168,13 +212,16 @@ class TestConditions:
 
 
 class TestReferences:
-    def test_factor_variant_has_no_mixing_reference(self):
+    def test_factor_mixing_reference_is_atom_mixture(self):
         spec = DiscreteFactor(
             rotation_half(), laws.NormalLaw(np.eye(2)),
-            [np.eye(2), 2 * np.eye(2)], [0.5, 0.5],
+            [np.eye(2), 2 * np.eye(2)], [0.25, 0.75],
         )
-        with pytest.raises(InvalidInputError):
-            verify.mixing_reference(spec, 5, ecf.default_grid(2))
+        grid = ecf.default_grid(2)
+        table = verify.conditional_reference(spec, 5, grid)
+        got = verify.mixing_reference(spec, 5, grid)
+        assert got.tobytes() == (spec.atom_probs @ table).tobytes()
+        assert np.allclose(got, 0.25 * table[0] + 0.75 * table[1], atol=1e-15)
 
     def test_explosive_reference_starts_at_lag_one(self):
         # d=1, A=2: the limit sums 2^-k eps_k from k=1, so the cf is the
@@ -251,7 +298,7 @@ class TestGridDimension:
         with pytest.raises(GridMismatchError):
             verify.conditional_reference(spec, 5, grid)
         ens = simulate_ensemble(spec, [6], 1500, seed=0)
-        fam = verify.omega_family()
+        fam = verify.EventFamily()
         with pytest.raises(GridMismatchError):
             verify.mixing_statistic(ens, 6, fam, grid, np.ones(len(grid)))
         table = np.ones((len(spec.atom_in_g), len(grid)))
@@ -265,7 +312,7 @@ class TestStatistics:
         grid = ecf.default_grid(2)
         ref = verify.mixing_reference(ens.spec, 11, grid)
         stat = verify.mixing_statistic(
-            ens, 12, verify.omega_family(), grid, ref
+            ens, 12, verify.EventFamily(), grid, ref
         )
         est = ecf.estimate_ecf(ens.bu[12], grid)
         assert stat == ecf.sup_distance(est, ref)
@@ -309,21 +356,21 @@ class TestStatistics:
         grid = ecf.default_grid(2)
         ref = verify.mixing_reference(ens.spec, 5, grid)
         with pytest.raises(InvalidInputError):
-            verify.mixing_statistic(ens, 7, verify.omega_family(), grid, ref)
+            verify.mixing_statistic(ens, 7, verify.EventFamily(), grid, ref)
 
     def test_reference_shape_checked(self):
         ens = simulate_ensemble(canonical_spec(), [6], 2000, seed=0)
         grid = ecf.default_grid(2)
         with pytest.raises(InvalidInputError):
             verify.mixing_statistic(
-                ens, 6, verify.omega_family(), grid, np.ones(5)
+                ens, 6, verify.EventFamily(), grid, np.ones(5)
             )
 
     def test_which_names_bu_or_qu(self):
         ens = simulate_ensemble(scaled_spec(), [6], 3000, seed=1)
         grid = ecf.default_grid(2)
         ref = verify.mixing_reference(ens.spec, 5, grid)
-        family = verify.omega_family()
+        family = verify.EventFamily()
         for which in ("BU", "QU", "u"):
             with pytest.raises(InvalidInputError, match="'bu' or 'qu'"):
                 verify.mixing_statistic(ens, 6, family, grid, ref, which=which)
@@ -335,7 +382,7 @@ class TestStatistics:
         grid = ecf.default_grid(2)
         ref = verify.mixing_reference(ens.spec, 5, grid)
         with pytest.raises(InsufficientDataError):
-            verify.mixing_statistic(ens, 6, verify.omega_family(), grid, ref)
+            verify.mixing_statistic(ens, 6, verify.EventFamily(), grid, ref)
 
 
 class TestScaleMixtureGap:
@@ -418,7 +465,7 @@ class TestVerdicts:
         spec = ExplosiveVar(np.array([[2.0]]), laws.NormalLaw(np.eye(1)))
         ens = simulate_ensemble(spec, [6, 12], 20_000, seed=55)
         v_prefix = verify.verify_mixing(ens)
-        v_omega = verify.verify_mixing(ens, family=verify.omega_family())
+        v_omega = verify.verify_mixing(ens, family=verify.EventFamily())
         assert not v_prefix.passed
         assert v_prefix.statistics[-1] > 2.0 * v_prefix.thresholds[-1]
         assert v_omega.passed
@@ -430,6 +477,21 @@ class TestVerdicts:
         )
         ens = simulate_ensemble(spec, [6, 12], 20_000, seed=31)
         assert verify.verify_stable(ens).passed
+
+    def test_factor_variant_mixes_only_over_the_sure_event(self):
+        # The limit of B_n U_n is the factor mixture: the distribution
+        # matches it, but the event "factor is 0" sees which atom it is.
+        spec = DiscreteFactor(
+            rotation_half(), laws.NormalLaw(np.eye(2)),
+            [np.eye(2), 2 * np.eye(2)], [0.5, 0.5],
+        )
+        ens = simulate_ensemble(spec, [6, 12], 20_000, seed=31)
+        v_prefix = verify.verify_mixing(ens)
+        v_omega = verify.verify_mixing(ens, family=verify.EventFamily())
+        assert "factor-is-0" in v_prefix.detail["events"]
+        assert not v_prefix.passed
+        assert v_prefix.statistics[-1] > v_prefix.thresholds[-1]
+        assert v_omega.passed
 
     def test_insufficient_paths_propagates(self):
         ens = simulate_ensemble(canonical_spec(), [6, 12], 200, seed=0)

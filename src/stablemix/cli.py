@@ -25,7 +25,13 @@ import numpy as np
 from . import __version__, config, laws, matalg, series, streams, verify
 from .csvio import write_csv
 from .ecf import default_grid, estimate_ecf, sup_distance, write_ecf_csv
-from .errors import ConfigError, ReproducibilityError, StablemixError, converted
+from .errors import (
+    ConfigError,
+    RangeOverflowError,
+    ReproducibilityError,
+    StablemixError,
+    converted,
+)
 from .processes import simulate_ensemble, write_paths_csv
 
 
@@ -126,15 +132,23 @@ def _run_lemma(cfg, outdir, workers):
     diag = series.lemma_diagnostics(
         cfg["P"], cfg["law"], cfg["J"], cfg["n_paths"], cfg["seed"], workers=workers
     )
-    series.write_lemma_csv(os.path.join(outdir, "lemma.csv"), diag)
     # Median rather than mean: heavy-tailed samplers overflow some draws
     # to inf, and report.json must stay strict JSON (finite numbers only).
+    # Once half the paths hold such a draw the median is infinite too.
+    median = float(np.median(diag.log_moment))
+    infinite = float(np.isinf(diag.log_moment).mean())
+    if not math.isfinite(median):
+        raise RangeOverflowError(
+            f"median_log_moment is {median}: {infinite:.1%} of the {diag.n_paths} "
+            "paths hold a draw that overflowed to inf"
+        )
+    series.write_lemma_csv(os.path.join(outdir, "lemma.csv"), diag)
     stats = {
         "late_exceedance_fraction": diag.late_exceedance_fraction,
         "exceedance_freq_at_J": float(diag.per_index_exceedance_freq[-1]),
         "mean_exceedance_count": float(diag.exceedance_count.mean()),
-        "median_log_moment": float(np.median(diag.log_moment)),
-        "infinite_log_moment_fraction": float(np.isinf(diag.log_moment).mean()),
+        "median_log_moment": median,
+        "infinite_log_moment_fraction": infinite,
     }
     derived = {"J": diag.J, "n_paths": diag.n_paths}
     return stats, [], derived, ["lemma.csv"], True

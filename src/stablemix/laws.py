@@ -20,6 +20,10 @@ Sampling transforms are built from fixed numbers of uniforms per draw
 (inverse-CDF for normals, the Chambers-Mallows-Stuck map for stable
 variates, one CMS variate and so two uniforms per spectral atom), which is
 what lets path-indexed streams replay exactly.
+
+Only the normal and Cauchy samplers use scipy (``scipy.special.ndtri``), and
+they import it when the law is built, so a run on the other laws never loads
+scipy.
 """
 
 from __future__ import annotations
@@ -27,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from . import matalg
 from .errors import InvalidInputError
@@ -125,6 +128,9 @@ class NormalLaw(IncrementLaw):
     """Centered Gaussian with covariance ``cov`` (symmetric PSD)."""
 
     def __init__(self, cov):
+        from scipy.special import ndtri
+
+        self._ndtri = ndtri
         self.cov = matalg.as_square(cov, "cov")
         # Raises on asymmetric or indefinite input.
         self.factor = matalg.psd_sqrt(self.cov)
@@ -132,7 +138,7 @@ class NormalLaw(IncrementLaw):
         self.uniforms_per_draw = self.dim
 
     def from_uniforms(self, u):
-        z = ndtri(np.maximum(u, _U_FLOOR))
+        z = self._ndtri(np.maximum(u, _U_FLOOR))
         return z @ self.factor.T
 
     def cf(self, thetas):
@@ -148,14 +154,17 @@ class CauchyLaw(IncrementLaw):
     of an independent scalar Gaussian."""
 
     def __init__(self, dim: int):
+        from scipy.special import ndtri
+
         if dim < 1:
             raise InvalidInputError("dim must be positive")
+        self._ndtri = ndtri
         self.dim = int(dim)
         self.uniforms_per_draw = self.dim + 1
 
     def from_uniforms(self, u):
-        z = ndtri(np.maximum(u[..., : self.dim], _U_FLOOR))
-        w = ndtri(np.maximum(u[..., self.dim], _U_FLOOR))
+        z = self._ndtri(np.maximum(u[..., : self.dim], _U_FLOOR))
+        w = self._ndtri(np.maximum(u[..., self.dim], _U_FLOOR))
         denom = np.maximum(np.abs(w), _W_FLOOR)
         return z / denom[..., None]
 

@@ -3,6 +3,10 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -203,6 +207,23 @@ class TestLemma:
         out = tmp_path / "out"
         assert main(["lemma", "--config", cfg, "--out", str(out)]) == 2
         assert "allow_diagnostic must be true or false" in capsys.readouterr().err
+        assert not (out / "lemma.csv").exists()
+
+    def test_infinite_median_log_moment_exits_2(self, tmp_path, capsys):
+        # Past J = 700 more than half the ray's paths hold a draw that
+        # overflowed, so the median log moment has no finite value.
+        cfg = write_cfg(
+            tmp_path,
+            {
+                "schema_version": 1, "P": SCALAR_P,
+                "law": {"law": "log-cauchy-ray", "dim": 1}, "J": 700,
+                "n_paths": 200, "seed": 3, "allow_diagnostic": True,
+            },
+        )
+        out = tmp_path / "out"
+        assert main(["lemma", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "median_log_moment is inf" in err and "51.5% of the 200 paths" in err
         assert not (out / "lemma.csv").exists()
 
 
@@ -809,6 +830,47 @@ class TestReplay:
         stub = tmp_path / "stub.json"
         stub.write_text(json.dumps({"foo": 1}))
         assert main(["replay", str(stub)]) == 2
+
+
+# Run in a fresh interpreter, since pytest has loaded scipy already.
+_IMPORT_PROBE = """
+import sys
+from stablemix import cli
+assert "scipy" not in sys.modules, "import"
+out, sample, lemma, verify = sys.argv[1:]
+for command, path in (("sample-law", sample), ("lemma", lemma)):
+    assert cli.main([command, "--config", path, "--out", out]) == 0, command
+    assert "scipy" not in sys.modules, command
+cli.validate_config("verify-stable", cli.load_config(verify))
+assert "scipy.special" in sys.modules, "verify-stable set-up"
+"""
+
+
+def test_scipy_loads_only_when_a_law_drawing_through_it_is_built(tmp_path):
+    stable = {
+        "law": "stable", "alpha": 1.5,
+        "atoms": [[1.0, 0.0], [0.0, 1.0]], "weights": [0.5, 0.5],
+    }
+    configs = [
+        write_cfg(tmp_path, cfg, name)
+        for name, cfg in (
+            ("sample.json",
+             {"schema_version": 1, "seed": 1, "law": stable, "count": 2000}),
+            ("lemma.json",
+             {"schema_version": 1, "seed": 1, "P": ROTATION_HALF, "law": stable,
+              "J": 8, "n_paths": 200}),
+            ("verify.json",
+             {"schema_version": 1, "seed": 1, "process": CANONICAL,
+              "checkpoints": [4, 8], "n_paths": 200}),
+        )
+    ]
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, str(tmp_path / "out"), *configs],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stdout[-2000:] + done.stderr[-2000:]
 
 
 class TestParser:

@@ -17,10 +17,10 @@ and empirical laws, and on the stable law at a non-default ``delta`` and
 ``factor``; ``series`` (``tol`` and ``r``) on the normal, Cauchy and stable
 laws; ``series`` at ``tol`` on two contractions whose norm-table horizon is
 sized past the 256 floor (``diag(0.9, 0.1)`` and a slow Jordan block); and
-``lemma`` on the stable law and on the log-Cauchy ray with
-``allow_diagnostic``.  Each runs at path or draw
-counts 4095, 4096 and 4097 (one chunk less one, one chunk, one chunk plus
-one) and at 1 and 2 workers.
+``lemma`` on the stable law, on the log-Cauchy ray with
+``allow_diagnostic``, on a 1-D normal law and on a 3-D stable law.  Each
+runs at path or draw counts 4095, 4096 and 4097 (one chunk less one, one
+chunk, one chunk plus one) and at 1 and 2 workers.
 
 The two trees must agree on every exit code, on the set of files each run
 writes, on every byte of every CSV and on every ``report.json`` value
@@ -43,6 +43,7 @@ import tempfile
 
 _C, _S = math.cos(math.pi / 6), math.sin(math.pi / 6)
 ROTATION_HALF = {"dim": 2, "rows": [[0.5 * _C, -0.5 * _S], [0.5 * _S, 0.5 * _C]]}
+NORMAL_1D = {"law": "normal", "cov": [[1.0]]}
 NORMAL_2D = {"law": "normal", "cov": [[1.0, 0.0], [0.0, 1.0]]}
 CORRELATED_2D = {"law": "normal", "cov": [[2.0, 0.6], [0.6, 1.0]]}
 CAUCHY_2D = {"law": "cauchy", "dim": 2}
@@ -51,7 +52,20 @@ STABLE_2D = {
     "atoms": [[1.0, 0.0], [0.0, 1.0]], "weights": [0.5, 0.5],
 }
 EMPIRICAL_2D = {"law": "empirical", "pool": [[0.5, -1.0], [2.0, 0.25], [-0.75, 1.5]]}
+STABLE_3D = {
+    "law": "stable", "alpha": 1.5,
+    "atoms": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+    "weights": [0.5, 0.25, 0.25],
+}
 RAY_2D = {"law": "log-cauchy-ray", "dim": 2}
+# The ``lemma`` cases off d = 2: each one's P and law.
+LEMMA_OFF_2D = {
+    "normal-1d": ({"dim": 1, "rows": [[0.5]]}, NORMAL_1D),
+    "stable-3d": (
+        {"dim": 3, "rows": [[0.5, 0.3, 0.0], [0.0, 0.5, 0.3], [0.0, 0.0, 0.5]]},
+        STABLE_3D,
+    ),
+}
 # Non-default values of the keys that tune a check.
 TUNED = {"delta": 0.01, "factor": 2.5}
 TUNED_CONDITIONS = {"tol": 1e-6, "levels": [1.0, 3.0], "bound": 0.2}
@@ -94,7 +108,7 @@ PROCESSES = {
     },
     "explosive-1d": {
         "variant": "explosive-var", "A": {"dim": 1, "rows": [[1.5]]},
-        "noise": {"law": "normal", "cov": [[1.0]]},
+        "noise": NORMAL_1D,
     },
 }
 
@@ -156,6 +170,9 @@ def cases() -> list[tuple[str, str, dict]]:
             add("lemma.ray", "lemma", size, workers,
                 {"P": ROTATION_HALF, "law": RAY_2D, "J": 16, "n_paths": size,
                  "allow_diagnostic": True})
+            for lname, (P, law) in LEMMA_OFF_2D.items():
+                add(f"lemma.{lname}", "lemma", size, workers,
+                    {"P": P, "law": law, "J": 16, "n_paths": size})
     return out
 
 

@@ -74,8 +74,9 @@ def _law_samples(law, seed: int, count: int, workers: int) -> np.ndarray:
     return np.concatenate(streams.map_chunks(chunk, count, workers), axis=0)
 
 
-# Handlers take the config's converted values (``validate_config``) and
-# return (statistics, verdicts, derived, outputs, passed).
+# Handlers take the config's converted values (``validate_config``), with
+# a process command's ``ensemble`` added, and return (statistics, verdicts,
+# derived, outputs, passed).
 
 
 def _ecf_check(cfg, outdir, workers, samples, name, reference, stats, derived):
@@ -154,16 +155,35 @@ def _run_lemma(cfg, outdir, workers):
     return stats, [], derived, ["lemma.csv"], True
 
 
-def _ensemble(cfg, workers):
-    """The ensemble a process command runs on."""
-    return simulate_ensemble(
-        cfg["process"], cfg["checkpoints"], cfg["n_paths"], cfg["seed"], workers
+# The last ensemble a process command ran on, under its key, so that
+# commands run in one process on the same request simulate it once.  One
+# is held at a time; ``replay`` empties it so that it always simulates.
+_HELD: dict = {}
+
+
+def _ensemble(raw: dict, cfg: dict):
+    """The ensemble of a process command's config, ``raw`` as given and
+    ``cfg`` as read.  Its key is every input the values depend on (the
+    reader rejects unknown keys, so the canonical JSON of ``process`` fixes
+    the spec) plus ``workers``, which keeps a worker-invariance check run in
+    one process a comparison of two simulations."""
+    key = (
+        json.dumps(raw["process"], sort_keys=True),
+        cfg["checkpoints"], cfg["n_paths"], cfg["seed"], cfg["workers"],
     )
+    if _HELD.get("key") != key:
+        _HELD.clear()  # free the held ensemble before the next is drawn
+        _HELD["ensemble"] = simulate_ensemble(
+            cfg["process"], cfg["checkpoints"], cfg["n_paths"], cfg["seed"],
+            cfg["workers"],
+        )
+        _HELD["key"] = key
+    return _HELD["ensemble"]
 
 
 def _run_simulate(cfg, outdir, workers):
     trajectories = cfg["trajectories"]
-    ens = _ensemble(cfg, workers)
+    ens = cfg["ensemble"]
     outputs = ["scaled.csv"]
     d, n_cp = ens.dim, len(ens.checkpoints)
     write_csv(
@@ -206,7 +226,7 @@ def _verdict_stats(verdict) -> dict:
 
 
 def _run_verify(cfg, outdir, workers, stable: bool):
-    ens = _ensemble(cfg, workers)
+    ens = cfg["ensemble"]
     kwargs = dict(
         family=cfg["family"](ens),
         r=cfg["r"],
@@ -223,7 +243,7 @@ def _run_verify(cfg, outdir, workers, stable: bool):
 
 
 def _run_conditions(cfg, outdir, workers):
-    ens = _ensemble(cfg, workers)
+    ens = cfg["ensemble"]
     tol = cfg["tol"]
     verdicts = [
         verify.check_condition_i(ens, tol=tol),
@@ -251,8 +271,13 @@ _RUNNERS = {
 def run_command(command: str, cfg: dict, outdir: str) -> dict:
     """Read the config, execute, and write ``report.json``; returns the report."""
     values = validate_config(command, cfg)
-    os.makedirs(outdir, exist_ok=True)
+    try:
+        os.makedirs(outdir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot use output directory {outdir!r}: {exc}") from exc
     started = time.perf_counter()
+    if "process" in values:
+        values["ensemble"] = _ensemble(cfg, values)
     stats, verdicts, derived, outputs, passed = _RUNNERS[command](
         values, outdir, values["workers"]
     )
@@ -319,6 +344,7 @@ def replay_report(report_path: str, outdir: str | None = None,
         cfg["workers"] = workers
     if outdir is None:
         outdir = os.path.join(os.path.dirname(report_path) or ".", "replay")
+    _HELD.clear()
     fresh = run_command(command, cfg, outdir)
     new = fresh["statistics"]
     if sorted(old) != sorted(new):

@@ -346,7 +346,8 @@ class Ensemble:
     ``bu[n]`` and ``qu[n]`` hold ``B_n U_n`` and ``Q_n U_n`` as
     ``(n_paths, d)`` arrays.  ``noise_prefix`` keeps the first raw noise
     increments of every path so event families can evaluate prefix
-    features without re-simulation.
+    features without re-simulation.  :func:`simulate_ensemble` makes every
+    array read-only, so one ensemble can serve several commands.
     """
 
     spec: ProcessSpec
@@ -401,7 +402,9 @@ def simulate_ensemble(
     parts = streams.map_chunks(chunk, n_paths, workers)
 
     def cat(getter):
-        return np.concatenate([getter(p) for p in parts], axis=0)
+        out = np.concatenate([getter(p) for p in parts], axis=0)
+        out.flags.writeable = False
+        return out
 
     return Ensemble(
         spec=spec,

@@ -39,6 +39,20 @@ def write_cfg(tmp_path, obj, name="cfg.json"):
     return str(path)
 
 
+@pytest.fixture
+def calls(monkeypatch):
+    """Every simulation the CLI runs, from an empty ensemble memo."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return simulate_ensemble(*args)
+
+    monkeypatch.setattr(cli, "simulate_ensemble", counted)
+    monkeypatch.setattr(cli, "_HELD", {})
+    return calls
+
+
 def read_report(outdir):
     text = (outdir / "report.json").read_text()
 
@@ -439,6 +453,59 @@ class TestConditions:
         assert main(["conditions", "--config", cfg, "--out", str(out)]) == 0
 
 
+class TestEnsembleReuse:
+    # Shaped like the certify-scaled benchmark job: three process commands
+    # on one request.  Condition (iii) lags up to 4, so checkpoints start at 5.
+    CFG = {
+        "schema_version": 1, "seed": 9, "process": SCALED,
+        "checkpoints": [5, 10], "n_paths": 2000,
+    }
+    COMMANDS = [
+        ("verify-stable", {}),
+        ("verify-mixing", {"statistic_of": "qu"}),
+        ("conditions", {}),
+    ]
+
+    def run(self, tmp_path, command, cfg, name):
+        out = tmp_path / name
+        argv = [command, "--config", write_cfg(tmp_path, cfg, f"{name}.json"),
+                "--out", str(out)]
+        assert main(argv) in (0, 1)
+        return out
+
+    def test_commands_share_one_simulation(self, tmp_path, calls):
+        shared = [
+            self.run(tmp_path, command, {**self.CFG, **extra}, f"shared{i}")
+            for i, (command, extra) in enumerate(self.COMMANDS)
+        ]
+        assert len(calls) == 1
+        for i, (command, extra) in enumerate(self.COMMANDS):
+            cli._HELD.clear()
+            fresh = self.run(tmp_path, command, {**self.CFG, **extra}, f"fresh{i}")
+            assert read_report(shared[i])["statistics"] == (
+                read_report(fresh)["statistics"]
+            )
+            if command != "conditions":
+                ecf_csv = (shared[i] / "ecf.csv").read_bytes()
+                assert ecf_csv == (fresh / "ecf.csv").read_bytes()
+        assert len(calls) == 4
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"seed": 10},
+            {"n_paths": 2001},
+            {"checkpoints": [5, 11]},
+            {"workers": 2},
+            {"process": {**SCALED, "lam_probs": [0.25, 0.75]}},
+        ],
+    )
+    def test_any_changed_input_simulates_again(self, tmp_path, calls, change):
+        self.run(tmp_path, "conditions", self.CFG, "first")
+        self.run(tmp_path, "conditions", {**self.CFG, **change}, "changed")
+        assert len(calls) == 2
+
+
 class TestConfigValidation:
     def base(self):
         return {"schema_version": 1, "seed": 1, "law": NORMAL1, "count": 100}
@@ -739,6 +806,24 @@ class TestConfigValidation:
         assert main(["sample-law", "--out", str(tmp_path / "out")]) == 2
         assert "--config" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["sample-law", "replay"])
+    @pytest.mark.parametrize("under_file", ["", "sub"])
+    def test_unusable_out_exits_2(self, tmp_path, capsys, command, under_file):
+        # An --out that is a file, or lies under one, is a config error.
+        cfg = write_cfg(tmp_path, self.base())
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        out = str(taken / under_file) if under_file else str(taken)
+        if command == "replay":
+            run = ["sample-law", "--config", cfg, "--out", str(tmp_path / "run")]
+            assert main(run) == 0
+            argv = ["replay", str(tmp_path / "run" / "report.json"), "--out", out]
+        else:
+            argv = ["sample-law", "--config", cfg, "--out", out]
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert f"cannot use output directory {out!r}" in capsys.readouterr().err
+
 
 class TestReplay:
     def run_once(self, tmp_path):
@@ -804,6 +889,20 @@ class TestReplay:
                 f"relative delta {abs(b - a) / abs(a):.3g}"
             ) in err
         assert "3 of 4 statistics diverged" in err
+
+    def test_in_process_replay_simulates_again(self, tmp_path, capsys, calls):
+        cfg = write_cfg(
+            tmp_path,
+            {
+                "schema_version": 1, "seed": 5, "process": SCALED,
+                "checkpoints": [4, 8], "n_paths": 2000,
+            },
+        )
+        out = tmp_path / "run"
+        assert main(["verify-stable", "--config", cfg, "--out", str(out)]) == 0
+        assert main(["replay", str(out / "report.json")]) == 0
+        assert len(calls) == 2
+        assert "replay ok" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
         "field, value, named",

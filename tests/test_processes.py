@@ -292,6 +292,19 @@ class TestEnsemble:
         ]
         assert max(q95) / min(q95) < 1.2
 
+    def test_arrays_are_read_only(self):
+        # One ensemble serves several CLI commands, so none may write to it.
+        spec = RandomScaled(
+            rotation_half(), laws.NormalLaw(np.eye(2)), [1.0, 2.0], [0.5, 0.5],
+            event_values=[2.0],
+        )
+        ens = simulate_ensemble(spec, [3, 6], 5000, seed=7, workers=2)
+        arrays = [ens.bu[3], ens.bu[6], ens.qu[3], ens.qu[6], ens.latent.atom,
+                  ens.latent.in_g, ens.noise_prefix]
+        for arr in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = arr[1]
+
     def test_validates_checkpoints(self):
         spec = SyntheticCanonical(rotation_half(), laws.NormalLaw(np.eye(2)))
         with pytest.raises(InvalidInputError):

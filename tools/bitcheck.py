@@ -7,10 +7,12 @@ Usage:
 ``OLD_SRC`` and ``NEW_SRC`` are directories holding the ``stablemix``
 package (the ``src`` directory of two checkouts).  Every case of the matrix
 runs through ``stablemix.cli.main`` on both trees, each tree in one fresh
-child process.  The matrix covers every process variant through
-``simulate``, ``verify-stable``, ``verify-mixing`` (``bu`` and ``qu``),
-both verdicts again at an explicit ``r`` below the default,
-``verify-stable`` at a non-default ``delta`` and ``factor``, and
+child process.  Since the CLI holds the last ensemble, consecutive process
+cases on one request share it, so a tree without that memo checks every
+shared ensemble against a fresh simulation.  The matrix covers every
+process variant through ``simulate``, ``verify-stable``, ``verify-mixing``
+(``bu`` and ``qu``), both verdicts again at an explicit ``r`` below the
+default, ``verify-stable`` at a non-default ``delta`` and ``factor``, and
 ``conditions`` at the default and at non-default ``tol``, ``levels`` and
 ``bound``; ``sample-law`` on the normal, correlated normal, Cauchy, stable
 and empirical laws, and on the stable law at a non-default ``delta`` and

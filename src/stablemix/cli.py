@@ -155,30 +155,33 @@ def _run_lemma(cfg, outdir, workers):
     return stats, [], derived, ["lemma.csv"], True
 
 
-# The last ensemble a process command ran on, under its key, so that
-# commands run in one process on the same request simulate it once.  One
-# is held at a time; ``replay`` empties it so that it always simulates.
-_HELD: dict = {}
+# The last ensemble a process command ran on, as one ``(key, ensemble)``
+# pair, so that process commands run in one interpreter on the same request
+# (``tools/bitcheck.py``, the benchmark job, tests, library callers) simulate
+# it once.  The console script runs one command per process and never hits
+# it.  A command without a process, and ``replay``, empty it.
+_HELD: list = []
 
 
 def _ensemble(raw: dict, cfg: dict):
     """The ensemble of a process command's config, ``raw`` as given and
-    ``cfg`` as read.  Its key is every input the values depend on (the
+    ``cfg`` as read.  Its key is every input the values depend on: the
     reader rejects unknown keys, so the canonical JSON of ``process`` fixes
-    the spec) plus ``workers``, which keeps a worker-invariance check run in
-    one process a comparison of two simulations."""
+    the spec.  ``workers`` never moves a value, so it is not in the key."""
     key = (
         json.dumps(raw["process"], sort_keys=True),
-        cfg["checkpoints"], cfg["n_paths"], cfg["seed"], cfg["workers"],
+        cfg["checkpoints"], cfg["n_paths"], cfg["seed"],
     )
-    if _HELD.get("key") != key:
-        _HELD.clear()  # free the held ensemble before the next is drawn
-        _HELD["ensemble"] = simulate_ensemble(
-            cfg["process"], cfg["checkpoints"], cfg["n_paths"], cfg["seed"],
-            cfg["workers"],
-        )
-        _HELD["key"] = key
-    return _HELD["ensemble"]
+    held = _HELD[:]
+    if held and held[0][0] == key:
+        return held[0][1]
+    _HELD.clear()  # free the held ensemble before the next is drawn
+    ens = simulate_ensemble(
+        cfg["process"], cfg["checkpoints"], cfg["n_paths"], cfg["seed"],
+        cfg["workers"],
+    )
+    _HELD[:] = [(key, ens)]
+    return ens
 
 
 def _run_simulate(cfg, outdir, workers):
@@ -278,6 +281,8 @@ def run_command(command: str, cfg: dict, outdir: str) -> dict:
     started = time.perf_counter()
     if "process" in values:
         values["ensemble"] = _ensemble(cfg, values)
+    else:
+        _HELD.clear()
     stats, verdicts, derived, outputs, passed = _RUNNERS[command](
         values, outdir, values["workers"]
     )

@@ -49,7 +49,7 @@ def calls(monkeypatch):
         return simulate_ensemble(*args)
 
     monkeypatch.setattr(cli, "simulate_ensemble", counted)
-    monkeypatch.setattr(cli, "_HELD", {})
+    monkeypatch.setattr(cli, "_HELD", [])
     return calls
 
 
@@ -491,18 +491,29 @@ class TestEnsembleReuse:
         assert len(calls) == 4
 
     @pytest.mark.parametrize(
-        "change",
+        "change, simulations",
         [
-            {"seed": 10},
-            {"n_paths": 2001},
-            {"checkpoints": [5, 11]},
-            {"workers": 2},
-            {"process": {**SCALED, "lam_probs": [0.25, 0.75]}},
+            ({"seed": 10}, 2),
+            ({"n_paths": 2001}, 2),
+            ({"checkpoints": [5, 11]}, 2),
+            ({"process": {**SCALED, "lam_probs": [0.25, 0.75]}}, 2),
+            ({"workers": 2}, 1),  # workers never move a value
         ],
     )
-    def test_any_changed_input_simulates_again(self, tmp_path, calls, change):
+    def test_only_a_changed_value_input_simulates_again(
+        self, tmp_path, calls, change, simulations
+    ):
         self.run(tmp_path, "conditions", self.CFG, "first")
         self.run(tmp_path, "conditions", {**self.CFG, **change}, "changed")
+        assert len(calls) == simulations
+
+    def test_command_without_process_frees_the_ensemble(self, tmp_path, calls):
+        self.run(tmp_path, "conditions", self.CFG, "first")
+        assert len(cli._HELD) == 1
+        law = {"schema_version": 1, "seed": 1, "law": NORMAL1, "count": 100}
+        self.run(tmp_path, "sample-law", law, "law")
+        assert cli._HELD == []
+        self.run(tmp_path, "conditions", self.CFG, "again")
         assert len(calls) == 2
 
 

@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stablemix import config, processes
+from stablemix import cli, config, processes
 from stablemix.cli import main
 from stablemix.verify import MIN_FILTERED_PATHS
 
@@ -215,6 +215,7 @@ def test_valid_configs_run_and_replay(command, data):
         path = os.path.join(work, "cfg.json")
         codes = []
         for workers in ("1", "2"):
+            cli._HELD.clear()  # each worker count simulates its own ensemble
             out = os.path.join(work, f"w{workers}")
             argv = [command, "--config", path, "--out", out, "--workers", workers]
             code, err = run(argv, cfg)

@@ -241,6 +241,10 @@ COMMANDS = {
     "verify-stable": Schema(_VERDICT),
     "conditions": Schema({
         **_COMMON, **_ENSEMBLE,
+        "checkpoints": _bounded(
+            processes.as_checkpoints, lambda cps: cps[0] > max(verify.CONDITION_LAGS),
+            f"above the largest condition (iii) lag, {max(verify.CONDITION_LAGS)}",
+        ),
         "tol": Default(real, verify.DEFAULT_TOLERANCE),
         "levels": Default(listof(real), [2, 4, 8, 16]),
         "bound": Default(real, 0.05),

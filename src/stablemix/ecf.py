@@ -18,6 +18,10 @@ one point of each pair ``+-theta`` only: the partner's sum is the
 conjugate, and a zero row's sum is the event's count, both exact.  A grid
 without that symmetry, or with a repeated nonzero row, takes the full
 route and evaluates every row.  Both routes give the same bits.
+
+The phase map is ``laws._cos_sin(tan(<theta, x> / 2))``: cosine and sine
+through numpy's SIMD ``tan``, within 4.5e-16 of ``exp(i <theta, x>)``, and
+odd in ``x`` bit for bit, as the conjugate partners need.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ import numpy as np
 from . import streams
 from .csvio import write_csv
 from .errors import GridMismatchError, InvalidInputError
+from .laws import _cos_sin
 
 DEFAULT_DELTA = 1e-3
 
@@ -149,11 +154,14 @@ def _phase_parts(values, inds, grid: ThetaGrid, workers: int) -> list:
                 f"(n_events, {vals.shape[0]})"
             )
     evaluated, mirrored, zeros = grid._phase_plan
-    points = grid.points[evaluated].T
+    halves = 0.5 * grid.points[evaluated].T
 
     def chunk(start, count):
-        phases = 1j * (vals[start : start + count] @ points)
-        np.exp(phases, out=phases)  # in place: a fresh array costs page faults
+        # t = tan(<theta, row> / 2), fed to the module's phase map.
+        t = vals[start : start + count] @ halves
+        np.tan(t, out=t)
+        phases = np.empty(t.shape, dtype=complex)
+        _cos_sin(t, phases.real, phases.imag)
         if inds is None:
             sums = phases.sum(axis=0)[None]
             counts = np.array([count], dtype=np.int64)
@@ -163,7 +171,7 @@ def _phase_parts(values, inds, grid: ThetaGrid, workers: int) -> list:
             counts = block.sum(axis=1, dtype=np.int64)
         out = np.empty((len(sums), len(grid)), dtype=complex)
         out[:, evaluated] = sums
-        # exp(i<-theta, x>) is conj(exp(i<theta, x>)) bit for bit; 0.0 - im
+        # The phase at -theta is the conjugate bit for bit; 0.0 - im
         # (not -im) keeps an exactly cancelled or empty sum at +0.
         paired = sums[:, : len(mirrored)]
         out.real[:, mirrored] = paired.real

@@ -17,13 +17,15 @@ characteristic-function closed form and violates the moment requirement the
 four families share).
 
 Sampling transforms are built from fixed numbers of uniforms per draw
-(inverse-CDF for normals, the Chambers-Mallows-Stuck map for stable
+(Box-Muller pairs for normals, the Chambers-Mallows-Stuck map for stable
 variates, one CMS variate and so two uniforms per spectral atom), which is
 what lets path-indexed streams replay exactly.
 
-Only the normal and Cauchy samplers use scipy (``scipy.special.ndtri``), and
-they import it when the law is built, so a run on the other laws never loads
-scipy.
+Every sine and cosine, here and in :mod:`stablemix.ecf`, is taken from a
+half-angle tangent by :func:`_cos_sin`.  numpy's float64 ``tan`` is a SIMD
+loop, while its ``sin`` and ``cos`` run scalar libm: on an AVX-512 host
+under numpy 2.4 they cost about five times as much an element, and complex
+``exp`` about fourteen times.
 """
 
 from __future__ import annotations
@@ -36,17 +38,63 @@ from . import matalg
 from .errors import InvalidInputError
 from .matalg import GelfandCertificate, as_floats
 
-# Floor applied to raw uniforms before inverse transforms; keeps ndtri and
-# log finite without measurably perturbing the distribution.
+# Floor applied to ``1 - u`` before the CMS exponential draw's log; keeps it
+# finite at ``u = 1``, which no stream uniform takes.
 _U_FLOOR = 1e-300
 
 # Smallest magnitude allowed for the Cauchy denominator draw.
 _W_FLOOR = 1e-16
 
+# Floor for the CMS ``cos V``.  It lies below ``sin(pi * 2^-53)``, the
+# smallest nonzero value, so it only moves draws with ``u_angle == 0``,
+# where ``cos V`` is exactly 0 and ``1 / cos V`` the pole of the map.
+_COS_FLOOR = np.pi * 2.0**-54
+
 # Floor for the CMS exponential draw.  It lies below -log(1 - 2^-53), the
 # smallest nonzero value, so it only moves draws with ``u_exp == 0``; a
 # floor near 1e-300 would overflow ``(cos/w)^((1-alpha)/alpha)`` there.
 _EXP_FLOOR = 2.0**-54
+
+
+def _cos_sin(t, cos=None, sin=None, scale=1.0):
+    """Write ``scale`` times ``cos(2 atan t)`` and ``sin(2 atan t)``, which
+    are ``(1 - t^2) / (1 + t^2)`` and ``2t / (1 + t^2)``, into ``cos`` and
+    ``sin``.
+
+    Fed ``t = tan(x / 2)``, they are ``cos x`` and ``sin x`` within 4.5e-16
+    absolute for every finite ``x``.  Either output may be None, and either,
+    but not both, may be ``t`` itself; nothing but one temporary of ``t``'s
+    shape is allocated.  Every element is mapped alone, so its bits do not
+    depend on its array's size or layout.
+    """
+    factor = np.multiply(t, t)
+    if cos is not None:
+        np.subtract(1.0, factor, out=cos)
+    factor += 1.0
+    np.divide(scale, factor, out=factor)
+    if sin is not None:
+        np.multiply(t, 2.0, out=sin)
+        sin *= factor
+    if cos is not None:
+        cos *= factor
+
+
+def _normals(u, k: int) -> np.ndarray:
+    """``k`` standard normals per row by Box-Muller, from ``2 ceil(k / 2)``
+    uniforms: each pair ``(u1, u2)`` gives ``r cos a`` and ``r sin a`` with
+    ``r = sqrt(-2 log(1 - u1))`` and ``a = 2 pi (u2 - 1/2)``.  For odd ``k``
+    the last pair's sine is dropped."""
+    u = np.asarray(u, dtype=float)
+    radius = np.subtract(1.0, u[..., 0::2])
+    np.log(radius, out=radius)
+    radius *= -2.0
+    np.sqrt(radius, out=radius)
+    half = np.subtract(u[..., 1::2], 0.5)
+    half *= np.pi
+    np.tan(half, out=half)
+    z = np.empty(u.shape)
+    _cos_sin(half, z[..., 0::2], z[..., 1::2], scale=radius)
+    return z[..., :k]
 
 
 def _clean_thetas(thetas, dim: int):
@@ -128,18 +176,14 @@ class NormalLaw(IncrementLaw):
     """Centered Gaussian with covariance ``cov`` (symmetric PSD)."""
 
     def __init__(self, cov):
-        from scipy.special import ndtri
-
-        self._ndtri = ndtri
         self.cov = matalg.as_square(cov, "cov")
         # Raises on asymmetric or indefinite input.
         self.factor = matalg.psd_sqrt(self.cov)
         self.dim = self.cov.shape[0]
-        self.uniforms_per_draw = self.dim
+        self.uniforms_per_draw = 2 * (-(-self.dim // 2))
 
     def from_uniforms(self, u):
-        z = self._ndtri(np.maximum(u, _U_FLOOR))
-        return z @ self.factor.T
+        return _normals(u, self.dim) @ self.factor.T
 
     def cf(self, thetas):
         arr, single = _clean_thetas(thetas, self.dim)
@@ -154,19 +198,15 @@ class CauchyLaw(IncrementLaw):
     of an independent scalar Gaussian."""
 
     def __init__(self, dim: int):
-        from scipy.special import ndtri
-
         if dim < 1:
             raise InvalidInputError("dim must be positive")
-        self._ndtri = ndtri
         self.dim = int(dim)
-        self.uniforms_per_draw = self.dim + 1
+        self.uniforms_per_draw = 2 * (-(-(self.dim + 1) // 2))
 
     def from_uniforms(self, u):
-        z = self._ndtri(np.maximum(u[..., : self.dim], _U_FLOOR))
-        w = self._ndtri(np.maximum(u[..., self.dim], _U_FLOOR))
-        denom = np.maximum(np.abs(w), _W_FLOOR)
-        return z / denom[..., None]
+        z = _normals(u, self.dim + 1)
+        denom = np.maximum(np.abs(z[..., self.dim]), _W_FLOOR)
+        return z[..., : self.dim] / denom[..., None]
 
     def cf(self, thetas):
         arr, single = _clean_thetas(thetas, self.dim)
@@ -184,16 +224,39 @@ def sas_from_uniforms(alpha: float, u_angle, u_exp):
     """
     if not (0.0 < alpha <= 2.0):
         raise InvalidInputError(f"alpha must lie in (0, 2], got {alpha}")
-    u_angle = np.asarray(u_angle, dtype=float)
-    u_exp = np.asarray(u_exp, dtype=float)
-    angle = np.pi * (u_angle - 0.5)
-    w = np.maximum(-np.log(np.maximum(1.0 - u_exp, _U_FLOOR)), _EXP_FLOOR)
+    u_angle, u_exp = np.broadcast_arrays(
+        np.asarray(u_angle, dtype=float), np.asarray(u_exp, dtype=float)
+    )
+    # V / pi, exact for uniforms on the 2^-53 grid.  Every step below writes
+    # into one of three arrays of the draw's shape, and _cos_sin adds one
+    # temporary: that bounds the memory of a chunk.
+    half = np.subtract(u_angle, 0.5, out=np.empty(u_angle.shape))
     if alpha == 1.0:
-        return np.tan(angle)
-    cos_angle = np.maximum(np.cos(angle), _U_FLOOR)
-    lead = np.sin(alpha * angle) / cos_angle ** (1.0 / alpha)
-    rest = (np.cos((1.0 - alpha) * angle) / w) ** ((1.0 - alpha) / alpha)
-    return lead * rest
+        half *= np.pi
+        return np.tan(half, out=half)[()]  # [()] unwraps a 0-d result
+    # cos V = sin(pi min(u, 1 - u)): accurate to the last bits near the pole.
+    tmp = np.abs(half, out=np.empty_like(half))
+    np.subtract(0.5, tmp, out=tmp)
+    tmp *= 0.5 * np.pi
+    np.tan(tmp, out=tmp)
+    _cos_sin(tmp, sin=tmp)
+    np.maximum(tmp, _COS_FLOOR, out=tmp)
+    np.power(tmp, -1.0 / alpha, out=tmp)
+    out = np.multiply(half, 0.5 * alpha * np.pi, out=np.empty_like(half))
+    np.tan(out, out=out)
+    _cos_sin(out, sin=out, scale=tmp)  # sin(alpha V) / cos(V)^(1 / alpha)
+    half *= 0.5 * (1.0 - alpha) * np.pi
+    np.tan(half, out=half)
+    _cos_sin(half, cos=half)  # cos((1 - alpha) V)
+    np.subtract(1.0, u_exp, out=tmp)
+    np.maximum(tmp, _U_FLOOR, out=tmp)
+    np.log(tmp, out=tmp)
+    np.negative(tmp, out=tmp)
+    np.maximum(tmp, _EXP_FLOOR, out=tmp)  # the exponential draw w
+    half /= tmp
+    np.power(half, (1.0 - alpha) / alpha, out=half)
+    out *= half
+    return out[()]
 
 
 class StableLaw(IncrementLaw):
@@ -257,7 +320,9 @@ class EmpiricalLaw(IncrementLaw):
 
     def cf(self, thetas):
         arr, single = _clean_thetas(thetas, self.dim)
-        phases = np.exp(1j * (arr @ self.pool.T))
+        half = np.tan(arr @ (0.5 * self.pool.T))
+        phases = np.empty(half.shape, dtype=complex)
+        _cos_sin(half, phases.real, phases.imag)
         out = phases.mean(axis=1)
         return out[0] if single else out
 

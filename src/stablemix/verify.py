@@ -51,6 +51,8 @@ DEFAULT_TOLERANCE = 1e-8
 
 # Percentile of the per-path deviations that conditions (i) and (iii) report.
 CONDITION_PERCENTILE = 95.0
+# Lags of condition (iii); a checkpoint must lie above the largest.
+CONDITION_LAGS = (1, 2, 4)
 
 
 @dataclass(frozen=True)
@@ -255,7 +257,7 @@ def check_condition_ii(
 
 
 def check_condition_iii(
-    ensemble: Ensemble, r_list=(1, 2, 4), tol: float = DEFAULT_TOLERANCE
+    ensemble: Ensemble, r_list=CONDITION_LAGS, tol: float = DEFAULT_TOLERANCE
 ) -> ConvergenceVerdict:
     """Do scaling ratios ``B_n B_{n-r}^-1`` match the contraction powers?
 

@@ -209,11 +209,15 @@ class TestCsv:
 
 
 def oracle_phase_sums(values, inds, grid, workers=1):
-    """The event-wise sums as first written: ``exp`` at every grid row, then
-    a boolean gather per event, with the package's chunk grid and fold."""
+    """The event-wise sums as first written: the phase map of the module
+    docstring, ``laws._cos_sin(tan(<theta, x> / 2))``, at every grid row,
+    then a boolean gather per event, with the package's chunk grid and fold.
+    ``test_laws.TestCosSin`` checks the map against ``exp(i x)``."""
 
     def chunk(start, count):
-        phases = np.exp(1j * (values[start : start + count] @ grid.points.T))
+        t = np.tan(values[start : start + count] @ (0.5 * grid.points.T))
+        phases = np.empty(t.shape, dtype=complex)
+        laws._cos_sin(t, phases.real, phases.imag)
         block = inds[:, start : start + count]
         sums = np.stack([phases[ind].sum(axis=0) for ind in block])
         return sums, block.sum(axis=1, dtype=np.int64)

@@ -81,7 +81,14 @@ def all_standard_laws():
         laws.StableLaw(0.8, two_atom_measure()),
         laws.StableLaw(1.5, two_atom_measure()),
         laws.EmpiricalLaw(pool),
+        # Odd normal counts drop the last Box-Muller partner.
+        laws.NormalLaw(np.array([[1.5]])),
+        laws.NormalLaw(np.array([[1.0, 0.3, 0.0], [0.3, 1.0, -0.2], [0.0, -0.2, 0.5]])),
     ]
+
+
+def law_id(law):
+    return type(law).__name__ + str(getattr(law, "alpha", getattr(law, "dim", "")))
 
 
 class TestNumericInput:
@@ -170,8 +177,93 @@ class TestCms:
         assert np.var(x) == pytest.approx(2.0, abs=0.06)
 
 
+def old_cms(alpha, u_angle, u_exp):
+    """The CMS map through libm ``cos`` and ``sin`` (report version 0.7.0),
+    kept as the accuracy baseline."""
+    angle = np.pi * (u_angle - 0.5)
+    w = np.maximum(-np.log(np.maximum(1.0 - u_exp, 1e-300)), 2.0**-54)
+    cos_angle = np.maximum(np.cos(angle), 1e-300)
+    lead = np.sin(alpha * angle) / cos_angle ** (1.0 / alpha)
+    return lead * (np.cos((1.0 - alpha) * angle) / w) ** ((1.0 - alpha) / alpha)
+
+
+def long_cms(alpha, u_angle, u_exp):
+    """The CMS map in long double, with ``cos V`` as ``sin(pi min(u, 1 - u))``
+    so that rounding ``V`` near the pole does not swamp the oracle."""
+    ld = np.longdouble
+    a, pi = ld(alpha), np.arccos(ld(-1))
+    u, e = u_angle.astype(ld), u_exp.astype(ld)
+    v = pi * (u - ld(0.5))
+    w = np.maximum(-np.log(np.maximum(ld(1) - e, ld(1e-300))), ld(2.0**-54))
+    cos_v = np.sin(pi * np.minimum(u, ld(1) - u))
+    lead = np.sin(a * v) / cos_v ** (ld(1) / a)
+    return lead * (np.cos((ld(1) - a) * v) / w) ** ((ld(1) - a) / a)
+
+
+class TestCosSin:
+    def test_phases_match_exp(self):
+        # cos and sin of x from tan(x / 2), |x| from 0 to 1e300.
+        rng = np.random.default_rng(17)
+        x = np.concatenate([
+            [0.0, np.pi, 2 * np.pi, np.pi / 2, np.nextafter(np.pi, 0), 1e300],
+            rng.uniform(0.0, 10.0, 50_000),
+            np.exp(rng.uniform(-700.0, np.log(1e300), 50_000)),
+        ])
+        x = np.concatenate([x, -x])
+        cos, sin = np.empty_like(x), np.empty_like(x)
+        laws._cos_sin(np.tan(0.5 * x), cos, sin)
+        exact = x.astype(np.longdouble)
+        assert np.abs(cos - np.cos(exact)).max() <= 4.5e-16
+        assert np.abs(sin - np.sin(exact)).max() <= 4.5e-16
+
+    def test_outputs_may_alias_the_input(self):
+        t = np.tan(np.linspace(-3.0, 3.0, 101))
+        cos, sin = np.empty_like(t), np.empty_like(t)
+        laws._cos_sin(t, cos, sin)
+        for name, want in (("cos", cos), ("sin", sin)):
+            inplace = t.copy()
+            laws._cos_sin(inplace, **{name: inplace})
+            assert np.array_equal(inplace, want)
+
+
+class TestCmsAccuracy:
+    @pytest.mark.parametrize("alpha", (0.2, 0.5, 0.8, 1.3, 1.5, 1.9))
+    def test_within_four_times_the_libm_map(self, alpha):
+        # 1e5 stream draws plus the edge rows off the pole u_angle = 0, where
+        # the map is infinite and both versions return a finite stand-in.
+        u = np.vstack([
+            streams.uniform_block(12, streams.STREAM_LAW, 0, 100_000, 2),
+            edge_rows(2)[edge_rows(2)[:, 0] > 0.0],
+        ])
+        exact = long_cms(alpha, u[:, 0], u[:, 1])
+        got = laws.sas_from_uniforms(alpha, u[:, 0], u[:, 1])
+        nonzero = exact != 0
+        assert np.array_equal(got[~nonzero], np.zeros((~nonzero).sum()))
+
+        def worst(x):
+            return float(np.abs((x[nonzero] - exact[nonzero]) / exact[nonzero]).max())
+
+        assert worst(got) <= 4.0 * worst(old_cms(alpha, u[:, 0], u[:, 1]))
+
+
+class TestChunkedDraws:
+    @pytest.mark.parametrize("law", all_standard_laws(), ids=law_id)
+    def test_rows_around_the_chunk_width_bitwise(self, law):
+        # Rows 4095-4097 straddle one CHUNK_PATHS boundary; a path's draws
+        # must not depend on the chunk of paths it is mapped in.  Blocks are
+        # (paths, steps, uniforms), as every caller in the package passes them.
+        upd = law.uniforms_per_draw
+        for steps in (1, 2):
+            u = streams.uniform_block(3, streams.STREAM_LAW, 0, 4100, steps * upd)
+            u = u.reshape(4100, steps, upd)
+            whole = law.from_uniforms(u)
+            for start, stop in ((4095, 4098), (4095, 4100), (4094, 4096),
+                                (4096, 4097), (4097, 4098)):
+                assert np.array_equal(law.from_uniforms(u[start:stop]), whole[start:stop])
+
+
 class TestEcfAgainstCf:
-    @pytest.mark.parametrize("law", all_standard_laws(), ids=lambda l: type(l).__name__ + str(getattr(l, "alpha", getattr(l, "dim", ""))))
+    @pytest.mark.parametrize("law", all_standard_laws(), ids=law_id)
     def test_samples_match_cf(self, law):
         samples = stream_draws(law, 404, N_SAMPLES)
         grid = default_grid(law.dim)

@@ -27,7 +27,6 @@ from .errors import (
 from .matalg import (
     GelfandCertificate,
     decay_certificate,
-    gelfand_index,
     inverse,
     norm_table,
     power_sequence,

@@ -19,6 +19,7 @@ import math
 import os
 import sys
 import time
+from functools import partial
 
 import numpy as np
 
@@ -39,26 +40,43 @@ def _finite(text: str) -> float:
     """JSON number hook: no report could hold ``NaN``, ``Infinity`` or ``1e999``."""
     value = float(text)
     if not math.isfinite(value):
-        raise ConfigError(f"config holds the non-finite number {text}")
+        raise ConfigError(f"{text} is a non-finite number")
     return value
 
 
-def load_config(path: str) -> dict:
+def _json_object(path: str, what: str) -> dict:
+    """The JSON object in ``path``, a config or a report, with finite numbers only."""
     try:
         with open(path) as fh:
-            cfg = json.load(fh, parse_float=_finite, parse_constant=_finite)
+            obj = json.load(fh, parse_float=_finite, parse_constant=_finite)
     except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise ConfigError("config root must be a JSON object")
-    return cfg
+        raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{what} root must be a JSON object")
+    return obj
+
+
+def load_config(path: str) -> dict:
+    return _json_object(path, "config")
 
 
 def validate_config(command: str, cfg: dict) -> dict:
-    """``cfg`` read through ``command``'s schema: its converted values."""
-    return config.read(cfg, config.COMMANDS[command], f"{command} config")
+    """``cfg`` read through ``command``'s schema: its converted values.  The
+    rules that span two keys are checked here, before any work is done."""
+    values = config.read(cfg, config.COMMANDS[command], f"{command} config")
+    if command == "series" and (values["tol"] is None) == (values["r"] is None):
+        raise ConfigError("series needs exactly one of 'tol' or 'r'")
+    if (
+        command == "lemma" and isinstance(values["law"], laws.LogCauchyRay)
+        and not values["allow_diagnostic"]
+    ):
+        raise ConfigError(
+            "log-cauchy-ray is a diagnostic sampler: lemma takes it only with "
+            "allow_diagnostic true"
+        )
+    return values
 
 
 def _law_samples(law, seed: int, count: int, workers: int) -> np.ndarray:
@@ -108,8 +126,6 @@ def _run_sample_law(cfg, outdir, workers):
 
 def _run_series(cfg, outdir, workers):
     P, law, r = cfg["P"], cfg["law"], cfg["r"]
-    if (cfg["tol"] is None) == (r is None):
-        raise ConfigError("series needs exactly one of 'tol' or 'r'")
     if r is None:
         plan = series.truncation_index(P, cfg["tol"])
     else:
@@ -125,11 +141,6 @@ def _run_series(cfg, outdir, workers):
 
 
 def _run_lemma(cfg, outdir, workers):
-    if isinstance(cfg["law"], laws.LogCauchyRay) and not cfg["allow_diagnostic"]:
-        raise ConfigError(
-            "log-cauchy-ray is a diagnostic sampler: lemma takes it only with "
-            "allow_diagnostic true"
-        )
     diag = series.lemma_diagnostics(
         cfg["P"], cfg["law"], cfg["J"], cfg["n_paths"], cfg["seed"], workers=workers
     )
@@ -220,44 +231,37 @@ def _run_simulate(cfg, outdir, workers):
     return stats, [], {}, outputs, True
 
 
-def _verdict_stats(verdict) -> dict:
-    out = {}
-    for n, v in zip(verdict.checkpoints, verdict.statistics):
-        out[f"{verdict.condition}.n{n}"] = float(v)
-    out[f"{verdict.condition}.threshold"] = float(verdict.thresholds[-1])
-    return out
+_ECF_ARGS = {key: key for key in ("family", "r", "delta", "factor", "workers")}
+
+# The verdicts each process check issues, in report order: a ``verify``
+# function and its keyword arguments by config key.  The function is looked
+# up by name at call time, so a wrapper rebound into ``verify`` sees the call.
+_CHECKS = {
+    "verify-mixing": [("verify_mixing", {**_ECF_ARGS, "which": "statistic_of"})],
+    "verify-stable": [("verify_stable", _ECF_ARGS)],
+    "conditions": [
+        ("check_condition_i", {"tol": "tol"}),
+        ("check_condition_ii", {"levels": "levels", "bound": "bound"}),
+        ("check_condition_iii", {"tol": "tol"}),
+    ],
+}
 
 
-def _run_verify(cfg, outdir, workers, stable: bool):
-    ens = cfg["ensemble"]
-    kwargs = dict(
-        family=cfg["family"](ens),
-        r=cfg["r"],
-        delta=cfg["delta"],
-        factor=cfg["factor"],
-        workers=workers,
-    )
-    if stable:
-        verdict = verify.verify_stable(ens, **kwargs)
-    else:
-        verdict = verify.verify_mixing(ens, which=cfg["statistic_of"], **kwargs)
-    write_ecf_csv(os.path.join(outdir, "ecf.csv"), verdict.ecf)
-    return _verdict_stats(verdict), [verdict], {}, ["ecf.csv"], verdict.passed
-
-
-def _run_conditions(cfg, outdir, workers):
-    ens = cfg["ensemble"]
-    tol = cfg["tol"]
-    verdicts = [
-        verify.check_condition_i(ens, tol=tol),
-        verify.check_condition_ii(ens, levels=cfg["levels"], bound=cfg["bound"]),
-        verify.check_condition_iii(ens, tol=tol),
-    ]
-    stats = {}
-    for v in verdicts:
-        stats.update(_verdict_stats(v))
-    passed = all(v.passed for v in verdicts)
-    return stats, verdicts, {}, [], passed
+def _run_checks(checks, cfg, outdir, workers):
+    """Each verdict's statistic per checkpoint and its final threshold; a
+    verdict that carries an ecf writes it to ``ecf.csv``."""
+    stats, verdicts, outputs = {}, [], []
+    for name, args in checks:
+        kwargs = {param: cfg[key] for param, key in args.items()}
+        v = getattr(verify, name)(cfg["ensemble"], **kwargs)
+        for n, value in zip(v.checkpoints, v.statistics):
+            stats[f"{v.condition}.n{n}"] = float(value)
+        stats[f"{v.condition}.threshold"] = float(v.thresholds[-1])
+        if v.ecf is not None:
+            write_ecf_csv(os.path.join(outdir, "ecf.csv"), v.ecf)
+            outputs.append("ecf.csv")
+        verdicts.append(v)
+    return stats, verdicts, {}, outputs, all(v.passed for v in verdicts)
 
 
 _RUNNERS = {
@@ -265,9 +269,7 @@ _RUNNERS = {
     "series": _run_series,
     "lemma": _run_lemma,
     "simulate": _run_simulate,
-    "verify-mixing": lambda c, o, w: _run_verify(c, o, w, stable=False),
-    "verify-stable": lambda c, o, w: _run_verify(c, o, w, stable=True),
-    "conditions": _run_conditions,
+    **{name: partial(_run_checks, checks) for name, checks in _CHECKS.items()},
 }
 
 
@@ -321,15 +323,7 @@ def replay_report(report_path: str, outdir: str | None = None,
     Overriding the seed is the intended negative test: any honest statistic
     must move.
     """
-    try:
-        with open(report_path) as fh:
-            stored = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read report {report_path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"report is not valid JSON: {exc}") from exc
-    if not isinstance(stored, dict):
-        raise ConfigError("report root must be a JSON object; not a run report")
+    stored = _json_object(report_path, "report")
     for key, kind in (("command", str), ("config", dict), ("statistics", dict)):
         if key not in stored:
             raise ConfigError(f"report is missing {key!r}; not a run report")
@@ -360,7 +354,7 @@ def replay_report(report_path: str, outdir: str | None = None,
     diverged = []
     for key in old:
         a, b = old[key], float(new[key])
-        if a == b or (math.isnan(a) and math.isnan(b)):
+        if a == b:
             continue
         delta = abs(b - a) / abs(a) if a else math.inf
         diverged.append(

@@ -128,6 +128,7 @@ def _bounded(convert: Callable, test: Callable, text: str) -> Callable:
 POSITIVE_INT = _bounded(integral, lambda n: n > 0, "positive")
 NONNEGATIVE_INT = _bounded(integral, lambda n: n >= 0, "nonnegative")
 POSITIVE_REAL = _bounded(real, lambda x: x > 0.0, "positive")
+UNIT_INTERVAL = _bounded(real, lambda x: 0.0 < x < 1.0, "in the open interval (0, 1)")
 
 
 def _matrix(dim: int, rows: np.ndarray) -> np.ndarray:
@@ -202,7 +203,7 @@ _COMMON = {
     "workers": Default(POSITIVE_INT, 1),
 }
 _ECF_CHECK = {
-    "delta": Default(real, DEFAULT_DELTA),
+    "delta": Default(UNIT_INTERVAL, DEFAULT_DELTA),
     "factor": Default(POSITIVE_REAL, 3.0),
 }
 _ENSEMBLE = {
@@ -212,10 +213,7 @@ _ENSEMBLE = {
 }
 _VERDICT = {
     **_COMMON, **_ENSEMBLE, "r": Default(NONNEGATIVE_INT, None), **_ECF_CHECK,
-    "family": Default(
-        choice(default=verify.default_family, omega=lambda ens: verify.EventFamily()),
-        "default",
-    ),
+    "family": Default(choice(default=None, omega=verify.EventFamily()), "default"),
 }
 COMMANDS = {
     "sample-law": Schema(
@@ -223,7 +221,7 @@ COMMANDS = {
     ),
     "series": Schema({
         **_COMMON, "P": matrix_from_json, "law": law_from_json,
-        "count": POSITIVE_INT, "tol": Default(real, None),
+        "count": POSITIVE_INT, "tol": Default(POSITIVE_REAL, None),
         "r": Default(NONNEGATIVE_INT, None), **_ECF_CHECK,
     }),
     "lemma": Schema({
@@ -246,7 +244,9 @@ COMMANDS = {
             f"above the largest condition (iii) lag, {max(verify.CONDITION_LAGS)}",
         ),
         "tol": Default(real, verify.DEFAULT_TOLERANCE),
-        "levels": Default(listof(real), [2, 4, 8, 16]),
+        "levels": Default(
+            _bounded(listof(POSITIVE_REAL), bool, "a nonempty list"), [2, 4, 8, 16]
+        ),
         "bound": Default(real, 0.05),
     }),
 }

@@ -158,8 +158,11 @@ class IncrementLaw:
     """Common sampler/characteristic-function interface.
 
     Subclasses fix ``dim`` and ``uniforms_per_draw`` and implement
-    ``from_uniforms`` (a pure map from uniform variates to one increment,
-    vectorized over leading axes) and ``cf``.
+    ``from_uniforms``, a pure map from uniforms of shape ``(...,
+    uniforms_per_draw)`` to increments of shape ``(..., dim)``, and ``_cf``,
+    the characteristic function at the rows of a finite ``(m, dim)`` array.
+    ``cf`` is the one gate in front of ``_cf``: it checks the thetas and
+    unwraps a single vector.
     """
 
     dim: int
@@ -169,6 +172,11 @@ class IncrementLaw:
         raise NotImplementedError
 
     def cf(self, thetas) -> np.ndarray:
+        arr, single = _clean_thetas(thetas, self.dim)
+        out = self._cf(arr)
+        return out[0] if single else out
+
+    def _cf(self, arr: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
 
@@ -185,11 +193,9 @@ class NormalLaw(IncrementLaw):
     def from_uniforms(self, u):
         return _normals(u, self.dim) @ self.factor.T
 
-    def cf(self, thetas):
-        arr, single = _clean_thetas(thetas, self.dim)
+    def _cf(self, arr):
         quad = np.einsum("md,de,me->m", arr, self.cov, arr)
-        out = np.exp(-0.5 * quad).astype(complex)
-        return out[0] if single else out
+        return np.exp(-0.5 * quad).astype(complex)
 
 
 class CauchyLaw(IncrementLaw):
@@ -208,10 +214,8 @@ class CauchyLaw(IncrementLaw):
         denom = np.maximum(np.abs(z[..., self.dim]), _W_FLOOR)
         return z[..., : self.dim] / denom[..., None]
 
-    def cf(self, thetas):
-        arr, single = _clean_thetas(thetas, self.dim)
-        out = np.exp(-np.linalg.norm(arr, axis=1)).astype(complex)
-        return out[0] if single else out
+    def _cf(self, arr):
+        return np.exp(-np.linalg.norm(arr, axis=1)).astype(complex)
 
 
 def sas_from_uniforms(alpha: float, u_angle, u_exp):
@@ -292,11 +296,9 @@ class StableLaw(IncrementLaw):
         coeff = self.measure.weights ** (1.0 / self.alpha) * zeta
         return coeff @ self.measure.atoms
 
-    def cf(self, thetas):
-        arr, single = _clean_thetas(thetas, self.dim)
+    def _cf(self, arr):
         proj = np.abs(arr @ self.measure.atoms.T) ** self.alpha
-        out = np.exp(-(proj * self.measure.weights).sum(axis=1)).astype(complex)
-        return out[0] if single else out
+        return np.exp(-(proj * self.measure.weights).sum(axis=1)).astype(complex)
 
 
 class EmpiricalLaw(IncrementLaw):
@@ -313,18 +315,14 @@ class EmpiricalLaw(IncrementLaw):
         self.uniforms_per_draw = 1
 
     def from_uniforms(self, u):
-        u = np.asarray(u, dtype=float)
-        scalar_u = u[..., 0] if u.shape and u.shape[-1] == 1 else u
-        idx = np.minimum((scalar_u * len(self.pool)).astype(int), len(self.pool) - 1)
-        return self.pool[idx]
+        idx = (np.asarray(u, dtype=float)[..., 0] * len(self.pool)).astype(int)
+        return self.pool[np.minimum(idx, len(self.pool) - 1)]
 
-    def cf(self, thetas):
-        arr, single = _clean_thetas(thetas, self.dim)
+    def _cf(self, arr):
         half = np.tan(arr @ (0.5 * self.pool.T))
         phases = np.empty(half.shape, dtype=complex)
         _cos_sin(half, phases.real, phases.imag)
-        out = phases.mean(axis=1)
-        return out[0] if single else out
+        return phases.mean(axis=1)
 
 
 class LogCauchyRay(IncrementLaw):
@@ -344,13 +342,12 @@ class LogCauchyRay(IncrementLaw):
         self.uniforms_per_draw = 1
 
     def from_uniforms(self, u):
-        u = np.asarray(u, dtype=float)
-        scalar_u = u[..., 0] if u.shape and u.shape[-1] == 1 else u
+        u = np.asarray(u, dtype=float)[..., 0]
         # Overflow to inf is a legitimate sample here: the tail is so heavy
         # that float64 cannot hold every draw.
         with np.errstate(over="ignore"):
-            ray = np.exp(np.tan(np.pi * (scalar_u - 0.5)))
-        out = np.zeros(np.shape(ray) + (self.dim,))
+            ray = np.exp(np.tan(np.pi * (u - 0.5)))
+        out = np.zeros(ray.shape + (self.dim,))
         out[..., 0] = ray
         return out
 

@@ -166,7 +166,13 @@ def _ratio_holds(norms: np.ndarray, ratio: float) -> np.ndarray:
 
 
 def _gelfand(arr: np.ndarray, horizon: int) -> tuple[GelfandCertificate, np.ndarray]:
-    """:func:`gelfand_index` plus the norm table its scan built."""
+    """Smallest ``k0`` with ``|P^k|^(1/k) <= (1+rho)/2`` on ``[k0, horizon]``,
+    as a certificate, plus the norm table its scan built.
+
+    Raises :class:`HypothesisViolationError` when ``rho(P) >= 1`` (no such
+    certificate can exist) and :class:`HorizonExceededError` when the bound
+    has not set in anywhere inside the horizon.
+    """
     if horizon < 1:
         raise InvalidInputError("horizon must be at least 1")
     rho = spectral_radius(arr)
@@ -186,16 +192,6 @@ def _gelfand(arr: np.ndarray, horizon: int) -> tuple[GelfandCertificate, np.ndar
             f"(rho={rho:.6g}, ratio={ratio:.6g})"
         )
     return GelfandCertificate(rho=rho, k0=int(hits[0]) + 1, horizon=horizon), norms
-
-
-def gelfand_index(matrix, horizon: int = 512) -> GelfandCertificate:
-    """Smallest ``k0`` with ``|P^k|^(1/k) <= (1+rho)/2`` on ``[k0, horizon]``.
-
-    Raises :class:`HypothesisViolationError` when ``rho(P) >= 1`` (no such
-    certificate can exist) and :class:`HorizonExceededError` when the bound
-    has not set in anywhere inside the horizon.
-    """
-    return _gelfand(as_square(matrix), horizon)[0]
 
 
 def decay_certificate(
@@ -249,12 +245,6 @@ def tail_bound(
     rate = cert.ratio**exponent
     geo_start = max(r + 1, cert.horizon + 1)
     return head + rate**geo_start / (1.0 - rate)
-
-
-def certificate_holds(matrix, cert: GelfandCertificate) -> bool:
-    """Replay a certificate against a fresh norm table."""
-    ok = _ratio_holds(norm_table(matrix, cert.horizon), cert.ratio)
-    return bool(ok[cert.k0 - 1 :].all())
 
 
 def psd_sqrt(matrix) -> np.ndarray:

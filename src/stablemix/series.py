@@ -150,10 +150,11 @@ class LemmaDiagnostics:
 def _apply_powers(powers: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Terms ``P^j z_j``: ``out[..., j, i] = sum_e powers[j, i, e] * z[..., j, e]``.
 
-    Elementwise products summed over ``e`` in order from zero: the
-    arithmetic of the unoptimized einsum, at a fraction of its cost.  Matmul
-    and optimized einsum go through BLAS, whose rounding can depend on the
-    row count of the chunk.
+    Elementwise products summed over ``e`` in order from zero, so a term's
+    bits do not depend on the row count of the chunk; matmul and optimized
+    einsum go through BLAS, whose rounding can.  For ``d <= 2`` this is the
+    arithmetic of the unoptimized einsum, at a fraction of its cost; for
+    ``d >= 3`` the two differ in the last bits.
     """
     out = np.empty(z.shape)
     for i in range(z.shape[-1]):

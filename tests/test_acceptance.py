@@ -256,8 +256,11 @@ def test_08_truncation_arithmetic():
         target = float(rng.uniform(0.05, 0.9))
         A = raw * (target / rho_raw)
         cert, norms = matalg.decay_certificate(A)
+        # Replay against a fresh norm table: |A^k|^(1/k) <= ratio on [k0, horizon].
+        k = np.arange(cert.k0, cert.horizon + 1)
+        fresh = matalg.norm_table(A, cert.horizon)[k]
         if (
-            matalg.certificate_holds(A, cert)
+            np.all(fresh ** (1.0 / k) <= cert.ratio)
             and matalg.tail_bound(norms, cert, 0) > 0.0
         ):
             replayed += 1

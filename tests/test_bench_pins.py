@@ -35,6 +35,7 @@ def test_traced_function_exists(module, attr):
         ("processes", "Ensemble", "eta_invertible"),
         ("verify", "EventFamily", "indicator_matrix"),
         ("laws", "IncrementLaw", "from_uniforms"),
+        ("laws", "IncrementLaw", "cf"),
         ("streams", None, "chunk_starts"),
         ("streams", None, "map_chunks"),
         ("streams", None, "CHUNK_PATHS"),

@@ -847,6 +847,39 @@ class TestConfigValidation:
         assert calls == []
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command, entries, named",
+        [
+            ("verify-stable", {"delta": 2}, "'delta'"),
+            ("verify-mixing", {"delta": 0}, "'delta'"),
+            ("conditions", {"levels": []}, "'levels'"),
+            ("conditions", {"levels": [0, 4]}, "'levels'"),
+            ("sample-law", {"delta": 1.0}, "'delta'"),
+            ("series", {"delta": -0.5}, "'delta'"),
+            ("series", {"tol": 0.01}, "exactly one"),
+            ("series", {"r": None}, "exactly one"),
+            ("series", {"tol": 0.0, "r": None}, "'tol'"),
+            ("series", {"tol": -1.0, "r": None}, "'tol'"),
+            ("lemma", {"law": {"law": "log-cauchy-ray"}}, "allow_diagnostic"),
+        ],
+        ids=["stable-delta", "mixing-delta", "levels-empty", "levels-zero",
+             "sample-law-delta", "series-delta", "tol-and-r", "neither",
+             "tol-zero", "tol-negative", "ray-not-allowed"],
+    )
+    def test_config_errors_exit_2_before_any_work(
+        self, tmp_path, capsys, calls, command, entries, named
+    ):
+        # Every rule on the config is read before the output directory is
+        # made, an ensemble simulated or a law drawn.  An entry of None
+        # drops that key of the base config.
+        obj = {k: v for k, v in self.config(command, entries).items() if v is not None}
+        cfg = write_cfg(tmp_path, obj)
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert named in capsys.readouterr().err
+        assert calls == []
+        assert not out.exists()
+
 
 class TestReplay:
     def run_once(self, tmp_path):
@@ -933,6 +966,7 @@ class TestReplay:
             ("config", 5, "'config'"),
             ("command", ["x"], "'command'"),
             ("statistics", {"ecf_distance": "abc"}, "'ecf_distance'"),
+            ("statistics", {"ecf_distance": math.nan}, "NaN is a non-finite"),
         ],
     )
     def test_malformed_report_exits_2(self, tmp_path, capsys, field, value, named):

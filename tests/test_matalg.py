@@ -157,6 +157,11 @@ class TestNormTable:
         assert np.array_equal(table, 0.5 ** np.arange(21))
 
 
+def holds(P, cert):
+    """Replay of a certificate: the oracle's bound holds on [k0, horizon]."""
+    return oracle_gelfand_k0(P, cert.horizon) <= cert.k0
+
+
 class TestGelfandIndex:
     # Frozen from the brute-force oracle at horizon 512.
     FROZEN_K0 = [
@@ -169,34 +174,36 @@ class TestGelfandIndex:
 
     @pytest.mark.parametrize("P,k0", FROZEN_K0)
     def test_frozen_values(self, P, k0):
-        cert = matalg.gelfand_index(P)
+        cert, _ = matalg.decay_certificate(P, 512)
         assert cert.k0 == k0
         assert cert.horizon == 512
         assert cert.ratio == pytest.approx((1 + matalg.spectral_radius(P)) / 2)
 
     def test_against_oracle_small_horizon(self):
         for P in (JORDAN, COMPANION):
-            cert = matalg.gelfand_index(P, horizon=64)
-            assert cert.k0 == oracle_gelfand_k0(P, 64)
+            cert, _ = matalg.decay_certificate(P, 64)
+            assert (cert.k0, cert.horizon) == (oracle_gelfand_k0(P, 64), 64)
 
     def test_expanding_matrix_rejected(self):
         for P in ([[1.0]], [[1.2, 0.0], [0.0, 0.3]]):
             with pytest.raises(HypothesisViolationError):
-                matalg.gelfand_index(P)
+                matalg.decay_certificate(P)
 
     def test_horizon_exceeded(self):
-        # Huge transient growth keeps the ratio bound out of reach early on.
-        with pytest.raises(HorizonExceededError):
-            matalg.gelfand_index([[0.99, 1e6], [0.0, 0.99]], horizon=16)
+        # The slow Jordan block's ratio bound has not set in anywhere
+        # inside the largest horizon the search may grow to.
+        miss = f"not reached within horizon {matalg.MAX_HORIZON}"
+        with pytest.raises(HorizonExceededError, match=miss):
+            matalg.decay_certificate([[0.9999, 1.0], [0.0, 0.9999]])
 
     def test_certificate_replay(self):
-        cert = matalg.gelfand_index(JORDAN)
-        assert matalg.certificate_holds(JORDAN, cert)
+        cert, _ = matalg.decay_certificate(JORDAN, 512)
+        assert holds(JORDAN, cert)
         # A claim stronger than reality must fail replay.
         too_strong = matalg.GelfandCertificate(
             rho=cert.rho, k0=max(1, cert.k0 - 4), horizon=cert.horizon
         )
-        assert not matalg.certificate_holds(JORDAN, too_strong)
+        assert not holds(JORDAN, too_strong)
 
 
 class TestDecayCertificate:
@@ -205,7 +212,7 @@ class TestDecayCertificate:
             cert, norms = matalg.decay_certificate(P)
             assert cert.horizon >= 2 * cert.k0
             assert len(norms) == cert.horizon + 1
-            assert matalg.certificate_holds(P, cert)
+            assert holds(P, cert)
 
     @pytest.mark.parametrize(
         "lam,k0,horizon", [(0.95, 208, 416), (0.99, 1447, 2894)]
@@ -213,13 +220,12 @@ class TestDecayCertificate:
     def test_grows_horizon_past_a_miss(self, lam, k0, horizon):
         # Slow Jordan blocks: the ratio bound has not set in anywhere inside
         # the default start horizon, so the horizon doubles until it does.
-        P = [[lam, 1.0], [0.0, lam]]
-        with pytest.raises(HorizonExceededError):
-            matalg.gelfand_index(P, horizon=64)
+        P = np.array([[lam, 1.0], [0.0, lam]])
+        assert oracle_gelfand_k0(P, 64) is None
         cert, norms = matalg.decay_certificate(P)
         assert (cert.k0, cert.horizon) == (k0, horizon)
         assert len(norms) == horizon + 1
-        assert matalg.certificate_holds(P, cert)
+        assert holds(P, cert)
 
     @pytest.mark.parametrize(
         "P,horizons",

@@ -141,7 +141,7 @@ class TestTruncationPlan:
         assert again == pytest.approx(plan.tail_norm_bound, rel=1e-12)
 
     def test_rejects_negative_r(self):
-        cert = matalg.gelfand_index(JORDAN)
+        cert, _ = matalg.decay_certificate(JORDAN)
         with pytest.raises(InvalidInputError):
             series.TruncationPlan(-1, 0.5, cert)
 
@@ -258,18 +258,26 @@ class TestLogMoment:
 
 
 class TestLemmaTerms:
+    # Each law by dimension: the helper equals the einsum for d <= 2 only.
     @pytest.mark.parametrize(
         "law",
         [
-            laws.LogCauchyRay(2),
-            laws.StableLaw(1.5, laws.SpectralMeasure(np.eye(2), [0.5, 0.5])),
-            laws.NormalLaw(np.array([[2.0, 0.6], [0.6, 1.0]])),
+            {2: laws.LogCauchyRay(2), 1: laws.LogCauchyRay(1)},
+            {
+                2: laws.StableLaw(1.5, laws.SpectralMeasure(np.eye(2), [0.5, 0.5])),
+                1: laws.StableLaw(1.5, laws.SpectralMeasure([[1.0]], [0.5])),
+            },
+            {
+                2: laws.NormalLaw(np.array([[2.0, 0.6], [0.6, 1.0]])),
+                1: laws.NormalLaw([[2.0]]),
+            },
         ],
     )
-    @pytest.mark.parametrize("P", [0.9 * np.eye(2), rotation_half()])
+    @pytest.mark.parametrize("P", [0.9 * np.eye(2), rotation_half(), np.array([[0.9]])])
     def test_terms_match_einsum_oracle(self, law, P):
         # Uniforms next to 1 overflow the log-Cauchy ray to inf, and the
         # zeros of a diagonal P turn those into NaNs; both must match.
+        law = law[len(P)]
         powers = matalg.power_sequence(P, 12)
         u = np.random.default_rng(4).random((300, 13, law.uniforms_per_draw))
         u[:5] = 1.0 - 2.0**-53

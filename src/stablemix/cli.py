@@ -208,7 +208,7 @@ def _run_simulate(cfg, outdir, workers):
         [
             np.tile(np.arange(ens.n_paths), n_cp),
             np.repeat(ens.checkpoints, ens.n_paths),
-            np.tile(ens.latent.in_g.astype(np.int64), n_cp),
+            np.tile(ens.in_g.astype(np.int64), n_cp),
             np.concatenate([ens.bu[n] for n in ens.checkpoints]),
             np.concatenate([ens.qu[n] for n in ens.checkpoints]),
         ],

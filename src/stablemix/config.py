@@ -128,6 +128,7 @@ def _bounded(convert: Callable, test: Callable, text: str) -> Callable:
 POSITIVE_INT = _bounded(integral, lambda n: n > 0, "positive")
 NONNEGATIVE_INT = _bounded(integral, lambda n: n >= 0, "nonnegative")
 POSITIVE_REAL = _bounded(real, lambda x: x > 0.0, "positive")
+NONNEGATIVE_REAL = _bounded(real, lambda x: x >= 0.0, "nonnegative")
 UNIT_INTERVAL = _bounded(real, lambda x: 0.0 < x < 1.0, "in the open interval (0, 1)")
 
 
@@ -243,11 +244,11 @@ COMMANDS = {
             processes.as_checkpoints, lambda cps: cps[0] > max(verify.CONDITION_LAGS),
             f"above the largest condition (iii) lag, {max(verify.CONDITION_LAGS)}",
         ),
-        "tol": Default(real, verify.DEFAULT_TOLERANCE),
+        "tol": Default(NONNEGATIVE_REAL, verify.DEFAULT_TOLERANCE),
         "levels": Default(
             _bounded(listof(POSITIVE_REAL), bool, "a nonempty list"), [2, 4, 8, 16]
         ),
-        "bound": Default(real, 0.05),
+        "bound": Default(NONNEGATIVE_REAL, 0.05),
     }),
 }
 

@@ -88,11 +88,6 @@ class ThetaGrid:
     def __len__(self) -> int:
         return self.points.shape[0]
 
-    def matches(self, other: "ThetaGrid") -> bool:
-        return self.points.shape == other.points.shape and np.array_equal(
-            self.points, other.points
-        )
-
     @cached_property
     def _phase_plan(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(evaluated, mirrored, zeros)`` row indices for :func:`phase_sums`.
@@ -239,23 +234,13 @@ def estimate_ecf(
     )
 
 
-def _aligned_values(estimate: EcfEstimate, other) -> np.ndarray:
-    if isinstance(other, EcfEstimate):
-        if not estimate.grid.matches(other.grid):
-            raise GridMismatchError("estimates were taken on different grids")
-        return other.values
-    arr = np.asarray(other)
-    if arr.shape != (len(estimate.grid),):
-        raise GridMismatchError(
-            f"reference has shape {arr.shape}, grid has {len(estimate.grid)} points"
-        )
-    return arr
-
-
 def sup_distance(estimate: EcfEstimate, reference) -> float:
-    """Max modulus difference against a reference (grid-aligned values or a
-    second estimate)."""
-    ref = _aligned_values(estimate, reference)
+    """Max modulus difference against ``reference``, one value per grid point."""
+    ref = np.asarray(reference)
+    if ref.shape != (len(estimate.grid),):
+        raise GridMismatchError(
+            f"reference has shape {ref.shape}, grid has {len(estimate.grid)} points"
+        )
     return float(np.abs(estimate.values - ref).max())
 
 

@@ -198,25 +198,13 @@ def per_path_uniforms(spec: ProcessSpec, n: int) -> int:
     return spec.latent_uniforms + n * spec.noise_law.uniforms_per_draw
 
 
-@dataclass(frozen=True)
-class Latent:
-    """Each path's draw at time zero: its row ``atom`` of the spec's atom
-    table (0 when the spec draws none) and that atom's membership ``in_g``
-    in the conditioning event."""
-
-    atom: np.ndarray
-    in_g: np.ndarray
-
-
-def _draw_latent(spec: ProcessSpec, u: np.ndarray) -> Latent:
-    """Latent of each row of a path-uniform block; a row's first uniform
-    is its latent one when the spec draws an atom."""
+def _draw_latent(spec: ProcessSpec, u: np.ndarray) -> np.ndarray:
+    """Each row's atom of a path-uniform block, 0 when the spec draws none;
+    a row's first uniform is its latent one when the spec draws an atom."""
     if spec.atom_probs is None:
-        atom = np.zeros(len(u), dtype=np.intp)
-    else:
-        cum = np.cumsum(spec.atom_probs)
-        atom = np.minimum(np.searchsorted(cum, u[:, 0], side="right"), len(cum) - 1)
-    return Latent(atom, spec.atom_in_g[atom])
+        return np.zeros(len(u), dtype=np.intp)
+    cum = np.cumsum(spec.atom_probs)
+    return np.minimum(np.searchsorted(cum, u[:, 0], side="right"), len(cum) - 1)
 
 
 def _transformed(spec: ProcessSpec, W: np.ndarray, atom: np.ndarray) -> np.ndarray:
@@ -240,7 +228,7 @@ def _scaled_rows(spec: ProcessSpec, u: np.ndarray, checkpoints) -> dict:
     """The one accumulation kernel: scaled statistics of the paths whose
     uniform rows are ``u``, shape (count, per_path_uniforms).
 
-    Returns each row's latent draw, ``B_n U_n`` and ``Q_n U_n`` at every
+    Returns each row's atom, ``B_n U_n`` and ``Q_n U_n`` at every
     checkpoint ``n`` of the sorted tuple ``checkpoints``, and the first raw
     noise increments.  The scaled values come from ``w_n = sum_{k<=n}
     P^{n-k} V_k``, the form free of huge inverse powers; one pass of the
@@ -248,7 +236,7 @@ def _scaled_rows(spec: ProcessSpec, u: np.ndarray, checkpoints) -> dict:
     """
     count, n = len(u), checkpoints[-1]
     wanted = set(checkpoints)
-    latent = _draw_latent(spec, u)
+    atom = _draw_latent(spec, u)
     W = spec.noise_law.from_uniforms(
         u[:, spec.latent_uniforms :].reshape(count, n, spec.noise_law.uniforms_per_draw)
     )
@@ -260,7 +248,7 @@ def _scaled_rows(spec: ProcessSpec, u: np.ndarray, checkpoints) -> dict:
         for cp in checkpoints:
             bu[cp] = qu[cp] = csum[:, cp - 1]
     else:
-        V = _transformed(spec, W, latent.atom)
+        V = _transformed(spec, W, atom)
         # w is (d, count).  Elementwise ops in a fixed order keep a path's
         # bits independent of its chunk's row count, which a BLAS matmul
         # does not (it switches kernels for one-row chunks).
@@ -274,9 +262,9 @@ def _scaled_rows(spec: ProcessSpec, u: np.ndarray, checkpoints) -> dict:
                 # Unscaled specs share one array for B_n U_n and Q_n U_n.
                 qu[k] = bu[k] = w.T
                 if spec.atom_scale is not None:
-                    bu[k] = w.T / spec.b_divisor(k)[latent.atom][:, None]
+                    bu[k] = w.T / spec.b_divisor(k)[atom][:, None]
     prefix = W[:, : min(PREFIX_KEEP, n)].copy()
-    return {"bu": bu, "qu": qu, "latent": latent, "prefix": prefix}
+    return {"bu": bu, "qu": qu, "atom": atom, "prefix": prefix}
 
 
 def _raw_states(spec: ProcessSpec, qu: dict, n: int) -> np.ndarray:
@@ -304,13 +292,11 @@ class ProcessPath:
 
     ``U[k]`` is the state after ``k`` steps (``U[0] = 0``), recovered as
     ``U_k = P^-k Q_k U_k`` from the accumulation kernel's values at every
-    step; ``latent`` is the path's one-row draw at time zero.
+    step; ``atom`` is the path's row of the spec's atom table.
     """
 
-    spec: ProcessSpec
-    n: int
     U: np.ndarray
-    latent: Latent
+    atom: int
 
 
 def simulate_path(spec: ProcessSpec, n: int, rng: np.random.Generator) -> ProcessPath:
@@ -325,7 +311,7 @@ def simulate_path(spec: ProcessSpec, n: int, rng: np.random.Generator) -> Proces
         raise InvalidInputError("n must be at least 1")
     u = np.atleast_1d(rng.random(per_path_uniforms(spec, n)))
     rows = _scaled_rows(spec, u[None], tuple(range(1, n + 1)))
-    return ProcessPath(spec, n, _raw_states(spec, rows["qu"], n)[0], rows["latent"])
+    return ProcessPath(_raw_states(spec, rows["qu"], n)[0], int(rows["atom"][0]))
 
 
 def as_checkpoints(values) -> tuple[int, ...]:
@@ -344,19 +330,20 @@ class Ensemble:
     """Checkpointed scaled statistics for many independent paths.
 
     ``bu[n]`` and ``qu[n]`` hold ``B_n U_n`` and ``Q_n U_n`` as
-    ``(n_paths, d)`` arrays.  ``noise_prefix`` keeps the first raw noise
-    increments of every path so event families can evaluate prefix
-    features without re-simulation.  :func:`simulate_ensemble` makes every
-    array read-only, so one ensemble can serve several commands.
+    ``(n_paths, d)`` arrays, one array when the spec has no atom scales.
+    ``atom`` holds each path's row of the spec's atom table.
+    ``noise_prefix`` keeps the first raw noise increments of every path so
+    event families can evaluate prefix features without re-simulation.
+    :func:`simulate_ensemble` makes every array read-only, so one ensemble
+    can serve several commands.
     """
 
     spec: ProcessSpec
-    seed: int
     n_paths: int
     checkpoints: tuple[int, ...]
     bu: dict
     qu: dict
-    latent: Latent
+    atom: np.ndarray
     noise_prefix: np.ndarray
 
     @property
@@ -365,8 +352,8 @@ class Ensemble:
 
     @property
     def in_g(self) -> np.ndarray:
-        """Shorthand for ``latent.in_g``; the benchmark tracer reads it."""
-        return self.latent.in_g
+        """Each path's membership in the conditioning event: that of its atom."""
+        return self.spec.atom_in_g[self.atom]
 
     @property
     def eta_invertible(self) -> np.ndarray:
@@ -406,16 +393,17 @@ def simulate_ensemble(
         out.flags.writeable = False
         return out
 
+    def by_checkpoint(key):
+        return {cp: cat(lambda p, c=cp: p[key][c]) for cp in checkpoints}
+
+    qu = by_checkpoint("qu")
     return Ensemble(
         spec=spec,
-        seed=int(seed),
         n_paths=n_paths,
         checkpoints=checkpoints,
-        bu={cp: cat(lambda p, c=cp: p["bu"][c]) for cp in checkpoints},
-        qu={cp: cat(lambda p, c=cp: p["qu"][c]) for cp in checkpoints},
-        latent=Latent(
-            cat(lambda p: p["latent"].atom), cat(lambda p: p["latent"].in_g)
-        ),
+        bu=qu if spec.atom_scale is None else by_checkpoint("bu"),
+        qu=qu,
+        atom=cat(lambda p: p["atom"]),
         noise_prefix=cat(lambda p: p["prefix"]),
     )
 
@@ -428,7 +416,7 @@ def write_paths_csv(path, ensemble: Ensemble) -> None:
     n = ensemble.checkpoints[-1]
     if ensemble.checkpoints != tuple(range(1, n + 1)):
         raise InvalidInputError("paths.csv needs an ensemble checkpointed at every step")
-    spec, atom = ensemble.spec, ensemble.latent.atom
+    spec, atom = ensemble.spec, ensemble.atom
     # lam and s_index cells only where the spec draws them.
     blank = np.full(ensemble.n_paths, "", dtype=object)
     lam = blank if spec.atom_scale is None else spec.atom_scale[atom]
@@ -444,7 +432,7 @@ def write_paths_csv(path, ensemble: Ensemble) -> None:
         [
             per_path(np.arange(ensemble.n_paths)),
             np.tile(np.arange(n + 1), ensemble.n_paths),
-            per_path(ensemble.latent.in_g.astype(np.int64)),
+            per_path(ensemble.in_g.astype(np.int64)),
             per_path(lam),
             per_path(s_index),
             _raw_states(spec, ensemble.qu, n).reshape(-1, spec.dim),

@@ -95,8 +95,8 @@ def map_chunks(fn, n_paths: int, workers: int = 1, chunk: int = CHUNK_PATHS) -> 
         return list(pool.map(lambda ac: fn(*ac), parts))
 
 
-def kahan_fold(parts) -> np.ndarray | float:
-    """Compensated left fold of a list of equally-shaped addends.
+def kahan_fold(parts) -> np.ndarray:
+    """Compensated left fold of a list of equally-shaped addend arrays.
 
     Used to merge per-chunk partial sums in chunk order; the compensation
     keeps the fold well conditioned, and the fixed order keeps it exact
@@ -112,6 +112,4 @@ def kahan_fold(parts) -> np.ndarray | float:
         t = total + y
         comp = (t - total) - y
         total = t
-    if total.ndim == 0:
-        return total[()]
     return total

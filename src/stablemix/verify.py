@@ -129,11 +129,11 @@ def default_family(ensemble: Ensemble) -> EventFamily:
         features.append(
             PathEvent(
                 _scale_label(first),
-                lambda e: e.spec.atom_scale[e.latent.atom] == first,
+                lambda e: e.spec.atom_scale[e.atom] == first,
             )
         )
     elif spec.atom_factor is not None:
-        features.append(PathEvent("factor-is-0", lambda e: e.latent.atom == 0))
+        features.append(PathEvent("factor-is-0", lambda e: e.atom == 0))
     return EventFamily(tuple(features))
 
 
@@ -173,14 +173,14 @@ def _judged(condition, ensemble, stats, threshold, passed, detail, ecf=None):
     checkpoint, each against the same ``threshold``."""
     return ConvergenceVerdict(
         condition, ensemble.checkpoints, tuple(stats), (threshold,) * len(stats),
-        bool(passed), int(ensemble.latent.in_g.sum()), detail, ecf,
+        bool(passed), int(ensemble.in_g.sum()), detail, ecf,
     )
 
 
 def _filtered(ensemble: Ensemble, minimum: int = 1) -> np.ndarray:
     """Mask of the paths in the conditioning event; fewer than ``minimum``
     of them is an :class:`InsufficientDataError`."""
-    mask = ensemble.latent.in_g
+    mask = ensemble.in_g
     count = int(mask.sum())
     if count < minimum:
         raise InsufficientDataError(
@@ -212,7 +212,7 @@ def check_condition_i(
     or below ``tol``.
     """
     spec = ensemble.spec
-    atom = ensemble.latent.atom[_filtered(ensemble)]
+    atom = ensemble.atom[_filtered(ensemble)]
     eye = np.eye(ensemble.dim)[None]
     scale = spec.b_divisor(np.inf)[:, None, None]
     stats = []
@@ -232,12 +232,12 @@ def check_condition_ii(
 ) -> ConvergenceVerdict:
     """Is ``Q_n U_n`` stochastically bounded along the checkpoints?
 
-    Reports exceedance frequencies ``P(|Q_n U_n| > K)`` for each level K.
-    Pass requires the largest level to stay under ``bound`` at every
-    checkpoint with no upward trend beyond the sampling slack
-    ``3 / (2 sqrt(count))`` at the filtered path count (``detail["slack"]``).
+    Reports exceedance frequencies ``P(|Q_n U_n| > K)`` for each level K,
+    levels sorted ascending.  Pass requires the largest level to stay under
+    ``bound`` at every checkpoint with no upward trend beyond the sampling
+    slack ``3 / (2 sqrt(count))`` at the filtered count (``detail["slack"]``).
     """
-    levels = tuple(float(k) for k in levels)
+    levels = tuple(sorted(float(k) for k in levels))
     if not levels or min(levels) <= 0:
         raise InvalidInputError("levels must be positive")
     mask = _filtered(ensemble)
@@ -270,7 +270,7 @@ def check_condition_iii(
     if not r_list or min(r_list) < 1:
         raise InvalidInputError("lags must be positive integers")
     spec = ensemble.spec
-    atom = ensemble.latent.atom[_filtered(ensemble)]
+    atom = ensemble.atom[_filtered(ensemble)]
     stats = []
     for n in ensemble.checkpoints:
         worst = 0.0
@@ -397,7 +397,7 @@ def stable_statistic(
         ensemble, n, family, grid, "qu", workers, sure_sums
     )
     total = inds.shape[1]
-    atom = ensemble.latent.atom[mask]
+    atom = ensemble.atom[mask]
     per_atom = np.stack([np.bincount(atom[ind], minlength=len(table)) for ind in inds])
     term1 = sums / total
     term2 = (per_atom @ table) / total

@@ -66,7 +66,7 @@ def test_01_scaled_process_matches_series_law():
         est_process = estimate_ecf(ens.bu[24], grid, workers=4)
         second = series.series_ensemble(P, law, 23, 101, N_LARGE, workers=4)
         est_series = estimate_ecf(second, grid, workers=4)
-        worst = max(worst, sup_distance(est_process, est_series))
+        worst = max(worst, sup_distance(est_process, est_series.values))
     elapsed = time.perf_counter() - started
     ok = worst <= THRESHOLD and elapsed < 60.0
     check(

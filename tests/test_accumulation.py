@@ -193,8 +193,8 @@ def test_explosive_values_unchanged(n_paths, checkpoints, seed):
 def per_path_condition_stats(ens, r_list, percentile=95.0):
     """Conditions (i) and (iii) with one SVD per path."""
     spec = ens.spec
-    mask = np.array([spec.atom_in_g[a] for a in ens.latent.atom])
-    lam = oracle_scale(spec, ens.latent.atom)
+    mask = np.array([spec.atom_in_g[a] for a in ens.atom])
+    lam = oracle_scale(spec, ens.atom)
     eye = np.eye(ens.dim)[None]
 
     def top(mats):

@@ -415,7 +415,7 @@ class TestVerifyEcfCsv:
         assert main(argv) in (0, 1)
 
         ens = simulate_ensemble(process_from_json(self.SPEC), [5, 10], 4097, seed=41)
-        values = (ens.bu if which == "bu" else ens.qu)[10][ens.latent.in_g]
+        values = (ens.bu if which == "bu" else ens.qu)[10][ens.in_g]
         assert len(values) < 4097
         want = tmp_path / "want.csv"
         ecf.write_ecf_csv(want, ecf.estimate_ecf(values, ecf.default_grid(2), 0.01))
@@ -861,10 +861,13 @@ class TestConfigValidation:
             ("series", {"tol": 0.0, "r": None}, "'tol'"),
             ("series", {"tol": -1.0, "r": None}, "'tol'"),
             ("lemma", {"law": {"law": "log-cauchy-ray"}}, "allow_diagnostic"),
+            ("conditions", {"tol": -1}, "'tol'"),
+            ("conditions", {"bound": -1}, "'bound'"),
         ],
         ids=["stable-delta", "mixing-delta", "levels-empty", "levels-zero",
              "sample-law-delta", "series-delta", "tol-and-r", "neither",
-             "tol-zero", "tol-negative", "ray-not-allowed"],
+             "tol-zero", "tol-negative", "ray-not-allowed",
+             "conditions-tol-negative", "conditions-bound-negative"],
     )
     def test_config_errors_exit_2_before_any_work(
         self, tmp_path, capsys, calls, command, entries, named

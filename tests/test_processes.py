@@ -29,18 +29,19 @@ from stablemix.processes import (
 )
 
 
-def checkpoint_scaled(path, checkpoints):
-    """Literal ``(n, B_n U_n, Q_n U_n)`` of one path at each checkpoint."""
+def checkpoint_scaled(spec, path, checkpoints):
+    """Literal ``(n, B_n U_n, Q_n U_n)`` of one path of ``spec`` at each
+    checkpoint."""
     out = []
-    spec = path.spec
+    length = len(path.U) - 1
     for n in checkpoints:
         n = int(n)
-        if not (1 <= n <= path.n):
+        if not (1 <= n <= length):
             raise InvalidInputError(
-                f"checkpoint {n} outside the simulated range 1..{path.n}"
+                f"checkpoint {n} outside the simulated range 1..{length}"
             )
         qu = np.linalg.matrix_power(spec.P, n) @ path.U[n]
-        bu = (1.0 / spec.b_divisor(n)[path.latent.atom[0]]) * qu
+        bu = (1.0 / spec.b_divisor(n)[path.atom]) * qu
         out.append((n, bu, qu))
     return out
 
@@ -186,7 +187,7 @@ class TestCheckpointScaled:
     def test_canonical_identity(self):
         spec = SyntheticCanonical(rotation_half(), laws.NormalLaw(np.eye(2)))
         path = simulate_path(spec, 10, np.random.default_rng(7))
-        for n, bu, qu in checkpoint_scaled(path, [3, 10]):
+        for n, bu, qu in checkpoint_scaled(spec, path, [3, 10]):
             expected = np.linalg.matrix_power(spec.P, n) @ path.U[n]
             assert np.allclose(bu, expected, atol=1e-12)
             assert np.allclose(qu, expected, atol=1e-12)
@@ -196,8 +197,8 @@ class TestCheckpointScaled:
             rotation_half(), laws.NormalLaw(np.eye(2)), [2.0], [1.0]
         )
         path = simulate_path(spec, 6, np.random.default_rng(11))
-        assert spec.atom_scale[path.latent.atom[0]] == 2.0
-        (n, bu, qu), = checkpoint_scaled(path, [6])
+        assert spec.atom_scale[path.atom] == 2.0
+        (n, bu, qu), = checkpoint_scaled(spec, path, [6])
         # Q keeps the latent scale, B removes it.
         assert np.allclose(qu, 2.0 * bu, atol=1e-12)
 
@@ -205,9 +206,9 @@ class TestCheckpointScaled:
         spec = SyntheticCanonical(rotation_half(), laws.NormalLaw(np.eye(2)))
         path = simulate_path(spec, 5, np.random.default_rng(0))
         with pytest.raises(InvalidInputError):
-            checkpoint_scaled(path, [6])
+            checkpoint_scaled(spec, path, [6])
         with pytest.raises(InvalidInputError):
-            checkpoint_scaled(path, [0])
+            checkpoint_scaled(spec, path, [0])
 
 
 class TestEnsemble:
@@ -221,7 +222,7 @@ class TestEnsemble:
                 u = streams.uniform_block(23, streams.STREAM_PROCESS, i, 1, per)[0]
                 path = simulate_path(spec, 100, _RowRng(u))
                 tol = {"rtol": 1e-12, "atol": 1e-12, "err_msg": type(spec).__name__}
-                for n, bu, qu in checkpoint_scaled(path, [25, 100]):
+                for n, bu, qu in checkpoint_scaled(spec, path, [25, 100]):
                     np.testing.assert_allclose(bu, ens.bu[n][i], **tol)
                     np.testing.assert_allclose(qu, ens.qu[n][i], **tol)
 
@@ -234,7 +235,7 @@ class TestEnsemble:
         for n in (3, 7):
             assert np.array_equal(a.bu[n], b.bu[n])
             assert np.array_equal(a.qu[n], b.qu[n])
-        assert np.array_equal(a.latent.atom, b.latent.atom)
+        assert np.array_equal(a.atom, b.atom)
         assert np.array_equal(a.noise_prefix, b.noise_prefix)
 
     def test_growth_keeps_prefix(self):
@@ -249,7 +250,7 @@ class TestEnsemble:
             event_values=[2.0],
         )
         ens = simulate_ensemble(spec, [6], 5000, seed=3)
-        lam = spec.atom_scale[ens.latent.atom]
+        lam = spec.atom_scale[ens.atom]
         assert set(np.unique(lam)) == {1.0, 2.0}
         assert np.array_equal(ens.in_g, lam == 2.0)
         assert np.allclose(ens.qu[6], ens.bu[6] * lam[:, None], atol=1e-12)
@@ -262,8 +263,8 @@ class TestEnsemble:
             [np.eye(1), 2.0 * np.eye(1)], [0.25, 0.75],
         )
         ens = simulate_ensemble(spec, [6], 8000, seed=5)
-        assert set(np.unique(ens.latent.atom)) <= {0, 1}
-        assert abs((ens.latent.atom == 1).mean() - 0.75) < 0.03
+        assert set(np.unique(ens.atom)) <= {0, 1}
+        assert abs((ens.atom == 1).mean() - 0.75) < 0.03
         assert spec.atom_scale is None
 
     def test_noise_prefix_matches_stream(self):
@@ -299,11 +300,30 @@ class TestEnsemble:
             event_values=[2.0],
         )
         ens = simulate_ensemble(spec, [3, 6], 5000, seed=7, workers=2)
-        arrays = [ens.bu[3], ens.bu[6], ens.qu[3], ens.qu[6], ens.latent.atom,
-                  ens.latent.in_g, ens.noise_prefix]
+        arrays = [ens.bu[3], ens.bu[6], ens.qu[3], ens.qu[6], ens.atom,
+                  ens.noise_prefix]
         for arr in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = arr[1]
+        # in_g is derived from the atoms, so a write to it cannot reach them.
+        mask = ens.in_g
+        mask[:] = ~mask
+        assert np.array_equal(ens.in_g, spec.atom_in_g[ens.atom])
+
+    def test_values_stored_once(self):
+        # Membership is a function of the atom for every variant, and
+        # without atom scales B_n U_n and Q_n U_n are one array.
+        for spec in all_specs() + [
+            RandomScaled(
+                rotation_half(), laws.NormalLaw(np.eye(2)), [1.0, 2.0],
+                [0.5, 0.5], event_values=[2.0],
+            )
+        ]:
+            ens = simulate_ensemble(spec, [3, 6], 500, seed=17)
+            assert np.array_equal(ens.in_g, spec.atom_in_g[ens.atom])
+            for n in (3, 6):
+                shared = ens.bu[n] is ens.qu[n]
+                assert shared == (spec.atom_scale is None), type(spec).__name__
 
     def test_validates_checkpoints(self):
         spec = SyntheticCanonical(rotation_half(), laws.NormalLaw(np.eye(2)))
@@ -377,8 +397,8 @@ class TestJsonRoundtrip:
         b = simulate_ensemble(back, [4], 64, seed=9)
         assert np.array_equal(a.bu[4], b.bu[4])
         assert np.array_equal(a.qu[4], b.qu[4])
-        assert np.array_equal(a.latent.atom, b.latent.atom)
-        assert np.array_equal(a.latent.in_g, b.latent.in_g)
+        assert np.array_equal(a.atom, b.atom)
+        assert np.array_equal(a.in_g, b.in_g)
 
     def test_rejects_unknown_variant(self):
         with pytest.raises(InvalidInputError):
@@ -408,7 +428,7 @@ class TestPathsCsv:
         assert len(rows) == 1 + 2 * 5
         assert rows[1][1] == "0"
         assert float(rows[1][5]) == 0.0
-        lam = spec.atom_scale[ens.latent.atom]
+        lam = spec.atom_scale[ens.atom]
         assert [float(r[3]) for r in rows[1::5]] == lam.tolist()
 
     def test_trajectory_is_ensemble_row(self, tmp_path):

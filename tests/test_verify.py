@@ -178,6 +178,19 @@ class TestConditions:
         assert v.detail["levels"] == [2.0, 4.0, 8.0, 16.0]
         assert len(v.detail["exceedance"]) == 3
 
+    def test_boundedness_judges_largest_level_in_any_order(self):
+        # The verdict reads the largest level, not the last one listed.
+        ens = simulate_ensemble(canonical_spec(), [5, 10], 5000, seed=4)
+        verdicts = [
+            verify.check_condition_ii(ens, levels=order)
+            for order in ((2, 4, 8, 16), (16, 2, 8, 4), (16, 8, 4, 2))
+        ]
+        assert verdicts[0].passed
+        assert verdicts[0].detail["levels"] == [2.0, 4.0, 8.0, 16.0]
+        for v in verdicts[1:]:
+            assert v == verdicts[0]
+            assert v.statistics == verdicts[0].statistics
+
     def test_boundedness_fails_at_absurd_level(self):
         ens = simulate_ensemble(canonical_spec(), [5, 10], 5000, seed=4)
         v = verify.check_condition_ii(ens, levels=(0.1,), bound=0.05)
@@ -198,10 +211,14 @@ class TestConditions:
             verify.check_condition_iii(ens, r_list=(0,))
 
     def test_empty_conditioning_event(self):
-        ens = simulate_ensemble(canonical_spec(), [5], 100, seed=0)
-        starved = dataclasses.replace(
-            ens, latent=dataclasses.replace(ens.latent, in_g=np.zeros(100, dtype=bool))
+        # Every path on atom 0, lam = 1, outside the event {lam = 2}.
+        spec = RandomScaled(
+            rotation_half(), laws.NormalLaw(np.eye(2)), [1.0, 2.0], [0.5, 0.5],
+            event_values=[2.0],
         )
+        ens = simulate_ensemble(spec, [5], 100, seed=0)
+        starved = dataclasses.replace(ens, atom=np.zeros(100, dtype=np.intp))
+        assert not starved.in_g.any()
         for checker in (
             verify.check_condition_i,
             verify.check_condition_ii,
@@ -342,7 +359,7 @@ class TestStatistics:
         values = ens.qu[8][mask]
         inds = fam.indicator_matrix(ens)[:, mask]
         phases = np.exp(1j * (values @ grid.points.T))
-        per_path = table[ens.latent.atom[mask]]
+        per_path = table[ens.atom[mask]]
         total = values.shape[0]
         worst = 0.0
         for e in range(len(inds)):
@@ -507,7 +524,7 @@ class TestVerdicts:
             [0.3, 0.3, 0.4], event_values=[2.0, 1.0],
         )
         ens = simulate_ensemble(spec, [6, 12], 4097, seed=34)
-        mask = ens.latent.in_g
+        mask = ens.in_g
         grid = ecf.default_grid(2)
         for v, values in (
             (verify.verify_stable(ens, delta=1e-2), ens.qu[12][mask]),

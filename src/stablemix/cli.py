@@ -87,7 +87,7 @@ def _law_samples(law, seed: int, count: int, workers: int) -> np.ndarray:
         u = streams.uniform_block(
             seed, streams.STREAM_LAW, start, n, law.uniforms_per_draw
         )
-        return law.from_uniforms(u[:, None, :])[:, 0]
+        return law.draw_block(u[:, None, :])[:, 0]
 
     return np.concatenate(streams.map_chunks(chunk, count, workers), axis=0)
 

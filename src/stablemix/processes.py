@@ -207,21 +207,26 @@ def _draw_latent(spec: ProcessSpec, u: np.ndarray) -> np.ndarray:
     return np.minimum(np.searchsorted(cum, u[:, 0], side="right"), len(cum) - 1)
 
 
-def _transformed(spec: ProcessSpec, W: np.ndarray, atom: np.ndarray) -> np.ndarray:
-    """``V_k = (scale + perturbation/k) factor W_k`` for each path's atom;
-    ``W`` has shape (count, n, d)."""
+def _transformed(
+    spec: ProcessSpec, W: np.ndarray, atom: np.ndarray, out: np.ndarray
+) -> None:
+    """Write ``V_k = (scale + perturbation/k) factor W_k`` for each path's
+    atom into ``out``; ``W`` and ``out`` have shape (count, n, d)."""
     if spec.atom_factor is not None:
-        V = np.empty_like(W)
         for k, factor in enumerate(spec.atom_factor):
             mask = atom == k
             if mask.any():
-                V[mask] = W[mask] @ factor.T
-        W = V
+                out[mask] = W[mask] @ factor.T
+        W = out
     if spec.atom_scale is not None:
         steps = np.arange(1, W.shape[1] + 1)
         coeff = spec.atom_scale[atom][:, None] + spec.perturbation / steps[None, :]
-        W = W * coeff[:, :, None]
-    return W
+        # One multiply per coordinate: broadcast over the short last axis,
+        # numpy's inner loop would run d elements at a time.
+        for i in range(W.shape[2]):
+            np.multiply(W[..., i], coeff, out=out[..., i])
+    elif W is not out:
+        out[...] = W
 
 
 def _scaled_rows(spec: ProcessSpec, u: np.ndarray, checkpoints) -> dict:
@@ -230,25 +235,34 @@ def _scaled_rows(spec: ProcessSpec, u: np.ndarray, checkpoints) -> dict:
 
     Returns each row's atom, ``B_n U_n`` and ``Q_n U_n`` at every
     checkpoint ``n`` of the sorted tuple ``checkpoints``, and the first raw
-    noise increments.  The scaled values come from ``w_n = sum_{k<=n}
-    P^{n-k} V_k``, the form free of huge inverse powers; one pass of the
-    recursion ``w_k = P w_{k-1} + V_k`` snapshots every checkpoint.
+    noise increments.  The noise is drawn, transformed into ``V`` and cut
+    to its prefix one cache-sized slice of rows at a time, so no array of
+    the chunk's raw noise is formed.  The scaled values come from ``w_n =
+    sum_{k<=n} P^{n-k} V_k``, the form free of huge inverse powers; one
+    pass of the recursion ``w_k = P w_{k-1} + V_k`` snapshots every
+    checkpoint.
     """
     count, n = len(u), checkpoints[-1]
     wanted = set(checkpoints)
     atom = _draw_latent(spec, u)
-    W = spec.noise_law.from_uniforms(
-        u[:, spec.latent_uniforms :].reshape(count, n, spec.noise_law.uniforms_per_draw)
+    prefix = np.empty((count, min(PREFIX_KEEP, n), spec.dim))
+
+    def put(rows, W, out):
+        prefix[rows] = W[:, :PREFIX_KEEP]
+        _transformed(spec, W, atom[rows], out)
+
+    law = spec.noise_law
+    V = law.draw_block(
+        u[:, spec.latent_uniforms :].reshape(count, n, law.uniforms_per_draw), put
     )
     bu, qu = {}, {}
     if isinstance(spec, ExplosiveVar):
-        # wsum_n = sum_{k<=n} A^-k eps_k accumulates once.
-        terms = np.einsum("kde,cke->ckd", matalg.power_sequence(spec.P, n)[1:], W)
+        # wsum_n = sum_{k<=n} A^-k eps_k accumulates once; V is the raw noise.
+        terms = np.einsum("kde,cke->ckd", matalg.power_sequence(spec.P, n)[1:], V)
         csum = np.cumsum(terms, axis=1)
         for cp in checkpoints:
             bu[cp] = qu[cp] = csum[:, cp - 1]
     else:
-        V = _transformed(spec, W, atom)
         # w is (d, count).  Elementwise ops in a fixed order keep a path's
         # bits independent of its chunk's row count, which a BLAS matmul
         # does not (it switches kernels for one-row chunks).
@@ -263,7 +277,6 @@ def _scaled_rows(spec: ProcessSpec, u: np.ndarray, checkpoints) -> dict:
                 qu[k] = bu[k] = w.T
                 if spec.atom_scale is not None:
                     bu[k] = w.T / spec.b_divisor(k)[atom][:, None]
-    prefix = W[:, : min(PREFIX_KEEP, n)].copy()
     return {"bu": bu, "qu": qu, "atom": atom, "prefix": prefix}
 
 

@@ -119,7 +119,7 @@ def series_ensemble(
 
     def chunk(start, n):
         u = streams.uniform_block(seed, streams.STREAM_SERIES, start, n, per_path)
-        z = law.from_uniforms(u.reshape(n, r + 1, law.uniforms_per_draw))
+        z = law.draw_block(u.reshape(n, r + 1, law.uniforms_per_draw))
         return np.einsum("jde,cje->cd", powers, z)
 
     parts = streams.map_chunks(chunk, count, workers)
@@ -189,7 +189,7 @@ def lemma_diagnostics(
 
     def chunk(start, count):
         u = streams.uniform_block(seed, streams.STREAM_LEMMA, start, count, per_path)
-        z = law.from_uniforms(u.reshape(count, J + 1, law.uniforms_per_draw))
+        z = law.draw_block(u.reshape(count, J + 1, law.uniforms_per_draw))
         with np.errstate(invalid="ignore", over="ignore"):
             term = _apply_powers(powers, z)
             term_norms = np.linalg.norm(term, axis=2)

@@ -246,6 +246,12 @@ class TestCmsAccuracy:
         assert worst(got) <= 4.0 * worst(old_cms(alpha, u[:, 0], u[:, 1]))
 
 
+def same_bits(a, b) -> bool:
+    """Equal shapes and equal bit patterns, so -0.0 differs from +0.0."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
 class TestChunkedDraws:
     @pytest.mark.parametrize("law", all_standard_laws(), ids=law_id)
     def test_rows_around_the_chunk_width_bitwise(self, law):
@@ -260,6 +266,22 @@ class TestChunkedDraws:
             for start, stop in ((4095, 4098), (4095, 4100), (4094, 4096),
                                 (4096, 4097), (4097, 4098)):
                 assert np.array_equal(law.from_uniforms(u[start:stop]), whole[start:stop])
+
+    @pytest.mark.parametrize(
+        "law", all_standard_laws() + [laws.LogCauchyRay(2)], ids=law_id
+    )
+    def test_sliced_block_equals_one_call_bitwise(self, law):
+        # draw_block maps SLICE_ROWS rows per call: row counts on both sides
+        # of one and two slice widths (1, 255, 256, 257, 511 at a width of
+        # 256), and past a whole chunk, must give the bits of one
+        # from_uniforms call on the block.
+        width, upd = laws.SLICE_ROWS, law.uniforms_per_draw
+        for steps in (1, 2, 65):
+            u = streams.uniform_block(5, streams.STREAM_LAW, 0, 4097, steps * upd)
+            u = u.reshape(4097, steps, upd)
+            for rows in (1, width - 1, width, width + 1, 2 * width - 1, 4097):
+                block = law.draw_block(u[:rows])
+                assert same_bits(block, law.from_uniforms(u[:rows]))
 
 
 class TestEcfAgainstCf:
@@ -511,6 +533,23 @@ class TestUniformEdges:
     @pytest.mark.parametrize("law", [laws.NormalLaw(np.eye(2)), laws.CauchyLaw(2)])
     def test_normal_and_cauchy_finite_on_edges(self, law):
         assert np.isfinite(law.from_uniforms(edge_rows(law.uniforms_per_draw))).all()
+
+
+class TestIdentityCovariance:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_identity_skip_equals_matmul_bitwise(self, d):
+        # u1 = 0 gives the radius sqrt(-0.0) = -0.0; the skipped matmul
+        # would have turned the -0.0 draws into +0.0.
+        u = edge_rows(laws.NormalLaw(np.eye(d)).uniforms_per_draw)
+        raw = laws._normals(u, d)
+        assert ((raw == 0.0) & np.signbit(raw)).any()
+        got = laws.NormalLaw(np.eye(d)).from_uniforms(u)
+        assert same_bits(got, raw @ np.eye(d))
+
+    def test_diagonal_covariance_keeps_the_matmul(self):
+        law = laws.NormalLaw(np.diag([4.0, 1.0]))
+        u = edge_rows(2)
+        assert same_bits(law.from_uniforms(u), laws._normals(u, 2) @ law.factor.T)
 
 
 class TestStableLawLayout:

@@ -6,11 +6,12 @@ plus a couple of frozen distributional facts for the explosive case.
 """
 
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from stablemix import laws, streams
+from stablemix import laws, processes, streams
 from stablemix.config import process_from_json
 from stablemix.errors import (
     HypothesisViolationError,
@@ -237,6 +238,25 @@ class TestEnsemble:
             assert np.array_equal(a.qu[n], b.qu[n])
         assert np.array_equal(a.atom, b.atom)
         assert np.array_equal(a.noise_prefix, b.noise_prefix)
+
+    def test_kernel_peak_memory_on_one_chunk(self):
+        # The random-scaled spec at n = 100 on one full chunk: the noise is
+        # drawn, transformed into V and cut to its prefix slice by slice,
+        # so the kernel holds one (count, n, d) array, not the raw noise as
+        # well.  tracemalloc sees numpy's data buffers.
+        spec = RandomScaled(rotation_half(), laws.NormalLaw(np.eye(2)),
+                            [1.0, 2.0], [0.5, 0.5])
+        count, n = streams.CHUNK_PATHS, 100
+        u = streams.uniform_block(
+            3, streams.STREAM_PROCESS, 0, count, per_path_uniforms(spec, n)
+        )
+        tracemalloc.start()
+        try:
+            processes._scaled_rows(spec, u, (25, 50, 75, n))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * count * n * spec.dim * 8
 
     def test_growth_keeps_prefix(self):
         spec = SyntheticCanonical(rotation_half(), laws.NormalLaw(np.eye(2)))

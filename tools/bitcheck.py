@@ -10,7 +10,9 @@ runs through ``stablemix.cli.main`` on both trees, each tree in one fresh
 child process.  Since the CLI holds the last ensemble, consecutive process
 cases on one request share it, so a tree without that memo checks every
 shared ensemble against a fresh simulation.  The matrix covers every
-process variant through ``simulate``, ``verify-stable``, ``verify-mixing``
+process variant, and the canonical one on Cauchy and on correlated normal
+noise (the one process case whose noise map runs the covariance matmul),
+through ``simulate``, ``verify-stable``, ``verify-mixing``
 (``bu`` and ``qu``), both verdicts again at an explicit ``r`` below the
 default, ``verify-stable`` at a non-default ``delta`` and ``factor``, and
 ``conditions`` at the default and at non-default ``tol``, ``levels`` and
@@ -82,6 +84,9 @@ SLOW_SERIES = {
 PROCESSES = {
     "canonical-cauchy": {
         "variant": "synthetic-canonical", "P": ROTATION_HALF, "noise": CAUCHY_2D,
+    },
+    "canonical-correlated": {
+        "variant": "synthetic-canonical", "P": ROTATION_HALF, "noise": CORRELATED_2D,
     },
     "scaled": {
         "variant": "random-scaled", "P": ROTATION_HALF, "noise": NORMAL_2D,

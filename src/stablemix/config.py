@@ -127,6 +127,7 @@ def _bounded(convert: Callable, test: Callable, text: str) -> Callable:
 
 POSITIVE_INT = _bounded(integral, lambda n: n > 0, "positive")
 NONNEGATIVE_INT = _bounded(integral, lambda n: n >= 0, "nonnegative")
+SEED = _bounded(integral, lambda n: 0 <= n < 2**64, "in [0, 2**64)")
 POSITIVE_REAL = _bounded(real, lambda x: x > 0.0, "positive")
 NONNEGATIVE_REAL = _bounded(real, lambda x: x >= 0.0, "nonnegative")
 UNIT_INTERVAL = _bounded(real, lambda x: 0.0 < x < 1.0, "in the open interval (0, 1)")
@@ -200,7 +201,7 @@ def process_from_json(obj) -> processes.ProcessSpec:
 
 _COMMON = {
     "schema_version": choice(SCHEMA_VERSION),
-    "seed": NONNEGATIVE_INT,
+    "seed": SEED,
     "workers": Default(POSITIVE_INT, 1),
 }
 _ECF_CHECK = {

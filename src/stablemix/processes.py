@@ -13,10 +13,12 @@ table has none), an optional matrix ``atom_factor`` and its membership
 ``atom_in_g`` in the conditioning event.  With the spec's ``perturbation``
 ``p``, the increments are ``dU_k = P^-k V_k`` with the transform
 
-    V_k = (scale + p/k) factor W_k,
+    V_k = (scale + p/k) factor G^k W_k,
 
-and ``B_n = P^n / (scale + p/n)`` divides the scale back out, so
-``B_n U_n = sum_k P^{n-k} V_k / (scale + p/n)``.
+``G`` the spec's ``increment_power`` (none unless a variant sets it).  One
+recursion ``w_k = R w_{k-1} + V_k`` with the spec's ``recursion`` ``R`` (``P``
+unless a variant sets it) gives ``Q_n U_n = w_n = sum_k R^{n-k} V_k``, and
+``B_n = P^n / (scale + p/n)`` divides the scale back out of it.
 
 ``SyntheticCanonical``
     No latent draw: ``B_n U_n = Q_n U_n = sum_k P^{n-k} W_k`` exactly; the
@@ -31,7 +33,8 @@ and ``B_n = P^n / (scale + p/n)`` divides the scale back out, so
 ``ExplosiveVar``
     ``U_n = A U_{n-1} + eps_n`` with every eigenvalue of ``A`` outside the
     unit circle, normalized by ``B_n = A^-n``.  Provided for the series
-    diagnostics; its ``B_n U_n`` is the partial sum ``sum_k A^-k eps_k``.
+    diagnostics; ``R = I`` and ``G = A^-1`` make its ``B_n U_n`` the partial
+    sum ``sum_k A^-k eps_k``.
 
 Determinism: path ``i`` of an ensemble is a pure function of
 ``(seed, stream, i)``; see :mod:`stablemix.streams`.  A trajectory is an
@@ -101,6 +104,8 @@ class ProcessSpec:
         self.atom_factor = None
         self.atom_in_g = np.ones(1, dtype=bool)
         self.perturbation = 0.0
+        self.recursion = self.P
+        self.increment_power = None
 
     @property
     def latent_uniforms(self) -> int:
@@ -159,6 +164,16 @@ class RandomScaled(ProcessSpec):
         self.perturbation = float(perturbation)
         if not np.isfinite(self.perturbation) or self.perturbation < 0.0:
             raise InvalidInputError("perturbation must be a nonnegative float")
+        # A step n < 2^51 with lam + p/n == 0 is the integer nearest p/-lam.
+        with np.errstate(over="ignore"):
+            steps = np.maximum(np.round(self.perturbation / -lam), 1.0)
+        vanishes = self.b_divisor(steps) == 0.0
+        if vanishes.any():
+            a = int(np.argmax(vanishes))
+            raise HypothesisViolationError(
+                f"B_n is undefined: lam + perturbation/n vanishes for atom {a} "
+                f"(lam={lam[a]:g}) at step n={steps[a]:g}"
+            )
 
 
 class DiscreteFactor(ProcessSpec):
@@ -191,6 +206,8 @@ class ExplosiveVar(ProcessSpec):
             )
         # The contraction driving the series view is A^-1.
         super().__init__(matalg.inverse(arr), noise_law)
+        self.recursion = np.eye(self.dim)
+        self.increment_power = self.P
 
 
 def per_path_uniforms(spec: ProcessSpec, n: int) -> int:
@@ -207,11 +224,13 @@ def _draw_latent(spec: ProcessSpec, u: np.ndarray) -> np.ndarray:
     return np.minimum(np.searchsorted(cum, u[:, 0], side="right"), len(cum) - 1)
 
 
-def _transformed(
-    spec: ProcessSpec, W: np.ndarray, atom: np.ndarray, out: np.ndarray
-) -> None:
-    """Write ``V_k = (scale + perturbation/k) factor W_k`` for each path's
-    atom into ``out``; ``W`` and ``out`` have shape (count, n, d)."""
+def _transformed(spec: ProcessSpec, W, atom, out, powers) -> None:
+    """Write ``V_k = (scale + perturbation/k) factor G^k W_k`` for each
+    path's atom into ``out``; ``W`` and ``out`` have shape (count, n, d),
+    ``powers`` holds ``G^1..G^n`` or is None when the spec has no ``G``."""
+    if powers is not None:
+        out[...] = np.einsum("kde,cke->ckd", powers, W)
+        W = out
     if spec.atom_factor is not None:
         for k, factor in enumerate(spec.atom_factor):
             mask = atom == k
@@ -229,55 +248,43 @@ def _transformed(
         out[...] = W
 
 
-def _scaled_rows(spec: ProcessSpec, u: np.ndarray, checkpoints) -> dict:
-    """The one accumulation kernel: scaled statistics of the paths whose
-    uniform rows are ``u``, shape (count, per_path_uniforms).
+def _scaled_rows(spec: ProcessSpec, u, checkpoints, qu, atom, prefix) -> None:
+    """The one accumulation kernel, for the paths whose uniform rows are
+    ``u``, shape (count, per_path_uniforms).
 
-    Returns each row's atom, ``B_n U_n`` and ``Q_n U_n`` at every
-    checkpoint ``n`` of the sorted tuple ``checkpoints``, and the first raw
-    noise increments.  The noise is drawn, transformed into ``V`` and cut
-    to its prefix one cache-sized slice of rows at a time, so no array of
-    the chunk's raw noise is formed.  The scaled values come from ``w_n =
-    sum_{k<=n} P^{n-k} V_k``, the form free of huge inverse powers; one
-    pass of the recursion ``w_k = P w_{k-1} + V_k`` snapshots every
-    checkpoint.
+    Writes each row's atom into ``atom``, ``Q_n U_n`` at the ``i``-th
+    checkpoint ``n`` of the sorted tuple ``checkpoints`` into ``qu[i]``,
+    and the first raw noise increments into ``prefix``.  The noise is
+    drawn, transformed into ``V`` and cut to its prefix one cache-sized
+    slice of rows at a time, so no array of the chunk's raw noise is
+    formed.  The values come from ``w_n = sum_{k<=n} R^{n-k} V_k``, the
+    form free of huge inverse powers; one pass of the recursion ``w_k =
+    R w_{k-1} + V_k`` snapshots every checkpoint.
     """
-    count, n = len(u), checkpoints[-1]
-    wanted = set(checkpoints)
-    atom = _draw_latent(spec, u)
-    prefix = np.empty((count, min(PREFIX_KEEP, n), spec.dim))
+    count, n, G = len(u), checkpoints[-1], spec.increment_power
+    atom[...] = _draw_latent(spec, u)
+    powers = None if G is None else matalg.power_sequence(G, n)[1:]
 
     def put(rows, W, out):
         prefix[rows] = W[:, :PREFIX_KEEP]
-        _transformed(spec, W, atom[rows], out)
+        _transformed(spec, W, atom[rows], out, powers)
 
     law = spec.noise_law
     V = law.draw_block(
         u[:, spec.latent_uniforms :].reshape(count, n, law.uniforms_per_draw), put
     )
-    bu, qu = {}, {}
-    if isinstance(spec, ExplosiveVar):
-        # wsum_n = sum_{k<=n} A^-k eps_k accumulates once; V is the raw noise.
-        terms = np.einsum("kde,cke->ckd", matalg.power_sequence(spec.P, n)[1:], V)
-        csum = np.cumsum(terms, axis=1)
-        for cp in checkpoints:
-            bu[cp] = qu[cp] = csum[:, cp - 1]
-    else:
-        # w is (d, count).  Elementwise ops in a fixed order keep a path's
-        # bits independent of its chunk's row count, which a BLAS matmul
-        # does not (it switches kernels for one-row chunks).
-        w = np.zeros((spec.dim, count))
-        for k in range(1, n + 1):
-            nxt = V[:, k - 1].T.copy()
-            for i, j in np.ndindex(spec.P.shape):
-                nxt[i] += spec.P[i, j] * w[j]
-            w = nxt
-            if k in wanted:
-                # Unscaled specs share one array for B_n U_n and Q_n U_n.
-                qu[k] = bu[k] = w.T
-                if spec.atom_scale is not None:
-                    bu[k] = w.T / spec.b_divisor(k)[atom][:, None]
-    return {"bu": bu, "qu": qu, "atom": atom, "prefix": prefix}
+    # w is (d, count).  Elementwise ops in a fixed order keep a path's bits
+    # independent of its chunk's row count, which a BLAS matmul does not
+    # (it switches kernels for one-row chunks).
+    R = spec.recursion
+    w = np.zeros((spec.dim, count))
+    for k in range(1, n + 1):
+        nxt = V[:, k - 1].T.copy()
+        for i, j in np.ndindex(R.shape):
+            nxt[i] += R[i, j] * w[j]
+        w = nxt
+        if k in checkpoints:
+            qu[checkpoints.index(k)] = w.T
 
 
 def _raw_states(spec: ProcessSpec, qu: dict, n: int) -> np.ndarray:
@@ -323,8 +330,10 @@ def simulate_path(spec: ProcessSpec, n: int, rng: np.random.Generator) -> Proces
     if n < 1:
         raise InvalidInputError("n must be at least 1")
     u = np.atleast_1d(rng.random(per_path_uniforms(spec, n)))
-    rows = _scaled_rows(spec, u[None], tuple(range(1, n + 1)))
-    return ProcessPath(_raw_states(spec, rows["qu"], n)[0], int(rows["atom"][0]))
+    qu, atom = np.empty((n, 1, spec.dim)), np.empty(1, dtype=np.intp)
+    prefix = np.empty((1, min(PREFIX_KEEP, n), spec.dim))
+    _scaled_rows(spec, u[None], tuple(range(1, n + 1)), qu, atom, prefix)
+    return ProcessPath(_raw_states(spec, dict(enumerate(qu, 1)), n)[0], int(atom[0]))
 
 
 def as_checkpoints(values) -> tuple[int, ...]:
@@ -376,49 +385,39 @@ class Ensemble:
 
 
 def simulate_ensemble(
-    spec: ProcessSpec,
-    checkpoints,
-    n_paths: int,
-    seed: int,
-    workers: int = 1,
+    spec: ProcessSpec, checkpoints, n_paths: int, seed: int, workers: int = 1
 ) -> Ensemble:
     """Simulate ``n_paths`` independent paths, keeping only checkpoint
     statistics and prefix features.
 
     Each chunk of stream rows goes through the accumulation kernel, whose
-    one pass snapshots every checkpoint, so the cost is O(n) per path
-    whatever the number of checkpoints.  The kernel is row-local: values
-    are bit-identical for any worker count and chunking.
+    one pass writes every checkpoint's ``Q_n U_n`` into the chunk's rows, so
+    the cost is O(n) per path whatever the number of checkpoints.  The
+    kernel is row-local: values are bit-identical for any worker count and
+    chunking.  ``B_n U_n`` divides each path by its ``b_divisor(n)``.
     """
     checkpoints = converted(as_checkpoints, checkpoints, "checkpoints")
     if n_paths < 1:
         raise InvalidInputError("n_paths must be positive")
     per_path = per_path_uniforms(spec, checkpoints[-1])
+    qu = np.empty((len(checkpoints), n_paths, spec.dim))
+    atom = np.empty(n_paths, dtype=np.intp)
+    prefix = np.empty((n_paths, min(PREFIX_KEEP, checkpoints[-1]), spec.dim))
 
     def chunk(start, count):
         u = streams.uniform_block(seed, streams.STREAM_PROCESS, start, count, per_path)
-        return _scaled_rows(spec, u, checkpoints)
+        rows = slice(start, start + count)
+        _scaled_rows(spec, u, checkpoints, qu[:, rows], atom[rows], prefix[rows])
 
-    parts = streams.map_chunks(chunk, n_paths, workers)
-
-    def cat(getter):
-        out = np.concatenate([getter(p) for p in parts], axis=0)
-        out.flags.writeable = False
-        return out
-
-    def by_checkpoint(key):
-        return {cp: cat(lambda p, c=cp: p[key][c]) for cp in checkpoints}
-
-    qu = by_checkpoint("qu")
-    return Ensemble(
-        spec=spec,
-        n_paths=n_paths,
-        checkpoints=checkpoints,
-        bu=qu if spec.atom_scale is None else by_checkpoint("bu"),
-        qu=qu,
-        atom=cat(lambda p: p["atom"]),
-        noise_prefix=cat(lambda p: p["prefix"]),
-    )
+    streams.map_chunks(chunk, n_paths, workers)
+    bu = qu
+    if spec.atom_scale is not None:
+        bu = qu / np.array([spec.b_divisor(cp) for cp in checkpoints])[:, atom, None]
+    for arr in (bu, qu, atom, prefix):
+        arr.flags.writeable = False
+    qu_at = dict(zip(checkpoints, qu))
+    bu_at = qu_at if bu is qu else dict(zip(checkpoints, bu))
+    return Ensemble(spec, n_paths, checkpoints, bu_at, qu_at, atom, prefix)
 
 
 def write_paths_csv(path, ensemble: Ensemble) -> None:

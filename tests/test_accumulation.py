@@ -1,10 +1,11 @@
 """Property tests for the ensemble accumulation and the condition checks.
 
-``simulate_ensemble`` runs the recursion ``w_k = P w_{k-1} + V_k`` once
+``simulate_ensemble`` runs the recursion ``w_k = R w_{k-1} + V_k`` once
 over the horizon.  These tests pin it against the explicit sum
 ``sum_k P^{n-k} V_k`` (the einsum the package used before, kept here as an
-oracle), across chunk boundaries, worker counts and awkward checkpoint
-lists.  The condition checks decompose one matrix per latent atom; they
+oracle) and, for the explosive VAR (``R = I``), against the cumulative sum
+of ``A^-k eps_k``, across chunk boundaries, worker counts and awkward
+checkpoint lists.  The condition checks decompose one matrix per latent atom; they
 must equal a per-path SVD bit for bit.  The oracles rebuild the atom draw,
 the increment transform and the B-scale from the spec's atom table with
 their own arithmetic, so a fault in the package's transform shows.
@@ -49,6 +50,11 @@ SPECS = {
         [0.5, 0.5],
     ),
     "explosive": ExplosiveVar(np.array([[2.0, 0.5], [0.0, 1.5]]), LAW2),
+    # d = 3: the per-slice G^k einsum reduces over three coordinates.
+    "explosive-3d": ExplosiveVar(
+        np.array([[2.0, 1.0, 0.0], [0.0, 2.0, 1.0], [0.0, 0.0, 2.0]]),
+        laws.NormalLaw(np.eye(3)),
+    ),
 }
 CONTRACTING = ("canonical", "scaled-perturbed", "scaled-unsorted", "factor")
 
@@ -182,12 +188,15 @@ def test_recursion_matches_explicit_sum(name, n_paths, checkpoints, seed):
     seed=st.integers(0, 2**32),
 )
 def test_explosive_values_unchanged(n_paths, checkpoints, seed):
-    spec = SPECS["explosive"]
-    ens = simulate_ensemble(spec, checkpoints, n_paths, seed, workers=2)
-    bu, qu = explicit_sum(spec, checkpoints, n_paths, seed)
-    for n in ens.checkpoints:
-        assert np.array_equal(ens.bu[n], bu[n])
-        assert np.array_equal(ens.qu[n], qu[n])
+    # The identity recursion over V_k = A^-k eps_k gives the oracle's
+    # cumulative sum, bit for bit.
+    for name in ("explosive", "explosive-3d"):
+        spec = SPECS[name]
+        ens = simulate_ensemble(spec, checkpoints, n_paths, seed, workers=2)
+        bu, qu = explicit_sum(spec, checkpoints, n_paths, seed)
+        for n in ens.checkpoints:
+            assert ens.bu[n].tobytes() == bu[n].tobytes(), name
+            assert ens.qu[n].tobytes() == qu[n].tobytes(), name
 
 
 def per_path_condition_stats(ens, r_list, percentile=95.0):

@@ -31,6 +31,12 @@ SCALED = {
     "variant": "random-scaled", "P": ROTATION_HALF, "noise": NORMAL2,
     "lam_values": [1.0, 2.0], "lam_probs": [0.5, 0.5],
 }
+# B_2 is undefined: lam + perturbation/n = -0.5 + 1/2 = 0 at n = 2.
+VANISHING = {
+    "variant": "random-scaled", "P": {"dim": 2, "rows": [[0.4, 0.0], [0.0, 0.4]]},
+    "noise": NORMAL2, "lam_values": [-0.5, 1.0], "lam_probs": [0.5, 0.5],
+    "perturbation": 1.0,
+}
 
 
 def write_cfg(tmp_path, obj, name="cfg.json"):
@@ -863,11 +869,20 @@ class TestConfigValidation:
             ("lemma", {"law": {"law": "log-cauchy-ray"}}, "allow_diagnostic"),
             ("conditions", {"tol": -1}, "'tol'"),
             ("conditions", {"bound": -1}, "'bound'"),
+            ("simulate", {"process": VANISHING}, "vanishes for atom 0"),
+            ("verify-stable", {"process": VANISHING}, "vanishes for atom 0"),
+            ("verify-mixing", {"process": VANISHING}, "vanishes for atom 0"),
+            ("conditions", {"process": VANISHING}, "vanishes for atom 0"),
+            ("sample-law", {"seed": 2**64}, "'seed'"),
+            ("simulate", {"seed": 2**64}, "'seed'"),
         ],
         ids=["stable-delta", "mixing-delta", "levels-empty", "levels-zero",
              "sample-law-delta", "series-delta", "tol-and-r", "neither",
              "tol-zero", "tol-negative", "ray-not-allowed",
-             "conditions-tol-negative", "conditions-bound-negative"],
+             "conditions-tol-negative", "conditions-bound-negative",
+             "simulate-vanishing-divisor", "stable-vanishing-divisor",
+             "mixing-vanishing-divisor", "conditions-vanishing-divisor",
+             "sample-law-seed-2-64", "simulate-seed-2-64"],
     )
     def test_config_errors_exit_2_before_any_work(
         self, tmp_path, capsys, calls, command, entries, named

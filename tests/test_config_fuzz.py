@@ -236,7 +236,9 @@ NESTED = {
     "P": (config.MATRIX, None),
     "A": (config.MATRIX, None),
 }
-INTEGER = (config.POSITIVE_INT, config.NONNEGATIVE_INT, processes.as_checkpoints)
+INTEGER = (
+    config.POSITIVE_INT, config.NONNEGATIVE_INT, config.SEED, processes.as_checkpoints
+)
 
 
 def sites(node, schema, tag=None, path=()):

@@ -94,6 +94,16 @@ class TestConstruction:
             RandomScaled(P, law, [1.0, 2.0], [0.5, 0.5], event_values=[3.0])
         with pytest.raises(InvalidInputError):
             RandomScaled(P, law, [1.0], [1.0], perturbation=-1.0)
+        # lam + perturbation/n must not vanish at any step: -0.5 + 1/2 = 0
+        # and -0.25 + 0.75/3 = 0.
+        for lam, perturbation in ((-0.5, 1.0), (-0.25, 0.75)):
+            with pytest.raises(HypothesisViolationError, match="vanishes for atom 1"):
+                RandomScaled(P, law, [1.0, lam], [0.5, 0.5], perturbation=perturbation)
+        # Steps next to p/-lam where it does not vanish in floats, and a
+        # p/-lam past the float range.
+        for lam, perturbation in ((-0.3, 1.0), (-0.1, 0.3), (-1e-300, 1e300)):
+            spec = RandomScaled(P, law, [lam], [1.0], perturbation=perturbation)
+            assert (spec.b_divisor(np.arange(1.0, 10.0)) != 0.0).all()
 
     def test_discrete_factor_validation(self):
         law = laws.NormalLaw(np.eye(2))
@@ -243,16 +253,20 @@ class TestEnsemble:
         # The random-scaled spec at n = 100 on one full chunk: the noise is
         # drawn, transformed into V and cut to its prefix slice by slice,
         # so the kernel holds one (count, n, d) array, not the raw noise as
-        # well.  tracemalloc sees numpy's data buffers.
+        # well.  tracemalloc sees numpy's data buffers; the caller owns the
+        # output arrays the kernel fills.
         spec = RandomScaled(rotation_half(), laws.NormalLaw(np.eye(2)),
                             [1.0, 2.0], [0.5, 0.5])
-        count, n = streams.CHUNK_PATHS, 100
+        count, n, checkpoints = streams.CHUNK_PATHS, 100, (25, 50, 75, 100)
         u = streams.uniform_block(
             3, streams.STREAM_PROCESS, 0, count, per_path_uniforms(spec, n)
         )
+        qu = np.empty((len(checkpoints), count, spec.dim))
+        atom = np.empty(count, dtype=np.intp)
+        prefix = np.empty((count, processes.PREFIX_KEEP, spec.dim))
         tracemalloc.start()
         try:
-            processes._scaled_rows(spec, u, (25, 50, 75, n))
+            processes._scaled_rows(spec, u, checkpoints, qu, atom, prefix)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -331,12 +345,13 @@ class TestEnsemble:
         assert np.array_equal(ens.in_g, spec.atom_in_g[ens.atom])
 
     def test_values_stored_once(self):
-        # Membership is a function of the atom for every variant, and
-        # without atom scales B_n U_n and Q_n U_n are one array.
+        # Membership is a function of the atom for every variant.  Without
+        # atom scales B_n U_n and Q_n U_n are one array; with them B_n U_n
+        # is Q_n U_n divided by the path's B divisor, bit for bit.
         for spec in all_specs() + [
             RandomScaled(
                 rotation_half(), laws.NormalLaw(np.eye(2)), [1.0, 2.0],
-                [0.5, 0.5], event_values=[2.0],
+                [0.5, 0.5], event_values=[2.0], perturbation=0.3,
             )
         ]:
             ens = simulate_ensemble(spec, [3, 6], 500, seed=17)
@@ -344,6 +359,8 @@ class TestEnsemble:
             for n in (3, 6):
                 shared = ens.bu[n] is ens.qu[n]
                 assert shared == (spec.atom_scale is None), type(spec).__name__
+                divisor = spec.b_divisor(n)[ens.atom][:, None]
+                assert ens.bu[n].tobytes() == (ens.qu[n] / divisor).tobytes()
 
     def test_validates_checkpoints(self):
         spec = SyntheticCanonical(rotation_half(), laws.NormalLaw(np.eye(2)))

@@ -10,11 +10,12 @@ runs through ``stablemix.cli.main`` on both trees, each tree in one fresh
 child process.  Since the CLI holds the last ensemble, consecutive process
 cases on one request share it, so a tree without that memo checks every
 shared ensemble against a fresh simulation.  The matrix covers every
-process variant, and the canonical one on Cauchy and on correlated normal
+process variant, the canonical one on Cauchy and on correlated normal
 noise (the one process case whose noise map runs the covariance matmul),
-through ``simulate``, ``verify-stable``, ``verify-mixing``
-(``bu`` and ``qu``), both verdicts again at an explicit ``r`` below the
-default, ``verify-stable`` at a non-default ``delta`` and ``factor``, and
+and the explosive one at d = 1, 2 and 3 (on the 3-D stable law), through
+``simulate``, ``verify-stable``, ``verify-mixing`` (``bu`` and ``qu``),
+both verdicts again at an explicit ``r`` below the default,
+``verify-stable`` at a non-default ``delta`` and ``factor``, and
 ``conditions`` at the default and at non-default ``tol``, ``levels`` and
 ``bound``; ``sample-law`` on the normal, correlated normal, Cauchy, stable
 and empirical laws, and on the stable law at a non-default ``delta`` and
@@ -116,6 +117,11 @@ PROCESSES = {
     "explosive-1d": {
         "variant": "explosive-var", "A": {"dim": 1, "rows": [[1.5]]},
         "noise": NORMAL_1D,
+    },
+    "explosive-3d": {
+        "variant": "explosive-var",
+        "A": {"dim": 3, "rows": [[2.0, 1.0, 0.0], [0.0, 2.0, 1.0], [0.0, 0.0, 2.0]]},
+        "noise": STABLE_3D,
     },
 }
 

@@ -38,7 +38,7 @@ from . import matalg
 from .errors import InvalidInputError
 from .matalg import GelfandCertificate, as_floats
 
-# Rows of a ``(rows, steps, uniforms)`` block that ``IncrementLaw.draw_block``
+# Rows of a ``(rows, steps, uniforms)`` block that ``IncrementLaw.slices``
 # maps per ``from_uniforms`` call: a 256-row slice of a 100-step 2-d normal
 # block is 0.4 MB, so every elementwise pass of a sampler runs in cache.
 # Every row is mapped alone, so the width is not part of the bits.
@@ -168,7 +168,7 @@ class IncrementLaw:
     uniforms_per_draw)`` to increments of shape ``(..., dim)``, and ``_cf``,
     the characteristic function at the rows of a finite ``(m, dim)`` array.
     ``cf`` is the one gate in front of ``_cf``: it checks the thetas and
-    unwraps a single vector.  Stream draws go through ``draw_block``.
+    unwraps a single vector.  Stream draws go through ``slices``.
     """
 
     dim: int
@@ -177,24 +177,25 @@ class IncrementLaw:
     def from_uniforms(self, u: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def draw_block(self, u: np.ndarray, put=None) -> np.ndarray:
-        """Draws of a ``(rows, steps, uniforms_per_draw)`` block as one
-        ``(rows, steps, dim)`` array, mapped ``SLICE_ROWS`` rows at a time.
+    def slices(self, u: np.ndarray):
+        """Yield ``(rows, z)`` over a ``(rows, steps, uniforms_per_draw)``
+        block in order, ``SLICE_ROWS`` rows at a time: ``rows`` is a
+        ``slice`` of the block and ``z`` the ``(steps, dim)`` draws of its rows.
 
-        ``put(rows, z, out)``, when given, stores each slice instead of a
-        copy: ``z`` holds the draws of the rows ``rows`` and ``out`` is
-        their part of the result, which ``put`` must fill.  It runs while
-        the slice is in cache.  Bit for bit one ``from_uniforms`` call on
-        the whole block.
+        This is the one slicing route of stream draws; a caller reduces or
+        stores each slice while it is in cache.  The concatenated slices
+        are bit for bit one ``from_uniforms`` call on the whole block.
         """
-        out = np.empty(u.shape[:-1] + (self.dim,))
         for start in range(0, len(u), SLICE_ROWS):
-            rows = slice(start, start + SLICE_ROWS)
-            z = self.from_uniforms(u[rows])
-            if put is None:
-                out[rows] = z
-            else:
-                put(rows, z, out[rows])
+            rows = slice(start, min(start + SLICE_ROWS, len(u)))
+            yield rows, self.from_uniforms(u[rows])
+
+    def draw_block(self, u: np.ndarray) -> np.ndarray:
+        """Draws of a ``(rows, steps, uniforms_per_draw)`` block as one
+        ``(rows, steps, dim)`` array, copied slice by slice from :meth:`slices`."""
+        out = np.empty(u.shape[:-1] + (self.dim,))
+        for rows, z in self.slices(u):
+            out[rows] = z
         return out
 
     def cf(self, thetas) -> np.ndarray:

@@ -254,10 +254,10 @@ def _scaled_rows(spec: ProcessSpec, u, checkpoints, qu, atom, prefix) -> None:
 
     Writes each row's atom into ``atom``, ``Q_n U_n`` at the ``i``-th
     checkpoint ``n`` of the sorted tuple ``checkpoints`` into ``qu[i]``,
-    and the first raw noise increments into ``prefix``.  The noise is
-    drawn, transformed into ``V`` and cut to its prefix one cache-sized
-    slice of rows at a time, so no array of the chunk's raw noise is
-    formed.  The values come from ``w_n = sum_{k<=n} R^{n-k} V_k``, the
+    and the first raw noise increments into ``prefix``.  Each slice that
+    the noise law's ``slices`` yields is transformed into ``V`` and cut to
+    its prefix while it is in cache, so no array of the chunk's raw noise
+    is formed.  The values come from ``w_n = sum_{k<=n} R^{n-k} V_k``, the
     form free of huge inverse powers; one pass of the recursion ``w_k =
     R w_{k-1} + V_k`` snapshots every checkpoint.
     """
@@ -265,14 +265,12 @@ def _scaled_rows(spec: ProcessSpec, u, checkpoints, qu, atom, prefix) -> None:
     atom[...] = _draw_latent(spec, u)
     powers = None if G is None else matalg.power_sequence(G, n)[1:]
 
-    def put(rows, W, out):
-        prefix[rows] = W[:, :PREFIX_KEEP]
-        _transformed(spec, W, atom[rows], out, powers)
-
     law = spec.noise_law
-    V = law.draw_block(
-        u[:, spec.latent_uniforms :].reshape(count, n, law.uniforms_per_draw), put
-    )
+    noise = u[:, spec.latent_uniforms :].reshape(count, n, law.uniforms_per_draw)
+    V = np.empty((count, n, spec.dim))
+    for rows, W in law.slices(noise):
+        prefix[rows] = W[:, :PREFIX_KEEP]
+        _transformed(spec, W, atom[rows], V[rows], powers)
     # w is (d, count).  Elementwise ops in a fixed order keep a path's bits
     # independent of its chunk's row count, which a BLAS matmul does not
     # (it switches kernels for one-row chunks).

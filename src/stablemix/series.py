@@ -176,6 +176,10 @@ def lemma_diagnostics(
     diagnostic laws without characteristic functions.  Heavy-tailed samplers
     may produce ``inf`` draws; exceedance counting stays exact because such
     draws genuinely exceed the unit level at every index simulated here.
+
+    Each chunk writes the values of every slice from ``law.slices`` into
+    the per-path arrays, so no chunk-wide array of draws, terms or norms is
+    formed; a chunk returns only its integer exceedance totals.
     """
     arr = matalg.as_square(P)
     if arr.shape[0] != law.dim:
@@ -186,48 +190,45 @@ def lemma_diagnostics(
         raise InvalidInputError("n_paths must be positive")
     powers = matalg.power_sequence(arr, J)
     per_path = (J + 1) * law.uniforms_per_draw
+    counts = np.empty(n_paths, dtype=np.int64)
+    last_idx = np.empty(n_paths, dtype=np.int64)
+    final_sum, last_norm, log_mom = (np.empty(n_paths) for _ in range(3))
 
     def chunk(start, count):
         u = streams.uniform_block(seed, streams.STREAM_LEMMA, start, count, per_path)
-        z = law.draw_block(u.reshape(count, J + 1, law.uniforms_per_draw))
-        with np.errstate(invalid="ignore", over="ignore"):
-            term = _apply_powers(powers, z)
-            term_norms = np.linalg.norm(term, axis=2)
-        # 0 * inf inside the products leaves NaNs exactly when a draw
-        # overflowed; the true magnitude there is astronomically large, so
-        # record it as infinite rather than dropping the exceedance.
-        term_norms = np.where(np.isnan(term_norms), np.inf, term_norms)
-        exceed = term_norms > EXCEEDANCE_LEVEL
-        counts = exceed.sum(axis=1)
-        # Last exceedance index, -1 for paths that never exceed.
-        rev_arg = np.argmax(exceed[:, ::-1], axis=1)
-        last_idx = np.where(counts > 0, J - rev_arg, -1)
-        with np.errstate(over="ignore"):
-            z_norms = np.linalg.norm(z, axis=2)
-        log_mom = np.mean(np.log(np.maximum(z_norms, 1.0)), axis=1)
-        return {
-            "exceed_totals": exceed.sum(axis=0, dtype=np.int64),
-            "late": int((last_idx > J / 2).sum()),
-            "counts": counts.astype(np.int64),
-            "last_idx": last_idx.astype(np.int64),
-            "final_sum": term_norms.sum(axis=1),
-            "last_norm": term_norms[:, J],
-            "log_mom": log_mom,
-        }
+        totals = np.zeros(J + 1, dtype=np.int64)
+        for at, z in law.slices(u.reshape(count, J + 1, law.uniforms_per_draw)):
+            rows = slice(start + at.start, start + at.stop)
+            with np.errstate(invalid="ignore", over="ignore"):
+                term_norms = np.linalg.norm(_apply_powers(powers, z), axis=2)
+            # 0 * inf inside the products leaves NaNs exactly when a draw
+            # overflowed; the true magnitude there is astronomically large,
+            # so record it as infinite rather than dropping the exceedance.
+            term_norms[np.isnan(term_norms)] = np.inf
+            exceed = term_norms > EXCEEDANCE_LEVEL
+            totals += exceed.sum(axis=0)
+            counts[rows] = exceed.sum(axis=1)
+            # Last exceedance index, -1 for paths that never exceed.
+            rev_arg = np.argmax(exceed[:, ::-1], axis=1)
+            last_idx[rows] = np.where(counts[rows] > 0, J - rev_arg, -1)
+            final_sum[rows] = term_norms.sum(axis=1)
+            last_norm[rows] = term_norms[:, J]
+            with np.errstate(over="ignore"):
+                z_norms = np.linalg.norm(z, axis=2)
+            log_mom[rows] = np.mean(np.log(np.maximum(z_norms, 1.0)), axis=1)
+        return totals
 
-    parts = streams.map_chunks(chunk, n_paths, workers)
-    exceed_totals = np.sum([p["exceed_totals"] for p in parts], axis=0)
-    late = sum(p["late"] for p in parts)
+    exceed_totals = np.sum(streams.map_chunks(chunk, n_paths, workers), axis=0)
     return LemmaDiagnostics(
         J=J,
         n_paths=n_paths,
         per_index_exceedance_freq=exceed_totals / n_paths,
-        late_exceedance_fraction=late / n_paths,
-        exceedance_count=np.concatenate([p["counts"] for p in parts]),
-        last_exceedance_index=np.concatenate([p["last_idx"] for p in parts]),
-        final_partial_sum=np.concatenate([p["final_sum"] for p in parts]),
-        last_term_norm=np.concatenate([p["last_norm"] for p in parts]),
-        log_moment=np.concatenate([p["log_mom"] for p in parts]),
+        late_exceedance_fraction=int((last_idx > J / 2).sum()) / n_paths,
+        exceedance_count=counts,
+        last_exceedance_index=last_idx,
+        final_partial_sum=final_sum,
+        last_term_norm=last_norm,
+        log_moment=log_mom,
     )
 
 

@@ -283,6 +283,24 @@ class TestChunkedDraws:
                 block = law.draw_block(u[:rows])
                 assert same_bits(block, law.from_uniforms(u[:rows]))
 
+    @pytest.mark.parametrize(
+        "law", all_standard_laws() + [laws.LogCauchyRay(2)], ids=law_id
+    )
+    def test_slices_cover_the_block_in_order_bitwise(self, law):
+        # slices is the one slicing route: it must cover [0, rows) in order,
+        # in widths of SLICE_ROWS with a shorter last slice, and its draws,
+        # concatenated, must be one from_uniforms call on the block.
+        width, upd = laws.SLICE_ROWS, law.uniforms_per_draw
+        u = streams.uniform_block(6, streams.STREAM_LAW, 0, 4097, 3 * upd)
+        u = u.reshape(4097, 3, upd)
+        for rows in (1, width - 1, width, width + 1, 4097):
+            pieces = list(law.slices(u[:rows]))
+            bounds = [(at.start, at.stop) for at, _ in pieces]
+            assert bounds == [(a, min(a + width, rows)) for a in range(0, rows, width)]
+            assert all(z.shape == (at.stop - at.start, 3, law.dim) for at, z in pieces)
+            whole = np.concatenate([z for _, z in pieces])
+            assert same_bits(whole, law.from_uniforms(u[:rows]))
+
 
 class TestEcfAgainstCf:
     @pytest.mark.parametrize("law", all_standard_laws(), ids=law_id)

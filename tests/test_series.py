@@ -6,6 +6,7 @@ probabilities for the log-Cauchy ray sampler.
 """
 
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,6 +32,30 @@ THRESHOLD_1E5 = 0.03698867992666911
 def rotation_half():
     c, s = np.cos(np.pi / 6), np.sin(np.pi / 6)
     return 0.5 * np.array([[c, -s], [s, c]])
+
+
+def lemma_oracle(P, law, J, n_paths, seed):
+    """Oracle: the lemma's per-path values from one ``from_uniforms`` call on
+    the whole uniform block, reduced over all paths at once."""
+    powers = matalg.power_sequence(P, J)
+    upd = law.uniforms_per_draw
+    u = streams.uniform_block(seed, streams.STREAM_LEMMA, 0, n_paths, (J + 1) * upd)
+    z = law.from_uniforms(u.reshape(n_paths, J + 1, upd))
+    with np.errstate(invalid="ignore", over="ignore"):
+        term_norms = np.linalg.norm(series._apply_powers(powers, z), axis=2)
+        z_norms = np.linalg.norm(z, axis=2)
+    term_norms = np.where(np.isnan(term_norms), np.inf, term_norms)
+    exceed = term_norms > series.EXCEEDANCE_LEVEL
+    counts = exceed.sum(axis=1).astype(np.int64)
+    last = np.where(counts > 0, J - np.argmax(exceed[:, ::-1], axis=1), -1)
+    return {
+        "per_index_exceedance_freq": exceed.sum(axis=0, dtype=np.int64) / n_paths,
+        "exceedance_count": counts,
+        "last_exceedance_index": last.astype(np.int64),
+        "final_partial_sum": term_norms.sum(axis=1),
+        "last_term_norm": term_norms[:, J],
+        "log_moment": np.mean(np.log(np.maximum(z_norms, 1.0)), axis=1),
+    }
 
 
 def exhaustive_r(P, tol, H=4000):
@@ -349,6 +374,55 @@ class TestLemmaDiagnostics:
         assert np.array_equal(a.per_index_exceedance_freq, b.per_index_exceedance_freq)
         assert np.array_equal(a.final_partial_sum, b.final_partial_sum)
         assert a.late_exceedance_fraction == b.late_exceedance_fraction
+
+    @pytest.mark.parametrize(
+        "law",
+        [
+            laws.NormalLaw(np.array([[2.0, 0.6], [0.6, 1.0]])),
+            laws.StableLaw(1.5, laws.SpectralMeasure(np.eye(2), [0.5, 0.5])),
+            laws.LogCauchyRay(2),
+        ],
+        ids=["normal", "stable", "ray"],
+    )
+    def test_slice_and_chunk_boundaries_bitwise(self, law):
+        # Path counts on both sides of one slice (256) and of one chunk
+        # (4096), at 1 and 2 workers: every per-path array and the
+        # exceedance frequencies equal the whole-block oracle byte for
+        # byte, and each smaller run is a prefix of the largest.
+        J, seed, P = 16, 12, rotation_half()
+        fields = list(lemma_oracle(P, law, J, 1, seed))
+        largest = lemma_oracle(P, law, J, 4097, seed)
+        for n_paths in (1, 255, 256, 257, 4095, 4097):
+            oracle = lemma_oracle(P, law, J, n_paths, seed)
+            late = int((oracle["last_exceedance_index"] > J / 2).sum()) / n_paths
+            for workers in (1, 2):
+                diag = series.lemma_diagnostics(P, law, J, n_paths, seed, workers)
+                assert diag.late_exceedance_fraction == late
+                for name in fields:
+                    got = getattr(diag, name)
+                    assert got.dtype == oracle[name].dtype, name
+                    assert got.tobytes() == oracle[name].tobytes(), name
+                    if name != "per_index_exceedance_freq":
+                        assert got.tobytes() == largest[name][:n_paths].tobytes(), name
+
+    def test_peak_memory_grows_only_by_the_outputs(self):
+        # Each chunk writes its slices straight into the per-path arrays, so
+        # fifteen more chunks add only the five outputs' 40 bytes a path,
+        # not a chunk-wide draw, term or norm array kept alive per chunk.
+        P = np.array([[0.5, 0.1], [0.0, 0.5]])
+        law = laws.StableLaw(1.5, laws.SpectralMeasure(np.eye(2), [0.5, 0.5]))
+        peaks = []
+        for chunks in (1, 16):
+            tracemalloc.start()
+            try:
+                series.lemma_diagnostics(
+                    P, law, J=64, n_paths=chunks * streams.CHUNK_PATHS, seed=13
+                )
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        outputs = 40 * 15 * streams.CHUNK_PATHS
+        assert peaks[1] - peaks[0] <= outputs + 2**20
 
     def test_csv_output(self, tmp_path):
         diag = series.lemma_diagnostics(

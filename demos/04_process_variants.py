@@ -3,12 +3,14 @@
 Each variant produces paths U_n together with two matrix normalizations:
 B_n U_n (the fully scaled value, converging to the series law) and
 Q_n U_n (the outer-scaled value, which keeps any latent randomness).
-Three structural checks validate the scaling arithmetic on simulated
-ensembles:
+Three structural checks validate the scaling arithmetic:
 
   scale-limit:             Q_n B_n^-1 settles on the limiting scale
   stochastic-boundedness:  |Q_n U_n| does not drift off to infinity
   scaling-ratio:           B_n B_{n-r}^-1 matches the contraction power P^r
+
+The first and last are closed forms of the spec, judged at their limit;
+stochastic boundedness is the one read off the simulated paths.
 """
 
 import numpy as np
@@ -62,11 +64,11 @@ for name, spec in variants:
 
 # A deliberately imperfect normalization: the scale carries a 1/n
 # perturbation, so the scale-limit deviation decays like 1/n instead of
-# sitting at zero.  The check sees the decay and the final level.
-print("\nperturbed scale (decay visible, strict tolerance fails):")
+# sitting at zero.  The limit still holds, so the check passes and reports
+# the rate n * deviation, which is the perturbation.
+print("\nperturbed scale (1/n decay, limit holds):")
 perturbed = RandomScaled(P, law, [1.0, 2.0], [0.5, 0.5], perturbation=0.5)
 ens = simulate_ensemble(perturbed, checkpoints, 5000, seed=3)
 v = check_condition_i(ens)
 print(f"  deviations {[f'{x:.4f}' for x in v.statistics]}  -> passed={v.passed}")
-v = check_condition_i(ens, tol=0.05)
-print(f"  same run, tolerance 0.05      -> passed={v.passed}")
+print(f"  rate n * deviation at n = {checkpoints[-1]}: {v.detail['rate']:.4f}")

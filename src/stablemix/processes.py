@@ -25,8 +25,9 @@ unless a variant sets it) gives ``Q_n U_n = w_n = sum_k R^{n-k} V_k``, and
     cleanest test bench.
 ``RandomScaled``
     The atoms are scalar scales ``lam``.  ``B`` undoes them, exactly for
-    ``p = 0`` and only asymptotically otherwise (which exercises the
-    condition checkers); ``Q_n U_n`` keeps the factor ``lam``.
+    ``p = 0`` and only in the limit otherwise, where the scale-limit and
+    scaling-ratio checks report their ``1/n`` and ``1/n^2`` rates and
+    still pass; ``Q_n U_n`` keeps the factor ``lam``.
 ``DiscreteFactor``
     The atoms are matrix factors inside the normalization:
     ``dU_n = P^-n S W_n``, ``B_n = Q_n = P^n``.

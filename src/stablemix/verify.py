@@ -18,9 +18,11 @@ scale and factor) at the atom each path drew at time zero.
 An :class:`EventFamily` is its binary prefix features; the sure event and
 the partition cells are derived from them.  Every check, the three
 structural conditions (scale-limit match, stochastic boundedness,
-scaling-ratio stability) included, runs on the paths of the conditioning
-event and judges one statistic per checkpoint against one threshold.
-Both statistics sum through :func:`stablemix.ecf.phase_sums`: with
+scaling-ratio stability) included, needs paths in the conditioning event
+and reports one statistic per checkpoint against one threshold.  The
+scale-limit and scaling-ratio statistics are closed forms of the spec over
+the event's atoms, judged at their limit.  The mixing and stable
+statistics sum through :func:`stablemix.ecf.phase_sums`: with
 ``EventFamily()`` the mixing statistic is ``sup_distance`` of the plain
 ecf, bit for bit, and a verdict keeps its final sure-event sums as an
 :class:`EcfEstimate`.
@@ -34,6 +36,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import matalg
 from .ecf import (
     EcfEstimate,
     ThetaGrid,
@@ -49,8 +52,6 @@ MIN_FILTERED_PATHS = 1000
 
 DEFAULT_TOLERANCE = 1e-8
 
-# Percentile of the per-path deviations that conditions (i) and (iii) report.
-CONDITION_PERCENTILE = 95.0
 # Lags of condition (iii); a checkpoint must lie above the largest.
 CONDITION_LAGS = (1, 2, 4)
 
@@ -190,40 +191,31 @@ def _filtered(ensemble: Ensemble, minimum: int = 1) -> np.ndarray:
     return mask
 
 
-def _opnorms(mats: np.ndarray, atom: np.ndarray) -> np.ndarray:
-    """Operator norm of each atom's matrix, given to every path of the atom.
-    One SVD per atom equals per-path SVDs bit for bit at a fraction of the
-    cost."""
-    return np.linalg.svd(mats, compute_uv=False)[:, 0][atom]
-
-
 def check_condition_i(
     ensemble: Ensemble, tol: float = DEFAULT_TOLERANCE
 ) -> ConvergenceVerdict:
     """Does ``Q_n B_n^-1`` settle on the limiting scale matrix?
 
-    ``B_n`` is ``P^n`` times the scalar ``b = 1 / b_divisor(n)`` of the
-    path's atom, so ``Q_n B_n^-1`` is the identity over ``b`` and nothing
-    is inverted.  Statistic per checkpoint: the ``CONDITION_PERCENTILE``
-    percentile, over qualifying paths, of the operator-norm deviation from
-    the atom's scale times the identity.  Exactly normalized variants
-    report 0; the perturbed variant decays like 1/n.  Pass requires the
-    deviation sequence to be non-increasing (up to ``tol``) and to end at
-    or below ``tol``.
+    ``B_n = P^n / b_divisor(n)`` makes ``Q_n B_n^-1`` the identity times
+    ``b_divisor(n)``, with limit the atom's scale ``b_divisor(inf)``.
+    Statistic per checkpoint, a closed form of the spec: the largest
+    ``|b_divisor(n) - b_divisor(inf)|`` over the conditioning event's
+    atoms, 0 for exact normalizations and ``p/n`` under a perturbation
+    ``p``, the final checkpoint's ``n * statistic`` being
+    ``detail["rate"]``.  Pass requires the deviation at ``n = inf``, 0 for
+    every variant the package builds, to be at most ``tol``.
     """
+    _filtered(ensemble)
     spec = ensemble.spec
-    atom = ensemble.atom[_filtered(ensemble)]
-    eye = np.eye(ensemble.dim)[None]
-    scale = spec.b_divisor(np.inf)[:, None, None]
-    stats = []
-    for n in ensemble.checkpoints:
-        b = 1.0 / spec.b_divisor(n)[:, None, None]
-        norms = _opnorms(eye / b - scale * eye, atom)
-        stats.append(float(np.percentile(norms, CONDITION_PERCENTILE)))
-    monotone = all(b <= a + tol for a, b in zip(stats, stats[1:]))
+
+    def deviation(n):
+        gap = np.abs(spec.b_divisor(n) - spec.b_divisor(np.inf))
+        return float(gap[spec.atom_in_g].max())
+
+    stats = [deviation(n) for n in ensemble.checkpoints]
     return _judged(
-        "scale-limit", ensemble, stats, tol, monotone and stats[-1] <= tol,
-        {"percentile": CONDITION_PERCENTILE},
+        "scale-limit", ensemble, stats, tol, deviation(np.inf) <= tol,
+        {"rate": ensemble.checkpoints[-1] * stats[-1]},
     )
 
 
@@ -261,18 +253,22 @@ def check_condition_iii(
 ) -> ConvergenceVerdict:
     """Do scaling ratios ``B_n B_{n-r}^-1`` match the contraction powers?
 
-    The ratio is ``P^r`` times ``b(n) / b(n-r)``, with ``b = 1 / b_divisor``
-    the scalar of ``B``.  Statistic per checkpoint: max over lags r of the
-    ``CONDITION_PERCENTILE`` percentile operator-norm deviation from
-    ``P^r``.  A lag reaching below index 0 is invalid input.
+    The ratio is ``P^r`` times ``b_divisor(n-r) / b_divisor(n)``, so its
+    deviation from ``P^r`` is ``|b_divisor(n-r) / b_divisor(n) - 1|``
+    times ``|P^r|``, one operator norm per lag.  Statistic per checkpoint,
+    a closed form of the spec: the largest deviation over the lags and the
+    conditioning event's atoms.  Pass requires the deviation at
+    ``n = inf``, where the ratio is exactly ``P^r``, to be at most ``tol``.
+    A lag reaching below index 1 is invalid input.
     """
     r_list = tuple(int(r) for r in r_list)
     if not r_list or min(r_list) < 1:
         raise InvalidInputError("lags must be positive integers")
+    _filtered(ensemble)
     spec = ensemble.spec
-    atom = ensemble.atom[_filtered(ensemble)]
-    stats = []
-    for n in ensemble.checkpoints:
+    norms = matalg.norm_table(spec.P, max(r_list))
+
+    def deviation(n):
         worst = 0.0
         for r in r_list:
             # n - r = 0 is out too: U_0 = 0 makes B_0 a degenerate scale.
@@ -280,14 +276,14 @@ def check_condition_iii(
                 raise InvalidInputError(
                     f"lag {r} reaches before time one at checkpoint {n}"
                 )
-            target = np.linalg.matrix_power(spec.P, r)[None]
-            ratio = (1.0 / spec.b_divisor(n)) / (1.0 / spec.b_divisor(n - r))
-            norms = _opnorms(target * ratio[:, None, None] - target, atom)
-            worst = max(worst, float(np.percentile(norms, CONDITION_PERCENTILE)))
-        stats.append(worst)
+            gap = np.abs(spec.b_divisor(n - r) / spec.b_divisor(n) - 1.0)
+            worst = max(worst, float(gap[spec.atom_in_g].max() * norms[r]))
+        return worst
+
+    stats = [deviation(n) for n in ensemble.checkpoints]
     return _judged(
-        "scaling-ratio", ensemble, stats, tol, all(s <= tol for s in stats),
-        {"lags": list(r_list), "percentile": CONDITION_PERCENTILE},
+        "scaling-ratio", ensemble, stats, tol, deviation(np.inf) <= tol,
+        {"lags": list(r_list)},
     )
 
 

@@ -5,11 +5,15 @@ over the horizon.  These tests pin it against the explicit sum
 ``sum_k P^{n-k} V_k`` (the einsum the package used before, kept here as an
 oracle) and, for the explosive VAR (``R = I``), against the cumulative sum
 of ``A^-k eps_k``, across chunk boundaries, worker counts and awkward
-checkpoint lists.  The condition checks decompose one matrix per latent atom; they
-must equal a per-path SVD bit for bit.  The oracles rebuild the atom draw,
-the increment transform and the B-scale from the spec's atom table with
-their own arithmetic, so a fault in the package's transform shows.
+checkpoint lists.  Conditions (i) and (iii) are closed forms of the atom
+table; they must agree with the same forms in exact rational arithmetic to
+a few ulps, whatever the path or worker count.  The oracles rebuild the
+atom draw, the increment transform and the B-scale from the spec's atom
+table with their own arithmetic, so a fault in the package's transform
+shows.
 """
+
+from fractions import Fraction
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -199,31 +203,23 @@ def test_explosive_values_unchanged(n_paths, checkpoints, seed):
             assert ens.qu[n].tobytes() == qu[n].tobytes(), name
 
 
-def per_path_condition_stats(ens, r_list, percentile=95.0):
-    """Conditions (i) and (iii) with one SVD per path."""
-    spec = ens.spec
-    mask = np.array([spec.atom_in_g[a] for a in ens.atom])
-    lam = oracle_scale(spec, ens.atom)
-    eye = np.eye(ens.dim)[None]
+def exact_condition_stats(spec, checkpoints, r_list):
+    """Conditions (i) and (iii) in exact rational arithmetic from the atom
+    table: with ``d(n) = lam + p/n``, (i) is ``p/n`` and (iii) is the
+    largest ``|d(n-r)/d(n) - 1| |P^r|`` over the event's atoms and the
+    lags, where ``|P^r| = 2^-r`` for half a rotation."""
+    p = Fraction(spec.perturbation)
+    lams = [Fraction(lam) for lam in spec.atom_scale[spec.atom_in_g]]
 
-    def top(mats):
-        return np.percentile(np.linalg.svd(mats, compute_uv=False)[:, 0], percentile)
+    def d(lam, n):
+        return lam + p / n
 
-    def b(n):  # B_n = b(n) P^n
-        return 1.0 / (lam + spec.perturbation / n)
-
-    first, third = [], []
-    for n in ens.checkpoints:
-        # Q_n B_n^-1 = I / b(n), against its limit lam I.
-        mats = (1.0 / b(n))[:, None, None] * eye - lam[:, None, None] * eye
-        first.append(float(top(mats[mask])))
-        worst = 0.0
-        for r in r_list:
-            target = np.linalg.matrix_power(spec.P, r)[None]
-            mats = target * (b(n) / b(n - r))[:, None, None] - target
-            worst = max(worst, float(top(mats[mask])))
-        third.append(worst)
-    return tuple(first), tuple(third)
+    first = [p / n for n in checkpoints]
+    third = [
+        max(abs(d(lam, n - r) / d(lam, n) - 1) / 2**r for lam in lams for r in r_list)
+        for n in checkpoints
+    ]
+    return first, third
 
 
 # (lam_values, event_values): atoms in scale order, and out of it.
@@ -241,7 +237,7 @@ ATOM_TABLES = (([1.0, 2.0, 3.5], [1.0, 3.5]), ([2.0, 0.5, 1.0], [2.0, 1.0]))
 @example(
     table=ATOM_TABLES[1], perturbation=0.3, n_paths=CHUNK, checkpoints=[20, 3], seed=1
 )
-def test_condition_stats_equal_per_path_svd(
+def test_condition_stats_equal_exact_closed_forms(
     table, perturbation, n_paths, checkpoints, seed
 ):
     lam_values, event_values = table
@@ -250,8 +246,20 @@ def test_condition_stats_equal_per_path_svd(
         event_values=event_values, perturbation=perturbation,
     )
     ens = simulate_ensemble(spec, checkpoints, n_paths, seed)
-    first, third = per_path_condition_stats(ens, (1, 2))
-    assert verify.check_condition_i(ens).statistics == first
-    assert verify.check_condition_iii(ens, r_list=(1, 2)).statistics == third
+    v1 = verify.check_condition_i(ens)
+    v3 = verify.check_condition_iii(ens, r_list=(1, 2))
+    first, third = exact_condition_stats(spec, ens.checkpoints, (1, 2))
+    # (i) rounds at the largest divisor's ulp; (iii) at the ratio's ulp
+    # times |P^r| <= 1/2.
+    ulp = np.spacing(np.abs(spec.b_divisor(min(ens.checkpoints))).max())
+    for got, want in zip(v1.statistics, first):
+        assert abs(Fraction(got) - want) <= 2 * ulp
+    for got, want in zip(v3.statistics, third):
+        assert abs(Fraction(got) - want) <= 4 * np.spacing(0.5)
+    assert v1.passed and v3.passed
+    # The statistics read the spec, not the paths.
+    other = simulate_ensemble(spec, checkpoints, 1000, seed + 1, workers=2)
+    assert verify.check_condition_i(other).statistics == v1.statistics
+    assert verify.check_condition_iii(other, r_list=(1, 2)).statistics == v3.statistics
     if perturbation == 0.0:
-        assert set(first) == {0.0} and set(third) == {0.0}
+        assert set(v1.statistics) == {0.0} and set(v3.statistics) == {0.0}

@@ -458,6 +458,44 @@ class TestConditions:
         out = tmp_path / "out"
         assert main(["conditions", "--config", cfg, "--out", str(out)]) == 0
 
+    @pytest.mark.parametrize(
+        "lams, probs",
+        [([1.0, 2.0], [0.5, 0.5]), ([1.0, 0.25], [0.97, 0.03])],
+        ids=["even-atoms", "rare-atom"],
+    )
+    def test_perturbed_scale_passes_at_the_limit(self, tmp_path, lams, probs):
+        process = {
+            **SCALED, "lam_values": lams, "lam_probs": probs, "perturbation": 1.0,
+        }
+        checkpoints = [25, 50, 100, 400]
+        cfg = write_cfg(
+            tmp_path,
+            {
+                "schema_version": 1, "seed": 3, "process": process,
+                "checkpoints": checkpoints, "n_paths": 2000,
+            },
+        )
+        out = tmp_path / "out"
+        assert main(["conditions", "--config", cfg, "--out", str(out)]) == 0
+        verdicts = {v["condition"]: v for v in read_report(out)["verdicts"]}
+        first, third = verdicts["scale-limit"], verdicts["scaling-ratio"]
+        assert first["pass"] and third["pass"]
+        # With d(n) = lam + 1/n, (i) is 1/n; (iii) peaks at lag 2 on the
+        # smallest lam: |d(n-2)/d(n) - 1| |P^2| = 1 / (2 (n-2) (lam n + 1)).
+        lam = min(lams)
+        assert first["statistics"] == pytest.approx(
+            [1 / n for n in checkpoints], rel=1e-12
+        )
+        assert first["detail"]["rate"] == pytest.approx(1.0, rel=1e-12)
+        assert third["statistics"] == pytest.approx(
+            [1 / (2 * (n - 2) * (lam * n + 1)) for n in checkpoints], rel=1e-9
+        )
+        # The smallest lam sets (iii) however few paths draw it; a 95th
+        # percentile over paths would read the lam = 1 value on rare-atom.
+        ens = simulate_ensemble(process_from_json(process), checkpoints, 2000, 3)
+        share = np.mean(ens.spec.atom_scale[ens.atom] == lam)
+        assert (share < 0.05) == (lam < 1.0)
+
 
 class TestEnsembleReuse:
     # Shaped like the certify-scaled benchmark job: three process commands

@@ -148,7 +148,13 @@ class TestFamilies:
 
 class TestConditions:
     def test_exact_variants_report_zero(self):
-        for spec in (canonical_spec(), scaled_spec()):
+        law = laws.NormalLaw(np.eye(2))
+        factor = DiscreteFactor(
+            rotation_half(), law, [np.eye(2), np.array([[1.0, 0.5], [0.0, 2.0]])],
+            [0.5, 0.5],
+        )
+        explosive = ExplosiveVar(np.array([[2.0, 0.5], [0.0, 1.5]]), law)
+        for spec in (canonical_spec(), scaled_spec(), factor, explosive):
             ens = simulate_ensemble(spec, [5, 10, 20], 2000, seed=3)
             v1 = verify.check_condition_i(ens)
             v3 = verify.check_condition_iii(ens)
@@ -168,8 +174,10 @@ class TestConditions:
         ens = simulate_ensemble(scaled_spec(0.5), [5, 10, 20], 2000, seed=9)
         v = verify.check_condition_i(ens)
         assert v.statistics == pytest.approx((0.1, 0.05, 0.025), rel=1e-9)
-        assert not v.passed  # final deviation still above the strict default
-        assert verify.check_condition_i(ens, tol=0.03).passed
+        # The limit holds exactly; the finite-n deviation is the 1/n rate.
+        assert v.passed
+        assert v.detail["rate"] == pytest.approx(0.5, rel=1e-9)
+        assert verify.check_condition_i(ens, tol=0.0).passed
 
     def test_boundedness_passes_and_reports_levels(self):
         ens = simulate_ensemble(canonical_spec(), [5, 10, 20], 5000, seed=4)

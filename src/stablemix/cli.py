@@ -215,12 +215,8 @@ def _run_simulate(cfg, outdir, workers):
     )
     stats = {}
     for n in ens.checkpoints:
-        stats[f"bu_norm_mean.n{n}"] = float(
-            np.linalg.norm(ens.bu[n], axis=1).mean()
-        )
-        stats[f"qu_norm_mean.n{n}"] = float(
-            np.linalg.norm(ens.qu[n], axis=1).mean()
-        )
+        stats[f"bu_norm_mean.n{n}"] = float(matalg.row_norms(ens.bu[n]).mean())
+        stats[f"qu_norm_mean.n{n}"] = float(matalg.row_norms(ens.qu[n]).mean())
     if trajectories > 0:
         # Trajectory i is ensemble path i: the same stream rows, with every
         # step a checkpoint.

@@ -1,5 +1,5 @@
 """Dense matrix analysis helpers: spectral radius, certified norm decay,
-matrix powers, and PSD square roots.
+matrix powers, PSD square roots, and Euclidean norms of rows.
 
 Everything here works on small dense square matrices (dimension up to a few
 dozen; the accuracy contract is stated for d <= 16).  Matrices are plain
@@ -86,6 +86,25 @@ def inverse(matrix) -> np.ndarray:
             f"matrix is singular or too ill conditioned (cond={cond:.3e})"
         )
     return np.linalg.inv(arr)
+
+
+def row_norms(values: np.ndarray) -> np.ndarray:
+    """Euclidean norms along the last axis of ``values``.
+
+    The plain norm squares each entry, so a finite row above about 1e154
+    reads ``inf``.  Such a row is divided by its largest magnitude first
+    and the norm scaled back; every other row keeps the plain norm's bits.
+    A row holding ``inf`` or ``nan`` keeps its plain norm.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.linalg.norm(values, axis=-1)
+        big = np.isinf(norms)
+        if big.any():
+            rows = values[big]
+            top = np.abs(rows).max(axis=-1)
+            scaled = top * np.linalg.norm(rows / top[:, None], axis=-1)
+            norms[big] = np.where(np.isfinite(top), scaled, np.inf)
+    return norms
 
 
 def power_sequence(matrix, count: int) -> np.ndarray:

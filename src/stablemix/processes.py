@@ -393,7 +393,8 @@ def simulate_ensemble(
     one pass writes every checkpoint's ``Q_n U_n`` into the chunk's rows, so
     the cost is O(n) per path whatever the number of checkpoints.  The
     kernel is row-local: values are bit-identical for any worker count and
-    chunking.  ``B_n U_n`` divides each path by its ``b_divisor(n)``.
+    chunking.  ``B_n U_n`` divides each path by its ``b_divisor(n)``.  A
+    value past the float range raises :class:`RangeOverflowError`.
     """
     checkpoints = converted(as_checkpoints, checkpoints, "checkpoints")
     if n_paths < 1:
@@ -406,12 +407,20 @@ def simulate_ensemble(
     def chunk(start, count):
         u = streams.uniform_block(seed, streams.STREAM_PROCESS, start, count, per_path)
         rows = slice(start, start + count)
-        _scaled_rows(spec, u, checkpoints, qu[:, rows], atom[rows], prefix[rows])
+        # Overflow is judged once, on the whole ensemble below.
+        with np.errstate(over="ignore", invalid="ignore"):
+            _scaled_rows(spec, u, checkpoints, qu[:, rows], atom[rows], prefix[rows])
 
     streams.map_chunks(chunk, n_paths, workers)
     bu = qu
     if spec.atom_scale is not None:
-        bu = qu / np.array([spec.b_divisor(cp) for cp in checkpoints])[:, atom, None]
+        divisor = np.array([spec.b_divisor(cp) for cp in checkpoints])[:, atom, None]
+        with np.errstate(over="ignore"):
+            bu = qu / divisor
+    if not (np.isfinite(qu).all() and np.isfinite(bu).all()):
+        raise RangeOverflowError(
+            f"Q_n U_n or B_n U_n left the float range within {checkpoints[-1]} steps"
+        )
     for arr in (bu, qu, atom, prefix):
         arr.flags.writeable = False
     qu_at = dict(zip(checkpoints, qu))

@@ -200,7 +200,7 @@ def lemma_diagnostics(
         for at, z in law.slices(u.reshape(count, J + 1, law.uniforms_per_draw)):
             rows = slice(start + at.start, start + at.stop)
             with np.errstate(invalid="ignore", over="ignore"):
-                term_norms = np.linalg.norm(_apply_powers(powers, z), axis=2)
+                term_norms = matalg.row_norms(_apply_powers(powers, z))
             # 0 * inf inside the products leaves NaNs exactly when a draw
             # overflowed; the true magnitude there is astronomically large,
             # so record it as infinite rather than dropping the exceedance.
@@ -211,10 +211,10 @@ def lemma_diagnostics(
             # Last exceedance index, -1 for paths that never exceed.
             rev_arg = np.argmax(exceed[:, ::-1], axis=1)
             last_idx[rows] = np.where(counts[rows] > 0, J - rev_arg, -1)
-            final_sum[rows] = term_norms.sum(axis=1)
-            last_norm[rows] = term_norms[:, J]
             with np.errstate(over="ignore"):
-                z_norms = np.linalg.norm(z, axis=2)
+                final_sum[rows] = term_norms.sum(axis=1)
+            last_norm[rows] = term_norms[:, J]
+            z_norms = matalg.row_norms(z)
             log_mom[rows] = np.mean(np.log(np.maximum(z_norms, 1.0)), axis=1)
         return totals
 

@@ -1,17 +1,17 @@
 """Deterministic, shardable random streams.
 
 Every stochastic routine in this package consumes uniform variates from a
-counter-based Philox generator keyed by ``(seed, stream id)``.  Each path owns
-a fixed-width row of uniforms inside that stream, so the value of path ``i``
+PCG64DXSM generator keyed by ``(seed, stream id)``.  Each path owns a
+fixed-width row of uniforms inside that stream, so the value of path ``i``
 depends only on ``(seed, stream, i)`` and never on which worker produced it,
 how paths were chunked, or how many other paths were drawn.  Workers can
 therefore shard path ranges freely while staying bit-identical to a
 sequential run.
 
-Layout: a logical matrix of shape ``(n_paths, per_path)`` uniforms.  Rows are
-padded to a multiple of 4 because one Philox counter tick yields four 64-bit
-words (four doubles); a padded row always starts on a counter boundary, which
-is what makes random access by path index possible.
+Layout: a logical matrix of shape ``(n_paths, per_path)`` uniforms, read
+row by row from one stream.  Each double takes exactly one 64-bit word of
+the generator, so path ``i`` starts at word ``i * per_path``, and a jump
+ahead by that many words gives random access by path index.
 
 Aggregation: reductions over paths are computed per fixed-size chunk and the
 per-chunk partial results are then folded in chunk order with compensated
@@ -36,8 +36,6 @@ STREAM_LAW = 3
 # Fixed chunk width for reductions; part of the reproducibility contract.
 CHUNK_PATHS = 4096
 
-_WORDS_PER_BLOCK = 4
-
 
 def _check_seed(seed: int) -> int:
     if not isinstance(seed, (int, np.integer)):
@@ -45,14 +43,6 @@ def _check_seed(seed: int) -> int:
     if not (0 <= int(seed) < 2**64):
         raise InvalidInputError("seed must fit in an unsigned 64-bit integer")
     return int(seed)
-
-
-def padded_width(per_path: int) -> int:
-    """Row width rounded up to a whole number of Philox counter blocks."""
-    if per_path < 1:
-        raise InvalidInputError("per_path must be at least 1")
-    blocks = -(-per_path // _WORDS_PER_BLOCK)
-    return blocks * _WORDS_PER_BLOCK
 
 
 def uniform_block(
@@ -66,11 +56,11 @@ def uniform_block(
     seed = _check_seed(seed)
     if start_path < 0 or count < 0:
         raise InvalidInputError("start_path and count must be nonnegative")
-    width = padded_width(per_path)
-    offset = start_path * (width // _WORDS_PER_BLOCK)
-    bitgen = np.random.Philox(counter=[offset, 0, 0, 0], key=[seed, int(stream)])
-    rows = np.random.Generator(bitgen).random((count, width))
-    return rows[:, :per_path]
+    if per_path < 1:
+        raise InvalidInputError("per_path must be at least 1")
+    bitgen = np.random.PCG64DXSM(np.random.SeedSequence(seed, spawn_key=(int(stream),)))
+    bitgen.advance(start_path * per_path)
+    return np.random.Generator(bitgen).random((count, per_path))
 
 
 def chunk_starts(n_paths: int, chunk: int = CHUNK_PATHS) -> list[tuple[int, int]]:

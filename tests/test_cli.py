@@ -21,6 +21,7 @@ ROTATION_HALF = {"dim": 2, "rows": [[0.5 * _C, -0.5 * _S], [0.5 * _S, 0.5 * _C]]
 NORMAL2 = {"law": "normal", "cov": [[1.0, 0.0], [0.0, 1.0]]}
 NORMAL1 = {"law": "normal", "cov": [[1.0]]}
 SCALAR_P = {"dim": 1, "rows": [[0.5]]}
+HALF_IDENTITY_2D = {"dim": 2, "rows": [[0.5, 0.0], [0.0, 0.5]]}
 
 CANONICAL = {"variant": "synthetic-canonical", "P": ROTATION_HALF, "noise": NORMAL2}
 SCALED_ONE = {
@@ -194,6 +195,26 @@ class TestLemma:
         }
         assert (out / "lemma.csv").exists()
 
+    def test_huge_finite_pool_exits_0(self, tmp_path):
+        # 1e200 squared overflows, but every norm of the run is finite.
+        cfg = write_cfg(
+            tmp_path,
+            {
+                "schema_version": 1, "seed": 5, "P": SCALAR_P,
+                "law": {"law": "empirical", "pool": [[1e200]]}, "J": 4, "n_paths": 10,
+            },
+        )
+        out = tmp_path / "out"
+        assert main(["lemma", "--config", cfg, "--out", str(out)]) == 0
+        stats = read_report(out)["statistics"]
+        assert stats["median_log_moment"] == pytest.approx(math.log(1e200), rel=1e-15)
+        assert stats["infinite_log_moment_fraction"] == 0.0
+        with open(out / "lemma.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        for r in rows:
+            assert float(r["final_partial_sum"]) == pytest.approx(1.9375e200, rel=1e-15)
+            assert float(r["last_term_norm"]) == pytest.approx(6.25e198, rel=1e-15)
+
     def test_diagnostic_sampler_is_gated(self, tmp_path):
         ray = {"law": "log-cauchy-ray", "dim": 1}
         base = {
@@ -230,20 +251,24 @@ class TestLemma:
         assert not (out / "lemma.csv").exists()
 
     def test_infinite_median_log_moment_exits_2(self, tmp_path, capsys):
-        # Past J = 700 more than half the ray's paths hold a draw that
-        # overflowed, so the median log moment has no finite value.
+        # A ray draw exp(C) overflows when the Cauchy C exceeds ln(DBL_MAX),
+        # with probability p = 1/2 - atan(ln DBL_MAX)/pi = 4.48e-4, so a path
+        # of J + 1 = 4001 draws holds one with probability
+        # 1 - (1 - p)^4001 = 0.83.  Over 200 paths that fraction sits more
+        # than 12 standard deviations above 1/2 for any seed, so the median
+        # log moment has no finite value.
         cfg = write_cfg(
             tmp_path,
             {
                 "schema_version": 1, "P": SCALAR_P,
-                "law": {"law": "log-cauchy-ray", "dim": 1}, "J": 700,
+                "law": {"law": "log-cauchy-ray", "dim": 1}, "J": 4000,
                 "n_paths": 200, "seed": 3, "allow_diagnostic": True,
             },
         )
         out = tmp_path / "out"
         assert main(["lemma", "--config", cfg, "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert "median_log_moment is inf" in err and "51.5% of the 200 paths" in err
+        assert "median_log_moment is inf" in err and "82.5% of the 200 paths" in err
         assert not (out / "lemma.csv").exists()
 
 
@@ -280,6 +305,39 @@ class TestSimulate:
             np.testing.assert_allclose(
                 P8 @ u8, bu[int(r["path_id"])], rtol=1e-12, atol=1e-12
             )
+
+    def test_huge_finite_pool_has_finite_norm_means(self, tmp_path):
+        process = {
+            "variant": "synthetic-canonical", "P": HALF_IDENTITY_2D,
+            "noise": {"law": "empirical", "pool": [[1e200, 0.0], [-1e200, 1.0]]},
+        }
+        cfg = write_cfg(
+            tmp_path,
+            {"schema_version": 1, "seed": 1, "process": process,
+             "checkpoints": [5, 10], "n_paths": 100},
+        )
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        stats = read_report(out)["statistics"]
+        assert len(stats) == 4
+        assert all(1e199 < v < 1e201 for v in stats.values())
+
+    @pytest.mark.parametrize("command", ["simulate", "verify-stable", "conditions"])
+    def test_values_past_float_range_exit_2(self, tmp_path, capsys, command):
+        # Two draws of 1.5e308 sum past DBL_MAX inside Q_n U_n.
+        process = {
+            "variant": "synthetic-canonical", "P": HALF_IDENTITY_2D,
+            "noise": {"law": "empirical", "pool": [[1.5e308, 0.0], [1.5e308, 1.0]]},
+        }
+        cfg = write_cfg(
+            tmp_path,
+            {"schema_version": 1, "seed": 1, "process": process,
+             "checkpoints": [5, 10], "n_paths": 100},
+        )
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert "left the float range" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
 
     @pytest.mark.parametrize(
         "process,checkpoints,trajectories",

@@ -525,7 +525,7 @@ class TestNormalLawValidation:
         assert np.all(draws[:, 1] == 0.0)
 
 
-# Uniform edge values a Philox draw can take: 0, the smallest positive
+# Uniform edge values a stream draw can take: 0, the smallest positive
 # double it yields, the centre, and the largest value below 1.
 EDGE_UNIFORMS = np.array([0.0, 2.0**-53, 0.5, 1.0 - 2.0**-53])
 EDGE_ALPHAS = (0.2, 0.3, 0.5, 1.0, 1.5, 1.9)

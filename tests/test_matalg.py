@@ -145,6 +145,25 @@ class TestPowerSequence:
             matalg.power_sequence([[0.5]], -1)
 
 
+class TestRowNorms:
+    def test_ordinary_rows_keep_plain_bits(self):
+        values = np.random.default_rng(4).standard_cauchy((50, 7, 3)) * 1e100
+        assert np.array_equal(
+            matalg.row_norms(values), np.linalg.norm(values, axis=-1)
+        )
+
+    def test_huge_finite_rows_do_not_overflow(self):
+        values = np.array([[1e200, 0.0], [3e200, -4e200], [-1e200, 1.0], [3.0, 4.0]])
+        np.testing.assert_allclose(
+            matalg.row_norms(values), [1e200, 5e200, 1e200, 5.0], rtol=1e-15
+        )
+
+    def test_true_overflow_and_nonfinite_rows_stay_plain(self):
+        values = np.array([[1.5e308, 1.5e308], [np.inf, 1.0], [np.nan, 1e200]])
+        norms = matalg.row_norms(values)
+        assert norms[0] == np.inf and norms[1] == np.inf and np.isnan(norms[2])
+
+
 class TestNormTable:
     def test_matches_oracle(self):
         table = matalg.norm_table(JORDAN, 40)

@@ -237,6 +237,22 @@ class TestEnsemble:
                     np.testing.assert_allclose(bu, ens.bu[n][i], **tol)
                     np.testing.assert_allclose(qu, ens.qu[n][i], **tol)
 
+    def test_values_past_float_range_raise(self):
+        pool = [[1.5e308, 0.0], [1.5e308, 1.0]]
+        spec = SyntheticCanonical(0.5 * np.eye(2), laws.EmpiricalLaw(pool))
+        with pytest.raises(RangeOverflowError, match="left the float range"):
+            simulate_ensemble(spec, [5, 10], 100, seed=1, workers=2)
+
+    def test_b_scaling_past_float_range_raises(self):
+        # Q_2 U_2 is finite; dividing it by b_divisor(2) = -0.5 + (1 + eps)/2
+        # = eps/2 is not.
+        spec = RandomScaled(
+            0.5 * np.eye(1), laws.EmpiricalLaw([[1e300]]), [-0.5], [1.0],
+            perturbation=1.0 + 2.0**-52,
+        )
+        with pytest.raises(RangeOverflowError, match="left the float range"):
+            simulate_ensemble(spec, [2], 10, seed=1)
+
     def test_worker_invariance_bitwise(self):
         spec = RandomScaled(
             rotation_half(), laws.CauchyLaw(2), [1.0, 2.0], [0.5, 0.5]

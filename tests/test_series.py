@@ -42,8 +42,8 @@ def lemma_oracle(P, law, J, n_paths, seed):
     u = streams.uniform_block(seed, streams.STREAM_LEMMA, 0, n_paths, (J + 1) * upd)
     z = law.from_uniforms(u.reshape(n_paths, J + 1, upd))
     with np.errstate(invalid="ignore", over="ignore"):
-        term_norms = np.linalg.norm(series._apply_powers(powers, z), axis=2)
-        z_norms = np.linalg.norm(z, axis=2)
+        term_norms = matalg.row_norms(series._apply_powers(powers, z))
+        z_norms = matalg.row_norms(z)
     term_norms = np.where(np.isnan(term_norms), np.inf, term_norms)
     exceed = term_norms > series.EXCEEDANCE_LEVEL
     counts = exceed.sum(axis=1).astype(np.int64)
@@ -348,6 +348,27 @@ class TestLemmaDiagnostics:
         assert abs(freq - p_closed) <= 5 * sd
         # Late exceedances persist: the limiting fraction is 1 - e^{-1/pi}.
         assert abs(diag.late_exceedance_fraction - 0.27262265070478353) <= 0.02
+
+    def test_huge_finite_draws_keep_finite_norms(self):
+        # 1e200 squared overflows; every reported norm is still finite.
+        diag = series.lemma_diagnostics(
+            np.array([[0.5]]), laws.EmpiricalLaw([[1e200]]), J=4, n_paths=10, seed=1
+        )
+        np.testing.assert_allclose(diag.log_moment, np.log(1e200), rtol=1e-15)
+        np.testing.assert_allclose(diag.final_partial_sum, 1.9375e200, rtol=1e-15)
+        np.testing.assert_allclose(diag.last_term_norm, 6.25e198, rtol=1e-15)
+
+    def test_infinite_log_moment_only_on_overflowed_draws(self):
+        # The log moment is infinite exactly on the paths holding a draw
+        # that overflowed to inf, not on those whose finite draws square
+        # past the float range.
+        law, J, n_paths, seed = laws.LogCauchyRay(1), 700, 2000, 14
+        diag = series.lemma_diagnostics(np.array([[0.5]]), law, J, n_paths, seed)
+        u = streams.uniform_block(seed, streams.STREAM_LEMMA, 0, n_paths, J + 1)
+        z = law.from_uniforms(u.reshape(n_paths, J + 1, 1))
+        overflowed = np.isinf(z).any(axis=(1, 2))
+        assert np.array_equal(np.isinf(diag.log_moment), overflowed)
+        assert (np.abs(z[np.isfinite(z)]) > 1e155).any()
 
     def test_reports_structure(self):
         diag = series.lemma_diagnostics(

@@ -7,17 +7,11 @@ into blocks reproduces the same numbers bit for bit.
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from stablemix import streams
 from stablemix.errors import InvalidInputError
-
-
-class TestPaddedWidth:
-    def test_rounds_to_draw_granularity(self):
-        assert streams.padded_width(1) == 4
-        assert streams.padded_width(4) == 4
-        assert streams.padded_width(5) == 8
-        assert streams.padded_width(8) == 8
 
 
 class TestUniformBlock:
@@ -60,6 +54,55 @@ class TestUniformBlock:
             streams.uniform_block(0, 0, -1, 1, 1)
         with pytest.raises(InvalidInputError):
             streams.uniform_block(0, 0, 0, 1, 0)
+
+
+class TestJumpAhead:
+    """Path ``i`` starts ``i * per_path`` words into its stream, so every
+    row width, start and cut addresses the same numbers."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        per_path=st.integers(1, 300),
+        cuts=st.lists(st.integers(0, 60), max_size=6),
+        seed=st.integers(0, 2**64 - 1),
+        stream=st.sampled_from(
+            [streams.STREAM_PROCESS, streams.STREAM_SERIES, streams.STREAM_LEMMA,
+             streams.STREAM_LAW]
+        ),
+    )
+    @example(per_path=201, cuts=[1, 2, 59], seed=0, stream=streams.STREAM_LEMMA)
+    def test_any_cuts_concatenate_to_whole(self, per_path, cuts, seed, stream):
+        whole = streams.uniform_block(seed, stream, 0, 60, per_path)
+        assert whole.shape == (60, per_path)
+        bounds = sorted({0, 60, *cuts})
+        parts = [
+            streams.uniform_block(seed, stream, a, b - a, per_path)
+            for a, b in zip(bounds, bounds[1:])
+        ]
+        assert np.array_equal(np.concatenate(parts), whole)
+
+    @pytest.mark.parametrize("chunk", [streams.CHUNK_PATHS, 7])
+    def test_wide_block_in_chunks(self, chunk):
+        whole = streams.uniform_block(11, streams.STREAM_LEMMA, 0, 10_001, 201)
+        parts = [
+            streams.uniform_block(11, streams.STREAM_LEMMA, a, c, 201)
+            for a, c in streams.chunk_starts(10_001, chunk)
+        ]
+        assert np.array_equal(np.concatenate(parts), whole)
+
+    def test_far_offset(self):
+        start = 2**40
+        block = streams.uniform_block(5, streams.STREAM_PROCESS, start, 3, 13)
+        tail = streams.uniform_block(5, streams.STREAM_PROCESS, start + 1, 2, 13)
+        assert np.array_equal(block[1:], tail)
+
+    def test_largest_seed(self):
+        top = streams.uniform_block(2**64 - 1, streams.STREAM_SERIES, 0, 4, 3)
+        assert top.shape == (4, 3) and (top >= 0).all() and (top < 1).all()
+        below = streams.uniform_block(2**64 - 2, streams.STREAM_SERIES, 0, 4, 3)
+        assert not np.array_equal(top, below)
+        with pytest.raises(InvalidInputError):
+            streams.uniform_block(2**64, streams.STREAM_SERIES, 0, 4, 3)
 
 
 class TestChunkGrid:

@@ -21,9 +21,12 @@ both verdicts again at an explicit ``r`` below the default,
 and empirical laws, and on the stable law at a non-default ``delta`` and
 ``factor``; ``series`` (``tol`` and ``r``) on the normal, Cauchy and stable
 laws; ``series`` at ``tol`` on two contractions whose norm-table horizon is
-sized past the 256 floor (``diag(0.9, 0.1)`` and a slow Jordan block); and
+sized past the 256 floor (``diag(0.9, 0.1)`` and a slow Jordan block);
 ``lemma`` on the stable law, on the log-Cauchy ray with
-``allow_diagnostic``, on a 1-D normal law and on a 3-D stable law.  Each
+``allow_diagnostic``, on a 1-D normal law and on a 3-D stable law; and
+``simulate`` and ``lemma`` on an empirical pool of huge but finite values
+(1e200, whose squares overflow), so the overflow-safe route of every
+reported norm is covered.  Each
 runs at path or draw counts 4095, 4096 and 4097 (one chunk less one, one
 chunk, one chunk plus one) and at 1 and 2 workers.
 
@@ -63,6 +66,7 @@ STABLE_3D = {
     "weights": [0.5, 0.25, 0.25],
 }
 RAY_2D = {"law": "log-cauchy-ray", "dim": 2}
+HUGE_2D = {"law": "empirical", "pool": [[1e200, 0.0], [-1e200, 1.0]]}
 # The ``lemma`` cases off d = 2: each one's P and law.
 LEMMA_OFF_2D = {
     "normal-1d": ({"dim": 1, "rows": [[0.5]]}, NORMAL_1D),
@@ -186,12 +190,20 @@ def cases() -> list[tuple[str, str, dict]]:
             for lname, (P, law) in LEMMA_OFF_2D.items():
                 add(f"lemma.{lname}", "lemma", size, workers,
                     {"P": P, "law": law, "J": 16, "n_paths": size})
+            add("simulate.canonical-huge", "simulate", size, workers,
+                {"process": {"variant": "synthetic-canonical", "P": ROTATION_HALF,
+                             "noise": HUGE_2D},
+                 "checkpoints": CHECKPOINTS, "n_paths": size, "trajectories": 3})
+            add("lemma.huge", "lemma", size, workers,
+                {"P": ROTATION_HALF, "law": HUGE_2D, "J": 16, "n_paths": size})
     return out
 
 
 def run_child(src: str, work: str) -> None:
     """Run every case on the package under ``src``; exit codes go to
-    ``work/codes.json`` and each case's output to ``work/<case id>``."""
+    ``work/codes.json`` and each case's output to ``work/<case id>``.  An
+    uncaught exception counts as exit code 1, as in the console script, and
+    its type and message go to ``exception.txt`` in the case's output."""
     sys.path.insert(0, os.path.abspath(src))
     import contextlib
     import io
@@ -207,7 +219,12 @@ def run_child(src: str, work: str) -> None:
             json.dump(cfg, fh)
         sink = io.StringIO()
         with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
-            codes[case] = cli.main([command, "--config", path, "--out", outdir])
+            try:
+                codes[case] = cli.main([command, "--config", path, "--out", outdir])
+            except Exception as exc:  # a traceback exits the console script with 1
+                codes[case] = 1
+                with open(os.path.join(outdir, "exception.txt"), "w") as fh:
+                    fh.write(f"{type(exc).__name__}: {exc}\n")
         os.remove(path)
     with open(os.path.join(work, "codes.json"), "w") as fh:
         json.dump(codes, fh)

@@ -17,11 +17,19 @@ symmetric grid (every default grid) it evaluates ``exp(i <theta, x>)`` at
 one point of each pair ``+-theta`` only: the partner's sum is the
 conjugate, and a zero row's sum is the event's count, both exact.  A grid
 without that symmetry, or with a repeated nonzero row, takes the full
-route and evaluates every row.  Both routes give the same bits.
+route and evaluates every row.
 
 The phase map is ``laws._cos_sin(tan(<theta, x> / 2))``: cosine and sine
 through numpy's SIMD ``tan``, within 4.5e-16 of ``exp(i <theta, x>)``, and
-odd in ``x`` bit for bit, as the conjugate partners need.
+odd in ``x`` bit for bit, as the conjugate partners need.  Per chunk it
+writes cos and sin into one contiguous ``(2, rows, points)`` block.  An
+event holding every row of the chunk (the sure event, and ``inds=None``)
+sums the block down its rows, in row order whenever two or more points
+are evaluated, as the plain ecf always has.  Every other event's sums come
+from one product of the chunk's non-full indicator rows with the block, in
+the order the BLAS kernel picks for the product's shape.  Those last bits
+are fixed by the chunk grid, so they never depend on the worker count,
+but they may differ between BLAS builds or CPU kernels.
 """
 
 from __future__ import annotations
@@ -155,22 +163,25 @@ def _phase_parts(values, inds, grid: ThetaGrid, workers: int) -> list:
         # t = tan(<theta, row> / 2), fed to the module's phase map.
         t = vals[start : start + count] @ halves
         np.tan(t, out=t)
-        phases = np.empty(t.shape, dtype=complex)
-        _cos_sin(t, phases.real, phases.imag)
+        cs = np.empty((2, *t.shape))
+        _cos_sin(t, cs[0], cs[1])
         if inds is None:
-            sums = phases.sum(axis=0)[None]
-            counts = np.array([count], dtype=np.int64)
+            block = np.ones((1, count), dtype=bool)
         else:
             block = inds[:, start : start + count]
-            sums = np.stack([phases[ind].sum(axis=0) for ind in block])
-            counts = block.sum(axis=1, dtype=np.int64)
-        out = np.empty((len(sums), len(grid)), dtype=complex)
-        out[:, evaluated] = sums
+        full = block.all(axis=1)
+        sums = np.empty((2, len(block), t.shape[1]))
+        if full.any():
+            sums[:, full] = cs.sum(axis=1)[:, None]
+        if not full.all():
+            sums[:, ~full] = block[~full].astype(float) @ cs
+        counts = block.sum(axis=1, dtype=np.int64)
+        out = np.empty((len(block), len(grid)), dtype=complex)
+        out.real[:, evaluated], out.imag[:, evaluated] = sums
         # The phase at -theta is the conjugate bit for bit; 0.0 - im
         # (not -im) keeps an exactly cancelled or empty sum at +0.
-        paired = sums[:, : len(mirrored)]
-        out.real[:, mirrored] = paired.real
-        out.imag[:, mirrored] = 0.0 - paired.imag
+        out.real[:, mirrored] = sums[0, :, : len(mirrored)]
+        out.imag[:, mirrored] = 0.0 - sums[1, :, : len(mirrored)]
         out[:, zeros] = counts[:, None]
         return out, counts
 

@@ -238,7 +238,7 @@ def check_condition_ii(
     slack = 3.0 / (2.0 * count**0.5)
     table = []
     for n in ensemble.checkpoints:
-        norms = np.linalg.norm(ensemble.qu[n][mask], axis=1)
+        norms = matalg.row_norms(ensemble.qu[n][mask])
         table.append([float(np.mean(norms > k)) for k in levels])
     top = [row[-1] for row in table]
     return _judged(

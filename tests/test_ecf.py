@@ -1,6 +1,7 @@
 """Empirical characteristic function estimates and grids."""
 
 import csv
+import math
 
 import numpy as np
 import pytest
@@ -195,24 +196,69 @@ class TestCsv:
         assert int(rows[1][4]) == 200
 
 
+def _phase_blocks(grid):
+    """The grid rows the phases are evaluated at, block by block: on the
+    half route the evaluated and the mirrored half-grids, two blocks of
+    equal width, then the zero rows; on the full route every row."""
+    return [cols for cols in grid._phase_plan if len(cols)]
+
+
+def _block_phases(rows, grid, cols):
+    """``cos`` and ``sin`` of ``<theta, row>`` at the grid rows ``cols``
+    through the phase map of the module docstring,
+    ``laws._cos_sin(tan(<theta, x> / 2))``; ``test_laws.TestCosSin`` checks
+    the map against ``exp(i x)``."""
+    t = np.tan(rows @ (0.5 * grid.points[cols].T))
+    cos, sin = np.empty(t.shape), np.empty(t.shape)
+    laws._cos_sin(t, cos, sin)
+    return cos, sin
+
+
 def oracle_phase_sums(values, inds, grid, workers=1):
-    """The event-wise sums as first written: the phase map of the module
-    docstring, ``laws._cos_sin(tan(<theta, x> / 2))``, at every grid row,
-    then a boolean gather per event, with the package's chunk grid and fold.
-    ``test_laws.TestCosSin`` checks the map against ``exp(i x)``."""
+    """The event-wise sums by the documented route, every grid row evaluated
+    directly: the mirrored half-grid and the zero rows too, where the kernel
+    conjugates and counts.  Per chunk, an event holding every row of the
+    chunk sums in row order and any other event through its indicator
+    product; then the package's chunk grid and fold."""
 
     def chunk(start, count):
-        t = np.tan(values[start : start + count] @ (0.5 * grid.points.T))
-        phases = np.empty(t.shape, dtype=complex)
-        laws._cos_sin(t, phases.real, phases.imag)
+        rows = values[start : start + count]
         block = inds[:, start : start + count]
-        sums = np.stack([phases[ind].sum(axis=0) for ind in block])
-        return sums, block.sum(axis=1, dtype=np.int64)
+        full = block.all(axis=1)
+        out = np.empty((len(block), len(grid)), dtype=complex)
+        for cols in _phase_blocks(grid):
+            phases = _block_phases(rows, grid, cols)
+            for part, phase in zip((out.real, out.imag), phases):
+                sums = np.empty((len(block), len(cols)))
+                sums[full] = phase.sum(axis=0)
+                sums[~full] = block[~full].astype(float) @ phase
+                part[:, cols] = sums
+        return out, block.sum(axis=1, dtype=np.int64)
 
     parts = streams.map_chunks(chunk, values.shape[0], workers)
     return streams.kahan_fold([p[0] for p in parts]), np.sum(
         [p[1] for p in parts], axis=0
     )
+
+
+def fsum_phase_sums(values, inds, grid):
+    """``(sums, abs_sums)``: each event's sum over its rows of the phases
+    that :func:`oracle_phase_sums` adds, and of their moduli, both through
+    ``math.fsum``, so correctly rounded."""
+    phases = np.empty((2, values.shape[0], len(grid)))
+    for start, count in streams.chunk_starts(values.shape[0]):
+        rows = values[start : start + count]
+        for cols in _phase_blocks(grid):
+            for k, phase in enumerate(_block_phases(rows, grid, cols)):
+                phases[k][start : start + count, cols] = phase
+    sums = np.empty((len(inds), len(grid)), dtype=complex)
+    abs_sums = np.empty((2, len(inds), len(grid)))
+    for e, ind in enumerate(inds):
+        for j in range(len(grid)):
+            re, im = phases[0, ind, j], phases[1, ind, j]
+            sums[e, j] = complex(math.fsum(re), math.fsum(im))
+            abs_sums[:, e, j] = math.fsum(np.abs(re)), math.fsum(np.abs(im))
+    return sums, abs_sums
 
 
 def _bits(arr):
@@ -318,6 +364,31 @@ class TestPhaseSums:
         else:
             assert np.array_equal(evaluated, np.arange(len(grid)))
             assert len(mirrored) == len(zeros) == 0
+
+    @pytest.mark.parametrize("grid_name", sorted(GRIDS))
+    def test_within_derived_bound_of_fsum(self, grid_name):
+        """Each part of each sum lies within ``(C + 2) u sum |x|`` of its
+        correctly rounded value, with ``C = CHUNK_PATHS`` and ``u = 2^-53``.
+
+        A chunk sums at most ``C`` addends, each exact (the indicator
+        product multiplies by 0 or 1), in some order: its error is at most
+        ``gamma_{C-1} sum |x|`` over the chunk, ``gamma_k = k u / (1 - k u)``
+        (Higham, *Accuracy and Stability of Numerical Algorithms*, 2002,
+        §4.2).  The compensated fold of the chunk sums adds at most
+        ``(2u + O(K u^2)) sum |s_k|`` (ibid., §4.3).  Both together stay
+        under ``(C + 2) u sum |x|`` at any chunk count this test reaches.
+        The mirrored and zero columns are checked as well: the kernel
+        conjugates and counts where this sums directly."""
+        grid = GRIDS[grid_name]
+        n = 2 * streams.CHUNK_PATHS + 1
+        bound = (streams.CHUNK_PATHS + 2) * 2.0**-53
+        for kind in ("normal", "wide", "zero-rows"):
+            vals = _samples(13, n, grid.dim, kind)
+            inds = _events(13, n)
+            sums, _ = ecf.phase_sums(vals, inds, grid)
+            want, scale = fsum_phase_sums(vals, inds, grid)
+            assert (np.abs(sums.real - want.real) <= bound * scale[0]).all()
+            assert (np.abs(sums.imag - want.imag) <= bound * scale[1]).all()
 
     def test_one_event_default(self):
         vals = _samples(9, 5000, 2, "normal")

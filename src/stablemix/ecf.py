@@ -124,8 +124,10 @@ def default_grid(dim: int) -> ThetaGrid:
 
     Directions come from a fixed-key counter generator (antipodally
     symmetrized, so ``-theta`` is on the grid whenever ``theta`` is) and are
-    identical across runs and machines.  Exact duplicate rows are merged,
-    which matters only in dimension one.  The symmetry is what lets
+    identical across runs and machines.  Rows are sorted lexicographically
+    and exact duplicates merged, as ``np.unique(axis=0)`` would, which
+    matters only in dimension one; a lexsort and an adjacent-row mask do
+    it without importing ``numpy.ma``.  The symmetry is what lets
     :func:`phase_sums` evaluate only half of the nonzero rows; a custom
     :class:`ThetaGrid` without it is summed row by row.
     """
@@ -136,7 +138,8 @@ def default_grid(dim: int) -> ThetaGrid:
     half /= np.linalg.norm(half, axis=1, keepdims=True)
     dirs = np.vstack([half, -half])
     pts = (dirs[None, :, :] * np.asarray(DEFAULT_RADII)[:, None, None]).reshape(-1, dim)
-    pts = np.unique(pts, axis=0)
+    pts = pts[np.lexsort(pts.T[::-1])]
+    pts = pts[np.concatenate([[True], (pts[1:] != pts[:-1]).any(axis=1)])]
     return ThetaGrid(np.vstack([np.zeros((1, dim)), pts]))
 
 

@@ -88,16 +88,41 @@ def inverse(matrix) -> np.ndarray:
     return np.linalg.inv(arr)
 
 
+def _plain_norms(values: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(values, axis=-1)``, bit for bit.
+
+    numpy reduces a last axis shorter than 8 in order, ``(x0*x0 + x1*x1) +
+    ...``, but slowly: on a ``(256, 65, 2)`` array it takes several times
+    as long as the same sums written out below.  For real rows of length 1
+    to 7 the squares are summed here coordinate by coordinate in that same
+    order, across all rows at once; longer rows, where numpy's pairwise sum
+    is both the reference and faster, go to ``np.linalg.norm``.
+
+    The one bit that may differ is the sign of a ``nan`` norm: IEEE 754
+    leaves it unspecified, and numpy's own can differ for the same row
+    between C and Fortran order.
+    """
+    d = values.shape[-1]
+    if values.dtype.kind != "f" or not 1 <= d < 8:
+        return np.linalg.norm(values, axis=-1)
+    squares = values[..., 0] * values[..., 0]
+    for k in range(1, d):
+        squares += values[..., k] * values[..., k]
+    return np.sqrt(squares)
+
+
 def row_norms(values: np.ndarray) -> np.ndarray:
-    """Euclidean norms along the last axis of ``values``.
+    """Euclidean norms along the last axis of ``values``, with the bits of
+    ``np.linalg.norm`` (see :func:`_plain_norms`).
 
     The plain norm squares each entry, so a finite row above about 1e154
     reads ``inf``.  Such a row is divided by its largest magnitude first
     and the norm scaled back; every other row keeps the plain norm's bits.
     A row holding ``inf`` or ``nan`` keeps its plain norm.
     """
+    values = np.asarray(values)
     with np.errstate(over="ignore", invalid="ignore"):
-        norms = np.linalg.norm(values, axis=-1)
+        norms = _plain_norms(values)
         big = np.isinf(norms)
         if big.any():
             rows = values[big]

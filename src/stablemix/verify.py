@@ -31,7 +31,7 @@ ecf, bit for bit, and a verdict keeps its final sure-event sums as an
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from typing import Callable
 
 import numpy as np
@@ -322,22 +322,44 @@ def conditional_reference(spec, r: int, grid: ThetaGrid) -> np.ndarray:
     ])
 
 
-def _event_sums(ensemble, n, family, grid, which, workers, sure_sums):
+class FilteredEvents:
+    """The part of an event statistic that no checkpoint changes: the mask
+    of the paths in the conditioning event, the family's indicator matrix
+    on them, and, built on first use, each event's count of paths per
+    latent atom.  A verdict builds it once for all its checkpoints."""
+
+    def __init__(self, ensemble: Ensemble, family: EventFamily):
+        self.ensemble = ensemble
+        self.mask = _filtered(ensemble, MIN_FILTERED_PATHS)
+        self.inds = family.indicator_matrix(ensemble)[:, self.mask]
+
+    @cached_property
+    def per_atom(self) -> np.ndarray:
+        """``(n_events, n_atoms)`` filtered path counts."""
+        atom = self.ensemble.atom[self.mask]
+        n_atoms = len(self.ensemble.spec.atom_in_g)
+        return np.stack(
+            [np.bincount(atom[ind], minlength=n_atoms) for ind in self.inds]
+        )
+
+
+def _event_sums(ensemble, n, family, grid, which, workers, sure_sums, events):
     """Event-wise phase sums of the filtered ``which`` values at checkpoint
-    ``n``, as ``(sums, counts, inds, mask)`` with ``inds`` the filtered
-    indicator matrix.  When ``sure_sums`` is a list, the sure event's sums
-    and the filtered path count are appended to it."""
+    ``n``, as ``(sums, counts, events)``, with ``events`` the
+    :class:`FilteredEvents` given or, if None, built here.  When
+    ``sure_sums`` is a list, the sure event's sums and the filtered path
+    count are appended to it."""
     _check_grid(grid, ensemble.dim)
     n = int(n)
     if n not in ensemble.checkpoints:
         raise InvalidInputError(f"checkpoint {n} was not simulated")
-    mask = _filtered(ensemble, MIN_FILTERED_PATHS)
-    values = getattr(ensemble, which)[n][mask]
-    inds = family.indicator_matrix(ensemble)[:, mask]
-    sums, counts = phase_sums(values, inds, grid, workers)
+    if events is None:
+        events = FilteredEvents(ensemble, family)
+    values = getattr(ensemble, which)[n][events.mask]
+    sums, counts = phase_sums(values, events.inds, grid, workers)
     if sure_sums is not None:
         sure_sums.append((sums[0], values.shape[0]))
-    return sums, counts, inds, mask
+    return sums, counts, events
 
 
 def mixing_statistic(
@@ -349,23 +371,26 @@ def mixing_statistic(
     which: str = "bu",
     workers: int = 1,
     sure_sums: list | None = None,
+    events: FilteredEvents | None = None,
 ) -> float:
     """Max over (event, theta) of the factorization error against a fixed
     limit characteristic function.
 
     When ``sure_sums`` is a list, the sure event's phase sums and the
     filtered path count are appended to it, so a caller can form the plain
-    ecf without a second pass over the values.
+    ecf without a second pass over the values.  ``events`` is the
+    :class:`FilteredEvents` of ``ensemble`` and ``family``, built here when
+    None; passing it changes no value.
     """
     if which not in ("bu", "qu"):
         raise InvalidInputError(f"which must be 'bu' or 'qu', got {which!r}")
     ref = np.asarray(reference_values)
     if ref.shape != (len(grid),):
         raise InvalidInputError("reference values do not match the grid")
-    sums, counts, inds, _ = _event_sums(
-        ensemble, n, family, grid, which, workers, sure_sums
+    sums, counts, events = _event_sums(
+        ensemble, n, family, grid, which, workers, sure_sums, events
     )
-    total = inds.shape[1]
+    total = events.inds.shape[1]
     means = sums / total
     freqs = counts / total
     return float(np.abs(means - freqs[:, None] * ref[None, :]).max())
@@ -379,24 +404,23 @@ def stable_statistic(
     conditional_values,
     workers: int = 1,
     sure_sums: list | None = None,
+    events: FilteredEvents | None = None,
 ) -> float:
     """Max over (event, theta) of the error against the latent-conditional
     limit characteristic function, event-averaged; ``conditional_values``
     is the per-atom table of :func:`conditional_reference`.  ``sure_sums``
-    is as for :func:`mixing_statistic`."""
+    and ``events`` are as for :func:`mixing_statistic`."""
     table = np.asarray(conditional_values)
     if table.shape != (len(ensemble.spec.atom_in_g), len(grid)):
         raise InvalidInputError(
             "conditional values do not match the atom table and the grid"
         )
-    sums, _, inds, mask = _event_sums(
-        ensemble, n, family, grid, "qu", workers, sure_sums
+    sums, _, events = _event_sums(
+        ensemble, n, family, grid, "qu", workers, sure_sums, events
     )
-    total = inds.shape[1]
-    atom = ensemble.atom[mask]
-    per_atom = np.stack([np.bincount(atom[ind], minlength=len(table)) for ind in inds])
+    total = events.inds.shape[1]
     term1 = sums / total
-    term2 = (per_atom @ table) / total
+    term2 = (events.per_atom @ table) / total
     return float(np.abs(term1 - term2).max())
 
 
@@ -431,17 +455,18 @@ def _verdict(
 ) -> ConvergenceVerdict:
     """Shared tail of the verdicts: resolve the default family and ``r``,
     build ``reference(spec, r, grid)`` once on the default grid, take
-    ``statistic(ensemble, n, family, grid, reference)`` per checkpoint and
-    judge the last one against ``factor * hoeffding_radius`` at the
-    filtered path count.  The final checkpoint's sure-event sums become the
-    verdict's ``ecf``."""
+    ``statistic(ensemble, n, family, grid, reference)`` per checkpoint,
+    on one :class:`FilteredEvents`, and judge the last one against
+    ``factor * hoeffding_radius`` at the filtered path count.  The final
+    checkpoint's sure-event sums become the verdict's ``ecf``."""
     family = default_family(ensemble) if family is None else family
     grid = default_grid(ensemble.dim)
     r = ensemble.checkpoints[-1] - 1 if r is None else int(r)
     ref = reference(ensemble.spec, r, grid)
+    events = FilteredEvents(ensemble, family)
     sure_sums = []
     stats = tuple(
-        statistic(ensemble, n, family, grid, ref, sure_sums=sure_sums)
+        statistic(ensemble, n, family, grid, ref, sure_sums=sure_sums, events=events)
         for n in ensemble.checkpoints
     )
     sums, count = sure_sums[-1]

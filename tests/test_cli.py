@@ -1106,39 +1106,47 @@ class TestReplay:
 _IMPORT_PROBE = """
 import sys
 from stablemix import cli
-out, *configs = sys.argv[1:]
-for command, path in zip(("sample-law", "lemma", "verify-stable"), configs):
+module, out, *runs = sys.argv[1:]
+for command, path in zip(runs[::2], runs[1::2]):
     assert cli.main([command, "--config", path, "--out", out]) in (0, 1), command
-    assert "scipy" not in sys.modules, command
+    assert module not in sys.modules, command
 """
 
+_PROBE_CONFIGS = {
+    "sample-law": {"schema_version": 1, "seed": 1, "law": {"law": "cauchy", "dim": 2},
+                   "count": 2000},
+    "lemma": {"schema_version": 1, "seed": 1, "P": ROTATION_HALF,
+              "law": {"law": "stable", "alpha": 1.5,
+                      "atoms": [[1.0, 0.0], [0.0, 1.0]], "weights": [0.5, 0.5]},
+              "J": 8, "n_paths": 200},
+    "verify-stable": {"schema_version": 1, "seed": 1, "process": CANONICAL,
+                      "checkpoints": [4, 8], "n_paths": 2000},
+}
 
-def test_no_command_loads_scipy(tmp_path):
-    stable = {
-        "law": "stable", "alpha": 1.5,
-        "atoms": [[1.0, 0.0], [0.0, 1.0]], "weights": [0.5, 0.5],
-    }
-    configs = [
-        write_cfg(tmp_path, cfg, name)
-        for name, cfg in (
-            ("sample.json",
-             {"schema_version": 1, "seed": 1, "law": {"law": "cauchy", "dim": 2},
-              "count": 2000}),
-            ("lemma.json",
-             {"schema_version": 1, "seed": 1, "P": ROTATION_HALF, "law": stable,
-              "J": 8, "n_paths": 200}),
-            ("verify.json",
-             {"schema_version": 1, "seed": 1, "process": CANONICAL,
-              "checkpoints": [4, 8], "n_paths": 2000}),
-        )
-    ]
+
+def _probe_imports(tmp_path, module, commands):
+    """Run ``commands`` in order in one fresh interpreter and assert after
+    each that ``module`` was never imported."""
+    runs = []
+    for command in commands:
+        cfg = _PROBE_CONFIGS[command]
+        runs += [command, write_cfg(tmp_path, cfg, f"{command}.json")]
     src = Path(__file__).resolve().parents[1] / "src"
     done = subprocess.run(
-        [sys.executable, "-c", _IMPORT_PROBE, str(tmp_path / "out"), *configs],
+        [sys.executable, "-c", _IMPORT_PROBE, module, str(tmp_path / "out"), *runs],
         env=dict(os.environ, PYTHONPATH=str(src)),
         capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stdout[-2000:] + done.stderr[-2000:]
+
+
+def test_no_command_loads_scipy(tmp_path):
+    _probe_imports(tmp_path, "scipy", ["sample-law", "lemma", "verify-stable"])
+
+
+def test_grid_commands_do_not_load_numpy_ma(tmp_path):
+    # np.unique(axis=0) in the grid would import numpy.ma, about 9 ms.
+    _probe_imports(tmp_path, "numpy.ma", ["sample-law", "verify-stable"])
 
 
 class TestParser:

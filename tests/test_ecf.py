@@ -86,6 +86,21 @@ class TestDefaultGrid:
         want = np.repeat(ecf.DEFAULT_RADII, ecf.DEFAULT_DIRECTIONS)
         assert np.allclose(np.sort(norms), want, rtol=1e-12, atol=0.0)
 
+    @pytest.mark.parametrize("dim", range(1, 9))
+    def test_rows_are_np_unique_of_the_directions(self, dim):
+        # Oracle: the directions rebuilt from the documented rule and
+        # deduplicated by np.unique(axis=0), zero row first.
+        rng = np.random.Generator(np.random.Philox(key=[ecf._DIRECTION_KEY, dim]))
+        half = rng.standard_normal((ecf.DEFAULT_DIRECTIONS // 2, dim))
+        half /= np.linalg.norm(half, axis=1, keepdims=True)
+        dirs = np.vstack([half, -half])
+        radii = np.asarray(ecf.DEFAULT_RADII)[:, None, None]
+        pts = np.unique((dirs[None] * radii).reshape(-1, dim), axis=0)
+        want = np.vstack([np.zeros((1, dim)), pts])
+        got = ecf.default_grid(dim).points
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
     def test_validation(self):
         with pytest.raises(InvalidInputError):
             ecf.default_grid(0)

@@ -7,6 +7,8 @@ is re-run here at small horizons as a cross-check.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stablemix import config, matalg
 from stablemix.errors import (
@@ -145,7 +147,67 @@ class TestPowerSequence:
             matalg.power_sequence([[0.5]], -1)
 
 
+def reference_row_norms(values):
+    """Oracle: ``np.linalg.norm`` over the last axis, with the rows it
+    overflows on rescaled by their largest magnitude."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.linalg.norm(values, axis=-1)
+        big = np.isinf(norms)
+        if big.any():
+            rows = values[big]
+            top = np.abs(rows).max(axis=-1)
+            scaled = top * np.linalg.norm(rows / top[:, None], axis=-1)
+            norms[big] = np.where(np.isfinite(top), scaled, np.inf)
+    return norms
+
+
+# Signed zeros, subnormals, values whose squares overflow or underflow, and
+# the non-finite values, beside arbitrary floats.
+ROW_ENTRIES = st.one_of(
+    st.sampled_from([
+        0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-170, 3.0,
+        1e154, -2e154, 1e200, 1.7976931348623157e308, np.inf, -np.inf, np.nan,
+    ]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
 class TestRowNorms:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        dim=st.integers(1, 9),
+        rows=st.integers(1, 6),
+        strided=st.booleans(),
+        data=st.data(),
+    )
+    def test_bits_of_np_linalg_norm(self, dim, rows, strided, data):
+        # d <= 7 sums coordinate by coordinate and d >= 8 calls numpy: both
+        # must give numpy's bits, on contiguous and strided rows alike.  The
+        # sign of a nan norm is unspecified (numpy's own changes with the
+        # memory layout), so signs are compared where the norm is a number.
+        flat = data.draw(st.lists(ROW_ENTRIES, min_size=2 * rows * dim,
+                                  max_size=2 * rows * dim))
+        values = np.array(flat).reshape(2, rows, dim)
+        if strided:
+            values = values.transpose(1, 0, 2)[:, ::-1]
+        got, want = matalg.row_norms(values), reference_row_norms(values)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want, equal_nan=True)
+        number = ~np.isnan(want)
+        assert np.array_equal(np.signbit(got[number]), np.signbit(want[number]))
+
+    @pytest.mark.parametrize("dim", range(1, 10))
+    def test_random_rows_keep_plain_bits_at_every_dim(self, dim):
+        # Full-mantissa values, where any change of summation order shows.
+        rng = np.random.default_rng(dim)
+        values = rng.standard_normal((300, 5, dim)) * 10.0 ** rng.integers(
+            -8, 8, (300, 5, dim)
+        )
+        for layout in (values, values.transpose(1, 0, 2), np.asfortranarray(values)):
+            assert np.array_equal(
+                matalg.row_norms(layout), np.linalg.norm(layout, axis=-1)
+            )
+
     def test_ordinary_rows_keep_plain_bits(self):
         values = np.random.default_rng(4).standard_cauchy((50, 7, 3)) * 1e100
         assert np.array_equal(

@@ -7,6 +7,7 @@ probabilities for the log-Cauchy ray sampler.
 
 import csv
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -230,6 +231,66 @@ class TestSeriesEnsemble:
 
         assert np.array_equal(c, draws(streams.STREAM_SERIES))
         assert not np.array_equal(c, draws(streams.STREAM_LAW))
+
+
+def contraction(dim):
+    """A dense contraction of spectral radius 1/2, so every coordinate of
+    a term mixes every coordinate of its increment."""
+    P = np.random.default_rng(dim).standard_normal((dim, dim))
+    return 0.5 * P / matalg.spectral_radius(P)
+
+
+# One law per dimension of the chunking tests below.
+CHUNK_LAWS = {
+    1: laws.NormalLaw(np.eye(1)),
+    2: laws.StableLaw(1.5, laws.SpectralMeasure(np.eye(2), np.array([0.5, 0.5]))),
+    3: laws.StableLaw(
+        1.5, laws.SpectralMeasure(np.eye(3), np.array([0.5, 0.25, 0.25]))
+    ),
+    8: laws.CauchyLaw(8),
+}
+
+
+class TestSeriesChunking:
+    """A sample's bits depend on nothing but its row: not on the chunk it
+    shares, the chunk width, the ensemble size or the worker count."""
+
+    @pytest.mark.parametrize("dim", sorted(CHUNK_LAWS))
+    @pytest.mark.parametrize("width", [1, 255, 256, 257, 4096])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_any_chunk_width_bitwise(self, monkeypatch, dim, width, workers):
+        P, law = contraction(dim), CHUNK_LAWS[dim]
+        count = 600 if width == 1 else 4100
+        map_chunks = streams.map_chunks
+        # The whole ensemble in one chunk is the reference.
+        monkeypatch.setattr(streams, "map_chunks", partial(map_chunks, chunk=count))
+        whole = series.series_ensemble(P, law, 9, seed=4, count=count)
+        monkeypatch.setattr(streams, "map_chunks", partial(map_chunks, chunk=width))
+        cut = series.series_ensemble(P, law, 9, seed=4, count=count, workers=workers)
+        assert np.array_equal(cut, whole)
+
+    @pytest.mark.parametrize("dim", sorted(CHUNK_LAWS))
+    def test_prefix_counts_bitwise(self, dim):
+        P, law = contraction(dim), CHUNK_LAWS[dim]
+        whole = series.series_ensemble(P, law, 9, seed=4, count=4100)
+        for count in (1, 255, 256, 257, 4096):
+            head = series.series_ensemble(P, law, 9, seed=4, count=count)
+            assert np.array_equal(head, whole[:count])
+
+    @pytest.mark.parametrize("dim", sorted(CHUNK_LAWS))
+    def test_is_the_power_series_of_the_draws(self, dim):
+        P, law, r = contraction(dim), CHUNK_LAWS[dim], 9
+        got = series.series_ensemble(P, law, r, seed=4, count=300)
+        upd = law.uniforms_per_draw
+        u = streams.uniform_block(4, streams.STREAM_SERIES, 0, 300, (r + 1) * upd)
+        z = law.from_uniforms(u.reshape(300, r + 1, upd))
+        powers = matalg.power_sequence(P, r)
+        want = sum(z[:, j] @ powers[j].T for j in range(r + 1))
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+        if dim == 1:
+            # One coordinate leaves one order of summation: the bits of the
+            # (j, d, e) contraction that report version 0.11.0 used.
+            assert np.array_equal(got, np.einsum("jde,cje->cd", powers, z))
 
 
 class TestCouplingBound:

@@ -460,6 +460,32 @@ class TestScaleMixtureGap:
 
 
 class TestVerdicts:
+    def test_checkpoint_free_work_once_per_verdict(self):
+        # A verdict evaluates its family's features once for all its
+        # checkpoints, and its statistics keep the bits of direct calls.
+        calls = []
+
+        def counted(e):
+            calls.append(1)
+            return e.noise_prefix[:, 0, 0] >= 0
+
+        ens = simulate_ensemble(scaled_spec(), [4, 8, 12], 3000, seed=17)
+        lam = verify.PathEvent("lam", lambda e: e.spec.atom_scale[e.atom] == 1.0)
+        fam = verify.EventFamily((verify.PathEvent("a", counted), lam))
+        grid = ecf.default_grid(2)
+        table = verify.conditional_reference(ens.spec, 11, grid)
+        ref = verify.mixing_reference(ens.spec, 11, grid)
+        for verdict, direct in (
+            (verify.verify_stable, lambda n: verify.stable_statistic(
+                ens, n, fam, grid, table)),
+            (verify.verify_mixing, lambda n: verify.mixing_statistic(
+                ens, n, fam, grid, ref)),
+        ):
+            calls.clear()
+            v = verdict(ens, family=fam)
+            assert len(calls) == 1
+            assert v.statistics == tuple(direct(n) for n in ens.checkpoints)
+
     def test_canonical_mixing_passes(self):
         ens = simulate_ensemble(canonical_spec(), [6, 12], 20_000, seed=21)
         v = verify.verify_mixing(ens)

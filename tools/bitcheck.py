@@ -20,10 +20,12 @@ both verdicts again at an explicit ``r`` below the default,
 ``bound``; ``sample-law`` on the normal, correlated normal, Cauchy, stable
 and empirical laws, and on the stable law at a non-default ``delta`` and
 ``factor``; ``series`` (``tol`` and ``r``) on the normal, Cauchy and stable
-laws; ``series`` at ``tol`` on two contractions whose norm-table horizon is
-sized past the 256 floor (``diag(0.9, 0.1)`` and a slow Jordan block);
-``lemma`` on the stable law, on the log-Cauchy ray with
-``allow_diagnostic``, on a 1-D normal law and on a 3-D stable law; and
+laws, and on a 1-D normal law and a 3-D stable law, each with its own
+contraction; ``series`` at ``tol`` on two contractions whose norm-table
+horizon is sized past the 256 floor (``diag(0.9, 0.1)`` and a slow Jordan
+block); ``lemma`` on the stable law, on the log-Cauchy ray with
+``allow_diagnostic``, and on the 1-D normal and 3-D stable laws with
+their contractions; and
 ``simulate`` and ``lemma`` on an empirical pool of huge but finite values
 (1e200, whose squares overflow), so the overflow-safe route of every
 reported norm is covered.  Each
@@ -67,7 +69,7 @@ STABLE_3D = {
 }
 RAY_2D = {"law": "log-cauchy-ray", "dim": 2}
 HUGE_2D = {"law": "empirical", "pool": [[1e200, 0.0], [-1e200, 1.0]]}
-# The ``lemma`` cases off d = 2: each one's P and law.
+# The ``series`` and ``lemma`` cases off d = 2: each one's P and law.
 LEMMA_OFF_2D = {
     "normal-1d": ({"dim": 1, "rows": [[0.5]]}, NORMAL_1D),
     "stable-3d": (
@@ -172,9 +174,10 @@ def cases() -> list[tuple[str, str, dict]]:
                     {"law": law, "count": size})
             add("sample-law-tuned.stable", "sample-law", size, workers,
                 {"law": STABLE_2D, "count": size, **TUNED})
-            for lname, law in (("normal", NORMAL_2D), ("cauchy", CAUCHY_2D),
-                               ("stable", STABLE_2D)):
-                series = {"P": ROTATION_HALF, "law": law, "count": size}
+            on_2d = [(ROTATION_HALF, law) for law in (NORMAL_2D, CAUCHY_2D, STABLE_2D)]
+            for lname, (P, law) in [*zip(("normal", "cauchy", "stable"), on_2d),
+                                    *LEMMA_OFF_2D.items()]:
+                series = {"P": P, "law": law, "count": size}
                 add(f"series-{lname}.tol", "series", size, workers,
                     {**series, "tol": 1e-6})
                 add(f"series-{lname}.r", "series", size, workers,

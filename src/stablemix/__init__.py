@@ -10,7 +10,7 @@ event-based convergence verdicts.  Everything randomized is addressed by
 sizes and worker counts.
 """
 
-__version__ = "0.12.0"
+__version__ = "0.13.0"
 
 from .errors import (
     ConfigError,

@@ -2,7 +2,9 @@
 
 Every run is described by a JSON config, read through the key table of
 :mod:`stablemix.config`, plus a handful of flags that override config
-entries.  A run writes CSV outputs and a ``report.json`` that embeds the
+entries.  A run writes its output files (the draws of ``sample-law`` and
+``series`` and the ``lemma`` table as ``.npy``, the ecf and ``simulate``
+tables as ``.csv``) and a ``report.json`` that embeds the
 resolved config and a flat dictionary of named statistics; ``replay``
 re-executes the embedded config and demands bit-identical statistics,
 which is the reproducibility contract the whole package is built around.
@@ -24,7 +26,7 @@ from functools import partial
 import numpy as np
 
 from . import __version__, config, laws, matalg, series, streams, verify
-from .csvio import write_csv
+from .csvio import write_csv, write_table
 from .ecf import default_grid, estimate_ecf, sup_distance, write_ecf_csv
 from .errors import (
     ConfigError,
@@ -105,7 +107,7 @@ def _ecf_check(cfg, outdir, workers, samples, name, reference, stats, derived):
     est = estimate_ecf(samples, grid, cfg["delta"], workers)
     dist = sup_distance(est, reference(grid))
     threshold = cfg["factor"] * est.radius
-    write_csv(
+    write_table(
         os.path.join(outdir, name),
         [f"x_{i}" for i in range(samples.shape[1])],
         [samples],
@@ -119,7 +121,7 @@ def _run_sample_law(cfg, outdir, workers):
     law = cfg["law"]
     samples = _law_samples(law, cfg["seed"], cfg["count"], workers)
     return _ecf_check(
-        cfg, outdir, workers, samples, "samples.csv",
+        cfg, outdir, workers, samples, "samples.npy",
         lambda grid: laws.cf_increment(law, grid.points), {}, {},
     )
 
@@ -133,11 +135,27 @@ def _run_series(cfg, outdir, workers):
         plan = series.TruncationPlan(r, matalg.tail_bound(norms, cert, r), cert)
     samples = series.series_ensemble(P, law, plan.r, cfg["seed"], cfg["count"], workers)
     return _ecf_check(
-        cfg, outdir, workers, samples, "series_samples.csv",
+        cfg, outdir, workers, samples, "series_samples.npy",
         lambda grid: laws.series_cf_values(law, P, plan.r, grid.points),
         {"r": float(plan.r), "tail_norm_bound": plan.tail_norm_bound},
         {"truncation_plan": plan.to_json()},
     )
+
+
+def _median(values: np.ndarray) -> float:
+    """``np.median`` of a non-empty 1-D float array, bit for bit: the mean
+    of the middle value, or of the middle two at even length, and ``nan``
+    when any value is ``nan``.  ``np.median`` imports ``numpy.ma`` (about
+    9 ms) to check for masked input; this takes one partition."""
+    n = len(values)
+    low, high = (n - 1) // 2, n // 2
+    # Partitioning sorts nan last, so the last place holds nan if any value is.
+    part = np.partition(values, [low, high, n - 1])
+    if np.isnan(part[-1]):
+        return float(part[-1])
+    # np.median's own reduction: a mean, which sums from +0.0, so that the
+    # median of [-0.0] reads 0.0.
+    return float(part[low : high + 1].mean())
 
 
 def _run_lemma(cfg, outdir, workers):
@@ -147,14 +165,14 @@ def _run_lemma(cfg, outdir, workers):
     # Median rather than mean: heavy-tailed samplers overflow some draws
     # to inf, and report.json must stay strict JSON (finite numbers only).
     # Once half the paths hold such a draw the median is infinite too.
-    median = float(np.median(diag.log_moment))
+    median = _median(diag.log_moment)
     infinite = float(np.isinf(diag.log_moment).mean())
     if not math.isfinite(median):
         raise RangeOverflowError(
             f"median_log_moment is {median}: {infinite:.1%} of the {diag.n_paths} "
             "paths hold a draw that overflowed to inf"
         )
-    series.write_lemma_csv(os.path.join(outdir, "lemma.csv"), diag)
+    series.write_lemma_csv(os.path.join(outdir, "lemma.npy"), diag)
     stats = {
         "late_exceedance_fraction": diag.late_exceedance_fraction,
         "exceedance_freq_at_J": float(diag.per_index_exceedance_freq[-1]),
@@ -163,7 +181,7 @@ def _run_lemma(cfg, outdir, workers):
         "infinite_log_moment_fraction": infinite,
     }
     derived = {"J": diag.J, "n_paths": diag.n_paths}
-    return stats, [], derived, ["lemma.csv"], True
+    return stats, [], derived, ["lemma.npy"], True
 
 
 # The last ensemble a process command ran on, as one ``(key, ensemble)``

@@ -1,8 +1,12 @@
-"""Block-wise CSV output shared by every table this package writes.
+"""The two table formats this package writes, behind one argument list.
 
-The bytes equal what :mod:`csv`'s default writer produces for the same
-fields: ``\\r\\n`` line ends, floats as their shortest round-trip ``repr``
-and integers in decimal.
+:func:`write_csv` writes text (``ecf.csv``, ``scaled.csv``, ``paths.csv``).
+Its bytes equal what :mod:`csv`'s default writer produces for the
+same fields: ``\\r\\n`` line ends, floats as their shortest round-trip
+``repr`` and integers in decimal.  :func:`write_table` writes the dumps
+of ``sample-law``, ``series`` and ``lemma`` as one ``.npy`` structured
+array each, with exact bits; text costs about 0.6 µs per float, in
+Python's float ``repr``, and ``np.save`` a few ns.
 """
 
 from __future__ import annotations
@@ -36,3 +40,25 @@ def write_csv(path, header, columns) -> None:
             for at, column in enumerate(block):
                 flat[at::width] = column
             fh.write((row_fmt * count) % tuple(flat))
+
+
+def write_table(path, header, columns) -> None:
+    """Write ``columns`` as one structured array in ``.npy`` format.
+
+    The arguments are those of :func:`write_csv`, and each field of the
+    array is named by its ``header`` entry, in order.  Integer fields are
+    stored as ``int64``, every other field as ``float64``, so each value
+    keeps its bits (``inf``, ``nan`` payloads and ``-0.0`` included).  The
+    file is written at ``path`` as given; read it back with ``np.load``.
+    """
+    fields = [np.asarray(c).reshape(len(c), -1) for c in columns]
+    parts = [f[:, j] for f in fields for j in range(f.shape[1])]
+    dtype = [
+        (name, np.int64 if part.dtype.kind in "biu" else np.float64)
+        for name, part in zip(header, parts, strict=True)
+    ]
+    table = np.empty(len(fields[0]), dtype)
+    for (name, _), part in zip(dtype, parts):
+        table[name] = part
+    with open(path, "wb") as fh:
+        np.save(fh, table, allow_pickle=False)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matalg, streams
-from .csvio import write_csv
+from .csvio import write_table
 from .errors import HorizonExceededError, HypothesisViolationError, InvalidInputError
 from .laws import IncrementLaw
 from .matalg import GelfandCertificate
@@ -240,7 +240,7 @@ def lemma_diagnostics(
     )
 
 
-LEMMA_CSV_COLUMNS = (
+LEMMA_FIELDS = (
     "path_id",
     "J",
     "exceedance_count",
@@ -251,10 +251,14 @@ LEMMA_CSV_COLUMNS = (
 
 
 def write_lemma_csv(path, diag: LemmaDiagnostics) -> None:
-    """Dump one row per simulated path."""
-    write_csv(
+    """Dump one row per simulated path to ``lemma.npy`` at ``path``, one
+    structured field per name of ``LEMMA_FIELDS`` (see
+    :func:`stablemix.csvio.write_table`).  The name is older than the
+    format; the benchmark tracer wraps the function by this name, and it is
+    kept until the tracer's layer names are revised (ROADMAP item 15)."""
+    write_table(
         path,
-        LEMMA_CSV_COLUMNS,
+        LEMMA_FIELDS,
         [
             np.arange(diag.n_paths),
             np.full(diag.n_paths, diag.J),

@@ -82,8 +82,8 @@ class TestSampleLaw:
         stats = report["statistics"]
         assert stats["ecf_distance"] <= stats["threshold"]
         assert report["streams"]["chunk_paths"] == 4096
-        samples = (out / "samples.csv").read_text().splitlines()
-        assert samples[0] == "x_0,x_1" and len(samples) == 20001
+        samples = np.load(out / "samples.npy")
+        assert samples.dtype.names == ("x_0", "x_1") and len(samples) == 20000
         assert len((out / "ecf.csv").read_text().splitlines()) == 62
 
     def test_seed_flag_overrides_config(self, tmp_path):
@@ -133,7 +133,7 @@ class TestSeries:
         report = read_report(out)
         assert report["statistics"]["r"] == 10.0
         assert report["derived"]["truncation_plan"]["r"] == 10
-        assert (out / "series_samples.csv").exists()
+        assert (out / "series_samples.npy").exists()
 
     def test_r_route(self, tmp_path):
         cfg = write_cfg(
@@ -193,7 +193,7 @@ class TestLemma:
             "mean_exceedance_count", "median_log_moment",
             "infinite_log_moment_fraction",
         }
-        assert (out / "lemma.csv").exists()
+        assert (out / "lemma.npy").exists()
 
     def test_huge_finite_pool_exits_0(self, tmp_path):
         # 1e200 squared overflows, but every norm of the run is finite.
@@ -209,8 +209,8 @@ class TestLemma:
         stats = read_report(out)["statistics"]
         assert stats["median_log_moment"] == pytest.approx(math.log(1e200), rel=1e-15)
         assert stats["infinite_log_moment_fraction"] == 0.0
-        with open(out / "lemma.csv") as fh:
-            rows = list(csv.DictReader(fh))
+        rows = np.load(out / "lemma.npy")
+        assert len(rows) == 10
         for r in rows:
             assert float(r["final_partial_sum"]) == pytest.approx(1.9375e200, rel=1e-15)
             assert float(r["last_term_norm"]) == pytest.approx(6.25e198, rel=1e-15)
@@ -248,7 +248,7 @@ class TestLemma:
         out = tmp_path / "out"
         assert main(["lemma", "--config", cfg, "--out", str(out)]) == 2
         assert "allow_diagnostic must be true or false" in capsys.readouterr().err
-        assert not (out / "lemma.csv").exists()
+        assert not (out / "lemma.npy").exists()
 
     def test_infinite_median_log_moment_exits_2(self, tmp_path, capsys):
         # A ray draw exp(C) overflows when the Cauchy C exceeds ln(DBL_MAX),
@@ -269,7 +269,44 @@ class TestLemma:
         assert main(["lemma", "--config", cfg, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "median_log_moment is inf" in err and "82.5% of the 200 paths" in err
-        assert not (out / "lemma.csv").exists()
+        assert not (out / "lemma.npy").exists()
+
+
+class TestMedian:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 10, 4096, 4097])
+    def test_bits_of_np_median(self, n):
+        rng = np.random.default_rng(n)
+        specials = [np.inf, -np.inf, -0.0, 0.0, 5e-324, 1.7976931348623157e308]
+        cases = [rng.standard_normal(n), rng.standard_cauchy(n) * 1e300]
+        for k in range(1, min(n, 4) + 1):
+            for value in specials:
+                a = rng.standard_normal(n)
+                a[rng.choice(n, k, replace=False)] = value
+                cases.append(a)
+            a = rng.standard_normal(n)
+            a[rng.choice(n, k, replace=False)] = rng.choice(specials, k)
+            cases.append(a)
+        for nan in (np.nan, -np.nan):
+            a = rng.standard_normal(n)
+            a[rng.integers(n)] = nan
+            cases.append(a)
+        cases.append(np.full(n, 1.7976931348623157e308))  # (a + b) overflows
+        for a in cases:
+            with np.errstate(over="ignore", invalid="ignore"):
+                want = np.float64(np.median(a))
+                got = cli._median(a.copy())
+            assert type(got) is float
+            if np.isnan(want):
+                assert math.isnan(got)
+            else:
+                assert np.float64(got).view(np.uint64) == want.view(np.uint64), a
+
+    def test_even_length_takes_the_mean_of_the_middle_two(self):
+        assert cli._median(np.array([4.0, 1.0, 3.0, 2.0])) == 2.5
+        assert math.copysign(1.0, cli._median(np.array([-0.0, -0.0]))) == 1.0
+        with np.errstate(invalid="ignore"):
+            assert math.isnan(cli._median(np.array([-np.inf, np.inf])))
+        assert math.isnan(cli._median(np.array([1.0, np.nan, 3.0])))
 
 
 class TestSimulate:
@@ -1124,6 +1161,27 @@ _PROBE_CONFIGS = {
 }
 
 
+_OUTPUT_CONFIGS = {
+    **_PROBE_CONFIGS,
+    "series": {"schema_version": 1, "seed": 1, "P": ROTATION_HALF, "law": NORMAL2,
+               "count": 2000, "r": 8},
+    "simulate": {"schema_version": 1, "seed": 1, "process": CANONICAL,
+                 "checkpoints": [4, 8], "n_paths": 500, "trajectories": 2},
+    "verify-mixing": _PROBE_CONFIGS["verify-stable"],
+    "conditions": {**_PROBE_CONFIGS["verify-stable"], "checkpoints": [5, 10]},
+}
+
+
+@pytest.mark.parametrize("command", sorted(_OUTPUT_CONFIGS))
+def test_outputs_name_the_files_written(tmp_path, command):
+    cfg = write_cfg(tmp_path, _OUTPUT_CONFIGS[command])
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 0
+    outputs = read_report(out)["outputs"]
+    assert len(set(outputs)) == len(outputs)
+    assert sorted(p.name for p in out.iterdir()) == sorted(outputs + ["report.json"])
+
+
 def _probe_imports(tmp_path, module, commands):
     """Run ``commands`` in order in one fresh interpreter and assert after
     each that ``module`` was never imported."""
@@ -1145,8 +1203,9 @@ def test_no_command_loads_scipy(tmp_path):
 
 
 def test_grid_commands_do_not_load_numpy_ma(tmp_path):
-    # np.unique(axis=0) in the grid would import numpy.ma, about 9 ms.
-    _probe_imports(tmp_path, "numpy.ma", ["sample-law", "verify-stable"])
+    # np.unique(axis=0) in the grid, or np.median in the lemma, would import
+    # numpy.ma, about 9 ms.
+    _probe_imports(tmp_path, "numpy.ma", ["sample-law", "verify-stable", "lemma"])
 
 
 class TestParser:

@@ -1,5 +1,6 @@
-"""Block-wise CSV writer: byte-identical to the csv module and exact
-round trips across block boundaries."""
+"""Table writers: the block-wise CSV writer is byte-identical to the csv
+module with exact round trips across block boundaries; the ``.npy`` writer
+keeps field names and exact bits."""
 
 import csv
 import io
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from stablemix import streams
-from stablemix.csvio import write_csv
+from stablemix.csvio import write_csv, write_table
 
 SPECIAL = [
     np.inf, -np.inf, np.nan, -0.0, 0.0, 5e-324, -5e-324,
@@ -80,3 +81,48 @@ def test_mixed_numeric_and_object_columns(tmp_path, n):
     assert lines[2] == b"5e-324,0,5,9223372036854775807,5e-324"
     assert lines[3] == b"1e+300,2147483647,-4611686018427387904,3,1e+300"
     assert lines[10] == b"inf,-7,5,9223372036854775807,x"
+
+
+@pytest.mark.parametrize(
+    "n", [streams.CHUNK_PATHS - 1, streams.CHUNK_PATHS, streams.CHUNK_PATHS + 1]
+)
+def test_table_keeps_names_dtypes_and_bits(tmp_path, n):
+    rng = np.random.default_rng(n)
+    floats = rng.standard_normal((n, 2)) * 10.0 ** rng.integers(-300, 300, (n, 2))
+    floats[: len(SPECIAL), 0] = SPECIAL
+    floats[-len(SPECIAL) :, 1] = SPECIAL
+    floats[1, 1] = -np.nan
+    # A nan with a payload: text could never carry it.
+    floats[2, 1] = np.array(0x7FF8_0000_0000_BEEF, dtype=np.uint64).view(np.float64)
+    ids = np.arange(n)
+    small = rng.integers(-5, 10**6, n).astype(np.int32)
+    wide = np.resize(np.array([-(2**63), 2**63 - 1, 0], dtype=np.int64), n)
+    header = ["path_id", "x_0", "x_1", "count", "wide"]
+    path = tmp_path / "out.npy"
+    write_table(path, header, [ids, floats, small, wide])
+
+    table = np.load(path, allow_pickle=False)
+    assert table.dtype.names == tuple(header)
+    assert [table.dtype[name] for name in header] == [
+        np.dtype(np.int64), np.dtype(np.float64), np.dtype(np.float64),
+        np.dtype(np.int64), np.dtype(np.int64),
+    ]
+    assert table.shape == (n,)
+    for name, want in (("x_0", floats[:, 0]), ("x_1", floats[:, 1])):
+        assert np.array_equal(table[name].view(np.uint64), want.view(np.uint64))
+    assert np.array_equal(table["path_id"], ids)
+    assert np.array_equal(table["count"], small)
+    assert np.array_equal(table["wide"], wide)
+
+
+def test_table_writes_at_the_path_given(tmp_path):
+    # np.save on a bare name would append ".npy".
+    path = tmp_path / "lemma"
+    write_table(path, ["x_0"], [np.array([1.0, -0.0])])
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["lemma"]
+    assert np.signbit(np.load(path)["x_0"]).tolist() == [False, True]
+
+
+def test_table_header_must_name_every_field(tmp_path):
+    with pytest.raises(ValueError):
+        write_table(tmp_path / "t.npy", ["x_0"], [np.zeros((3, 2))])

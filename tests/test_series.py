@@ -5,7 +5,6 @@ heavy-tail lemma diagnostics are pinned against closed-form exceedance
 probabilities for the log-Cauchy ray sampler.
 """
 
-import csv
 import tracemalloc
 from functools import partial
 
@@ -506,17 +505,18 @@ class TestLemmaDiagnostics:
         outputs = 40 * 15 * streams.CHUNK_PATHS
         assert peaks[1] - peaks[0] <= outputs + 2**20
 
-    def test_csv_output(self, tmp_path):
+    def test_npy_output(self, tmp_path):
         diag = series.lemma_diagnostics(
             np.array([[0.5]]), laws.NormalLaw(np.eye(1)), J=8, n_paths=37, seed=11
         )
-        path = tmp_path / "lemma.csv"
+        path = tmp_path / "lemma.npy"
         series.write_lemma_csv(path, diag)
-        with open(path) as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == list(series.LEMMA_CSV_COLUMNS)
-        assert len(rows) == 38
-        assert int(rows[1][0]) == 0 and int(rows[1][1]) == 8
+        rows = np.load(path)
+        assert rows.dtype.names == series.LEMMA_FIELDS
+        assert len(rows) == 37
+        assert int(rows[0][0]) == 0 and int(rows[0][1]) == 8
+        assert np.array_equal(rows["final_partial_sum"], diag.final_partial_sum)
+        assert np.array_equal(rows["exceedance_count"], diag.exceedance_count)
 
     def test_rejects_bad_args(self):
         law = laws.NormalLaw(np.eye(1))

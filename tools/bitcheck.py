@@ -33,16 +33,22 @@ runs at path or draw counts 4095, 4096 and 4097 (one chunk less one, one
 chunk, one chunk plus one) and at 1 and 2 workers.
 
 The two trees must agree on every exit code, on the set of files each run
-writes, on every byte of every CSV and on every ``report.json`` value
-except ``wall_clock_s``.  Each difference is printed, and a differing CSV
-is sized by its largest absolute and relative numeric change.  A change of
-the report ``version`` is printed once, on the summary line.  The exit
+writes, on every byte of every CSV, on the field names, dtypes and bits of
+every ``.npy`` table and on every ``report.json`` value except
+``wall_clock_s``.  Each difference is printed.  A differing CSV is sized
+by its largest absolute and relative numeric change; a differing ``.npy``
+table by the count of differing values and the same two sizes.  A table
+written as ``X.csv`` by one tree and ``X.npy`` by the other is a format
+change: the two are compared by value (``nan`` equal to any ``nan``, zeros
+by sign), and the line says whether every value is unchanged.  A change
+of the report ``version`` is printed once, on the summary line.  The exit
 status is 1 if there is any difference or version change, else 0.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import os
@@ -50,6 +56,8 @@ import shutil
 import subprocess
 import sys
 import tempfile
+
+import numpy as np
 
 _C, _S = math.cos(math.pi / 6), math.sin(math.pi / 6)
 ROTATION_HALF = {"dim": 2, "rows": [[0.5 * _C, -0.5 * _S], [0.5 * _S, 0.5 * _C]]}
@@ -279,8 +287,9 @@ def compare_reports(old_path: str, new_path: str) -> tuple[list[str], tuple]:
 
 def _largest_change(a: list[bytes], b: list[bytes], lines) -> tuple[float, float]:
     """Largest absolute and relative change between the numeric fields of
-    the given lines that both files hold; a changed non-numeric field, or a
-    change from zero, counts as relatively infinite."""
+    the given lines that both files hold; a changed non-numeric field, a
+    change to or from ``nan``, or a change from zero, counts as relatively
+    infinite."""
     worst_abs = worst_rel = 0.0
     for i in lines:
         if i >= len(a) or i >= len(b):
@@ -294,6 +303,9 @@ def _largest_change(a: list[bytes], b: list[bytes], lines) -> tuple[float, float
                 worst_rel = math.inf
                 continue
             delta = abs(fy - fx)
+            if math.isnan(delta):
+                worst_rel = math.inf
+                continue
             worst_abs = max(worst_abs, delta)
             worst_rel = max(worst_rel, delta / abs(fx) if fx else math.inf)
     return worst_abs, worst_rel
@@ -320,6 +332,91 @@ def compare_bytes(old_path: str, new_path: str, max_lines: int) -> list[str]:
     return diffs
 
 
+def read_table(path: str) -> tuple[tuple, list]:
+    """Field names and one 1-D array per field of a CSV with a header row or
+    of a structured ``.npy``.  A CSV field whose every value reads as an
+    integer is ``int64``, any other ``float64``."""
+    if path.endswith(".npy"):
+        table = np.load(path, allow_pickle=False)
+        return table.dtype.names, [table[name] for name in table.dtype.names]
+    with open(path, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    columns = []
+    for cells in zip(*rows):
+        try:
+            columns.append(np.array([int(x) for x in cells], dtype=np.int64))
+        except ValueError:
+            columns.append(np.array([float(x) for x in cells], dtype=np.float64))
+    return tuple(header), columns
+
+
+def _differing(a, b, exact: bool):
+    """Mask of the rows where two numeric columns differ: in their bits if
+    ``exact`` and both are float, else in value, with any ``nan`` equal to
+    any other and zeros told apart by sign."""
+    if exact and a.dtype == b.dtype == np.float64:
+        return a.view(np.uint64) != b.view(np.uint64)
+    if a.dtype.kind == b.dtype.kind == "i":
+        return a != b
+    a, b = a.astype(np.float64), b.astype(np.float64)
+    same = (a == b) & (np.signbit(a) == np.signbit(b))
+    return ~(same | (np.isnan(a) & np.isnan(b)))
+
+
+def compare_tables(old_path: str, new_path: str, max_lines: int) -> list[str]:
+    """Field-by-field differences between two tables, each a CSV or a
+    structured ``.npy`` (see :func:`read_table`).  Two ``.npy`` files are
+    compared by field names, dtypes and bits, any pair with a CSV by value.
+    A change of format is reported even when every value is unchanged."""
+    old_names, old_cols = read_table(old_path)
+    new_names, new_cols = read_table(new_path)
+    if old_names != new_names:
+        return [f"fields {list(old_names)} -> {list(new_names)}"]
+    rows = len(old_cols[0]) if old_cols else 0
+    if old_cols and len(new_cols[0]) != rows:
+        return [f"{rows} -> {len(new_cols[0])} rows"]
+    exact = old_path.endswith(".npy") and new_path.endswith(".npy")
+    old_types = [c.dtype.str for c in old_cols]
+    new_types = [c.dtype.str for c in new_cols]
+    if exact and old_types != new_types:
+        return [f"dtypes {old_types} -> {new_types}"]
+    n_bad, worst_abs, worst_rel, shown = 0, 0.0, 0.0, []
+    for name, a, b in zip(old_names, old_cols, new_cols):
+        bad = np.flatnonzero(_differing(a, b, exact))
+        n_bad += len(bad)
+        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+            x, y = a[bad].astype(np.float64), b[bad].astype(np.float64)
+            delta = np.abs(y - x)
+            rel = np.where(x != 0, delta / np.abs(x), np.inf)
+        # As for CSV lines: a change to or from nan is relatively infinite.
+        number = ~np.isnan(delta)
+        worst_abs = max(worst_abs, float(delta[number].max(initial=0.0)))
+        rel = np.where(number, rel, np.inf)
+        worst_rel = max(worst_rel, float(rel.max(initial=0.0)))
+        shown += [f"row {i}, {name}: {a[i].item()!r} -> {b[i].item()!r}"
+                  for i in bad[:max_lines]]
+    formats = f"{os.path.splitext(old_path)[1]} -> {os.path.splitext(new_path)[1]}"
+    size = f"{rows} rows x {len(old_names)} fields"
+    if not n_bad:
+        return [] if exact else [f"format {formats}, {size}: every value unchanged"]
+    head = f"{n_bad} of {rows * len(old_names)} values differ ({size}"
+    head += f", format {formats})" if not exact else ")"
+    return [f"{head}; largest change {worst_abs:.3g} absolute, "
+            f"{worst_rel:.3g} relative", *shown[:max_lines]]
+
+
+def _format_pairs(only_old, only_new) -> list[tuple[str, str]]:
+    """``(old name, new name)`` for each table that one tree writes as
+    ``X.csv`` and the other as ``X.npy``."""
+    swap = {".csv": ".npy", ".npy": ".csv"}
+    pairs = []
+    for name in sorted(only_old):
+        stem, ext = os.path.splitext(name)
+        if ext in swap and stem + swap[ext] in only_new:
+            pairs.append((name, stem + swap[ext]))
+    return pairs
+
+
 def compare(old_work: str, new_work: str, max_lines: int) -> int:
     with open(os.path.join(old_work, "codes.json")) as fh:
         old_codes = json.load(fh)
@@ -333,18 +430,24 @@ def compare(old_work: str, new_work: str, max_lines: int) -> int:
             problems.append(f"exit code {old_codes[case]} -> {new_codes[case]}")
         old_dir, new_dir = os.path.join(old_work, case), os.path.join(new_work, case)
         old_files, new_files = set(os.listdir(old_dir)), set(os.listdir(new_dir))
-        for name in sorted(old_files ^ new_files):
+        pairs = _format_pairs(old_files - new_files, new_files - old_files)
+        paired = {name for pair in pairs for name in pair}
+        for name in sorted((old_files ^ new_files) - paired):
             side = "old" if name in old_files else "new"
             problems.append(f"{name}: written only by the {side} tree")
-        for name in sorted(old_files & new_files):
+        for old_name, new_name in [*((n, n) for n in sorted(old_files & new_files)),
+                                   *pairs]:
             n_files += 1
-            a, b = os.path.join(old_dir, name), os.path.join(new_dir, name)
-            if name == "report.json":
+            a, b = os.path.join(old_dir, old_name), os.path.join(new_dir, new_name)
+            label = old_name if old_name == new_name else f"{old_name} -> {new_name}"
+            if old_name == "report.json":
                 found, version = compare_reports(a, b)
                 versions.add(version)
+            elif old_name != new_name or old_name.endswith(".npy"):
+                found = compare_tables(a, b, max_lines)
             else:
                 found = compare_bytes(a, b, max_lines)
-            problems.extend(f"{name}: {line}" for line in found)
+            problems.extend(f"{label}: {line}" for line in found)
         if problems:
             n_bad += 1
             print(f"DIFF {case}")

@@ -2,9 +2,10 @@
 
 The limit object everything converges to is a series sum_j P^j Z_j.  To
 work with it numerically the series is cut at an index r, and the cut is
-certified: a Gelfand certificate turns finitely many power norms into a
-geometric envelope on everything past the horizon, giving a hard bound on
-the discarded operator mass.
+certified: a decay certificate q = |P^H| < 1 turns finitely many power
+norms into a bound on everything past the horizon H, since every
+|P^(mH+i)| <= q^m |P^i|, giving a hard bound on the discarded operator
+mass.
 """
 
 import numpy as np
@@ -27,7 +28,7 @@ def show_plan(name, P, tol):
     plan = truncation_index(P, tol)
     cert = plan.certificate
     print(
-        f"  {name:28s} rho={cert.rho:.3f}  k0={cert.k0:3d}  "
+        f"  {name:28s} horizon={cert.horizon:4d}  q={cert.q:.2e}  "
         f"r={plan.r:4d}  tail bound {plan.tail_norm_bound:.3e} <= {tol:.1e}"
     )
     return plan

@@ -10,7 +10,7 @@ event-based convergence verdicts.  Everything randomized is addressed by
 sizes and worker counts.
 """
 
-__version__ = "0.13.0"
+__version__ = "0.14.0"
 
 from .errors import (
     ConfigError,
@@ -25,7 +25,7 @@ from .errors import (
     StablemixError,
 )
 from .matalg import (
-    GelfandCertificate,
+    DecayCertificate,
     decay_certificate,
     inverse,
     norm_table,

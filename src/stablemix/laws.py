@@ -36,7 +36,7 @@ import numpy as np
 
 from . import matalg
 from .errors import InvalidInputError
-from .matalg import GelfandCertificate, as_floats
+from .matalg import DecayCertificate, as_floats
 
 # Rows of a ``(rows, steps, uniforms)`` block that ``IncrementLaw.slices``
 # maps per ``from_uniforms`` call: a 256-row slice of a 100-step 2-d normal
@@ -189,14 +189,6 @@ class IncrementLaw:
         for start in range(0, len(u), SLICE_ROWS):
             rows = slice(start, min(start + SLICE_ROWS, len(u)))
             yield rows, self.from_uniforms(u[rows])
-
-    def draw_block(self, u: np.ndarray) -> np.ndarray:
-        """Draws of a ``(rows, steps, uniforms_per_draw)`` block as one
-        ``(rows, steps, dim)`` array, copied slice by slice from :meth:`slices`."""
-        out = np.empty(u.shape[:-1] + (self.dim,))
-        for rows, z in self.slices(u):
-            out[rows] = z
-        return out
 
     def cf(self, thetas) -> np.ndarray:
         arr, single = _clean_thetas(thetas, self.dim)
@@ -415,7 +407,7 @@ class TruncatedCf:
     values: np.ndarray
     exponent_tail: np.ndarray
     r: int
-    certificate: GelfandCertificate
+    certificate: DecayCertificate
 
 
 def series_cf_values(

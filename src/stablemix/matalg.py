@@ -9,6 +9,7 @@ gate used by every public entry point.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -167,128 +168,94 @@ def norm_table(matrix, horizon: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class GelfandCertificate:
-    """Certified geometric decay of matrix power norms.
+class DecayCertificate:
+    """Certified decay of matrix power norms by submultiplicativity.
 
-    Records a spectral radius ``rho < 1``, the midpoint ``ratio = (1+rho)/2``,
-    and the smallest index ``k0`` such that ``|P^k|^(1/k) <= ratio`` for every
-    ``k`` in ``[k0, horizon]``.  When ``horizon >= 2*k0`` submultiplicativity
-    extends the bound to all ``k >= k0``, so geometric tail sums past the
-    horizon are valid.
+    ``q = |P^horizon| < 1``.  Every ``j >= horizon`` splits as
+    ``m * horizon + i`` with ``0 <= i < horizon``, so ``|P^j| <= q^m |P^i|``:
+    the norm table through ``horizon`` and the one number ``q`` bound every
+    tail (see :func:`tail_bound`).
     """
 
-    rho: float
-    k0: int
     horizon: int
-
-    @property
-    def ratio(self) -> float:
-        return 0.5 * (1.0 + self.rho)
+    q: float
 
     def __post_init__(self):
-        if not (0.0 <= self.rho < 1.0):
-            raise InvalidInputError(f"certificate requires 0 <= rho < 1, got {self.rho}")
-        if not (1 <= self.k0 <= self.horizon):
-            raise InvalidInputError(
-                f"certificate requires 1 <= k0 <= horizon, got k0={self.k0}, "
-                f"horizon={self.horizon}"
-            )
+        if self.horizon < 1 or not (0.0 <= self.q < 1.0):
+            raise InvalidInputError(f"need horizon >= 1 and 0 <= q < 1, got {self}")
 
     def to_json(self) -> dict:
-        return {"rho": self.rho, "k0": self.k0, "horizon": self.horizon}
+        return {"horizon": self.horizon, "q": self.q}
 
 
-def _ratio_holds(norms: np.ndarray, ratio: float) -> np.ndarray:
-    """Boolean table: ``|P^k|^(1/k) <= ratio`` for k = 1..len(norms)-1.
+def decay_certificate(matrix, tol: float = 1.0) -> tuple[DecayCertificate, np.ndarray]:
+    """Certificate plus its norm table, with a remainder ``q / (1 - q) *
+    sum_{i<horizon} |P^i|`` past the table of at most ``1e-12 * tol``.
 
-    Compared in log space so extreme powers neither overflow nor underflow.
+    The horizon starts at ``max(64, ceil(log(1e-12 * tol) / log rho))``;
+    since ``|P^h| >= rho^h``, no shorter one reaches that remainder.  It
+    doubles, up to ``MAX_HORIZON``, until the remainder is small enough;
+    at ``MAX_HORIZON`` any ``q < 1`` certifies.  The remainder is compared
+    in logs, so a tiny ``tol`` cannot underflow.  Raises
+    :class:`HypothesisViolationError` when ``rho(P) >= 1`` and
+    :class:`HorizonExceededError` when ``q >= 1`` at ``MAX_HORIZON``.
     """
-    k = np.arange(1, len(norms))
-    with np.errstate(divide="ignore"):
-        lhs = np.log(norms[1:])
-    return lhs <= k * np.log(ratio)
-
-
-def _gelfand(arr: np.ndarray, horizon: int) -> tuple[GelfandCertificate, np.ndarray]:
-    """Smallest ``k0`` with ``|P^k|^(1/k) <= (1+rho)/2`` on ``[k0, horizon]``,
-    as a certificate, plus the norm table its scan built.
-
-    Raises :class:`HypothesisViolationError` when ``rho(P) >= 1`` (no such
-    certificate can exist) and :class:`HorizonExceededError` when the bound
-    has not set in anywhere inside the horizon.
-    """
-    if horizon < 1:
-        raise InvalidInputError("horizon must be at least 1")
+    arr = as_square(matrix)
+    if not (np.isfinite(tol) and tol > 0.0):
+        raise InvalidInputError(f"tol must be a positive finite number, got {tol}")
     rho = spectral_radius(arr)
     if rho >= 1.0:
         raise HypothesisViolationError(
             f"spectral radius {rho:.6g} >= 1; power norms cannot decay"
         )
-    ratio = 0.5 * (1.0 + rho)
-    norms = norm_table(arr, horizon)
-    ok = _ratio_holds(norms, ratio)
-    # Minimal k0 whose whole suffix satisfies the bound.
-    suffix_ok = np.logical_and.accumulate(ok[::-1])[::-1]
-    hits = np.flatnonzero(suffix_ok)
-    if hits.size == 0:
-        raise HorizonExceededError(
-            f"norm ratio bound not reached within horizon {horizon} "
-            f"(rho={rho:.6g}, ratio={ratio:.6g})"
-        )
-    return GelfandCertificate(rho=rho, k0=int(hits[0]) + 1, horizon=horizon), norms
-
-
-def decay_certificate(
-    matrix, min_horizon: int = 64
-) -> tuple[GelfandCertificate, np.ndarray]:
-    """Certificate plus its norm table, with the horizon grown until it is at
-    least twice ``k0``.
-
-    Past that point submultiplicativity gives ``|P^j| <= ratio^j`` for every
-    ``j >= k0``, so geometric continuation beyond the horizon is sound.  A
-    horizon too short for the ratio bound to set in at all is doubled, up
-    to ``MAX_HORIZON``.
-    """
-    arr = as_square(matrix)
-    horizon = max(int(min_horizon), 2)
-    for _ in range(40):
-        try:
-            cert, norms = _gelfand(arr, horizon)
-        except HorizonExceededError:
-            if horizon >= MAX_HORIZON:
-                raise
-            horizon = min(2 * horizon, MAX_HORIZON)
-            continue
-        if cert.horizon >= 2 * cert.k0:
-            return cert, norms
-        horizon = 2 * cert.k0
-    raise HorizonExceededError("norm decay threshold did not stabilize")
+    target = np.log(1e-12) + np.log(tol)
+    with np.errstate(divide="ignore"):
+        start = np.ceil(target / np.log(rho))
+    horizon = int(min(max(64.0, start), MAX_HORIZON))
+    while True:
+        norms = norm_table(arr, horizon)
+        q = float(norms[horizon])
+        if q < 1.0:
+            with np.errstate(divide="ignore"):
+                log_rest = np.log(q) - np.log1p(-q) + np.log(norms[:horizon].sum())
+            if log_rest <= target or horizon == MAX_HORIZON:
+                return DecayCertificate(horizon, q), norms
+        elif horizon == MAX_HORIZON:
+            raise HorizonExceededError(
+                f"|P^{horizon}| = {q:.6g} >= 1 at the largest horizon; decay too slow"
+            )
+        horizon = min(2 * horizon, MAX_HORIZON)
 
 
 def tail_bound(
-    norms: np.ndarray, cert: GelfandCertificate, r: int, exponent: float = 1.0
+    norms: np.ndarray, cert: DecayCertificate, r: int, exponent: float = 1.0
 ) -> float:
-    """Upper bound on ``sum_{j>r} |P^j|^exponent``.
+    """Upper bound on ``sum_{j>r} |P^j|^e``, ``e = exponent``:
 
-    Exact powers of the tabulated norms are summed through the certified
-    horizon; past it the certified geometric envelope takes over.  The
-    certificate must satisfy ``horizon >= 2*k0`` so the envelope is valid
-    beyond the table (see :func:`decay_certificate`).
+        sum_{j=r+1}^{H-1} |P^j|^e + q^(m e) / (1 - q^e) * sum_{i<H} |P^i|^e,
+
+    with ``H`` the certified horizon and ``m = max(1, (r + 1) // H)``.  The
+    tabulated norms below ``H`` enter exactly; every later ``j`` is
+    ``m' H + i`` with ``m' >= m``, bounded through the certificate.  The
+    ``m`` keeps the bound shrinking for an ``r`` past the horizon.  The
+    head is summed by ``math.fsum``, correctly rounded: the remainder is
+    far below one rounding step of a pairwise sum, which could otherwise
+    leave the bound under the tail it bounds.
     """
     if r < 0:
         raise InvalidInputError("truncation index r must be nonnegative")
     if exponent <= 0.0:
         raise InvalidInputError("exponent must be positive")
-    if cert.horizon < 2 * cert.k0:
-        raise InvalidInputError(
-            "certificate horizon must be at least 2*k0 for tail bounds"
-        )
-    if len(norms) != cert.horizon + 1:
+    horizon = cert.horizon
+    if len(norms) != horizon + 1:
         raise InvalidInputError("norm table length does not match certificate horizon")
-    head = float((norms[r + 1 : cert.horizon + 1] ** exponent).sum())
-    rate = cert.ratio**exponent
-    geo_start = max(r + 1, cert.horizon + 1)
-    return head + rate**geo_start / (1.0 - rate)
+    powered = norms[:horizon] ** exponent
+    m = max(1, (r + 1) // horizon)
+    with np.errstate(divide="ignore"):
+        log_q = exponent * np.log(cert.q)
+    # 1 - q^e as -expm1(e log q): q^e itself can round to 1 when q is near 1.
+    rest = np.exp(m * log_q) / -np.expm1(log_q) * powered.sum()
+    return math.fsum(powered[r + 1 :]) + float(rest)
 
 
 def psd_sqrt(matrix) -> np.ndarray:

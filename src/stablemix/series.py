@@ -21,9 +21,9 @@ import numpy as np
 
 from . import matalg, streams
 from .csvio import write_table
-from .errors import HorizonExceededError, HypothesisViolationError, InvalidInputError
+from .errors import HorizonExceededError, InvalidInputError
 from .laws import IncrementLaw
-from .matalg import GelfandCertificate
+from .matalg import DecayCertificate
 
 # Exceedance threshold used by the diagnostics; the dichotomy being probed
 # concerns the events |P^j Z_j| > 1.
@@ -37,7 +37,7 @@ class TruncationPlan:
 
     r: int
     tail_norm_bound: float
-    certificate: GelfandCertificate
+    certificate: DecayCertificate
 
     def __post_init__(self):
         if self.r < 0:
@@ -56,36 +56,31 @@ class TruncationPlan:
 def truncation_index(P, tol: float) -> TruncationPlan:
     """Smallest ``r`` whose certified tail bound is at most ``tol``.
 
-    One norm table, of at least 256 powers, reaches the smallest ``h`` with
-    ``ratio^(h+1) / (1 - ratio) <= 1e-12 * tol``, ``ratio = (1 + rho)/2``,
-    so ``r`` is governed by actual power norms, not the geometric envelope.
-    An ``h`` past ``matalg.MAX_HORIZON`` raises before any table is built.
+    The decay certificate for ``tol`` leaves at most ``1e-12 * tol`` past
+    its table, so ``r`` is governed by actual power norms.  Every
+    certificate has ``q >= rho^H`` with ``H <= matalg.MAX_HORIZON``, so when
+    ``rho^MAX_HORIZON / (1 - rho^MAX_HORIZON)`` exceeds ``tol`` no cut can
+    qualify, and this raises before any table is built.
     """
     if not (np.isfinite(tol) and tol > 0.0):
         raise InvalidInputError(f"tol must be a positive finite number, got {tol}")
+    too_slow = (
+        f"cannot certify a tail below tol={tol:.3e} within horizon "
+        f"{matalg.MAX_HORIZON}; norm decay is too slow"
+    )
     rho = matalg.spectral_radius(P)
-    if rho >= 1.0:
-        raise HypothesisViolationError(
-            f"spectral radius {rho:.6g} >= 1; power norms cannot decay"
-        )
-    ratio = 0.5 * (1.0 + rho)
-    # Logs throughout, so a tiny tol cannot underflow.  A ratio that rounds
-    # to 1 has no finite horizon.
-    with np.errstate(divide="ignore"):
-        steps = (np.log(1e-12) + np.log(tol) + np.log(1.0 - ratio)) / np.log(ratio)
-    horizon = np.ceil(steps) - 1.0
-    if ratio == 1.0 or horizon > matalg.MAX_HORIZON:
-        raise HorizonExceededError(
-            f"cannot certify a tail below tol={tol:.3e} within horizon "
-            f"{matalg.MAX_HORIZON}; norm decay is too slow"
-        )
-    cert, norms = matalg.decay_certificate(P, max(int(horizon), 256))
-    past = cert.ratio ** (cert.horizon + 1) / (1.0 - cert.ratio)
+    floor = rho**matalg.MAX_HORIZON if rho < 1.0 else 0.0
+    if floor / (1.0 - floor) > tol:
+        raise HorizonExceededError(too_slow)
+    cert, norms = matalg.decay_certificate(P, tol)
+    rest = matalg.tail_bound(norms, cert, cert.horizon - 1)
+    if rest > tol:
+        raise HorizonExceededError(too_slow)
 
-    # Suffix sums give the bound for every candidate r in one pass; r equal
-    # to the horizon always qualifies, since past <= 1e-12 * tol.
-    suffix = np.concatenate([np.cumsum(norms[::-1])[::-1][1:], [0.0]])
-    r = int(np.flatnonzero(suffix + past <= tol)[0])
+    # Suffix sums of the table give the bound for every candidate r below
+    # the horizon in one pass; r = horizon - 1 qualifies, with bound rest.
+    suffix = np.append(np.cumsum(norms[cert.horizon - 1 : 0 : -1])[::-1], 0.0)
+    r = int(np.flatnonzero(suffix + rest <= tol)[0])
     # Settle boundary cases with the canonical bound evaluation itself.
     while r > 0 and matalg.tail_bound(norms, cert, r - 1) <= tol:
         r -= 1
@@ -114,7 +109,8 @@ def series_ensemble(
     ``d`` innermost and contiguous.  numpy's einsum takes a fast path on
     that layout: a 4096-row chunk at ``d = 2`` costs about a tenth of the
     ``(j, d, e)`` layout's time.  The sum runs in one fixed order for each
-    row, whatever the row count of the chunk.
+    row, whatever the row count, so each slice from ``law.slices`` writes
+    its rows of one preallocated output.
     """
     arr = matalg.as_square(P)
     if arr.shape[0] != law.dim:
@@ -124,14 +120,16 @@ def series_ensemble(
     powers = matalg.power_sequence(arr, r)
     lag_major = np.ascontiguousarray(powers.transpose(0, 2, 1))
     per_path = (r + 1) * law.uniforms_per_draw
+    out = np.empty((count, law.dim))
 
     def chunk(start, n):
         u = streams.uniform_block(seed, streams.STREAM_SERIES, start, n, per_path)
-        z = law.draw_block(u.reshape(n, r + 1, law.uniforms_per_draw))
-        return np.einsum("jed,cje->cd", lag_major, z)
+        for at, z in law.slices(u.reshape(n, r + 1, law.uniforms_per_draw)):
+            rows = slice(start + at.start, start + at.stop)
+            np.einsum("jed,cje->cd", lag_major, z, out=out[rows])
 
-    parts = streams.map_chunks(chunk, count, workers)
-    return np.concatenate(parts, axis=0)
+    streams.map_chunks(chunk, count, workers)
+    return out
 
 
 @dataclass(frozen=True)

@@ -326,12 +326,15 @@ class FilteredEvents:
     """The part of an event statistic that no checkpoint changes: the mask
     of the paths in the conditioning event, the family's indicator matrix
     on them, and, built on first use, each event's count of paths per
-    latent atom.  A verdict builds it once for all its checkpoints."""
+    latent atom.  A verdict builds it once for all its checkpoints.
+    ``sure`` keeps the sure event's phase sums and the filtered path count
+    from the latest :meth:`sums` call, for the verdict's plain ecf."""
 
     def __init__(self, ensemble: Ensemble, family: EventFamily):
         self.ensemble = ensemble
         self.mask = _filtered(ensemble, MIN_FILTERED_PATHS)
         self.inds = family.indicator_matrix(ensemble)[:, self.mask]
+        self.sure = None
 
     @cached_property
     def per_atom(self) -> np.ndarray:
@@ -342,24 +345,17 @@ class FilteredEvents:
             [np.bincount(atom[ind], minlength=n_atoms) for ind in self.inds]
         )
 
-
-def _event_sums(ensemble, n, family, grid, which, workers, sure_sums, events):
-    """Event-wise phase sums of the filtered ``which`` values at checkpoint
-    ``n``, as ``(sums, counts, events)``, with ``events`` the
-    :class:`FilteredEvents` given or, if None, built here.  When
-    ``sure_sums`` is a list, the sure event's sums and the filtered path
-    count are appended to it."""
-    _check_grid(grid, ensemble.dim)
-    n = int(n)
-    if n not in ensemble.checkpoints:
-        raise InvalidInputError(f"checkpoint {n} was not simulated")
-    if events is None:
-        events = FilteredEvents(ensemble, family)
-    values = getattr(ensemble, which)[n][events.mask]
-    sums, counts = phase_sums(values, events.inds, grid, workers)
-    if sure_sums is not None:
-        sure_sums.append((sums[0], values.shape[0]))
-    return sums, counts, events
+    def sums(self, which: str, n: int, grid: ThetaGrid, workers: int = 1):
+        """Event-wise phase sums of the filtered ``which`` values at
+        checkpoint ``n``, as ``(sums, counts)``."""
+        _check_grid(grid, self.ensemble.dim)
+        n = int(n)
+        if n not in self.ensemble.checkpoints:
+            raise InvalidInputError(f"checkpoint {n} was not simulated")
+        values = getattr(self.ensemble, which)[n][self.mask]
+        sums, counts = phase_sums(values, self.inds, grid, workers)
+        self.sure = (sums[0], values.shape[0])
+        return sums, counts
 
 
 def mixing_statistic(
@@ -370,26 +366,21 @@ def mixing_statistic(
     reference_values,
     which: str = "bu",
     workers: int = 1,
-    sure_sums: list | None = None,
     events: FilteredEvents | None = None,
 ) -> float:
     """Max over (event, theta) of the factorization error against a fixed
     limit characteristic function.
 
-    When ``sure_sums`` is a list, the sure event's phase sums and the
-    filtered path count are appended to it, so a caller can form the plain
-    ecf without a second pass over the values.  ``events`` is the
-    :class:`FilteredEvents` of ``ensemble`` and ``family``, built here when
-    None; passing it changes no value.
+    ``events`` is the :class:`FilteredEvents` of ``ensemble`` and
+    ``family``, built here when None; passing it changes no value.
     """
     if which not in ("bu", "qu"):
         raise InvalidInputError(f"which must be 'bu' or 'qu', got {which!r}")
     ref = np.asarray(reference_values)
     if ref.shape != (len(grid),):
         raise InvalidInputError("reference values do not match the grid")
-    sums, counts, events = _event_sums(
-        ensemble, n, family, grid, which, workers, sure_sums, events
-    )
+    events = FilteredEvents(ensemble, family) if events is None else events
+    sums, counts = events.sums(which, n, grid, workers)
     total = events.inds.shape[1]
     means = sums / total
     freqs = counts / total
@@ -403,21 +394,19 @@ def stable_statistic(
     grid: ThetaGrid,
     conditional_values,
     workers: int = 1,
-    sure_sums: list | None = None,
     events: FilteredEvents | None = None,
 ) -> float:
     """Max over (event, theta) of the error against the latent-conditional
     limit characteristic function, event-averaged; ``conditional_values``
-    is the per-atom table of :func:`conditional_reference`.  ``sure_sums``
-    and ``events`` are as for :func:`mixing_statistic`."""
+    is the per-atom table of :func:`conditional_reference`.  ``events`` is
+    as for :func:`mixing_statistic`."""
     table = np.asarray(conditional_values)
     if table.shape != (len(ensemble.spec.atom_in_g), len(grid)):
         raise InvalidInputError(
             "conditional values do not match the atom table and the grid"
         )
-    sums, _, events = _event_sums(
-        ensemble, n, family, grid, "qu", workers, sure_sums, events
-    )
+    events = FilteredEvents(ensemble, family) if events is None else events
+    sums, _ = events.sums("qu", n, grid, workers)
     total = events.inds.shape[1]
     term1 = sums / total
     term2 = (events.per_atom @ table) / total
@@ -464,12 +453,11 @@ def _verdict(
     r = ensemble.checkpoints[-1] - 1 if r is None else int(r)
     ref = reference(ensemble.spec, r, grid)
     events = FilteredEvents(ensemble, family)
-    sure_sums = []
     stats = tuple(
-        statistic(ensemble, n, family, grid, ref, sure_sums=sure_sums, events=events)
+        statistic(ensemble, n, family, grid, ref, events=events)
         for n in ensemble.checkpoints
     )
-    sums, count = sure_sums[-1]
+    sums, count = events.sure
     threshold = factor * hoeffding_radius(count, delta)
     return _judged(
         condition, ensemble, stats, threshold, stats[-1] <= threshold,

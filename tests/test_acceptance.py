@@ -256,11 +256,15 @@ def test_08_truncation_arithmetic():
         target = float(rng.uniform(0.05, 0.9))
         A = raw * (target / rho_raw)
         cert, norms = matalg.decay_certificate(A)
-        # Replay against a fresh norm table: |A^k|^(1/k) <= ratio on [k0, horizon].
-        k = np.arange(cert.k0, cert.horizon + 1)
-        fresh = matalg.norm_table(A, cert.horizon)[k]
+        # Replay against a fresh norm table through twice the horizon:
+        # q = |A^H| < 1, its remainder q/(1-q) sum_{i<H} |A^i| is at most
+        # 1e-12, and |A^(H+i)| <= q |A^i| (up to rounding).
+        H = cert.horizon
+        fresh = matalg.norm_table(A, 2 * H)
         if (
-            np.all(fresh ** (1.0 / k) <= cert.ratio)
+            fresh[H] == cert.q < 1.0
+            and cert.q / (1.0 - cert.q) * fresh[:H].sum() <= 1e-12
+            and np.all(fresh[H:] <= cert.q * fresh[:H + 1] * (1 + 1e-9) + 1e-300)
             and matalg.tail_bound(norms, cert, 0) > 0.0
         ):
             replayed += 1

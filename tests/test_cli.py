@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stablemix import cli, ecf, laws
+from stablemix import cli, ecf, laws, matalg
 from stablemix.cli import main
 from stablemix.config import process_from_json
 from stablemix.processes import simulate_ensemble
@@ -149,18 +149,39 @@ class TestSeries:
         assert stats["r"] == 8.0 and stats["tail_norm_bound"] > 0
 
     def test_r_route_on_slow_jordan_block(self, tmp_path):
-        # Its decay certificate needs a horizon past the default start of 64.
+        # Its decay certificate needs a horizon past the default start of 64:
+        # the search starts at 539 and doubles once.
+        P = [[0.95, 1.0], [0.0, 0.95]]
         cfg = write_cfg(
             tmp_path,
             {
                 "schema_version": 1, "seed": 1, "law": NORMAL2, "count": 2000,
-                "P": {"dim": 2, "rows": [[0.95, 1.0], [0.0, 0.95]]}, "r": 10,
+                "P": {"dim": 2, "rows": P}, "r": 10,
             },
         )
         out = tmp_path / "out"
         assert main(["series", "--config", cfg, "--out", str(out)]) == 0
         plan = read_report(out)["derived"]["truncation_plan"]
-        assert plan["certificate"]["horizon"] >= 2 * plan["certificate"]["k0"]
+        assert plan["certificate"] == {"horizon": 1078, "q": plan["certificate"]["q"]}
+        norms = matalg.norm_table(P, 1078)
+        cert = matalg.DecayCertificate(1078, plan["certificate"]["q"])
+        assert cert.q == norms[-1] < 1.0
+        assert plan["tail_norm_bound"] == matalg.tail_bound(norms, cert, 10)
+
+    def test_slow_contraction_exits_0(self, tmp_path):
+        # rho = 0.999: the cut r = 13,808 lies inside the largest horizon,
+        # and the certificate there holds with q < 1.
+        cfg = write_cfg(
+            tmp_path,
+            {
+                "schema_version": 1, "seed": 1, "law": NORMAL2, "count": 200,
+                "P": {"dim": 2, "rows": [[0.999, 0.0], [0.0, 0.5]]}, "tol": 1e-3,
+            },
+        )
+        out = tmp_path / "out"
+        assert main(["series", "--config", cfg, "--out", str(out)]) == 0
+        plan = read_report(out)["derived"]["truncation_plan"]
+        assert plan["r"] == 13808 and plan["tail_norm_bound"] <= 1e-3
 
     def test_tol_and_r_are_exclusive(self, tmp_path, capsys):
         base = {

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stablemix import config, laws, streams, verify
+from stablemix import config, laws, matalg, streams, verify
 from stablemix.ecf import default_grid, estimate_ecf, hoeffding_radius, sup_distance
 from stablemix.errors import InvalidInputError
 from stablemix.processes import ExplosiveVar
@@ -271,16 +271,19 @@ class TestChunkedDraws:
         "law", all_standard_laws() + [laws.LogCauchyRay(2)], ids=law_id
     )
     def test_sliced_block_equals_one_call_bitwise(self, law):
-        # draw_block maps SLICE_ROWS rows per call: row counts on both sides
-        # of one and two slice widths (1, 255, 256, 257, 511 at a width of
-        # 256), and past a whole chunk, must give the bits of one
-        # from_uniforms call on the block.
+        # slices maps SLICE_ROWS rows per call, and its callers fill one
+        # preallocated output from it: row counts on both sides of one and
+        # two slice widths (1, 255, 256, 257, 511 at a width of 256), and
+        # past a whole chunk, must give the bits of one from_uniforms call
+        # on the block.
         width, upd = laws.SLICE_ROWS, law.uniforms_per_draw
         for steps in (1, 2, 65):
             u = streams.uniform_block(5, streams.STREAM_LAW, 0, 4097, steps * upd)
             u = u.reshape(4097, steps, upd)
             for rows in (1, width - 1, width, width + 1, 2 * width - 1, 4097):
-                block = law.draw_block(u[:rows])
+                block = np.empty((rows, steps, law.dim))
+                for at, z in law.slices(u[:rows]):
+                    block[at] = z
                 assert same_bits(block, law.from_uniforms(u[:rows]))
 
     @pytest.mark.parametrize(
@@ -462,7 +465,9 @@ class TestTruncatedLimitCfs:
     def test_certificate_recorded(self):
         out = laws.cf_cauchy_limit(np.array([[0.5]]), np.array([1.0]), r=4)
         assert out.r == 4
-        assert out.certificate.horizon >= 2 * out.certificate.k0
+        cert, norms = matalg.decay_certificate(np.array([[0.5]]))
+        assert out.certificate == cert and cert.q < 1.0
+        assert out.exponent_tail == matalg.tail_bound(norms, cert, 4)
 
 
 def literal_laws():

@@ -29,8 +29,7 @@ JORDAN = np.array([[0.5, 10.0], [0.0, 0.5]])
 COMPANION = np.array([[0.0, 1.0], [-0.25, 1.0]])
 
 
-# Independent oracle: powers by repeated matmul, norms by per-power SVD,
-# decay index by literal scan of every suffix.
+# Independent oracle: powers by repeated matmul, norms by per-power SVD.
 def oracle_norms(P, horizon):
     out = [1.0]
     M = np.eye(len(P))
@@ -38,16 +37,6 @@ def oracle_norms(P, horizon):
         M = M @ P
         out.append(np.linalg.svd(M, compute_uv=False)[0])
     return np.array(out)
-
-
-def oracle_gelfand_k0(P, horizon):
-    rho = np.abs(np.linalg.eigvals(P)).max()
-    ratio = (1.0 + rho) / 2.0
-    norms = oracle_norms(P, horizon)
-    for k0 in range(1, horizon + 1):
-        if all(norms[k] ** (1.0 / k) <= ratio for k in range(k0, horizon + 1)):
-            return k0
-    return None
 
 
 class TestValidation:
@@ -238,83 +227,84 @@ class TestNormTable:
         assert np.array_equal(table, 0.5 ** np.arange(21))
 
 
-def holds(P, cert):
-    """Replay of a certificate: the oracle's bound holds on [k0, horizon]."""
-    return oracle_gelfand_k0(P, cert.horizon) <= cert.k0
+def replays(P, cert, upto):
+    """Replay of a certificate against the oracle's norms through ``upto``:
+    ``q`` is the norm at the horizon, and every ``|P^(mH+i)|`` is at most
+    ``q^m |P^i|``, up to rounding."""
+    norms, H = oracle_norms(P, upto), cert.horizon
+    if norms[H] != pytest.approx(cert.q, rel=1e-9, abs=1e-300):
+        return False
+    j = np.arange(H, upto + 1)
+    bound = cert.q ** (j // H) * norms[j % H]
+    return bool(np.all(norms[j] <= bound * (1 + 1e-9) + 1e-300))
 
 
 class TestGelfandIndex:
-    # Frozen from the brute-force oracle at horizon 512.
-    FROZEN_K0 = [
-        ([[0.5]], 1),
-        (rotation_half(), 1),
-        (JORDAN, 14),
-        (COMPANION, 8),
-        (np.diag([0.9, 0.1]), 1),
+    # Gelfand's formula |P^k|^(1/k) -> rho < 1 promises a power with norm
+    # below 1, but for a slow Jordan block it comes only past the cap.
+    def test_horizon_exceeded(self):
+        P = [[0.9999, 1.0], [0.0, 0.9999]]
+        assert matalg.norm_table(P, matalg.MAX_HORIZON)[-1] >= 1.0
+        with pytest.raises(HorizonExceededError, match=str(matalg.MAX_HORIZON)):
+            matalg.decay_certificate(P)
+
+
+class TestDecayCertificate:
+    # Frozen: each matrix's horizon at the default tol.  There the oracle's
+    # norms must give a remainder q / (1 - q) * sum_{i<H} |P^i| <= 1e-12.
+    FROZEN_HORIZON = [
+        ([[0.5]], 64),
+        (rotation_half(), 64),
+        (JORDAN, 64),
+        (COMPANION, 64),
+        (np.diag([0.9, 0.1]), 526),
     ]
 
-    @pytest.mark.parametrize("P,k0", FROZEN_K0)
-    def test_frozen_values(self, P, k0):
-        cert, _ = matalg.decay_certificate(P, 512)
-        assert cert.k0 == k0
-        assert cert.horizon == 512
-        assert cert.ratio == pytest.approx((1 + matalg.spectral_radius(P)) / 2)
+    @pytest.mark.parametrize("P,horizon", FROZEN_HORIZON)
+    def test_frozen_horizons(self, P, horizon):
+        cert, norms = matalg.decay_certificate(P)
+        assert cert.horizon == horizon and cert.q == norms[horizon]
+        oracle = oracle_norms(P, horizon)
+        assert oracle[horizon] / (1 - oracle[horizon]) * oracle[:horizon].sum() <= 1e-12
+        assert replays(P, cert, 3 * horizon)
 
-    def test_against_oracle_small_horizon(self):
-        for P in (JORDAN, COMPANION):
-            cert, _ = matalg.decay_certificate(P, 64)
-            assert (cert.k0, cert.horizon) == (oracle_gelfand_k0(P, 64), 64)
+    def test_stronger_claim_fails_replay(self):
+        cert, _ = matalg.decay_certificate(JORDAN)
+        assert replays(JORDAN, cert, 200)
+        too_strong = matalg.DecayCertificate(horizon=cert.horizon, q=cert.q / 2)
+        assert not replays(JORDAN, too_strong, 200)
 
     def test_expanding_matrix_rejected(self):
         for P in ([[1.0]], [[1.2, 0.0], [0.0, 0.3]]):
             with pytest.raises(HypothesisViolationError):
                 matalg.decay_certificate(P)
 
-    def test_horizon_exceeded(self):
-        # The slow Jordan block's ratio bound has not set in anywhere
-        # inside the largest horizon the search may grow to.
-        miss = f"not reached within horizon {matalg.MAX_HORIZON}"
-        with pytest.raises(HorizonExceededError, match=miss):
-            matalg.decay_certificate([[0.9999, 1.0], [0.0, 0.9999]])
+    def test_horizon_growth_is_capped(self):
+        # rho < 1, but the slow Jordan block's transient still holds
+        # |P^H| >= 1 at the largest horizon the search may grow to.
+        P = [[0.99999, 1.0], [0.0, 0.99999]]
+        assert matalg.norm_table(P, matalg.MAX_HORIZON)[-1] >= 1.0
+        with pytest.raises(HorizonExceededError, match=str(matalg.MAX_HORIZON)):
+            matalg.decay_certificate(P)
 
-    def test_certificate_replay(self):
-        cert, _ = matalg.decay_certificate(JORDAN, 512)
-        assert holds(JORDAN, cert)
-        # A claim stronger than reality must fail replay.
-        too_strong = matalg.GelfandCertificate(
-            rho=cert.rho, k0=max(1, cert.k0 - 4), horizon=cert.horizon
-        )
-        assert not holds(JORDAN, too_strong)
-
-
-class TestDecayCertificate:
-    def test_horizon_at_least_twice_k0(self):
-        for P in ([[0.5]], JORDAN, COMPANION, np.diag([0.9, 0.1])):
-            cert, norms = matalg.decay_certificate(P)
-            assert cert.horizon >= 2 * cert.k0
-            assert len(norms) == cert.horizon + 1
-            assert holds(P, cert)
-
-    @pytest.mark.parametrize(
-        "lam,k0,horizon", [(0.95, 208, 416), (0.99, 1447, 2894)]
-    )
-    def test_grows_horizon_past_a_miss(self, lam, k0, horizon):
-        # Slow Jordan blocks: the ratio bound has not set in anywhere inside
-        # the default start horizon, so the horizon doubles until it does.
-        P = np.array([[lam, 1.0], [0.0, lam]])
-        assert oracle_gelfand_k0(P, 64) is None
-        cert, norms = matalg.decay_certificate(P)
-        assert (cert.k0, cert.horizon) == (k0, horizon)
-        assert len(norms) == horizon + 1
-        assert holds(P, cert)
+    def test_any_q_below_one_certifies_at_the_cap(self):
+        # At the cap the remainder stays above 1e-12 * tol, but q < 1 holds.
+        cert, norms = matalg.decay_certificate(np.diag([0.999, 0.5]), 1e-3)
+        assert cert.horizon == matalg.MAX_HORIZON
+        assert cert.q / (1 - cert.q) * norms[:-1].sum() > 1e-15
 
     @pytest.mark.parametrize(
         "P,horizons",
-        [([[0.5]], [64]), ([[0.95, 1.0], [0.0, 0.95]], [64, 128, 256, 416])],
+        [
+            ([[0.5]], [64]),
+            ([[0.95, 1.0], [0.0, 0.95]], [539, 1078]),
+            (np.diag([0.9, 0.1]), [263, 526]),
+        ],
     )
     def test_one_norm_table_per_scan(self, monkeypatch, P, horizons):
-        # The returned table is the last scan's own: one power sequence per
-        # horizon tried, none rebuilt for the return, values unchanged.
+        # The search starts at max(64, ceil(log(1e-12) / log rho)), where
+        # rho^h alone already reaches 1e-12, and doubles; the returned
+        # table is the last horizon's own, none rebuilt for the return.
         calls = []
         original = matalg.power_sequence
 
@@ -324,12 +314,27 @@ class TestDecayCertificate:
 
         monkeypatch.setattr(matalg, "power_sequence", counted)
         cert, norms = matalg.decay_certificate(P)
+        start = int(np.ceil(np.log(1e-12) / np.log(matalg.spectral_radius(P))))
+        assert calls[0] == max(64, start)
         assert calls == horizons
         assert np.array_equal(norms, matalg.norm_table(P, cert.horizon))
 
-    def test_horizon_growth_is_capped(self):
-        with pytest.raises(HorizonExceededError, match=str(matalg.MAX_HORIZON)):
-            matalg.decay_certificate([[0.99999, 1.0], [0.0, 0.99999]])
+    def test_tiny_tol_does_not_underflow(self):
+        # 1e-12 * 5e-324 underflows to zero; the remainder is compared in logs.
+        cert, norms = matalg.decay_certificate(np.diag([0.5, 0.1]), 5e-324)
+        assert cert.horizon == 1114 and cert.q == 0.0
+
+    def test_rejects_bad_tol_and_certificates(self):
+        for tol in (0.0, -1.0, np.inf, np.nan):
+            with pytest.raises(InvalidInputError):
+                matalg.decay_certificate(JORDAN, tol)
+        for horizon, q in ((0, 0.5), (4, 1.0), (4, -0.1), (4, np.nan)):
+            with pytest.raises(InvalidInputError):
+                matalg.DecayCertificate(horizon=horizon, q=q)
+
+    def test_json_names_horizon_and_q(self):
+        cert, _ = matalg.decay_certificate(JORDAN)
+        assert cert.to_json() == {"horizon": cert.horizon, "q": cert.q}
 
 
 class TestTailBound:
@@ -338,21 +343,39 @@ class TestTailBound:
         for P in (np.array([[0.5]]), JORDAN, np.diag([0.9, 0.1])):
             cert, norms = matalg.decay_certificate(P)
             full = oracle_norms(P, 2000)
+            rest = cert.q / (1 - cert.q) * norms[: cert.horizon].sum()
             for r in (0, 1, 5, 20, 50):
                 bound = matalg.tail_bound(norms, cert, r)
                 truth = full[r + 1 :].sum()
                 assert bound >= truth
                 # The bound is exact through the horizon, so it cannot be
-                # wildly loose either once past the transient.
-                if r >= cert.k0:
-                    assert bound <= truth + cert.ratio ** (cert.horizon + 1) / (
-                        1 - cert.ratio
-                    ) * 1.0001
+                # loose by more than the certified remainder.
+                assert bound <= truth + rest * 1.0001 + 1e-15 * truth
+
+    def test_past_the_horizon_keeps_shrinking(self):
+        # For r past the horizon the bound is q^m / (1 - q) * sum_{i<H}|P^i|,
+        # m = (r + 1) // H: it still dominates the true tail and falls with m.
+        P = np.array([[0.97, 1.0], [0.0, 0.97]])
+        cert, norms = matalg.decay_certificate(P)
+        H = cert.horizon
+        full = oracle_norms(P, 5 * H)
+        S = norms[:H].sum()
+        last = np.inf
+        for r in (H - 1, H, 2 * H - 2, 2 * H - 1, 3 * H + 5):
+            bound = matalg.tail_bound(norms, cert, r)
+            m = max(1, (r + 1) // H)
+            assert bound == pytest.approx(cert.q**m / (1 - cert.q) * S, rel=1e-12)
+            assert bound >= full[r + 1 :].sum()
+            assert bound <= last
+            last = bound
+        assert matalg.tail_bound(norms, cert, 2 * H - 1) < matalg.tail_bound(
+            norms, cert, 2 * H - 2
+        )
 
     def test_scalar_exact_tail(self):
-        # With a long horizon the geometric remainder is far below float
-        # resolution and the head sum telescopes to 2^-r exactly.
-        cert, norms = matalg.decay_certificate(np.array([[0.5]]), min_horizon=256)
+        # The remainder is far below float resolution and the head sum
+        # telescopes to 2^-r exactly.
+        cert, norms = matalg.decay_certificate(np.array([[0.5]]))
         assert matalg.tail_bound(norms, cert, 10) == pytest.approx(2.0**-10, rel=1e-9)
 
     def test_squared_exponent(self):
@@ -361,13 +384,12 @@ class TestTailBound:
             sum(4.0**-j for j in range(5, 200)), rel=1e-10
         )
 
-    def test_requires_margin(self):
-        cert, norms = matalg.decay_certificate(JORDAN)
-        thin = matalg.GelfandCertificate(
-            rho=cert.rho, k0=cert.k0, horizon=2 * cert.k0 - 1
-        )
-        with pytest.raises(InvalidInputError):
-            matalg.tail_bound(norms[: thin.horizon + 1], thin, 2)
+    def test_q_a_few_ulps_below_one_stays_finite(self):
+        # q^0.5 rounds to 1 here; 1 - q^e is taken as -expm1(e log q).
+        q = np.nextafter(1.0, 0.0)
+        cert = matalg.DecayCertificate(horizon=1, q=q)
+        bound = matalg.tail_bound(np.array([1.0, q]), cert, 0, exponent=0.5)
+        assert np.isfinite(bound) and bound > 1e16
 
     def test_rejects_bad_args(self):
         cert, norms = matalg.decay_certificate(JORDAN)

@@ -5,11 +5,14 @@ heavy-tail lemma diagnostics are pinned against closed-form exceedance
 probabilities for the log-Cauchy ray sampler.
 """
 
+import math
 import tracemalloc
 from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stablemix import laws, matalg, series, streams
 from stablemix.ecf import default_grid, estimate_ecf, sup_distance
@@ -58,14 +61,19 @@ def lemma_oracle(P, law, J, n_paths, seed):
     }
 
 
-def exhaustive_r(P, tol, H=4000):
-    """Oracle: smallest r whose literal norm tail is at most tol."""
-    norms = [1.0]
-    M = np.eye(len(P))
-    for _ in range(H):
+def oracle_norms(P, count):
+    """Oracle: ``[|P^0|, ..., |P^count|]`` by repeated matmul and one SVD
+    per power."""
+    norms, M = [1.0], np.eye(len(P))
+    for _ in range(count):
         M = M @ P
         norms.append(np.linalg.svd(M, compute_uv=False)[0])
-    tails = np.cumsum(np.array(norms)[::-1])[::-1]
+    return np.array(norms)
+
+
+def exhaustive_r(P, tol, H=4000):
+    """Oracle: smallest r whose literal norm tail is at most tol."""
+    tails = np.cumsum(oracle_norms(P, H)[::-1])[::-1]
     return int(next(r for r in range(H) if tails[r + 1] <= tol))
 
 
@@ -114,7 +122,7 @@ class TestTruncationIndex:
         assert recomputed_tail_bound(JORDAN, plan.certificate, plan.r - 1) > 1e-6
 
     def test_slow_jordan_block_grows_its_horizon(self):
-        # The decay bound of this block sets in only past horizon 1024.
+        # The certificate of this block needs a horizon past 1024.
         P = np.array([[0.99, 1.0], [0.0, 0.99]])
         plan = series.truncation_index(P, 1e-3)
         assert plan.r == 1902
@@ -125,9 +133,9 @@ class TestTruncationIndex:
         with pytest.raises(InvalidInputError):
             series.truncation_index(JORDAN, 0.0)
 
-    def test_slow_block_builds_one_norm_table(self, monkeypatch):
-        # The horizon follows from rho alone, so one table of 7,947 powers
-        # serves where a doubling search built several.
+    def test_slow_block_builds_two_norm_tables(self, monkeypatch):
+        # The search starts where rho^h alone reaches 1e-12 * tol,
+        # ceil(log(1e-15) / log 0.99) = 3,437, and doubles once.
         horizons = []
         table = matalg.norm_table
 
@@ -138,7 +146,17 @@ class TestTruncationIndex:
         monkeypatch.setattr(matalg, "norm_table", counted)
         plan = series.truncation_index(np.array([[0.99, 1.0], [0.0, 0.99]]), 1e-3)
         assert plan.r == 1902
-        assert horizons == [7947] == [plan.certificate.horizon]
+        assert horizons == [3437, 6874] and plan.certificate.horizon == 6874
+
+    @pytest.mark.parametrize("a,tol,r", [(0.999, 1e-3, 13808), (0.998, 1e-2, 5404)])
+    def test_slow_contraction_meets_the_closed_form(self, a, tol, r):
+        # diag(a, 1/2) has |P^j| = a^j, so the cut is the smallest r with
+        # a^(r+1) / (1 - a) <= tol.  Both lie inside the largest horizon.
+        closed = math.ceil(math.log(tol * (1 - a)) / math.log(a)) - 1
+        plan = series.truncation_index(np.diag([a, 0.5]), tol)
+        assert plan.r == closed == r
+        assert plan.tail_norm_bound <= tol
+        assert recomputed_tail_bound(np.diag([a, 0.5]), plan.certificate, r - 1) > tol
 
     def test_too_slow_decay_builds_no_table(self, monkeypatch):
         def refused(matrix, horizon):
@@ -157,6 +175,38 @@ class TestTruncationIndex:
         assert recomputed_tail_bound(
             np.diag([0.5, 0.1]), plan.certificate, plan.r - 1
         ) > 5e-324
+
+
+class TestCertificateProperty:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.integers(1, 4),
+        rho=st.floats(0.05, 0.9),
+        log_tol=st.floats(-8.0, -2.0),
+        exponent=st.sampled_from([0.5, 1.0, 2.0]),
+        places=st.lists(st.floats(0.0, 3.0), min_size=1, max_size=4),
+    )
+    def test_random_contractions(self, seed, d, rho, log_tol, exponent, places):
+        # A random d x d matrix scaled to spectral radius rho.  At every r,
+        # below and past the horizon, the bound is at least the exhaustive
+        # tail, summed 2,000 powers past the last r.  The margin is rounding
+        # only: for d = 1 the bound equals the tail in exact arithmetic,
+        # every |P^(mH+i)| being q^m |P^i|.
+        raw = np.random.default_rng(seed).standard_normal((d, d))
+        raw_rho = matalg.spectral_radius(raw)
+        if raw_rho == 0.0:
+            raw = raw + np.eye(d)
+            raw_rho = matalg.spectral_radius(raw)
+        P = raw * (rho / raw_rho)
+        cert, norms = matalg.decay_certificate(P)
+        H = cert.horizon
+        full = oracle_norms(P, 3 * H + 2000)
+        for r in sorted({int(x * H) for x in places} | {H - 1, H}):
+            bound = matalg.tail_bound(norms, cert, r, exponent)
+            assert bound >= math.fsum(full[r + 1 :] ** exponent) * (1 - 1e-12)
+        tol = 10.0**log_tol
+        assert series.truncation_index(P, tol).r == exhaustive_r(P, tol)
 
 
 class TestTruncationPlan:

@@ -21,11 +21,11 @@ both verdicts again at an explicit ``r`` below the default,
 and empirical laws, and on the stable law at a non-default ``delta`` and
 ``factor``; ``series`` (``tol`` and ``r``) on the normal, Cauchy and stable
 laws, and on a 1-D normal law and a 3-D stable law, each with its own
-contraction; ``series`` at ``tol`` on two contractions whose norm-table
-horizon is sized past the 256 floor (``diag(0.9, 0.1)`` and a slow Jordan
-block); ``lemma`` on the stable law, on the log-Cauchy ray with
-``allow_diagnostic``, and on the 1-D normal and 3-D stable laws with
-their contractions; and
+contraction; ``series`` at ``tol`` on three slow contractions
+(``diag(0.9, 0.1)``, a slow Jordan block, and ``diag(0.998, 0.5)``, whose
+cut r = 5404 needs a norm table of 32204 powers); ``lemma`` on the stable
+law, on the log-Cauchy ray with ``allow_diagnostic``, and on the 1-D
+normal and 3-D stable laws with their contractions; and
 ``simulate`` and ``lemma`` on an empirical pool of huge but finite values
 (1e200, whose squares overflow), so the overflow-safe route of every
 reported norm is covered.  Each
@@ -89,11 +89,12 @@ LEMMA_OFF_2D = {
 TUNED = {"delta": 0.01, "factor": 2.5}
 TUNED_CONDITIONS = {"tol": 1e-6, "levels": [1.0, 3.0], "bound": 0.2}
 
-# Contractions that decay slowly enough for ``truncation_index`` to size
-# its norm table past the floor, with the tol of each case.
+# Contractions that decay slowly enough for ``truncation_index`` to build
+# more than one norm table or a long one, with the tol of each case.
 SLOW_SERIES = {
     "diag": ({"dim": 2, "rows": [[0.9, 0.0], [0.0, 0.1]]}, 1e-4),
     "jordan": ({"dim": 2, "rows": [[0.95, 1.0], [0.0, 0.95]]}, 1e-3),
+    "slower": ({"dim": 2, "rows": [[0.998, 0.0], [0.0, 0.5]]}, 1e-2),
 }
 
 PROCESSES = {

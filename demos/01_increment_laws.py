@@ -2,8 +2,9 @@
 
 Every distribution the package simulates is available in two forms: a
 sampler driven by uniforms, and a closed-form characteristic function.
-This script draws from each law through the stream-addressed route
-(``uniform_block`` rows fed to ``from_uniforms``) and measures how far the
+This script draws from each law through the stream-addressed route,
+``law.draws`` (each path's row of the law stream mapped by
+``from_uniforms``, a slice of paths at a time), and measures how far the
 empirical characteristic function sits from the analytic one on the
 default grid.
 The distances should all land well inside three Hoeffding radii.
@@ -22,7 +23,6 @@ from stablemix import (
     default_grid,
     estimate_ecf,
     sup_distance,
-    uniform_block,
 )
 
 N = 100_000
@@ -30,9 +30,10 @@ SEED = 7
 
 
 def draws(law, count, seed=SEED):
-    """The first ``count`` draws of ``law`` from the law stream of ``seed``."""
-    u = uniform_block(seed, STREAM_LAW, 0, count, law.uniforms_per_draw)
-    return law.from_uniforms(u)
+    """The first ``count`` draws of ``law`` from the law stream of ``seed``:
+    one step per path, gathered from the slices of ``law.draws``."""
+    slices = law.draws(seed, STREAM_LAW, 0, count, 1)
+    return np.concatenate([z[:, 0] for _, _, z in slices])
 
 
 catalog = [

@@ -42,7 +42,6 @@ from .streams import (
     STREAM_SERIES,
     kahan_fold,
     map_chunks,
-    uniform_block,
 )
 from .laws import (
     CauchyLaw,

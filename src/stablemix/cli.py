@@ -82,16 +82,12 @@ def validate_config(command: str, cfg: dict) -> dict:
 
 
 def _law_samples(law, seed: int, count: int, workers: int) -> np.ndarray:
-    """Stream-addressed iid draws from an increment law.  Chunks go in as
-    one-step 3-D blocks, so a row's bits never depend on its chunk's size;
-    each slice from ``law.slices`` writes its rows of one output."""
+    """Stream-addressed iid draws from an increment law: the one-step
+    draws of ``law.draws``, each slice written into its rows of one output."""
     out = np.empty((count, law.dim))
 
     def chunk(start, n):
-        u = streams.uniform_block(
-            seed, streams.STREAM_LAW, start, n, law.uniforms_per_draw
-        )
-        for at, z in law.slices(u[:, None, :]):
+        for at, _, z in law.draws(seed, streams.STREAM_LAW, start, n, 1):
             out[start + at.start : start + at.stop] = z[:, 0]
 
     streams.map_chunks(chunk, count, workers)

@@ -34,14 +34,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import matalg
+from . import matalg, streams
 from .errors import InvalidInputError
 from .matalg import DecayCertificate, as_floats
 
-# Rows of a ``(rows, steps, uniforms)`` block that ``IncrementLaw.slices``
-# maps per ``from_uniforms`` call: a 256-row slice of a 100-step 2-d normal
-# block is 0.4 MB, so every elementwise pass of a sampler runs in cache.
-# Every row is mapped alone, so the width is not part of the bits.
+# Paths that ``IncrementLaw.draws`` draws and maps per ``from_uniforms``
+# call: a 256-path slice of 100 steps of 2-d normals is 0.4 MB, so every
+# elementwise pass of a sampler runs in cache.  Every row is mapped alone,
+# so the width is not part of the bits.
 SLICE_ROWS = 256
 
 # Floor applied to ``1 - u`` before the CMS exponential draw's log; keeps it
@@ -168,7 +168,7 @@ class IncrementLaw:
     uniforms_per_draw)`` to increments of shape ``(..., dim)``, and ``_cf``,
     the characteristic function at the rows of a finite ``(m, dim)`` array.
     ``cf`` is the one gate in front of ``_cf``: it checks the thetas and
-    unwraps a single vector.  Stream draws go through ``slices``.
+    unwraps a single vector.  Stream draws go through ``draws``.
     """
 
     dim: int
@@ -177,18 +177,26 @@ class IncrementLaw:
     def from_uniforms(self, u: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def slices(self, u: np.ndarray):
-        """Yield ``(rows, z)`` over a ``(rows, steps, uniforms_per_draw)``
-        block in order, ``SLICE_ROWS`` rows at a time: ``rows`` is a
-        ``slice`` of the block and ``z`` the ``(steps, dim)`` draws of its rows.
+    def draws(self, seed, stream, start, count, steps, lead=0):
+        """Yield ``(rows, v, z)`` for paths ``start .. start+count-1`` of
+        ``stream`` in order, ``SLICE_ROWS`` paths at a time: ``rows`` is a
+        ``slice`` of ``range(count)``, ``v`` the first ``lead`` uniforms of
+        each path's row and ``z`` the ``(k, steps, dim)`` draws from the rest.
 
-        This is the one slicing route of stream draws; a caller reduces or
-        stores each slice while it is in cache.  The concatenated slices
-        are bit for bit one ``from_uniforms`` call on the whole block.
+        This is the one route from a stream to a sampler.  Each slice draws
+        only its own rows, bit for bit those of one larger block, so no
+        block wider than a slice is formed; a caller reduces or stores each
+        slice while it is in cache.
         """
-        for start in range(0, len(u), SLICE_ROWS):
-            rows = slice(start, min(start + SLICE_ROWS, len(u)))
-            yield rows, self.from_uniforms(u[rows])
+        upd = self.uniforms_per_draw
+        for at in range(0, count, SLICE_ROWS):
+            k = min(SLICE_ROWS, count - at)
+            u = streams.uniform_block(seed, stream, start + at, k, lead + steps * upd)
+            v = u[:, :lead].copy()
+            z = self.from_uniforms(u[:, lead:].reshape(k, steps, upd))
+            # The caller works on z, and draws the next slice, without u.
+            del u
+            yield slice(at, at + k), v, z
 
     def cf(self, thetas) -> np.ndarray:
         arr, single = _clean_thetas(thetas, self.dim)

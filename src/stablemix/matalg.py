@@ -30,6 +30,9 @@ COND_LIMIT = 1e12
 # Norms beyond this are treated as overflow when building power sequences.
 POWER_OVERFLOW = 1e300
 
+# Powers that power_sequence builds between two overflow checks.
+POWER_BLOCK = 256
+
 # Largest norm-table horizon a decay certificate may grow to.
 MAX_HORIZON = 1 << 15
 
@@ -136,8 +139,9 @@ def row_norms(values: np.ndarray) -> np.ndarray:
 def power_sequence(matrix, count: int) -> np.ndarray:
     """Stacked powers ``[I, P, P^2, ..., P^count]`` with shape (count+1, d, d).
 
-    Raises :class:`RangeOverflowError` as soon as an intermediate power
-    leaves the representable range, naming the largest supported exponent.
+    Raises :class:`RangeOverflowError` at the first power past the
+    representable range, naming the largest supported exponent; powers are
+    checked ``POWER_BLOCK`` at a time, so that is within one block of it.
     """
     arr = as_square(matrix)
     if count < 0:
@@ -145,9 +149,13 @@ def power_sequence(matrix, count: int) -> np.ndarray:
     d = arr.shape[0]
     out = np.empty((count + 1, d, d))
     out[0] = np.eye(d)
-    for k in range(1, count + 1):
-        out[k] = out[k - 1] @ arr
-        if not np.isfinite(out[k]).all() or np.abs(out[k]).max() > POWER_OVERFLOW:
+    for lo in range(1, count + 1, POWER_BLOCK):
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(lo, min(lo + POWER_BLOCK, count + 1)):
+                out[k] = out[k - 1] @ arr
+        bad = ~(np.abs(out[lo : k + 1]) <= POWER_OVERFLOW).all(axis=(1, 2))
+        if bad.any():
+            k = lo + int(np.argmax(bad))
             raise RangeOverflowError(
                 f"matrix power overflow at exponent {k}; max supported exponent "
                 f"for this matrix is {k - 1}"

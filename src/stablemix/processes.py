@@ -211,14 +211,9 @@ class ExplosiveVar(ProcessSpec):
         self.increment_power = self.P
 
 
-def per_path_uniforms(spec: ProcessSpec, n: int) -> int:
-    """Uniform budget of one path of length ``n`` (latent draw included)."""
-    return spec.latent_uniforms + n * spec.noise_law.uniforms_per_draw
-
-
 def _draw_latent(spec: ProcessSpec, u: np.ndarray) -> np.ndarray:
-    """Each row's atom of a path-uniform block, 0 when the spec draws none;
-    a row's first uniform is its latent one when the spec draws an atom."""
+    """Each path's atom from its ``(count, latent_uniforms)`` leading
+    uniforms, 0 when the spec draws none."""
     if spec.atom_probs is None:
         return np.zeros(len(u), dtype=np.intp)
     cum = np.cumsum(spec.atom_probs)
@@ -249,27 +244,26 @@ def _transformed(spec: ProcessSpec, W, atom, out, powers) -> None:
         out[...] = W
 
 
-def _scaled_rows(spec: ProcessSpec, u, checkpoints, qu, atom, prefix) -> None:
-    """The one accumulation kernel, for the paths whose uniform rows are
-    ``u``, shape (count, per_path_uniforms).
+@np.errstate(over="ignore", invalid="ignore")
+def _scaled_rows(spec: ProcessSpec, draws, checkpoints, qu, atom, prefix) -> None:
+    """The one accumulation kernel, for the ``len(atom)`` paths of the
+    slices of ``IncrementLaw.draws`` with ``lead`` the spec's
+    ``latent_uniforms``; its callers judge float overflow.
 
     Writes each row's atom into ``atom``, ``Q_n U_n`` at the ``i``-th
     checkpoint ``n`` of the sorted tuple ``checkpoints`` into ``qu[i]``,
-    and the first raw noise increments into ``prefix``.  Each slice that
-    the noise law's ``slices`` yields is transformed into ``V`` and cut to
-    its prefix while it is in cache, so no array of the chunk's raw noise
-    is formed.  The values come from ``w_n = sum_{k<=n} R^{n-k} V_k``, the
-    form free of huge inverse powers; one pass of the recursion ``w_k =
-    R w_{k-1} + V_k`` snapshots every checkpoint.
+    and the first raw noise increments into ``prefix``.  Each slice is
+    transformed into ``V`` and cut to its prefix while it is in cache, so
+    no array of the chunk's uniforms or raw noise is formed.  The values
+    come from ``w_n = sum_{k<=n} R^{n-k} V_k``, the form free of huge
+    inverse powers; one pass of the recursion ``w_k = R w_{k-1} + V_k``
+    snapshots every checkpoint.
     """
-    count, n, G = len(u), checkpoints[-1], spec.increment_power
-    atom[...] = _draw_latent(spec, u)
+    count, n, G = len(atom), checkpoints[-1], spec.increment_power
     powers = None if G is None else matalg.power_sequence(G, n)[1:]
-
-    law = spec.noise_law
-    noise = u[:, spec.latent_uniforms :].reshape(count, n, law.uniforms_per_draw)
     V = np.empty((count, n, spec.dim))
-    for rows, W in law.slices(noise):
+    for rows, v, W in draws:
+        atom[rows] = _draw_latent(spec, v)
         prefix[rows] = W[:, :PREFIX_KEEP]
         _transformed(spec, W, atom[rows], V[rows], powers)
     # w is (d, count).  Elementwise ops in a fixed order keep a path's bits
@@ -321,17 +315,19 @@ class ProcessPath:
 def simulate_path(spec: ProcessSpec, n: int, rng: np.random.Generator) -> ProcessPath:
     """Draw one trajectory of length ``n``.
 
-    Takes exactly :func:`per_path_uniforms` uniforms from ``rng`` as one
-    stream row (latent first, then per-step noise) and runs it through the
-    ensemble's accumulation kernel with every step a checkpoint, so a
+    Takes one stream row from ``rng`` (latent uniforms first, then
+    per-step noise) and hands it to the ensemble's accumulation kernel as
+    one slice of ``IncrementLaw.draws``, with every step a checkpoint, so a
     generator handing out a path's stream row reproduces that ensemble path.
     """
     if n < 1:
         raise InvalidInputError("n must be at least 1")
-    u = np.atleast_1d(rng.random(per_path_uniforms(spec, n)))
+    law, lead = spec.noise_law, spec.latent_uniforms
+    u = np.atleast_1d(rng.random(lead + n * law.uniforms_per_draw))[None]
+    row = (slice(0, 1), u[:, :lead], law.from_uniforms(u[:, lead:].reshape(1, n, -1)))
     qu, atom = np.empty((n, 1, spec.dim)), np.empty(1, dtype=np.intp)
     prefix = np.empty((1, min(PREFIX_KEEP, n), spec.dim))
-    _scaled_rows(spec, u[None], tuple(range(1, n + 1)), qu, atom, prefix)
+    _scaled_rows(spec, [row], tuple(range(1, n + 1)), qu, atom, prefix)
     return ProcessPath(_raw_states(spec, dict(enumerate(qu, 1)), n)[0], int(atom[0]))
 
 
@@ -399,17 +395,17 @@ def simulate_ensemble(
     checkpoints = converted(as_checkpoints, checkpoints, "checkpoints")
     if n_paths < 1:
         raise InvalidInputError("n_paths must be positive")
-    per_path = per_path_uniforms(spec, checkpoints[-1])
+    n = checkpoints[-1]
     qu = np.empty((len(checkpoints), n_paths, spec.dim))
     atom = np.empty(n_paths, dtype=np.intp)
-    prefix = np.empty((n_paths, min(PREFIX_KEEP, checkpoints[-1]), spec.dim))
+    prefix = np.empty((n_paths, min(PREFIX_KEEP, n), spec.dim))
 
     def chunk(start, count):
-        u = streams.uniform_block(seed, streams.STREAM_PROCESS, start, count, per_path)
         rows = slice(start, start + count)
-        # Overflow is judged once, on the whole ensemble below.
-        with np.errstate(over="ignore", invalid="ignore"):
-            _scaled_rows(spec, u, checkpoints, qu[:, rows], atom[rows], prefix[rows])
+        noise = spec.noise_law.draws(
+            seed, streams.STREAM_PROCESS, start, count, n, spec.latent_uniforms
+        )
+        _scaled_rows(spec, noise, checkpoints, qu[:, rows], atom[rows], prefix[rows])
 
     streams.map_chunks(chunk, n_paths, workers)
     bu = qu
@@ -419,7 +415,7 @@ def simulate_ensemble(
             bu = qu / divisor
     if not (np.isfinite(qu).all() and np.isfinite(bu).all()):
         raise RangeOverflowError(
-            f"Q_n U_n or B_n U_n left the float range within {checkpoints[-1]} steps"
+            f"Q_n U_n or B_n U_n left the float range within {n} steps"
         )
     for arr in (bu, qu, atom, prefix):
         arr.flags.writeable = False

@@ -15,6 +15,7 @@ never inverses.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,19 +74,14 @@ def truncation_index(P, tol: float) -> TruncationPlan:
     if floor / (1.0 - floor) > tol:
         raise HorizonExceededError(too_slow)
     cert, norms = matalg.decay_certificate(P, tol)
-    rest = matalg.tail_bound(norms, cert, cert.horizon - 1)
-    if rest > tol:
+    if matalg.tail_bound(norms, cert, cert.horizon - 1) > tol:
         raise HorizonExceededError(too_slow)
-
-    # Suffix sums of the table give the bound for every candidate r below
-    # the horizon in one pass; r = horizon - 1 qualifies, with bound rest.
-    suffix = np.append(np.cumsum(norms[cert.horizon - 1 : 0 : -1])[::-1], 0.0)
-    r = int(np.flatnonzero(suffix + rest <= tol)[0])
-    # Settle boundary cases with the canonical bound evaluation itself.
-    while r > 0 and matalg.tail_bound(norms, cert, r - 1) <= tol:
-        r -= 1
-    while matalg.tail_bound(norms, cert, r) > tol:
-        r += 1
+    # Below the horizon the bound is an fsum of a shrinking suffix plus a
+    # constant, so it falls with r, and r = horizon - 1 qualifies.
+    r = bisect_left(
+        range(cert.horizon), True,
+        key=lambda j: matalg.tail_bound(norms, cert, j) <= tol,
+    )
     return TruncationPlan(
         r=r, tail_norm_bound=matalg.tail_bound(norms, cert, r), certificate=cert
     )
@@ -109,7 +105,7 @@ def series_ensemble(
     ``d`` innermost and contiguous.  numpy's einsum takes a fast path on
     that layout: a 4096-row chunk at ``d = 2`` costs about a tenth of the
     ``(j, d, e)`` layout's time.  The sum runs in one fixed order for each
-    row, whatever the row count, so each slice from ``law.slices`` writes
+    row, whatever the row count, so each slice from ``law.draws`` writes
     its rows of one preallocated output.
     """
     arr = matalg.as_square(P)
@@ -119,12 +115,10 @@ def series_ensemble(
         raise InvalidInputError("count must be positive")
     powers = matalg.power_sequence(arr, r)
     lag_major = np.ascontiguousarray(powers.transpose(0, 2, 1))
-    per_path = (r + 1) * law.uniforms_per_draw
     out = np.empty((count, law.dim))
 
     def chunk(start, n):
-        u = streams.uniform_block(seed, streams.STREAM_SERIES, start, n, per_path)
-        for at, z in law.slices(u.reshape(n, r + 1, law.uniforms_per_draw)):
+        for at, _, z in law.draws(seed, streams.STREAM_SERIES, start, n, r + 1):
             rows = slice(start + at.start, start + at.stop)
             np.einsum("jed,cje->cd", lag_major, z, out=out[rows])
 
@@ -183,9 +177,9 @@ def lemma_diagnostics(
     may produce ``inf`` draws; exceedance counting stays exact because such
     draws genuinely exceed the unit level at every index simulated here.
 
-    Each chunk writes the values of every slice from ``law.slices`` into
-    the per-path arrays, so no chunk-wide array of draws, terms or norms is
-    formed; a chunk returns only its integer exceedance totals.
+    Each chunk writes the values of every slice from ``law.draws`` into
+    the per-path arrays, so no chunk-wide array of uniforms, draws, terms
+    or norms is formed; a chunk returns only its integer exceedance totals.
     """
     arr = matalg.as_square(P)
     if arr.shape[0] != law.dim:
@@ -195,15 +189,13 @@ def lemma_diagnostics(
     if n_paths < 1:
         raise InvalidInputError("n_paths must be positive")
     powers = matalg.power_sequence(arr, J)
-    per_path = (J + 1) * law.uniforms_per_draw
     counts = np.empty(n_paths, dtype=np.int64)
     last_idx = np.empty(n_paths, dtype=np.int64)
     final_sum, last_norm, log_mom = (np.empty(n_paths) for _ in range(3))
 
     def chunk(start, count):
-        u = streams.uniform_block(seed, streams.STREAM_LEMMA, start, count, per_path)
         totals = np.zeros(J + 1, dtype=np.int64)
-        for at, z in law.slices(u.reshape(count, J + 1, law.uniforms_per_draw)):
+        for at, _, z in law.draws(seed, streams.STREAM_LEMMA, start, count, J + 1):
             rows = slice(start + at.start, start + at.stop)
             with np.errstate(invalid="ignore", over="ignore"):
                 term_norms = matalg.row_norms(_apply_powers(powers, z))

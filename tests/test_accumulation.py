@@ -25,7 +25,6 @@ from stablemix.processes import (
     ExplosiveVar,
     RandomScaled,
     SyntheticCanonical,
-    per_path_uniforms,
     simulate_ensemble,
 )
 
@@ -102,7 +101,7 @@ def explicit_sum(spec, checkpoints, n_paths, seed):
     """Checkpoint values from the explicit sums, chunk by chunk."""
     cps = sorted(set(checkpoints))
     n = cps[-1]
-    per_path = per_path_uniforms(spec, n)
+    per_path = spec.latent_uniforms + n * spec.noise_law.uniforms_per_draw
     kernel = matalg.power_sequence(spec.P, n)
     bu = {cp: [] for cp in cps}
     qu = {cp: [] for cp in cps}

@@ -9,6 +9,7 @@ here, without installing the tracer.
 
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
@@ -54,3 +55,14 @@ def test_read_attribute_exists(module, owner, attr):
     if owner is not None:
         obj = getattr(obj, owner)
     assert hasattr(obj, attr)
+
+
+def test_uniform_counter_matches_uniform_block():
+    # The tracer counts uniforms from uniform_block's arguments, and the
+    # draw route calls it once per slice: a renamed or reordered parameter
+    # would quietly zero that count.
+    from stablemix import streams
+
+    counter = list(inspect.signature(_tracer()._count_uniforms).parameters)
+    assert counter[0] == "tracer"
+    assert counter[1:] == list(inspect.signature(streams.uniform_block).parameters)

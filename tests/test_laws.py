@@ -5,6 +5,8 @@ analytic ones at a 3x concentration radius; algebraic checks freeze closed
 forms computed by hand or by scipy quadrature oracles.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -271,38 +273,51 @@ class TestChunkedDraws:
         "law", all_standard_laws() + [laws.LogCauchyRay(2)], ids=law_id
     )
     def test_sliced_block_equals_one_call_bitwise(self, law):
-        # slices maps SLICE_ROWS rows per call, and its callers fill one
-        # preallocated output from it: row counts on both sides of one and
-        # two slice widths (1, 255, 256, 257, 511 at a width of 256), and
-        # past a whole chunk, must give the bits of one from_uniforms call
-        # on the block.
-        width, upd = laws.SLICE_ROWS, law.uniforms_per_draw
-        for steps in (1, 2, 65):
-            u = streams.uniform_block(5, streams.STREAM_LAW, 0, 4097, steps * upd)
-            u = u.reshape(4097, steps, upd)
-            for rows in (1, width - 1, width, width + 1, 2 * width - 1, 4097):
-                block = np.empty((rows, steps, law.dim))
-                for at, z in law.slices(u[:rows]):
-                    block[at] = z
-                assert same_bits(block, law.from_uniforms(u[:rows]))
+        # draws maps SLICE_ROWS paths per call, each slice from its own
+        # stream rows, and its callers fill one preallocated output from
+        # it: path counts on both sides of one slice width (1, 255, 256,
+        # 257 at a width of 256) and past a whole chunk, from a chunk
+        # start and from one path before a chunk boundary, with and
+        # without a leading uniform, must give the bits of one
+        # uniform_block and one from_uniforms call on the block.
+        upd = law.uniforms_per_draw
+        for steps, start, lead in itertools.product((1, 2, 65), (0, 4095), (0, 1)):
+            u = streams.uniform_block(5, streams.STREAM_LAW, start, 4097,
+                                      lead + steps * upd)
+            whole = law.from_uniforms(u[:, lead:].reshape(4097, steps, upd))
+            for count in (1, 255, 256, 257, 4097):
+                v_out = np.empty((count, lead))
+                z_out = np.empty((count, steps, law.dim))
+                for at, v, z in law.draws(5, streams.STREAM_LAW, start, count,
+                                          steps, lead):
+                    v_out[at], z_out[at] = v, z
+                assert same_bits(v_out, u[:count, :lead])
+                assert same_bits(z_out, whole[:count])
 
     @pytest.mark.parametrize(
         "law", all_standard_laws() + [laws.LogCauchyRay(2)], ids=law_id
     )
     def test_slices_cover_the_block_in_order_bitwise(self, law):
-        # slices is the one slicing route: it must cover [0, rows) in order,
-        # in widths of SLICE_ROWS with a shorter last slice, and its draws,
-        # concatenated, must be one from_uniforms call on the block.
+        # draws is the one route from a stream to a sampler: it must cover
+        # range(count) in order, in widths of SLICE_ROWS with a shorter
+        # last slice, and its draws, concatenated, must be one from_uniforms
+        # call on the paths' rows.
         width, upd = laws.SLICE_ROWS, law.uniforms_per_draw
-        u = streams.uniform_block(6, streams.STREAM_LAW, 0, 4097, 3 * upd)
-        u = u.reshape(4097, 3, upd)
-        for rows in (1, width - 1, width, width + 1, 4097):
-            pieces = list(law.slices(u[:rows]))
-            bounds = [(at.start, at.stop) for at, _ in pieces]
-            assert bounds == [(a, min(a + width, rows)) for a in range(0, rows, width)]
-            assert all(z.shape == (at.stop - at.start, 3, law.dim) for at, z in pieces)
-            whole = np.concatenate([z for _, z in pieces])
-            assert same_bits(whole, law.from_uniforms(u[:rows]))
+        for start, lead in itertools.product((0, 4095), (0, 1)):
+            u = streams.uniform_block(6, streams.STREAM_LAW, start, 4097,
+                                      lead + 3 * upd)
+            for count in (1, width - 1, width, width + 1, 4097):
+                pieces = list(law.draws(6, streams.STREAM_LAW, start, count, 3, lead))
+                bounds = [(at.start, at.stop) for at, _, _ in pieces]
+                assert bounds == [
+                    (a, min(a + width, count)) for a in range(0, count, width)
+                ]
+                for at, v, z in pieces:
+                    assert v.shape == (at.stop - at.start, lead)
+                    assert z.shape == (at.stop - at.start, 3, law.dim)
+                whole = np.concatenate([z for _, _, z in pieces])
+                rows = u[:count, lead:].reshape(count, 3, upd)
+                assert same_bits(whole, law.from_uniforms(rows))
 
 
 class TestEcfAgainstCf:

@@ -131,6 +131,20 @@ class TestPowerSequence:
         with pytest.raises(RangeOverflowError):
             matalg.power_sequence([[10.0]], stated + 1)
 
+    @pytest.mark.parametrize("first_bad", [1, 255, 256, 257, 513])
+    def test_first_overflow_across_block_edges(self, first_bad):
+        # Powers are checked POWER_BLOCK at a time; the error still names
+        # the first power past 1e300, wherever it falls in its block.
+        a = 10.0 ** (300.5 / first_bad)
+        match = f"exponent {first_bad}; max supported exponent for this matrix is"
+        with pytest.raises(RangeOverflowError, match=match):
+            matalg.power_sequence([[a]], 1000)
+        assert matalg.power_sequence([[a]], first_bad - 1).shape == (first_bad, 1, 1)
+
+    def test_jordan_block_overflow_exponent(self):
+        with pytest.raises(RangeOverflowError, match="exponent 988; .* is 987$"):
+            matalg.power_sequence([[2.0, 1.0], [0.0, 2.0]], 5000)
+
     def test_negative_count_rejected(self):
         with pytest.raises(InvalidInputError):
             matalg.power_sequence([[0.5]], -1)

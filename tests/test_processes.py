@@ -23,7 +23,6 @@ from stablemix.processes import (
     ExplosiveVar,
     RandomScaled,
     SyntheticCanonical,
-    per_path_uniforms,
     simulate_ensemble,
     simulate_path,
     write_paths_csv,
@@ -50,6 +49,12 @@ def checkpoint_scaled(spec, path, checkpoints):
 def rotation_half():
     c, s = np.cos(np.pi / 6), np.sin(np.pi / 6)
     return 0.5 * np.array([[c, -s], [s, c]])
+
+
+def row_width(spec, n):
+    """Uniforms in one path's stream row of length ``n``: the latent
+    uniform, when the spec draws an atom, then ``n`` noise draws."""
+    return spec.latent_uniforms + n * spec.noise_law.uniforms_per_draw
 
 
 class _RowRng:
@@ -125,19 +130,26 @@ class TestConstruction:
 
 class TestUniformBudget:
     def test_per_path_counts(self):
+        # The draw route reads each path's row of the stream at its address:
+        # the latent uniform, when the spec draws an atom, then n draws.
         law2 = laws.NormalLaw(np.eye(2))
-        assert per_path_uniforms(SyntheticCanonical(rotation_half(), law2), 10) == 20
-        assert (
-            per_path_uniforms(
-                RandomScaled(rotation_half(), law2, [1.0], [1.0]), 10
-            )
-            == 21
-        )
         stable = laws.StableLaw(
             1.5,
             laws.SpectralMeasure(np.eye(2), np.array([0.5, 0.5])),
         )
-        assert per_path_uniforms(SyntheticCanonical(rotation_half(), stable), 3) == 12
+        cases = (
+            (SyntheticCanonical(rotation_half(), law2), 10, 20),
+            (RandomScaled(rotation_half(), law2, [1.0], [1.0]), 10, 21),
+            (SyntheticCanonical(rotation_half(), stable), 3, 12),
+        )
+        for spec, n, width in cases:
+            assert row_width(spec, n) == width
+            law, lead = spec.noise_law, spec.latent_uniforms
+            u = streams.uniform_block(9, streams.STREAM_PROCESS, 5, 1, width)
+            ((rows, v, z),) = law.draws(9, streams.STREAM_PROCESS, 5, 1, n, lead)
+            assert rows == slice(0, 1)
+            assert np.array_equal(v, u[:, :lead])
+            assert np.array_equal(z, law.from_uniforms(u[:, lead:].reshape(1, n, -1)))
 
 
 class TestSimulatePath:
@@ -152,7 +164,7 @@ class TestSimulatePath:
         # the path is built so the n-th scaled step is the drawn noise.
         spec = SyntheticCanonical(rotation_half(), laws.NormalLaw(np.eye(2)))
         seed_rng = np.random.default_rng(5)
-        u = seed_rng.random(per_path_uniforms(spec, 12))
+        u = seed_rng.random(row_width(spec, 12))
         path = simulate_path(spec, 12, _RowRng(u))
         W = spec.noise_law.from_uniforms(u.reshape(12, 2))
         for n in range(1, 13):
@@ -228,7 +240,7 @@ class TestEnsemble:
         # gives the same checkpoint values over a long horizon.
         for spec in all_specs():
             ens = simulate_ensemble(spec, [25, 100], 32, seed=23)
-            per = per_path_uniforms(spec, 100)
+            per = row_width(spec, 100)
             for i in (0, 7, 31):
                 u = streams.uniform_block(23, streams.STREAM_PROCESS, i, 1, per)[0]
                 path = simulate_path(spec, 100, _RowRng(u))
@@ -266,23 +278,24 @@ class TestEnsemble:
         assert np.array_equal(a.noise_prefix, b.noise_prefix)
 
     def test_kernel_peak_memory_on_one_chunk(self):
-        # The random-scaled spec at n = 100 on one full chunk: the noise is
-        # drawn, transformed into V and cut to its prefix slice by slice,
-        # so the kernel holds one (count, n, d) array, not the raw noise as
-        # well.  tracemalloc sees numpy's data buffers; the caller owns the
-        # output arrays the kernel fills.
+        # The random-scaled spec at n = 100 on one full chunk: the uniforms
+        # are drawn, mapped to noise, transformed into V and cut to their
+        # prefix slice by slice, so the kernel holds one (count, n, d)
+        # array, not the chunk's uniforms or raw noise as well.  tracemalloc
+        # sees numpy's data buffers; the caller owns the output arrays the
+        # kernel fills.
         spec = RandomScaled(rotation_half(), laws.NormalLaw(np.eye(2)),
                             [1.0, 2.0], [0.5, 0.5])
         count, n, checkpoints = streams.CHUNK_PATHS, 100, (25, 50, 75, 100)
-        u = streams.uniform_block(
-            3, streams.STREAM_PROCESS, 0, count, per_path_uniforms(spec, n)
+        draws = spec.noise_law.draws(
+            3, streams.STREAM_PROCESS, 0, count, n, spec.latent_uniforms
         )
         qu = np.empty((len(checkpoints), count, spec.dim))
         atom = np.empty(count, dtype=np.intp)
         prefix = np.empty((count, processes.PREFIX_KEEP, spec.dim))
         tracemalloc.start()
         try:
-            processes._scaled_rows(spec, u, checkpoints, qu, atom, prefix)
+            processes._scaled_rows(spec, draws, checkpoints, qu, atom, prefix)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -320,7 +333,7 @@ class TestEnsemble:
     def test_noise_prefix_matches_stream(self):
         spec = SyntheticCanonical(rotation_half(), laws.NormalLaw(np.eye(2)))
         ens = simulate_ensemble(spec, [4], 10, seed=13)
-        per = per_path_uniforms(spec, 4)
+        per = row_width(spec, 4)
         u = streams.uniform_block(13, streams.STREAM_PROCESS, 0, 10, per)
         W = spec.noise_law.from_uniforms(u.reshape(10, 4, 2))
         assert np.array_equal(ens.noise_prefix, W[:, :2])
@@ -492,7 +505,7 @@ class TestPathsCsv:
             out = tmp_path / "paths.csv"
             write_paths_csv(out, ens)
             table = np.loadtxt(out, delimiter=",", skiprows=1, usecols=(5, 6))
-            per = per_path_uniforms(spec, 8)
+            per = row_width(spec, 8)
             for i in range(3):
                 u = streams.uniform_block(4, streams.STREAM_PROCESS, i, 1, per)[0]
                 path = simulate_path(spec, 8, _RowRng(u))

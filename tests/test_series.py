@@ -281,6 +281,21 @@ class TestSeriesEnsemble:
         assert np.array_equal(c, draws(streams.STREAM_SERIES))
         assert not np.array_equal(c, draws(streams.STREAM_LAW))
 
+    def test_peak_memory_is_a_slice_not_a_chunk(self):
+        # Uniforms are drawn slice by slice, so one full chunk at r = 500
+        # never holds its (4096, 501 * 4) uniform block, 66 MB for this law.
+        P = np.array([[0.5, 0.1], [0.0, 0.5]])
+        law = laws.StableLaw(1.5, laws.SpectralMeasure(np.eye(2), [0.5, 0.5]))
+        count, r = streams.CHUNK_PATHS, 500
+        block = count * (r + 1) * law.uniforms_per_draw * 8
+        tracemalloc.start()
+        try:
+            series.series_ensemble(P, law, r, seed=6, count=count)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < block / 4
+
 
 def contraction(dim):
     """A dense contraction of spectral radius 1/2, so every coordinate of

@@ -22,7 +22,11 @@ route and evaluates every row.
 The phase map is ``laws._cos_sin(tan(<theta, x> / 2))``: cosine and sine
 through numpy's SIMD ``tan``, within 4.5e-16 of ``exp(i <theta, x>)``, and
 odd in ``x`` bit for bit, as the conjugate partners need.  Per chunk it
-writes cos and sin into one contiguous ``(2, rows, points)`` block.  An
+writes cos and sin into one contiguous ``(2, rows, points)`` block.  That
+block, the tangents and the phase map's one temporary live in a scratch
+block of ``3 * CHUNK_PATHS * points`` floats that each worker reuses for
+every chunk of one call, so a call allocates and faults in its scratch
+once per worker, not once per chunk.  An
 event holding every row of the chunk (the sure event, and ``inds=None``)
 sums the block down its rows, in row order whenever two or more points
 are evaluated, as the plain ecf always has.  Every other event's sums come
@@ -35,6 +39,7 @@ but they may differ between BLAS builds or CPU kernels.
 from __future__ import annotations
 
 import math
+import queue
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -161,19 +166,32 @@ def _phase_parts(values, inds, grid: ThetaGrid, workers: int) -> list:
             )
     evaluated, mirrored, zeros = grid._phase_plan
     halves = 0.5 * grid.points[evaluated].T
+    # Spare scratch blocks: a chunk takes one, or makes one the size of a
+    # full chunk, and hands it back when done, so there is one per worker.
+    points = len(evaluated)
+    spares = queue.SimpleQueue()
 
     def chunk(start, count):
-        # t = tan(<theta, row> / 2), fed to the module's phase map.
-        t = vals[start : start + count] @ halves
+        try:
+            scratch = spares.get_nowait()
+        except queue.Empty:
+            scratch = np.empty(3 * min(vals.shape[0], streams.CHUNK_PATHS) * points)
+        # Planes (factor, cos, sin) of one contiguous (3, count, points)
+        # block, so cs = (cos, sin) is laid out as a fresh array would be.
+        # t = tan(<theta, row> / 2) is formed in the sin plane, which the
+        # phase map then writes in place.
+        planes = scratch[: 3 * count * points].reshape(3, count, points)
+        factor, cos, t = planes
+        np.matmul(vals[start : start + count], halves, out=t)
         np.tan(t, out=t)
-        cs = np.empty((2, *t.shape))
-        _cos_sin(t, cs[0], cs[1])
+        _cos_sin(t, cos, t, factor=factor)
+        cs = planes[1:]
         if inds is None:
             block = np.ones((1, count), dtype=bool)
         else:
             block = inds[:, start : start + count]
         full = block.all(axis=1)
-        sums = np.empty((2, len(block), t.shape[1]))
+        sums = np.empty((2, len(block), points))
         if full.any():
             sums[:, full] = cs.sum(axis=1)[:, None]
         if not full.all():
@@ -186,6 +204,7 @@ def _phase_parts(values, inds, grid: ThetaGrid, workers: int) -> list:
         out.real[:, mirrored] = sums[0, :, : len(mirrored)]
         out.imag[:, mirrored] = 0.0 - sums[1, :, : len(mirrored)]
         out[:, zeros] = counts[:, None]
+        spares.put(scratch)
         return out, counts
 
     return streams.map_chunks(chunk, vals.shape[0], workers)

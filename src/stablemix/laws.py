@@ -38,11 +38,13 @@ from . import matalg, streams
 from .errors import InvalidInputError
 from .matalg import DecayCertificate, as_floats
 
-# Paths that ``IncrementLaw.draws`` draws and maps per ``from_uniforms``
-# call: a 256-path slice of 100 steps of 2-d normals is 0.4 MB, so every
-# elementwise pass of a sampler runs in cache.  Every row is mapped alone,
-# so the width is not part of the bits.
-SLICE_ROWS = 256
+# Uniforms that ``IncrementLaw.draws`` draws and maps per ``from_uniforms``
+# call: each slice holds ``max(1, SLICE_UNIFORMS // row width)`` paths, so
+# a slice's 0.5 MB of uniforms and every elementwise pass of a sampler run
+# in cache whatever the row width, and narrow rows do not pay a generator
+# set-up per few paths.  A row wider than the budget is a slice on its own.
+# Every row is mapped alone, so the width is not part of the bits.
+SLICE_UNIFORMS = 1 << 16
 
 # Floor applied to ``1 - u`` before the CMS exponential draw's log; keeps it
 # finite at ``u = 1``, which no stream uniform takes.
@@ -62,18 +64,20 @@ _COS_FLOOR = np.pi * 2.0**-54
 _EXP_FLOOR = 2.0**-54
 
 
-def _cos_sin(t, cos=None, sin=None, scale=1.0):
+def _cos_sin(t, cos=None, sin=None, scale=1.0, factor=None):
     """Write ``scale`` times ``cos(2 atan t)`` and ``sin(2 atan t)``, which
     are ``(1 - t^2) / (1 + t^2)`` and ``2t / (1 + t^2)``, into ``cos`` and
     ``sin``.
 
     Fed ``t = tan(x / 2)``, they are ``cos x`` and ``sin x`` within 4.5e-16
-    absolute for every finite ``x``.  Either output may be None, and either,
-    but not both, may be ``t`` itself; nothing but one temporary of ``t``'s
-    shape is allocated.  Every element is mapped alone, so its bits do not
-    depend on its array's size or layout.
+    absolute for every finite ``x``.  Either output may be None.  ``sin``
+    may be ``t`` itself, and so may ``cos`` when ``sin`` is None.  One
+    temporary of ``t``'s shape is allocated, or none with ``factor``, a
+    scratch array of that shape apart from ``t`` and both outputs.  Every
+    element is mapped alone, so its bits do not depend on its array's size
+    or layout.
     """
-    factor = np.multiply(t, t)
+    factor = np.multiply(t, t, out=factor)
     if cos is not None:
         np.subtract(1.0, factor, out=cos)
     factor += 1.0
@@ -179,9 +183,11 @@ class IncrementLaw:
 
     def draws(self, seed, stream, start, count, steps, lead=0):
         """Yield ``(rows, v, z)`` for paths ``start .. start+count-1`` of
-        ``stream`` in order, ``SLICE_ROWS`` paths at a time: ``rows`` is a
-        ``slice`` of ``range(count)``, ``v`` the first ``lead`` uniforms of
-        each path's row and ``z`` the ``(k, steps, dim)`` draws from the rest.
+        ``stream`` in order: ``rows`` is a ``slice`` of ``range(count)``,
+        ``v`` the first ``lead`` uniforms of each path's row and ``z`` the
+        ``(k, steps, dim)`` draws from the rest.  A slice holds
+        ``max(1, SLICE_UNIFORMS // (lead + steps * uniforms_per_draw))``
+        paths, the last one fewer.
 
         This is the one route from a stream to a sampler.  Each slice draws
         only its own rows, bit for bit those of one larger block, so no
@@ -189,9 +195,11 @@ class IncrementLaw:
         slice while it is in cache.
         """
         upd = self.uniforms_per_draw
-        for at in range(0, count, SLICE_ROWS):
-            k = min(SLICE_ROWS, count - at)
-            u = streams.uniform_block(seed, stream, start + at, k, lead + steps * upd)
+        width = lead + steps * upd
+        per_slice = max(1, SLICE_UNIFORMS // width)
+        for at in range(0, count, per_slice):
+            k = min(per_slice, count - at)
+            u = streams.uniform_block(seed, stream, start + at, k, width)
             v = u[:, :lead].copy()
             z = self.from_uniforms(u[:, lead:].reshape(k, steps, upd))
             # The caller works on z, and draws the next slice, without u.
@@ -325,8 +333,11 @@ class StableLaw(IncrementLaw):
 
     def from_uniforms(self, u):
         u = np.asarray(u, dtype=float)
-        zeta = sas_from_uniforms(self.alpha, u[..., 0::2], u[..., 1::2])
-        coeff = self.measure.weights ** (1.0 / self.alpha) * zeta
+        coeff = sas_from_uniforms(self.alpha, u[..., 0::2], u[..., 1::2])
+        # One pass per atom over its strided column: broadcasting the
+        # weights over a last axis of m atoms runs numpy's loop m at a time.
+        for k, scale in enumerate(self.measure.weights ** (1.0 / self.alpha)):
+            np.multiply(scale, coeff[..., k], out=coeff[..., k])
         return coeff @ self.measure.atoms
 
     def _cf(self, arr):

@@ -106,7 +106,9 @@ def series_ensemble(
     that layout: a 4096-row chunk at ``d = 2`` costs about a tenth of the
     ``(j, d, e)`` layout's time.  The sum runs in one fixed order for each
     row, whatever the row count, so each slice from ``law.draws`` writes
-    its rows of one preallocated output.
+    its rows of one preallocated output; a one-row slice, which einsum
+    would sum in another order at ``d = 1`` past 8192 lags, is summed as
+    a two-row view of that row.
     """
     arr = matalg.as_square(P)
     if arr.shape[0] != law.dim:
@@ -119,8 +121,15 @@ def series_ensemble(
 
     def chunk(start, n):
         for at, _, z in law.draws(seed, streams.STREAM_SERIES, start, n, r + 1):
-            rows = slice(start + at.start, start + at.stop)
-            np.einsum("jed,cje->cd", lag_major, z, out=out[rows])
+            k = at.stop - at.start
+            # einsum sums two or more rows in blocks of numpy's 8192-element
+            # buffer, but one row at d = 1 in a single pass: a lone row,
+            # read twice, keeps the order every other row has.
+            if k == 1:
+                z = np.broadcast_to(z, (2, *z.shape[1:]))
+            out[start + at.start : start + at.stop] = np.einsum(
+                "jed,cje->cd", lag_major, z
+            )[:k]
 
     streams.map_chunks(chunk, count, workers)
     return out

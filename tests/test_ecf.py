@@ -355,6 +355,24 @@ class TestPhaseSums:
         assert np.array_equal(_bits(one[0]), _bits(two[0]))
         assert np.array_equal(one[1], two[1])
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("n", [4097, 8193])
+    @pytest.mark.parametrize("grid_name", sorted(GRIDS))
+    def test_short_last_chunk_in_reused_scratch_bitwise(self, grid_name, n, workers):
+        # Each worker reuses one full-chunk scratch block across the chunks
+        # of a call, so the one-row last chunk sits in the front of a block
+        # that still holds an earlier chunk's values; the sums must be the
+        # oracle's bits all the same.
+        grid = GRIDS[grid_name]
+        vals = _samples(21, n, grid.dim, "wide")
+        inds = _events(21, n)
+        want_sums, want_counts = oracle_phase_sums(vals, inds, grid)
+        sums, counts = ecf.phase_sums(vals, inds, grid, workers=workers)
+        assert np.array_equal(_bits(sums), _bits(want_sums))
+        assert np.array_equal(counts, want_counts)
+        total, _ = ecf.chunked_phase_sums(vals, grid, workers=workers)
+        assert np.array_equal(_bits(total), _bits(want_sums[0]))
+
     @pytest.mark.parametrize("kind", ["normal", "negative"])
     @pytest.mark.parametrize("grid_name", sorted(GRIDS))
     def test_zero_column_is_count(self, grid_name, kind):

@@ -226,6 +226,37 @@ class TestCosSin:
             inplace = t.copy()
             laws._cos_sin(inplace, **{name: inplace})
             assert np.array_equal(inplace, want)
+        # sin may be t itself with cos written too, as ecf's kernel calls it.
+        inplace, cos_too = t.copy(), np.empty_like(t)
+        laws._cos_sin(inplace, cos_too, inplace)
+        assert np.array_equal(cos_too, cos) and np.array_equal(inplace, sin)
+
+    @pytest.mark.parametrize("outputs", ("cos", "sin", "both", "sin-is-t"))
+    @pytest.mark.parametrize("scale", ("scalar", "array"))
+    def test_factor_scratch_gives_the_same_bits(self, outputs, scale):
+        # A scratch factor array, stale values and all, changes no bit of
+        # either output, for a scalar and an array scale.
+        x = np.concatenate([np.linspace(-3.0, 3.0, 101), [0.0, -0.0, 1e-310]])
+        t = np.tan(0.5 * x)
+        scale = 1.0 if scale == "scalar" else np.linspace(0.5, 2.0, len(t))
+
+        def run(factor):
+            arg = t.copy()
+            out = {"cos": np.empty_like(t), "sin": np.empty_like(t)}
+            if outputs == "cos":
+                del out["sin"]
+            elif outputs == "sin":
+                del out["cos"]
+            elif outputs == "sin-is-t":
+                out["sin"] = arg
+            laws._cos_sin(arg, **out, scale=scale, factor=factor)
+            return out
+
+        want = run(None)
+        got = run(np.full_like(t, np.nan))
+        assert want.keys() == got.keys()
+        for name in want:
+            assert same_bits(got[name], want[name])
 
 
 class TestCmsAccuracy:
@@ -254,6 +285,25 @@ def same_bits(a, b) -> bool:
     return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
+def slice_width(law, steps, lead):
+    """Paths per slice of ``law.draws``: the uniform budget over the row
+    width, and at least one path."""
+    return max(1, laws.SLICE_UNIFORMS // (lead + steps * law.uniforms_per_draw))
+
+
+def wide_steps(law):
+    """The fewest steps whose row, without a leading uniform, is wider
+    than the uniform budget."""
+    return laws.SLICE_UNIFORMS // law.uniforms_per_draw + 1
+
+
+def counts_around(width):
+    """Path counts on both sides of one slice width, and past a chunk; for
+    one-path slices, three paths (4097 such rows would be 2 GB)."""
+    past = 4097 if width > 1 else 3
+    return sorted({1, width - 1, width, width + 1, past} - {0})
+
+
 class TestChunkedDraws:
     @pytest.mark.parametrize("law", all_standard_laws(), ids=law_id)
     def test_rows_around_the_chunk_width_bitwise(self, law):
@@ -273,19 +323,23 @@ class TestChunkedDraws:
         "law", all_standard_laws() + [laws.LogCauchyRay(2)], ids=law_id
     )
     def test_sliced_block_equals_one_call_bitwise(self, law):
-        # draws maps SLICE_ROWS paths per call, each slice from its own
-        # stream rows, and its callers fill one preallocated output from
-        # it: path counts on both sides of one slice width (1, 255, 256,
-        # 257 at a width of 256) and past a whole chunk, from a chunk
-        # start and from one path before a chunk boundary, with and
-        # without a leading uniform, must give the bits of one
-        # uniform_block and one from_uniforms call on the block.
+        # draws maps a budget of SLICE_UNIFORMS uniforms per call, each
+        # slice from its own stream rows, and its callers fill one
+        # preallocated output from it: path counts on both sides of one
+        # slice width and past a whole chunk, at 1, 3 and 65 steps and at
+        # a row wider than the budget, from a chunk start and from one
+        # path before a chunk boundary, with and without a leading uniform,
+        # must give the bits of one uniform_block and one from_uniforms
+        # call on the block.
         upd = law.uniforms_per_draw
-        for steps, start, lead in itertools.product((1, 2, 65), (0, 4095), (0, 1)):
-            u = streams.uniform_block(5, streams.STREAM_LAW, start, 4097,
+        for steps, start, lead in itertools.product(
+            (1, 3, 65, wide_steps(law)), (0, 4095), (0, 1)
+        ):
+            counts = counts_around(slice_width(law, steps, lead))
+            u = streams.uniform_block(5, streams.STREAM_LAW, start, counts[-1],
                                       lead + steps * upd)
-            whole = law.from_uniforms(u[:, lead:].reshape(4097, steps, upd))
-            for count in (1, 255, 256, 257, 4097):
+            whole = law.from_uniforms(u[:, lead:].reshape(counts[-1], steps, upd))
+            for count in counts:
                 v_out = np.empty((count, lead))
                 z_out = np.empty((count, steps, law.dim))
                 for at, v, z in law.draws(5, streams.STREAM_LAW, start, count,
@@ -299,24 +353,32 @@ class TestChunkedDraws:
     )
     def test_slices_cover_the_block_in_order_bitwise(self, law):
         # draws is the one route from a stream to a sampler: it must cover
-        # range(count) in order, in widths of SLICE_ROWS with a shorter
-        # last slice, and its draws, concatenated, must be one from_uniforms
+        # range(count) in order, in slices of the budget's width with a
+        # shorter last slice (one path each for a row wider than the
+        # budget), and its draws, concatenated, must be one from_uniforms
         # call on the paths' rows.
-        width, upd = laws.SLICE_ROWS, law.uniforms_per_draw
-        for start, lead in itertools.product((0, 4095), (0, 1)):
-            u = streams.uniform_block(6, streams.STREAM_LAW, start, 4097,
-                                      lead + 3 * upd)
-            for count in (1, width - 1, width, width + 1, 4097):
-                pieces = list(law.draws(6, streams.STREAM_LAW, start, count, 3, lead))
+        upd = law.uniforms_per_draw
+        for steps, start, lead in itertools.product(
+            (1, 3, 65, wide_steps(law)), (0, 4095), (0, 1)
+        ):
+            width = slice_width(law, steps, lead)
+            if steps == wide_steps(law):
+                assert width == 1
+            counts = counts_around(width)
+            u = streams.uniform_block(6, streams.STREAM_LAW, start, counts[-1],
+                                      lead + steps * upd)
+            for count in counts:
+                pieces = list(law.draws(6, streams.STREAM_LAW, start, count,
+                                        steps, lead))
                 bounds = [(at.start, at.stop) for at, _, _ in pieces]
                 assert bounds == [
                     (a, min(a + width, count)) for a in range(0, count, width)
                 ]
                 for at, v, z in pieces:
                     assert v.shape == (at.stop - at.start, lead)
-                    assert z.shape == (at.stop - at.start, 3, law.dim)
+                    assert z.shape == (at.stop - at.start, steps, law.dim)
                 whole = np.concatenate([z for _, _, z in pieces])
-                rows = u[:count, lead:].reshape(count, 3, upd)
+                rows = u[:count, lead:].reshape(count, steps, upd)
                 assert same_bits(whole, law.from_uniforms(rows))
 
 

@@ -296,6 +296,23 @@ class TestSeriesEnsemble:
             tracemalloc.stop()
         assert peak < block / 4
 
+    def test_wide_row_peak_memory_is_a_uniform_budget(self):
+        # diag(0.998, 0.5) at tol 1e-2 cuts at r = 5404, so a path's row
+        # holds 10,810 uniforms: slices sized by SLICE_UNIFORMS hold six
+        # paths, where 256-path slices held 22 MB of uniforms and peaked
+        # near 96 MB.
+        P = np.diag([0.998, 0.5])
+        law = laws.NormalLaw(np.eye(2))
+        r = series.truncation_index(P, 1e-2).r
+        assert r == 5404
+        tracemalloc.start()
+        try:
+            series.series_ensemble(P, law, r, seed=6, count=1024)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+
 
 def contraction(dim):
     """A dense contraction of spectral radius 1/2, so every coordinate of
@@ -332,6 +349,22 @@ class TestSeriesChunking:
         monkeypatch.setattr(streams, "map_chunks", partial(map_chunks, chunk=width))
         cut = series.series_ensemble(P, law, 9, seed=4, count=count, workers=workers)
         assert np.array_equal(cut, whole)
+
+    @pytest.mark.parametrize("r", [16_000, 33_000])
+    def test_lone_row_of_a_long_series_bitwise(self, r):
+        # At d = 1 and more than 8192 lags, einsum sums a one-row operand in
+        # another order than two or more rows.  At r = 16000 the slices of
+        # law.draws hold two paths, so counts 1 and 3 end in a lone row; at
+        # r = 33000 every path is a slice of its own.  Each row must keep
+        # the bits of one einsum over the whole block.
+        P, law = np.array([[0.9999]]), CHUNK_LAWS[1]
+        upd = law.uniforms_per_draw
+        u = streams.uniform_block(4, streams.STREAM_SERIES, 0, 4, (r + 1) * upd)
+        z = law.from_uniforms(u.reshape(4, r + 1, upd))
+        want = np.einsum("jed,cje->cd", matalg.power_sequence(P, r), z)
+        for count in (1, 3, 4):
+            got = series.series_ensemble(P, law, r, seed=4, count=count)
+            assert np.array_equal(got, want[:count])
 
     @pytest.mark.parametrize("dim", sorted(CHUNK_LAWS))
     def test_prefix_counts_bitwise(self, dim):

@@ -23,9 +23,11 @@ and empirical laws, and on the stable law at a non-default ``delta`` and
 laws, and on a 1-D normal law and a 3-D stable law, each with its own
 contraction; ``series`` at ``tol`` on three slow contractions
 (``diag(0.9, 0.1)``, a slow Jordan block, and ``diag(0.998, 0.5)``, whose
-cut r = 5404 needs a norm table of 32204 powers); ``lemma`` on the stable
-law, on the log-Cauchy ray with ``allow_diagnostic``, and on the 1-D
-normal and 3-D stable laws with their contractions; and
+cut r = 5404 needs a norm table of 32204 powers); ``series`` on the 1-D
+normal law at r = 33000, whose stream row is wider than the slice budget
+``laws.SLICE_UNIFORMS``, so every path is a slice of its own; ``lemma`` on
+the stable law, on the log-Cauchy ray with ``allow_diagnostic``, and on
+the 1-D normal and 3-D stable laws with their contractions; and
 ``simulate`` and ``lemma`` on an empirical pool of huge but finite values
 (1e200, whose squares overflow), so the overflow-safe route of every
 reported norm is covered.  Each
@@ -96,6 +98,12 @@ SLOW_SERIES = {
     "jordan": ({"dim": 2, "rows": [[0.95, 1.0], [0.0, 0.95]]}, 1e-3),
     "slower": ({"dim": 2, "rows": [[0.998, 0.0], [0.0, 0.5]]}, 1e-2),
 }
+
+# A ``series`` case at an explicit ``r`` whose stream row, 2 (r + 1) =
+# 66,002 uniforms of the 1-D normal law, is wider than
+# ``laws.SLICE_UNIFORMS``, so ``draws`` maps it one path per slice; the slow
+# contraction keeps every term in the sums.
+WIDE_ROW = ({"dim": 1, "rows": [[0.9999]]}, 33_000)
 
 PROCESSES = {
     "canonical-cauchy": {
@@ -194,6 +202,8 @@ def cases() -> list[tuple[str, str, dict]]:
             for pname, (P, tol) in SLOW_SERIES.items():
                 add(f"series-{pname}.tol", "series", size, workers,
                     {"P": P, "law": NORMAL_2D, "count": size, "tol": tol})
+            add("series-wide.r", "series", size, workers,
+                {"P": WIDE_ROW[0], "law": NORMAL_1D, "count": size, "r": WIDE_ROW[1]})
             add("lemma", "lemma", size, workers,
                 {"P": ROTATION_HALF, "law": STABLE_2D, "J": 16, "n_paths": size})
             add("lemma.ray", "lemma", size, workers,

@@ -163,6 +163,24 @@ def power_sequence(matrix, count: int) -> np.ndarray:
     return out
 
 
+def lag_contract(lag_major: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """``sum_j C_j z[c, j]`` for each row ``c`` of the ``(rows, lags, d)``
+    array ``z``, with ``lag_major[j, e, d] = C_j[d, e]``: the
+    ``(rows, d)`` result of one unoptimized ``einsum("jed,cje->cd")``.
+
+    With the output coordinate ``d`` innermost and contiguous, numpy's
+    einsum takes a fast path, and it sums each row in one fixed order
+    whatever the row count, with one exception: it sums two or more rows
+    in blocks of its 8192-element buffer, but a lone row at ``d = 1`` in a
+    single pass.  A lone row is therefore read twice through a broadcast
+    view, which keeps the order every other row has.
+    """
+    k = len(z)
+    if k == 1:
+        z = np.broadcast_to(z, (2, *z.shape[1:]))
+    return np.einsum("jed,cje->cd", lag_major, z)[:k]
+
+
 def norm_table(matrix, horizon: int) -> np.ndarray:
     """Operator norms ``[1, |P|, |P^2|, ..., |P^horizon|]`` (length horizon+1).
 

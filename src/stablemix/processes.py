@@ -15,9 +15,11 @@ table has none), an optional matrix ``atom_factor`` and its membership
 
     V_k = (scale + p/k) factor G^k W_k,
 
-``G`` the spec's ``increment_power`` (none unless a variant sets it).  One
-recursion ``w_k = R w_{k-1} + V_k`` with the spec's ``recursion`` ``R`` (``P``
-unless a variant sets it) gives ``Q_n U_n = w_n = sum_k R^{n-k} V_k``, and
+``G`` the spec's ``increment_power`` (none unless a variant sets it).  With
+the spec's ``recursion`` ``R`` (``P`` unless a variant sets it),
+``Q_n U_n = w_n = sum_k R^{n-k} V_k``, formed one segment between
+consecutive checkpoints ``a < b`` at a time as
+``w_b = R^{b-a} w_a + sum_{a<k<=b} R^{b-k} V_k``, and
 ``B_n = P^n / (scale + p/n)`` divides the scale back out of it.
 
 ``SyntheticCanonical``
@@ -38,7 +40,10 @@ unless a variant sets it) gives ``Q_n U_n = w_n = sum_k R^{n-k} V_k``, and
     sum ``sum_k A^-k eps_k``.
 
 Determinism: path ``i`` of an ensemble is a pure function of
-``(seed, stream, i)``; see :mod:`stablemix.streams`.  A trajectory is an
+``(seed, stream, i)`` and the checkpoint list; see :mod:`stablemix.streams`.
+A checkpoint's value depends, in its last bits, on where the checkpoint
+before it falls, since that is where its segment starts; worker count,
+chunking and the number of paths never move a bit.  A trajectory is an
 ensemble row checkpointed at every step, with raw states ``U_k = P^-k Q_k U_k``.
 """
 
@@ -220,28 +225,24 @@ def _draw_latent(spec: ProcessSpec, u: np.ndarray) -> np.ndarray:
     return np.minimum(np.searchsorted(cum, u[:, 0], side="right"), len(cum) - 1)
 
 
-def _transformed(spec: ProcessSpec, W, atom, out, powers) -> None:
-    """Write ``V_k = (scale + perturbation/k) factor G^k W_k`` for each
-    path's atom into ``out``; ``W`` and ``out`` have shape (count, n, d),
-    ``powers`` holds ``G^1..G^n`` or is None when the spec has no ``G``."""
+def _transformed(spec: ProcessSpec, W, atom, powers) -> None:
+    """Overwrite the ``(count, n, d)`` noise ``W`` with ``V_k = (scale +
+    perturbation/k) factor G^k W_k`` for each path's atom; ``powers`` holds
+    ``G^1..G^n`` or is None when the spec has no ``G``."""
     if powers is not None:
-        out[...] = np.einsum("kde,cke->ckd", powers, W)
-        W = out
+        W[...] = np.einsum("kde,cke->ckd", powers, W)
     if spec.atom_factor is not None:
         for k, factor in enumerate(spec.atom_factor):
             mask = atom == k
             if mask.any():
-                out[mask] = W[mask] @ factor.T
-        W = out
+                W[mask] = W[mask] @ factor.T
     if spec.atom_scale is not None:
         steps = np.arange(1, W.shape[1] + 1)
         coeff = spec.atom_scale[atom][:, None] + spec.perturbation / steps[None, :]
         # One multiply per coordinate: broadcast over the short last axis,
         # numpy's inner loop would run d elements at a time.
         for i in range(W.shape[2]):
-            np.multiply(W[..., i], coeff, out=out[..., i])
-    elif W is not out:
-        out[...] = W
+            np.multiply(W[..., i], coeff, out=W[..., i])
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -252,32 +253,41 @@ def _scaled_rows(spec: ProcessSpec, draws, checkpoints, qu, atom, prefix) -> Non
 
     Writes each row's atom into ``atom``, ``Q_n U_n`` at the ``i``-th
     checkpoint ``n`` of the sorted tuple ``checkpoints`` into ``qu[i]``,
-    and the first raw noise increments into ``prefix``.  Each slice is
-    transformed into ``V`` and cut to its prefix while it is in cache, so
-    no array of the chunk's uniforms or raw noise is formed.  The values
-    come from ``w_n = sum_{k<=n} R^{n-k} V_k``, the form free of huge
-    inverse powers; one pass of the recursion ``w_k = R w_{k-1} + V_k``
-    snapshots every checkpoint.
+    and the first raw noise increments into ``prefix``.  Each slice is cut
+    to its prefix, transformed into ``V`` in place and contracted while it
+    is in cache, so no array of the chunk's uniforms, noise or ``V`` is
+    formed.  The values come from ``w_n = sum_{k<=n} R^{n-k} V_k``, the
+    form free of huge inverse powers, one segment between consecutive
+    checkpoints ``a < b`` at a time:
+
+        w_b = R^{b-a} w_a + sum_{a<k<=b} R^{b-k} V_k,
+
+    one :func:`matalg.lag_contract` whose lag 0 is the carry ``w_a``,
+    written into the spent slot of ``V_a``, and whose coefficients
+    ``R^{b-a} .. R^0`` are built once per segment length.  The sum runs in
+    one order per row, whatever the slice's row count, so worker count and
+    chunking cannot move a bit; a checkpoint's last bits do depend on
+    where the checkpoint before it falls.  For ``R = I`` each segment is
+    the running sum in step order.
     """
-    count, n, G = len(atom), checkpoints[-1], spec.increment_power
+    n, G = checkpoints[-1], spec.increment_power
     powers = None if G is None else matalg.power_sequence(G, n)[1:]
-    V = np.empty((count, n, spec.dim))
+    # Segment i sums the lags starts[i] .. checkpoints[i] - 1 of the slice:
+    # V_1 .. V_b for the first, the carry and V_{a+1} .. V_b after it.
+    starts = (0, *(a - 1 for a in checkpoints[:-1]))
+    lengths = {b - s - 1 for s, b in zip(starts, checkpoints)}
+    R_powers = matalg.power_sequence(spec.recursion, max(lengths))
+    coeffs = {
+        L: np.ascontiguousarray(R_powers[L::-1].transpose(0, 2, 1)) for L in lengths
+    }
     for rows, v, W in draws:
         atom[rows] = _draw_latent(spec, v)
         prefix[rows] = W[:, :PREFIX_KEEP]
-        _transformed(spec, W, atom[rows], V[rows], powers)
-    # w is (d, count).  Elementwise ops in a fixed order keep a path's bits
-    # independent of its chunk's row count, which a BLAS matmul does not
-    # (it switches kernels for one-row chunks).
-    R = spec.recursion
-    w = np.zeros((spec.dim, count))
-    for k in range(1, n + 1):
-        nxt = V[:, k - 1].T.copy()
-        for i, j in np.ndindex(R.shape):
-            nxt[i] += R[i, j] * w[j]
-        w = nxt
-        if k in checkpoints:
-            qu[checkpoints.index(k)] = w.T
+        _transformed(spec, W, atom[rows], powers)
+        for i, (s, b) in enumerate(zip(starts, checkpoints)):
+            if i:
+                W[:, s] = qu[i - 1, rows]
+            qu[i, rows] = matalg.lag_contract(coeffs[b - s - 1], W[:, s:b])
 
 
 def _raw_states(spec: ProcessSpec, qu: dict, n: int) -> np.ndarray:
@@ -317,8 +327,11 @@ def simulate_path(spec: ProcessSpec, n: int, rng: np.random.Generator) -> Proces
 
     Takes one stream row from ``rng`` (latent uniforms first, then
     per-step noise) and hands it to the ensemble's accumulation kernel as
-    one slice of ``IncrementLaw.draws``, with every step a checkpoint, so a
-    generator handing out a path's stream row reproduces that ensemble path.
+    one slice of ``IncrementLaw.draws``, with every step a checkpoint.  A
+    generator handing out a path's stream row reproduces that ensemble
+    path bit for bit when the ensemble is also checkpointed at every step;
+    at other checkpoints the two agree up to rounding, because a
+    checkpoint's last bits depend on where the one before it falls.
     """
     if n < 1:
         raise InvalidInputError("n must be at least 1")
@@ -385,11 +398,14 @@ def simulate_ensemble(
     """Simulate ``n_paths`` independent paths, keeping only checkpoint
     statistics and prefix features.
 
-    Each chunk of stream rows goes through the accumulation kernel, whose
-    one pass writes every checkpoint's ``Q_n U_n`` into the chunk's rows, so
-    the cost is O(n) per path whatever the number of checkpoints.  The
-    kernel is row-local: values are bit-identical for any worker count and
-    chunking.  ``B_n U_n`` divides each path by its ``b_divisor(n)``.  A
+    Each chunk of stream rows goes through the accumulation kernel, which
+    contracts each slice of draws segment by segment between consecutive
+    checkpoints and writes every checkpoint's ``Q_n U_n`` into the chunk's
+    rows: the cost is O(n) per path plus one contraction call per slice
+    and checkpoint.  The kernel is row-local and sums each row in one
+    order: values are bit-identical for any worker count and chunking, and
+    a smaller ensemble is a prefix of a larger one with the same
+    checkpoints.  ``B_n U_n`` divides each path by its ``b_divisor(n)``.  A
     value past the float range raises :class:`RangeOverflowError`.
     """
     checkpoints = converted(as_checkpoints, checkpoints, "checkpoints")

@@ -100,15 +100,14 @@ def series_ensemble(
     Sample ``i`` is a pure function of ``(seed, STREAM_SERIES, i)``;
     chunking and worker count cannot change any value.
 
-    Sample ``c`` is ``sum_j P^j z[c, j]``, one unoptimized einsum over the
-    powers laid out lag-major, ``(j, e, d)`` with the output coordinate
-    ``d`` innermost and contiguous.  numpy's einsum takes a fast path on
-    that layout: a 4096-row chunk at ``d = 2`` costs about a tenth of the
-    ``(j, d, e)`` layout's time.  The sum runs in one fixed order for each
-    row, whatever the row count, so each slice from ``law.draws`` writes
-    its rows of one preallocated output; a one-row slice, which einsum
-    would sum in another order at ``d = 1`` past 8192 lags, is summed as
-    a two-row view of that row.
+    Sample ``c`` is ``sum_j P^j z[c, j]``, one :func:`matalg.lag_contract`
+    over the powers laid out lag-major, ``(j, e, d)`` with the output
+    coordinate ``d`` innermost and contiguous.  numpy's einsum takes a fast
+    path on that layout: a 4096-row chunk at ``d = 2`` costs about a tenth
+    of the ``(j, d, e)`` layout's time.  The sum runs in one fixed order
+    for each row, whatever the row count (a one-row slice included), so
+    each slice from ``law.draws`` writes its rows of one preallocated
+    output.
     """
     arr = matalg.as_square(P)
     if arr.shape[0] != law.dim:
@@ -121,15 +120,7 @@ def series_ensemble(
 
     def chunk(start, n):
         for at, _, z in law.draws(seed, streams.STREAM_SERIES, start, n, r + 1):
-            k = at.stop - at.start
-            # einsum sums two or more rows in blocks of numpy's 8192-element
-            # buffer, but one row at d = 1 in a single pass: a lone row,
-            # read twice, keeps the order every other row has.
-            if k == 1:
-                z = np.broadcast_to(z, (2, *z.shape[1:]))
-            out[start + at.start : start + at.stop] = np.einsum(
-                "jed,cje->cd", lag_major, z
-            )[:k]
+            out[start + at.start : start + at.stop] = matalg.lag_contract(lag_major, z)
 
     streams.map_chunks(chunk, count, workers)
     return out

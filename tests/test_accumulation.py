@@ -1,11 +1,12 @@
 """Property tests for the ensemble accumulation and the condition checks.
 
-``simulate_ensemble`` runs the recursion ``w_k = R w_{k-1} + V_k`` once
-over the horizon.  These tests pin it against the explicit sum
-``sum_k P^{n-k} V_k`` (the einsum the package used before, kept here as an
-oracle) and, for the explosive VAR (``R = I``), against the cumulative sum
-of ``A^-k eps_k``, across chunk boundaries, worker counts and awkward
-checkpoint lists.  Conditions (i) and (iii) are closed forms of the atom
+``simulate_ensemble`` contracts each segment between consecutive
+checkpoints, ``w_b = R^{b-a} w_a + sum_{a<k<=b} R^{b-k} V_k``.  These tests
+pin it against the explicit sum ``sum_k P^{n-k} V_k`` (an einsum over the
+whole horizon, kept here as an oracle) and, for the explosive VAR
+(``R = I``), against the cumulative sum of ``A^-k eps_k``, across chunk
+boundaries, worker counts, dimensions up to 16 and awkward checkpoint
+lists.  Conditions (i) and (iii) are closed forms of the atom
 table; they must agree with the same forms in exact rational arithmetic to
 a few ulps, whatever the path or worker count.  The oracles rebuild the
 atom draw, the increment transform and the B-scale from the spec's atom
@@ -30,11 +31,20 @@ from stablemix.processes import (
 
 CHUNK = streams.CHUNK_PATHS
 PATH_COUNTS = (CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1)
+# Path counts for the d = 8 and d = 16 specs: a lone row, counts around
+# 256, and one chunk plus one, whose last chunk is a lone row.
+WIDE_PATH_COUNTS = (1, 255, 256, 257, CHUNK + 1)
 
 
 def rotation_half():
     c, s = np.cos(np.pi / 6), np.sin(np.pi / 6)
     return 0.5 * np.array([[c, -s], [s, c]])
+
+
+def dense_contraction(d):
+    """A fixed dense ``d x d`` matrix of spectral radius 0.6."""
+    M = np.random.default_rng(d).standard_normal((d, d))
+    return 0.6 / matalg.spectral_radius(M) * M
 
 
 LAW2 = laws.NormalLaw(np.eye(2))
@@ -58,8 +68,19 @@ SPECS = {
         np.array([[2.0, 1.0, 0.0], [0.0, 2.0, 1.0], [0.0, 0.0, 2.0]]),
         laws.NormalLaw(np.eye(3)),
     ),
+    # d = 8 and d = 16: every segment contracts dense coefficient blocks.
+    "scaled-8d": RandomScaled(
+        dense_contraction(8), laws.NormalLaw(np.eye(8)), [1.0, 2.0], [0.5, 0.5],
+        perturbation=0.3,
+    ),
+    "canonical-16d": SyntheticCanonical(
+        dense_contraction(16), laws.NormalLaw(np.eye(16))
+    ),
 }
-CONTRACTING = ("canonical", "scaled-perturbed", "scaled-unsorted", "factor")
+CONTRACTING = (
+    "canonical", "scaled-perturbed", "scaled-unsorted", "factor", "scaled-8d",
+    "canonical-16d",
+)
 
 # Unsorted, with a duplicate, and always containing checkpoint 1.
 checkpoint_lists = st.lists(st.integers(1, 12), min_size=1, max_size=4).map(
@@ -128,6 +149,17 @@ def explicit_sum(spec, checkpoints, n_paths, seed):
     )
 
 
+def wide_examples(test):
+    """Run ``test`` on the d = 8 and d = 16 specs at every count of
+    ``WIDE_PATH_COUNTS``, with checkpoint 1 and a long last segment."""
+    for name in ("scaled-8d", "canonical-16d"):
+        for n_paths in WIDE_PATH_COUNTS:
+            test = example(
+                name=name, n_paths=n_paths, checkpoints=[1, 4, 12], seed=n_paths
+            )(test)
+    return test
+
+
 def assert_same_bits(a, b):
     assert a.checkpoints == b.checkpoints
     for n in a.checkpoints:
@@ -143,6 +175,7 @@ def assert_same_bits(a, b):
     seed=st.integers(0, 2**32),
 )
 @example(name="scaled-perturbed", n_paths=CHUNK + 1, checkpoints=[7, 1, 7, 3], seed=5)
+@wide_examples
 def test_worker_count_never_changes_bits(name, n_paths, checkpoints, seed):
     spec = SPECS[name]
     one = simulate_ensemble(spec, checkpoints, n_paths, seed, workers=1)
@@ -158,6 +191,7 @@ def test_worker_count_never_changes_bits(name, n_paths, checkpoints, seed):
     checkpoints=checkpoint_lists,
     seed=st.integers(0, 2**32),
 )
+@wide_examples
 def test_smaller_ensemble_is_prefix(name, n_paths, checkpoints, seed):
     spec = SPECS[name]
     small = simulate_ensemble(spec, checkpoints, n_paths, seed)

@@ -278,28 +278,39 @@ class TestEnsemble:
         assert np.array_equal(a.noise_prefix, b.noise_prefix)
 
     def test_kernel_peak_memory_on_one_chunk(self):
-        # The random-scaled spec at n = 100 on one full chunk: the uniforms
-        # are drawn, mapped to noise, transformed into V and cut to their
-        # prefix slice by slice, so the kernel holds one (count, n, d)
-        # array, not the chunk's uniforms or raw noise as well.  tracemalloc
-        # sees numpy's data buffers; the caller owns the output arrays the
-        # kernel fills.
+        # The random-scaled spec on one full chunk: each slice of uniforms
+        # is mapped to noise, cut to its prefix, transformed and contracted
+        # in place, so the kernel holds a few slices and no (count, n, d)
+        # array; its peak does not grow with n.  tracemalloc sees numpy's
+        # data buffers; the caller owns the output arrays the kernel fills.
         spec = RandomScaled(rotation_half(), laws.NormalLaw(np.eye(2)),
                             [1.0, 2.0], [0.5, 0.5])
-        count, n, checkpoints = streams.CHUNK_PATHS, 100, (25, 50, 75, 100)
-        draws = spec.noise_law.draws(
-            3, streams.STREAM_PROCESS, 0, count, n, spec.latent_uniforms
-        )
-        qu = np.empty((len(checkpoints), count, spec.dim))
-        atom = np.empty(count, dtype=np.intp)
-        prefix = np.empty((count, processes.PREFIX_KEEP, spec.dim))
-        tracemalloc.start()
-        try:
-            processes._scaled_rows(spec, draws, checkpoints, qu, atom, prefix)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.5 * count * n * spec.dim * 8
+        count = streams.CHUNK_PATHS
+        for n in (100, 400):
+            checkpoints = (n // 4, n // 2, 3 * n // 4, n)
+            draws = spec.noise_law.draws(
+                3, streams.STREAM_PROCESS, 0, count, n, spec.latent_uniforms
+            )
+            qu = np.empty((len(checkpoints), count, spec.dim))
+            atom = np.empty(count, dtype=np.intp)
+            prefix = np.empty((count, processes.PREFIX_KEEP, spec.dim))
+            tracemalloc.start()
+            try:
+                processes._scaled_rows(spec, draws, checkpoints, qu, atom, prefix)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 4 * 2**20, n
+
+    def test_lone_row_of_a_long_segment_bitwise(self):
+        # At d = 1 and more than 8192 lags, einsum sums a one-row operand in
+        # one pass and more rows in buffer blocks.  A 9000-step row is three
+        # paths to a slice, so path 4096 is a lone row at 4097 paths and
+        # shares its slice at 4100; matalg.lag_contract keeps one order.
+        spec = SyntheticCanonical(np.array([[0.9999]]), laws.NormalLaw(np.eye(1)))
+        a = simulate_ensemble(spec, [9000], 4097, seed=5)
+        b = simulate_ensemble(spec, [9000], 4100, seed=5)
+        assert a.qu[9000][4096].tobytes() == b.qu[9000][4096].tobytes()
 
     def test_growth_keeps_prefix(self):
         spec = SyntheticCanonical(rotation_half(), laws.NormalLaw(np.eye(2)))

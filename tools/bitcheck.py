@@ -17,11 +17,14 @@ and the explosive one at d = 1, 2 and 3 (on the 3-D stable law), through
 both verdicts again at an explicit ``r`` below the default,
 ``verify-stable`` at a non-default ``delta`` and ``factor``, and
 ``conditions`` at the default and at non-default ``tol``, ``levels`` and
-``bound``; ``sample-law`` on the normal, correlated normal, Cauchy, stable
-and empirical laws, and on the stable law at a non-default ``delta`` and
-``factor``; ``series`` (``tol`` and ``r``) on the normal, Cauchy and stable
-laws, and on a 1-D normal law and a 3-D stable law, each with its own
-contraction; ``series`` at ``tol`` on three slow contractions
+``bound``; the random-scaled one on a dense d = 8 contraction through
+``simulate``, ``verify-stable`` and ``verify-mixing``; ``simulate`` on a
+1-D canonical process checkpointed once at step 9000, whose count of 4097
+ends in a one-path slice; ``sample-law`` on the normal, correlated normal,
+Cauchy, stable and empirical laws, and on the stable law at a non-default
+``delta`` and ``factor``; ``series`` (``tol`` and ``r``) on the normal,
+Cauchy and stable laws, and on a 1-D normal law and a 3-D stable law, each
+with its own contraction; ``series`` at ``tol`` on three slow contractions
 (``diag(0.9, 0.1)``, a slow Jordan block, and ``diag(0.998, 0.5)``, whose
 cut r = 5404 needs a norm table of 32204 powers); ``series`` on the 1-D
 normal law at r = 33000, whose stream row is wider than the slice budget
@@ -148,6 +151,27 @@ PROCESSES = {
     },
 }
 
+# A dense d = 8 contraction (every row sums to at most 0.9 in absolute
+# value, so it contracts): each segment of the process kernel contracts full
+# 8 x 8 coefficient blocks.
+DENSE_8D = {
+    "dim": 8,
+    "rows": [[(0.3 if i <= j else -0.3) * 0.5 ** abs(i - j) for j in range(8)]
+             for i in range(8)],
+}
+SCALED_8D = {
+    "variant": "random-scaled", "P": DENSE_8D,
+    "noise": {"law": "normal", "cov": np.eye(8).tolist()},
+    "lam_values": [1.0, 2.0], "lam_probs": [0.5, 0.5],
+}
+# A d = 1 process checkpointed once, at step 9000: three 9000-step rows make
+# a slice, so a count of 4097 ends in a lone row, whose 9000-lag segment
+# einsum sums in its own order unless the row is read twice.
+LONG_1D = {
+    "variant": "synthetic-canonical", "P": {"dim": 1, "rows": [[0.9999]]},
+    "noise": NORMAL_1D,
+}
+
 SIZES = (4095, 4096, 4097)
 WORKERS = (1, 2)
 CHECKPOINTS = [5, 10, 20]
@@ -184,6 +208,14 @@ def cases() -> list[tuple[str, str, dict]]:
                     {**base, **TUNED_CONDITIONS})
                 add(f"stable-tuned.{pname}", "verify-stable", size, workers,
                     {**base, **TUNED})
+            wide = {"process": SCALED_8D, "checkpoints": CHECKPOINTS, "n_paths": size}
+            add("simulate.scaled-8d", "simulate", size, workers,
+                {**wide, "trajectories": 3})
+            add("stable.scaled-8d", "verify-stable", size, workers, wide)
+            add("mixing.scaled-8d", "verify-mixing", size, workers, wide)
+            add("simulate.canonical-1d-long", "simulate", size, workers,
+                {"process": LONG_1D, "checkpoints": [9000], "n_paths": size,
+                 "trajectories": 3})
             for lname, law in (("normal", NORMAL_2D), ("correlated", CORRELATED_2D),
                                ("cauchy", CAUCHY_2D), ("stable", STABLE_2D),
                                ("empirical", EMPIRICAL_2D)):

@@ -231,7 +231,7 @@ class NormalLaw(IncrementLaw):
         if self._identity:
             # The matmul's sums start at +0.0, so it maps the -0.0 that
             # Box-Muller gives at u1 = 0 to +0.0; so does adding +0.0.
-            return z + 0.0
+            return np.add(z, 0.0, out=z)
         return z @ self.factor.T
 
     def _cf(self, arr):

@@ -163,22 +163,20 @@ def power_sequence(matrix, count: int) -> np.ndarray:
     return out
 
 
-def lag_contract(lag_major: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """``sum_j C_j z[c, j]`` for each row ``c`` of the ``(rows, lags, d)``
-    array ``z``, with ``lag_major[j, e, d] = C_j[d, e]``: the
-    ``(rows, d)`` result of one unoptimized ``einsum("jed,cje->cd")``.
+def lag_contract(lag_major: np.ndarray, lanes: np.ndarray) -> np.ndarray:
+    """``sum_j C_j x_j`` for each lane ``c`` of the lane-major ``(lags, d,
+    lanes)`` block, ``x_j = lanes[j, :, c]`` and ``lag_major[j, e, d] =
+    C_j[d, e]``: the ``(d, lanes)`` result of one ``einsum("jed,jec->dc")``.
 
-    With the output coordinate ``d`` innermost and contiguous, numpy's
-    einsum takes a fast path, and it sums each row in one fixed order
-    whatever the row count, with one exception: it sums two or more rows
-    in blocks of its 8192-element buffer, but a lone row at ``d = 1`` in a
-    single pass.  A lone row is therefore read twice through a broadcast
-    view, which keeps the order every other row has.
+    With the lanes contiguous, its inner loop runs over them, and each lane
+    sums in lag-then-coordinate order whatever the lane count or the
+    block's outer strides; at ``d >= 2`` that is the path-major
+    ``einsum("jed,cje->cd")``'s order.  A lone lane would be summed in
+    another order, so it is read as two.
     """
-    k = len(z)
-    if k == 1:
-        z = np.broadcast_to(z, (2, *z.shape[1:]))
-    return np.einsum("jed,cje->cd", lag_major, z)[:k]
+    if lanes.shape[-1] == 1:
+        return lag_contract(lag_major, np.concatenate([lanes, lanes], axis=-1))[:, :1]
+    return np.einsum("jed,jec->dc", lag_major, lanes)
 
 
 def norm_table(matrix, horizon: int) -> np.ndarray:

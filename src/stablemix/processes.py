@@ -41,14 +41,16 @@ consecutive checkpoints ``a < b`` at a time as
 
 Determinism: path ``i`` of an ensemble is a pure function of
 ``(seed, stream, i)`` and the checkpoint list; see :mod:`stablemix.streams`.
-A checkpoint's value depends, in its last bits, on where the checkpoint
-before it falls, since that is where its segment starts; worker count,
+A checkpoint's last bits depend on where the checkpoint before it falls,
+where its segment starts.  Each path is a lane of the kernel's contraction
+and sums its lags in step order whatever its slice holds, so worker count,
 chunking and the number of paths never move a bit.  A trajectory is an
 ensemble row checkpointed at every step, with raw states ``U_k = P^-k Q_k U_k``.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -226,9 +228,9 @@ def _draw_latent(spec: ProcessSpec, u: np.ndarray) -> np.ndarray:
 
 
 def _transformed(spec: ProcessSpec, W, atom, powers) -> None:
-    """Overwrite the ``(count, n, d)`` noise ``W`` with ``V_k = (scale +
-    perturbation/k) factor G^k W_k`` for each path's atom; ``powers`` holds
-    ``G^1..G^n`` or is None when the spec has no ``G``."""
+    """Overwrite the ``(count, n, d)`` noise ``W`` with ``factor G^k W_k``
+    for each path's atom; ``powers`` holds ``G^1..G^n`` or is None when the
+    spec has no ``G``."""
     if powers is not None:
         W[...] = np.einsum("kde,cke->ckd", powers, W)
     if spec.atom_factor is not None:
@@ -236,13 +238,6 @@ def _transformed(spec: ProcessSpec, W, atom, powers) -> None:
             mask = atom == k
             if mask.any():
                 W[mask] = W[mask] @ factor.T
-    if spec.atom_scale is not None:
-        steps = np.arange(1, W.shape[1] + 1)
-        coeff = spec.atom_scale[atom][:, None] + spec.perturbation / steps[None, :]
-        # One multiply per coordinate: broadcast over the short last axis,
-        # numpy's inner loop would run d elements at a time.
-        for i in range(W.shape[2]):
-            np.multiply(W[..., i], coeff, out=W[..., i])
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -254,18 +249,18 @@ def _scaled_rows(spec: ProcessSpec, draws, checkpoints, qu, atom, prefix) -> Non
     Writes each row's atom into ``atom``, ``Q_n U_n`` at the ``i``-th
     checkpoint ``n`` of the sorted tuple ``checkpoints`` into ``qu[i]``,
     and the first raw noise increments into ``prefix``.  Each slice is cut
-    to its prefix, transformed into ``V`` in place and contracted while it
-    is in cache, so no array of the chunk's uniforms, noise or ``V`` is
-    formed.  The values come from ``w_n = sum_{k<=n} R^{n-k} V_k``, the
-    form free of huge inverse powers, one segment between consecutive
-    checkpoints ``a < b`` at a time:
+    to its prefix, transformed in place, then copied lane-major (paths
+    innermost) into ``V``, one ``(n, d, lanes)`` buffer reused by every
+    slice like the scale coefficients, and scaled there.  The values come
+    from ``w_n = sum_{k<=n} R^{n-k} V_k``, the form free of huge inverse
+    powers, one segment between consecutive checkpoints ``a < b`` at a time:
 
         w_b = R^{b-a} w_a + sum_{a<k<=b} R^{b-k} V_k,
 
     one :func:`matalg.lag_contract` whose lag 0 is the carry ``w_a``,
-    written into the spent slot of ``V_a``, and whose coefficients
-    ``R^{b-a} .. R^0`` are built once per segment length.  The sum runs in
-    one order per row, whatever the slice's row count, so worker count and
+    written into the spent lag ``V_a``, and whose coefficients
+    ``R^{b-a} .. R^0`` are built once per segment length.  Each lane sums
+    its lags in order, whatever the slice's row count, so worker count and
     chunking cannot move a bit; a checkpoint's last bits do depend on
     where the checkpoint before it falls.  For ``R = I`` each segment is
     the running sum in step order.
@@ -280,14 +275,23 @@ def _scaled_rows(spec: ProcessSpec, draws, checkpoints, qu, atom, prefix) -> Non
     coeffs = {
         L: np.ascontiguousarray(R_powers[L::-1].transpose(0, 2, 1)) for L in lengths
     }
+    shift = spec.perturbation / np.arange(1, n + 1)[:, None]
     for rows, v, W in draws:
+        k = len(W)
+        if not rows.start:
+            V, scale = np.empty((n, spec.dim, k)), np.empty((n, k))
         atom[rows] = _draw_latent(spec, v)
         prefix[rows] = W[:, :PREFIX_KEEP]
         _transformed(spec, W, atom[rows], powers)
+        lanes = V[..., :k]
+        lanes[...] = W.transpose(1, 2, 0)
+        if spec.atom_scale is not None:
+            np.add(spec.atom_scale[atom[rows]], shift, out=scale[:, :k])
+            lanes *= scale[:, None, :k]
         for i, (s, b) in enumerate(zip(starts, checkpoints)):
             if i:
-                W[:, s] = qu[i - 1, rows]
-            qu[i, rows] = matalg.lag_contract(coeffs[b - s - 1], W[:, s:b])
+                lanes[s] = qu[i - 1, rows].T
+            qu[i, rows] = matalg.lag_contract(coeffs[b - s - 1], lanes[s:b]).T
 
 
 def _raw_states(spec: ProcessSpec, qu: dict, n: int) -> np.ndarray:
@@ -355,13 +359,32 @@ def as_checkpoints(values) -> tuple[int, ...]:
     return checkpoints
 
 
+@dataclass(frozen=True, eq=False)
+class _BScaled(Mapping):
+    """:attr:`Ensemble.bu` of a spec with atom scales."""
+
+    ens: Ensemble
+
+    def __getitem__(self, n) -> np.ndarray:
+        with np.errstate(over="ignore"):
+            out = self.ens.qu[n] / self.ens.spec.b_divisor(n)[self.ens.atom][:, None]
+        out.flags.writeable = False
+        return out
+
+    def __iter__(self):
+        return iter(self.ens.qu)
+
+    def __len__(self) -> int:
+        return len(self.ens.qu)
+
+
 @dataclass(frozen=True)
 class Ensemble:
     """Checkpointed scaled statistics for many independent paths.
 
-    ``bu[n]`` and ``qu[n]`` hold ``B_n U_n`` and ``Q_n U_n`` as
-    ``(n_paths, d)`` arrays, one array when the spec has no atom scales.
-    ``atom`` holds each path's row of the spec's atom table.
+    ``qu[n]`` holds ``Q_n U_n`` as an ``(n_paths, d)`` array, and ``bu[n]``
+    gives ``B_n U_n`` (see :attr:`bu`).  ``atom`` holds each path's row of
+    the spec's atom table.
     ``noise_prefix`` keeps the first raw noise increments of every path so
     event families can evaluate prefix features without re-simulation.
     :func:`simulate_ensemble` makes every array read-only, so one ensemble
@@ -371,7 +394,6 @@ class Ensemble:
     spec: ProcessSpec
     n_paths: int
     checkpoints: tuple[int, ...]
-    bu: dict
     qu: dict
     atom: np.ndarray
     noise_prefix: np.ndarray
@@ -379,6 +401,12 @@ class Ensemble:
     @property
     def dim(self) -> int:
         return self.spec.dim
+
+    @property
+    def bu(self):
+        """``B_n U_n`` by checkpoint: ``qu`` without atom scales, else each
+        ``Q_n U_n`` divided by its path's ``b_divisor(n)`` when read."""
+        return self.qu if self.spec.atom_scale is None else _BScaled(self)
 
     @property
     def in_g(self) -> np.ndarray:
@@ -405,8 +433,8 @@ def simulate_ensemble(
     and checkpoint.  The kernel is row-local and sums each row in one
     order: values are bit-identical for any worker count and chunking, and
     a smaller ensemble is a prefix of a larger one with the same
-    checkpoints.  ``B_n U_n`` divides each path by its ``b_divisor(n)``.  A
-    value past the float range raises :class:`RangeOverflowError`.
+    checkpoints.  A value of ``Q_n U_n`` or ``B_n U_n`` past the float range
+    raises :class:`RangeOverflowError`.
     """
     checkpoints = converted(as_checkpoints, checkpoints, "checkpoints")
     if n_paths < 1:
@@ -424,20 +452,15 @@ def simulate_ensemble(
         _scaled_rows(spec, noise, checkpoints, qu[:, rows], atom[rows], prefix[rows])
 
     streams.map_chunks(chunk, n_paths, workers)
-    bu = qu
-    if spec.atom_scale is not None:
-        divisor = np.array([spec.b_divisor(cp) for cp in checkpoints])[:, atom, None]
-        with np.errstate(over="ignore"):
-            bu = qu / divisor
-    if not (np.isfinite(qu).all() and np.isfinite(bu).all()):
+    for arr in (qu, atom, prefix):
+        arr.flags.writeable = False
+    qu_at = dict(zip(checkpoints, qu))
+    ens = Ensemble(spec, n_paths, checkpoints, qu_at, atom, prefix)
+    if not all(np.isfinite(x[cp]).all() for x in (qu_at, ens.bu) for cp in qu_at):
         raise RangeOverflowError(
             f"Q_n U_n or B_n U_n left the float range within {n} steps"
         )
-    for arr in (bu, qu, atom, prefix):
-        arr.flags.writeable = False
-    qu_at = dict(zip(checkpoints, qu))
-    bu_at = qu_at if bu is qu else dict(zip(checkpoints, bu))
-    return Ensemble(spec, n_paths, checkpoints, bu_at, qu_at, atom, prefix)
+    return ens
 
 
 def write_paths_csv(path, ensemble: Ensemble) -> None:

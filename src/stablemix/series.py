@@ -101,13 +101,11 @@ def series_ensemble(
     chunking and worker count cannot change any value.
 
     Sample ``c`` is ``sum_j P^j z[c, j]``, one :func:`matalg.lag_contract`
-    over the powers laid out lag-major, ``(j, e, d)`` with the output
-    coordinate ``d`` innermost and contiguous.  numpy's einsum takes a fast
-    path on that layout: a 4096-row chunk at ``d = 2`` costs about a tenth
-    of the ``(j, d, e)`` layout's time.  The sum runs in one fixed order
-    for each row, whatever the row count (a one-row slice included), so
-    each slice from ``law.draws`` writes its rows of one preallocated
-    output.
+    per slice of ``law.draws``: the slice is copied lane-major, ``(j, e,
+    c)`` with the samples innermost, and contracted against the powers
+    laid out ``(j, e, d)``.  Each sample sums its terms in lag order
+    whatever the slice's row count (a one-row slice included), so each
+    slice writes its rows of one preallocated output.
     """
     arr = matalg.as_square(P)
     if arr.shape[0] != law.dim:
@@ -119,8 +117,9 @@ def series_ensemble(
     out = np.empty((count, law.dim))
 
     def chunk(start, n):
+        rows = out[start : start + n]
         for at, _, z in law.draws(seed, streams.STREAM_SERIES, start, n, r + 1):
-            out[start + at.start : start + at.stop] = matalg.lag_contract(lag_major, z)
+            rows[at] = matalg.lag_contract(lag_major, z.transpose(1, 2, 0).copy()).T
 
     streams.map_chunks(chunk, count, workers)
     return out

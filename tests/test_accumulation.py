@@ -151,12 +151,16 @@ def explicit_sum(spec, checkpoints, n_paths, seed):
 
 def wide_examples(test):
     """Run ``test`` on the d = 8 and d = 16 specs at every count of
-    ``WIDE_PATH_COUNTS``, with checkpoint 1 and a long last segment."""
+    ``WIDE_PATH_COUNTS``, with checkpoint 1 and a long last segment, and
+    with a 100-step horizon, whose slices of 81 and 40 paths leave every
+    count but 1 a ragged last slice in the kernel's reused lane buffer."""
     for name in ("scaled-8d", "canonical-16d"):
         for n_paths in WIDE_PATH_COUNTS:
-            test = example(
-                name=name, n_paths=n_paths, checkpoints=[1, 4, 12], seed=n_paths
-            )(test)
+            for checkpoints in ([1, 4, 12], [1, 37, 100]):
+                test = example(
+                    name=name, n_paths=n_paths, checkpoints=checkpoints,
+                    seed=n_paths,
+                )(test)
     return test
 
 

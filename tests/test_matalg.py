@@ -150,6 +150,55 @@ class TestPowerSequence:
             matalg.power_sequence([[0.5]], -1)
 
 
+# (lags, lanes) of the lag_contract tests: one lag, a certify-scaled
+# segment, and more lags than einsum's 8192-element buffer, each from a lone
+# lane to a full slice; 9000 lags of 326 lanes would take 375 MB at d = 16.
+CONTRACT_SHAPES = [
+    (lags, lanes) for lags in (1, 26, 9000) for lanes in (1, 2, 5, 326)
+    if (lags, lanes) != (9000, 326)
+]
+
+
+def contract_operands(d, lags, lanes):
+    """Coefficients ``(lags, d, d)``, a lane-major ``(lags, d, lanes)`` block
+    and the same block as the first lanes of a wider buffer, whose other
+    lanes are ``nan``."""
+    rng = np.random.default_rng([d, lags, lanes])
+    lag_major = rng.standard_normal((lags, d, d))
+    block = rng.standard_normal((lags, d, lanes))
+    wide = np.full((lags, d, lanes + 3), np.nan)
+    wide[..., :lanes] = block
+    return lag_major, block, wide[..., :lanes]
+
+
+class TestLagContract:
+    @pytest.mark.parametrize("lags, lanes", CONTRACT_SHAPES)
+    @pytest.mark.parametrize("d", [2, 3, 8, 16])
+    def test_bits_of_the_path_major_einsum(self, d, lags, lanes):
+        # The report bits of every d >= 2 process and series value, before
+        # the lanes moved innermost, came from this path-major einsum.
+        lag_major, block, sliced = contract_operands(d, lags, lanes)
+        rows = np.ascontiguousarray(block.transpose(2, 0, 1))
+        want = np.einsum("jed,cje->cd", lag_major, rows)
+        for lanes_in in (block, sliced):
+            got = matalg.lag_contract(lag_major, lanes_in)
+            assert got.shape == (d, lanes)
+            assert got.T.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("lags, lanes", CONTRACT_SHAPES)
+    def test_one_coordinate_sums_each_lane_in_lag_order(self, lags, lanes):
+        # At d = 1 the path-major einsum sums a row in an order that depends
+        # on its strides, so the oracle is the plain running sum from +0.0.
+        lag_major, block, sliced = contract_operands(1, lags, lanes)
+        want = np.zeros(lanes)
+        for j in range(lags):
+            want = want + lag_major[j, 0, 0] * block[j, 0]
+        for lanes_in in (block, sliced):
+            assert matalg.lag_contract(lag_major, lanes_in)[0].tobytes() == (
+                want.tobytes()
+            )
+
+
 def reference_row_norms(values):
     """Oracle: ``np.linalg.norm`` over the last axis, with the rows it
     overflows on rescaled by their largest magnitude."""

@@ -303,10 +303,10 @@ class TestEnsemble:
             assert peak < 4 * 2**20, n
 
     def test_lone_row_of_a_long_segment_bitwise(self):
-        # At d = 1 and more than 8192 lags, einsum sums a one-row operand in
-        # one pass and more rows in buffer blocks.  A 9000-step row is three
-        # paths to a slice, so path 4096 is a lone row at 4097 paths and
-        # shares its slice at 4100; matalg.lag_contract keeps one order.
+        # At d = 1 and more than 8192 lags, einsum sums a lone lane in
+        # another order than two or more.  A 9000-step row is three paths to
+        # a slice, so path 4096 is a lone lane at 4097 paths and shares its
+        # slice at 4100; matalg.lag_contract keeps one order.
         spec = SyntheticCanonical(np.array([[0.9999]]), laws.NormalLaw(np.eye(1)))
         a = simulate_ensemble(spec, [9000], 4097, seed=5)
         b = simulate_ensemble(spec, [9000], 4100, seed=5)
@@ -387,7 +387,8 @@ class TestEnsemble:
     def test_values_stored_once(self):
         # Membership is a function of the atom for every variant.  Without
         # atom scales B_n U_n and Q_n U_n are one array; with them B_n U_n
-        # is Q_n U_n divided by the path's B divisor, bit for bit.
+        # is Q_n U_n divided by the path's B divisor, bit for bit, formed
+        # each time it is read, so the ensemble holds no second copy.
         for spec in all_specs() + [
             RandomScaled(
                 rotation_half(), laws.NormalLaw(np.eye(2)), [1.0, 2.0],
@@ -399,6 +400,7 @@ class TestEnsemble:
             for n in (3, 6):
                 shared = ens.bu[n] is ens.qu[n]
                 assert shared == (spec.atom_scale is None), type(spec).__name__
+                assert shared or ens.bu[n] is not ens.bu[n]
                 divisor = spec.b_divisor(n)[ens.atom][:, None]
                 assert ens.bu[n].tobytes() == (ens.qu[n] / divisor).tobytes()
 

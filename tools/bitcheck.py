@@ -18,7 +18,8 @@ both verdicts again at an explicit ``r`` below the default,
 ``verify-stable`` at a non-default ``delta`` and ``factor``, and
 ``conditions`` at the default and at non-default ``tol``, ``levels`` and
 ``bound``; the random-scaled one on a dense d = 8 contraction through
-``simulate``, ``verify-stable`` and ``verify-mixing``; ``simulate`` on a
+``simulate``, ``verify-stable`` and ``verify-mixing``, and on a dense
+d = 16 one through ``simulate`` and ``verify-stable``; ``simulate`` on a
 1-D canonical process checkpointed once at step 9000, whose count of 4097
 ends in a one-path slice; ``sample-law`` on the normal, correlated normal,
 Cauchy, stable and empirical laws, and on the stable law at a non-default
@@ -151,22 +152,25 @@ PROCESSES = {
     },
 }
 
-# A dense d = 8 contraction (every row sums to at most 0.9 in absolute
-# value, so it contracts): each segment of the process kernel contracts full
-# 8 x 8 coefficient blocks.
-DENSE_8D = {
-    "dim": 8,
-    "rows": [[(0.3 if i <= j else -0.3) * 0.5 ** abs(i - j) for j in range(8)]
-             for i in range(8)],
-}
-SCALED_8D = {
-    "variant": "random-scaled", "P": DENSE_8D,
-    "noise": {"law": "normal", "cov": np.eye(8).tolist()},
-    "lam_values": [1.0, 2.0], "lam_probs": [0.5, 0.5],
-}
+
+def scaled_dense(d: int) -> dict:
+    """A random-scaled process on a dense ``d x d`` contraction (every row
+    sums to at most 0.9 in absolute value), so each segment of the process
+    kernel contracts full ``d x d`` coefficient blocks."""
+    rows = [[(0.3 if i <= j else -0.3) * 0.5 ** abs(i - j) for j in range(d)]
+            for i in range(d)]
+    return {
+        "variant": "random-scaled", "P": {"dim": d, "rows": rows},
+        "noise": {"law": "normal", "cov": np.eye(d).tolist()},
+        "lam_values": [1.0, 2.0], "lam_probs": [0.5, 0.5],
+    }
+
+
+# d = 8, and d = 16, the largest dimension of matalg's accuracy contract.
+SCALED_8D, SCALED_16D = scaled_dense(8), scaled_dense(16)
 # A d = 1 process checkpointed once, at step 9000: three 9000-step rows make
 # a slice, so a count of 4097 ends in a lone row, whose 9000-lag segment
-# einsum sums in its own order unless the row is read twice.
+# einsum sums in its own order unless the row is read as two lanes.
 LONG_1D = {
     "variant": "synthetic-canonical", "P": {"dim": 1, "rows": [[0.9999]]},
     "noise": NORMAL_1D,
@@ -213,6 +217,10 @@ def cases() -> list[tuple[str, str, dict]]:
                 {**wide, "trajectories": 3})
             add("stable.scaled-8d", "verify-stable", size, workers, wide)
             add("mixing.scaled-8d", "verify-mixing", size, workers, wide)
+            widest = {**wide, "process": SCALED_16D}
+            add("simulate.scaled-16d", "simulate", size, workers,
+                {**widest, "trajectories": 3})
+            add("stable.scaled-16d", "verify-stable", size, workers, widest)
             add("simulate.canonical-1d-long", "simulate", size, workers,
                 {"process": LONG_1D, "checkpoints": [9000], "n_paths": size,
                  "trajectories": 3})

@@ -9,8 +9,10 @@ Three structural checks validate the scaling arithmetic:
   stochastic-boundedness:  |Q_n U_n| does not drift off to infinity
   scaling-ratio:           B_n B_{n-r}^-1 matches the contraction power P^r
 
-The first and last are closed forms of the spec, judged at their limit;
-stochastic boundedness is the one read off the simulated paths.
+All three are judged at their limit by closed forms of the spec.  For
+stochastic boundedness that is the noise law's finite log-moment, which
+makes Q_n U_n a partial sum of an almost surely convergent series; its
+exceedance frequencies on the simulated paths are printed for inspection.
 """
 
 import numpy as np

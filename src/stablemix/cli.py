@@ -71,12 +71,12 @@ def validate_config(command: str, cfg: dict) -> dict:
     if command == "series" and (values["tol"] is None) == (values["r"] is None):
         raise ConfigError("series needs exactly one of 'tol' or 'r'")
     if (
-        command == "lemma" and isinstance(values["law"], laws.LogCauchyRay)
+        command == "lemma" and not values["law"].log_moment_finite
         and not values["allow_diagnostic"]
     ):
         raise ConfigError(
-            "log-cauchy-ray is a diagnostic sampler: lemma takes it only with "
-            "allow_diagnostic true"
+            f"{cfg['law']['law']} is a diagnostic sampler: lemma takes it only "
+            "with allow_diagnostic true"
         )
     return values
 
@@ -255,7 +255,7 @@ _CHECKS = {
     "verify-stable": [("verify_stable", _ECF_ARGS)],
     "conditions": [
         ("check_condition_i", {"tol": "tol"}),
-        ("check_condition_ii", {"levels": "levels", "bound": "bound"}),
+        ("check_condition_ii", {}),
         ("check_condition_iii", {"tol": "tol"}),
     ],
 }

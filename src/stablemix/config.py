@@ -165,12 +165,12 @@ LAWS = {
 def law_from_json(obj, allow_diagnostic: bool = False) -> laws.IncrementLaw:
     """Law from its JSON object, tagged by ``law``.
 
-    The diagnostic ``log-cauchy-ray`` tag is rejected unless explicitly
+    A diagnostic law, one without a finite log-moment, is rejected unless
     allowed, so limit-law consumers cannot receive it by accident.
     """
     law = read(obj, LAWS, "law", tag="law")
-    if isinstance(law, laws.LogCauchyRay) and not allow_diagnostic:
-        raise ConfigError("log-cauchy-ray is a diagnostic sampler, not a limit law")
+    if not law.log_moment_finite and not allow_diagnostic:
+        raise ConfigError(f"{obj['law']} is a diagnostic sampler, not a limit law")
     return law
 
 
@@ -246,10 +246,6 @@ COMMANDS = {
             f"above the largest condition (iii) lag, {max(verify.CONDITION_LAGS)}",
         ),
         "tol": Default(NONNEGATIVE_REAL, verify.DEFAULT_TOLERANCE),
-        "levels": Default(
-            _bounded(listof(POSITIVE_REAL), bool, "a nonempty list"), [2, 4, 8, 16]
-        ),
-        "bound": Default(NONNEGATIVE_REAL, 0.05),
     }),
 }
 

@@ -173,10 +173,12 @@ class IncrementLaw:
     the characteristic function at the rows of a finite ``(m, dim)`` array.
     ``cf`` is the one gate in front of ``_cf``: it checks the thetas and
     unwraps a single vector.  Stream draws go through ``draws``.
+    ``log_moment_finite`` states whether ``E log+ |W| < inf``.
     """
 
     dim: int
     uniforms_per_draw: int
+    log_moment_finite = True
 
     def from_uniforms(self, u: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -376,8 +378,10 @@ class LogCauchyRay(IncrementLaw):
     to demonstrate non-convergent series diagnostics.  Draws can overflow to
     ``inf``; that is honest here, since an overflowed draw genuinely exceeds
     every finite threshold the diagnostics compare against.  Not a limit law:
-    no characteristic-function closed form is provided.
+    no cf closed form is provided, and ``ProcessSpec`` refuses it as noise.
     """
+
+    log_moment_finite = False
 
     def __init__(self, dim: int = 1):
         if dim < 1:

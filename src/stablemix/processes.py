@@ -102,6 +102,10 @@ class ProcessSpec:
             raise HypothesisViolationError(
                 f"P must be a strict contraction in spectral radius, got rho={rho:.6g}"
             )
+        if not noise_law.log_moment_finite:
+            raise HypothesisViolationError(
+                f"{type(noise_law).__name__} noise has an infinite log-moment"
+            )
         self.P_inv = matalg.inverse(self.P)
         self.noise_law = noise_law
         self.dim = self.P.shape[0]

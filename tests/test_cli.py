@@ -574,6 +574,27 @@ class TestConditions:
         out = tmp_path / "out"
         assert main(["conditions", "--config", cfg, "--out", str(out)]) == 0
 
+    def test_wide_noise_passes_boundedness(self, tmp_path):
+        # A tight spec with 38% of its paths past level 16: (ii) passes by
+        # the noise law's finite log-moment and reports the exceedances.
+        noise = {"law": "normal", "cov": [[100.0, 0.0], [0.0, 100.0]]}
+        spec = {"variant": "synthetic-canonical", "P": HALF_IDENTITY_2D, "noise": noise}
+        cfg = write_cfg(
+            tmp_path,
+            {
+                "schema_version": 1, "seed": 3, "process": spec,
+                "checkpoints": [50, 200], "n_paths": 20000,
+            },
+        )
+        out = tmp_path / "out"
+        assert main(["conditions", "--config", cfg, "--out", str(out)]) == 0
+        report = read_report(out)
+        assert report["verdicts"][1]["pass"]
+        stats = report["statistics"]
+        assert stats["stochastic-boundedness.n50"] == 7685 / 20000
+        assert stats["stochastic-boundedness.n200"] == 7718 / 20000
+        assert stats["stochastic-boundedness.threshold"] == 1.0
+
     @pytest.mark.parametrize(
         "lams, probs",
         [([1.0, 2.0], [0.5, 0.5]), ([1.0, 0.25], [0.97, 0.03])],
@@ -780,12 +801,10 @@ class TestConfigValidation:
         [
             ("sample-law", {"factor": True}),
             ("series", {"tol": True, "r": None}),
-            ("conditions", {"bound": True}),
             ("sample-law", {"delta": True}),
             ("sample-law", {"law": {"law": "stable", "alpha": True,
                                     "atoms": [[1.0]], "weights": [1.0]}}),
             ("simulate", {"process": {**SCALED_ONE, "perturbation": True}}),
-            ("conditions", {"levels": [True, 2]}),
             ("simulate", {"process": {**SCALED_ONE, "lam_values": [True]}}),
             ("simulate", {"process": {**SCALED_ONE, "lam_probs": [True]}}),
             ("sample-law", {"law": {"law": "normal", "cov": [[True]]}}),
@@ -797,8 +816,8 @@ class TestConfigValidation:
                                     "atoms": [[1.0]], "weights": [True]}}),
             ("sample-law", {"law": {"law": "empirical", "pool": [[True]]}}),
         ],
-        ids=["factor", "tol", "bound", "delta", "alpha", "perturbation", "levels",
-             "lam_values", "lam_probs", "cov", "rows", "atoms", "weights", "pool"],
+        ids=["factor", "tol", "delta", "alpha", "perturbation", "lam_values",
+             "lam_probs", "cov", "rows", "atoms", "weights", "pool"],
     )
     def test_booleans_are_not_numbers(self, tmp_path, capsys, command, entries):
         # JSON true is not 1.0: each of these ran at the value 1 before.  An
@@ -845,6 +864,8 @@ class TestConfigValidation:
             ("verify-mixing", {"min_paths": 100}, "min_paths"),
             ("verify-stable", {"grid_directions": 10}, "grid_directions"),
             ("conditions", {"lags": [1, 2]}, "lags"),
+            ("conditions", {"levels": [2, 4, 8, 16]}, "levels"),
+            ("conditions", {"bound": 0.05}, "bound"),
             ("sample-law", {"law": {"law": "empirical", "pool": [[1.0]],
                                     "csv": "pool.csv"}}, "csv"),
             ("simulate", {"process": {**CANONICAL, "lam_values": [1.0, 2.0]}},
@@ -862,6 +883,7 @@ class TestConfigValidation:
             }}, "perturbation"),
         ],
         ids=["sample-law-grid", "series-grid", "min-paths", "stable-grid", "lags",
+             "conditions-levels", "conditions-bound",
              "law-csv", "canonical-lam_values", "matrix-cols", "factor-junk",
              "explosive-perturbation"],
     )
@@ -879,11 +901,9 @@ class TestConfigValidation:
             ("series", {"P": SCALAR_P, "r": 3, "factor": math.nan}),
             ("verify-stable", {"factor": math.nan}),
             ("conditions", {"tol": math.inf}),
-            ("conditions", {"bound": -math.inf}),
-            ("conditions", {"levels": [2, math.inf]}),
         ],
         ids=["sample-law-nan", "sample-law-inf", "series-nan", "stable-nan",
-             "conditions-tol", "conditions-bound", "conditions-levels"],
+             "conditions-tol"],
     )
     def test_non_finite_numbers_exit_2(self, tmp_path, capsys, command, entries):
         # json.dumps writes NaN and Infinity tokens, which json.load accepts.
@@ -1012,8 +1032,6 @@ class TestConfigValidation:
         [
             ("verify-stable", {"delta": 2}, "'delta'"),
             ("verify-mixing", {"delta": 0}, "'delta'"),
-            ("conditions", {"levels": []}, "'levels'"),
-            ("conditions", {"levels": [0, 4]}, "'levels'"),
             ("sample-law", {"delta": 1.0}, "'delta'"),
             ("series", {"delta": -0.5}, "'delta'"),
             ("series", {"tol": 0.01}, "exactly one"),
@@ -1022,7 +1040,6 @@ class TestConfigValidation:
             ("series", {"tol": -1.0, "r": None}, "'tol'"),
             ("lemma", {"law": {"law": "log-cauchy-ray"}}, "allow_diagnostic"),
             ("conditions", {"tol": -1}, "'tol'"),
-            ("conditions", {"bound": -1}, "'bound'"),
             ("simulate", {"process": VANISHING}, "vanishes for atom 0"),
             ("verify-stable", {"process": VANISHING}, "vanishes for atom 0"),
             ("verify-mixing", {"process": VANISHING}, "vanishes for atom 0"),
@@ -1030,10 +1047,9 @@ class TestConfigValidation:
             ("sample-law", {"seed": 2**64}, "'seed'"),
             ("simulate", {"seed": 2**64}, "'seed'"),
         ],
-        ids=["stable-delta", "mixing-delta", "levels-empty", "levels-zero",
-             "sample-law-delta", "series-delta", "tol-and-r", "neither",
-             "tol-zero", "tol-negative", "ray-not-allowed",
-             "conditions-tol-negative", "conditions-bound-negative",
+        ids=["stable-delta", "mixing-delta", "sample-law-delta", "series-delta",
+             "tol-and-r", "neither", "tol-zero", "tol-negative", "ray-not-allowed",
+             "conditions-tol-negative",
              "simulate-vanishing-divisor", "stable-vanishing-divisor",
              "mixing-vanishing-divisor", "conditions-vanishing-divisor",
              "sample-law-seed-2-64", "simulate-seed-2-64"],

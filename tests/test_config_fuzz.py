@@ -171,11 +171,7 @@ def configs(draw, command):
         if command == "simulate":
             values["trajectories"] = draw(st.integers(0, 3))
         elif command == "conditions":
-            values.update(
-                tol=draw(st.floats(1e-9, 1e-3)),
-                levels=draw(st.lists(st.floats(0.5, 20.0), min_size=1, max_size=3)),
-                bound=draw(st.floats(0.01, 0.5)),
-            )
+            values["tol"] = draw(st.floats(1e-9, 1e-3))
         else:
             values.update(r=draw(st.integers(0, 8)), **ecf_check,
                           family=draw(st.sampled_from(["default", "omega"])))

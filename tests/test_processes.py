@@ -11,7 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from stablemix import laws, processes, streams
+from stablemix import cli, config, laws, processes, series, streams
 from stablemix.config import process_from_json
 from stablemix.errors import (
     HypothesisViolationError,
@@ -126,6 +126,56 @@ class TestConstruction:
         A = np.array([[2.0, 1.0], [0.0, 3.0]])
         spec = ExplosiveVar(A, laws.NormalLaw(np.eye(2)))
         assert np.allclose(spec.P @ A, np.eye(2), atol=1e-12)
+
+
+# Each variant at d = 1, built on a given noise law.
+VARIANTS = {
+    "canonical": lambda law: SyntheticCanonical([[0.5]], law),
+    "random-scaled": lambda law: RandomScaled([[0.5]], law, [1.0, 2.0], [0.5, 0.5]),
+    "discrete-factor": lambda law: DiscreteFactor(
+        [[0.5]], law, [[[1.0]], [[2.0]]], [0.5, 0.5]
+    ),
+    "explosive": lambda law: ExplosiveVar([[2.0]], law),
+}
+# A 1-D config object for every law tag.
+LAW_OBJECTS = {
+    "normal": {"law": "normal", "cov": [[1.0]]},
+    "cauchy": {"law": "cauchy", "dim": 1},
+    "stable": {"law": "stable", "alpha": 1.5, "atoms": [[1.0]], "weights": [1.0]},
+    "empirical": {"law": "empirical", "pool": [[1.0], [-2.0]]},
+    "log-cauchy-ray": {"law": "log-cauchy-ray"},
+}
+
+
+class TestLogMoment:
+    """Condition (ii) holds in closed form because every spec's noise law
+    has a finite log-moment: each law declares it, and a spec refuses a
+    law without one."""
+
+    @pytest.mark.parametrize("variant", list(VARIANTS))
+    def test_variants_refuse_infinite_log_moment(self, variant):
+        with pytest.raises(HypothesisViolationError, match="infinite log-moment"):
+            VARIANTS[variant](laws.LogCauchyRay(1))
+        assert VARIANTS[variant](laws.NormalLaw(np.eye(1))).dim == 1
+
+    @pytest.mark.parametrize("tag", list(config.LAWS))
+    def test_every_law_declares_its_log_moment(self, tag):
+        law = config.law_from_json(LAW_OBJECTS[tag], allow_diagnostic=True)
+        assert law.log_moment_finite is (tag != "log-cauchy-ray")
+
+    def test_lemma_still_takes_the_ray(self):
+        cfg = {
+            "schema_version": 1, "seed": 0, "P": {"dim": 1, "rows": [[0.5]]},
+            "law": LAW_OBJECTS["log-cauchy-ray"], "J": 8, "n_paths": 16,
+        }
+        with pytest.raises(InvalidInputError, match="allow_diagnostic"):
+            cli.validate_config("lemma", cfg)
+        values = cli.validate_config("lemma", {**cfg, "allow_diagnostic": True})
+        assert not values["law"].log_moment_finite
+        diag = series.lemma_diagnostics(
+            values["P"], values["law"], values["J"], values["n_paths"], seed=0
+        )
+        assert diag.n_paths == 16
 
 
 class TestUniformBudget:

@@ -37,6 +37,19 @@ def rotation_half():
     return 0.5 * np.array([[c, -s], [s, c]])
 
 
+def dense_contraction(d):
+    """A dense ``d x d`` contraction: every row sums to at most 0.9 in
+    absolute value."""
+    return np.array([[(0.3 if i <= j else -0.3) * 0.5 ** abs(i - j)
+                      for j in range(d)] for i in range(d)])
+
+
+def stable_law(d):
+    """The alpha = 1.5 stable law on the ``d`` coordinate axes, equally
+    weighted."""
+    return laws.StableLaw(1.5, laws.SpectralMeasure(np.eye(d), np.full(d, 1.0 / d)))
+
+
 def lemma_oracle(P, law, J, n_paths, seed):
     """Oracle: the lemma's per-path values from one ``from_uniforms`` call on
     the whole uniform block, reduced over all paths at once."""
@@ -563,20 +576,25 @@ class TestLemmaDiagnostics:
         assert a.late_exceedance_fraction == b.late_exceedance_fraction
 
     @pytest.mark.parametrize(
-        "law",
+        "P, law",
         [
-            laws.NormalLaw(np.array([[2.0, 0.6], [0.6, 1.0]])),
-            laws.StableLaw(1.5, laws.SpectralMeasure(np.eye(2), [0.5, 0.5])),
-            laws.LogCauchyRay(2),
+            (rotation_half(), laws.NormalLaw(np.array([[2.0, 0.6], [0.6, 1.0]]))),
+            (rotation_half(), stable_law(2)),
+            (rotation_half(), laws.LogCauchyRay(2)),
+            *[(dense_contraction(d), law)
+              for d in (8, 16) for law in (laws.NormalLaw(np.eye(d)), stable_law(d))],
         ],
-        ids=["normal", "stable", "ray"],
+        ids=["normal", "stable", "ray", "normal-8d", "stable-8d", "normal-16d",
+             "stable-16d"],
     )
-    def test_slice_and_chunk_boundaries_bitwise(self, law):
+    def test_slice_and_chunk_boundaries_bitwise(self, P, law):
         # Path counts on both sides of one slice (256) and of one chunk
         # (4096), at 1 and 2 workers: every per-path array and the
         # exceedance frequencies equal the whole-block oracle byte for
-        # byte, and each smaller run is a prefix of the largest.
-        J, seed, P = 16, 12, rotation_half()
+        # byte, and each smaller run is a prefix of the largest.  At d = 8
+        # and 16 the contraction is dense, so every term mixes every
+        # coordinate.
+        J, seed = 16, 12
         fields = list(lemma_oracle(P, law, J, 1, seed))
         largest = lemma_oracle(P, law, J, 4097, seed)
         for n_paths in (1, 255, 256, 257, 4095, 4097):

@@ -16,10 +16,12 @@ and the explosive one at d = 1, 2 and 3 (on the 3-D stable law), through
 ``simulate``, ``verify-stable``, ``verify-mixing`` (``bu`` and ``qu``),
 both verdicts again at an explicit ``r`` below the default,
 ``verify-stable`` at a non-default ``delta`` and ``factor``, and
-``conditions`` at the default and at non-default ``tol``, ``levels`` and
-``bound``; the random-scaled one on a dense d = 8 contraction through
-``simulate``, ``verify-stable`` and ``verify-mixing``, and on a dense
-d = 16 one through ``simulate`` and ``verify-stable``; ``simulate`` on a
+``conditions`` at the default and at a non-default ``tol``; ``conditions``
+on two tight canonical processes whose ``Q_n U_n`` often lies past level
+16 of condition (ii)'s table, one on noise of covariance 100 I and one on
+a contraction with a coupling of 40; the random-scaled one on a dense
+d = 8 contraction through ``simulate``, ``verify-stable`` and
+``verify-mixing``, and on a dense d = 16 one through ``simulate`` and ``verify-stable``; ``simulate`` on a
 1-D canonical process checkpointed once at step 9000, whose count of 4097
 ends in a one-path slice; ``sample-law`` on the normal, correlated normal,
 Cauchy, stable and empirical laws, and on the stable law at a non-default
@@ -93,7 +95,7 @@ LEMMA_OFF_2D = {
 }
 # Non-default values of the keys that tune a check.
 TUNED = {"delta": 0.01, "factor": 2.5}
-TUNED_CONDITIONS = {"tol": 1e-6, "levels": [1.0, 3.0], "bound": 0.2}
+TUNED_CONDITIONS = {"tol": 1e-6}
 
 # Contractions that decay slowly enough for ``truncation_index`` to build
 # more than one norm table or a long one, with the tol of each case.
@@ -166,6 +168,18 @@ def scaled_dense(d: int) -> dict:
     }
 
 
+# Tight canonical processes often past level 16 of condition (ii)'s table.
+PAST_LEVEL_16 = {
+    "wide-noise": {
+        "variant": "synthetic-canonical",
+        "P": {"dim": 2, "rows": [[0.5, 0.0], [0.0, 0.5]]},
+        "noise": {"law": "normal", "cov": [[100.0, 0.0], [0.0, 100.0]]},
+    },
+    "large-coupling": {
+        "variant": "synthetic-canonical",
+        "P": {"dim": 2, "rows": [[0.5, 40.0], [0.0, 0.5]]}, "noise": NORMAL_2D,
+    },
+}
 # d = 8, and d = 16, the largest dimension of matalg's accuracy contract.
 SCALED_8D, SCALED_16D = scaled_dense(8), scaled_dense(16)
 # A d = 1 process checkpointed once, at step 9000: three 9000-step rows make
@@ -212,6 +226,9 @@ def cases() -> list[tuple[str, str, dict]]:
                     {**base, **TUNED_CONDITIONS})
                 add(f"stable-tuned.{pname}", "verify-stable", size, workers,
                     {**base, **TUNED})
+            for pname, proc in PAST_LEVEL_16.items():
+                add(f"conditions.{pname}", "conditions", size, workers,
+                    {"process": proc, "checkpoints": CHECKPOINTS, "n_paths": size})
             wide = {"process": SCALED_8D, "checkpoints": CHECKPOINTS, "n_paths": size}
             add("simulate.scaled-8d", "simulate", size, workers,
                 {**wide, "trajectories": 3})

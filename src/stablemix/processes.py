@@ -11,15 +11,16 @@ Variants are data.  A spec may draw one latent atom per path at time zero
 from ``atom_probs``.  Each atom carries a scalar ``atom_scale`` (1 when the
 table has none), an optional matrix ``atom_factor`` and its membership
 ``atom_in_g`` in the conditioning event.  With the spec's ``perturbation``
-``p``, the increments are ``dU_k = P^-k V_k`` with the transform
+``p``, the noise ``W_k`` enters as ``V_k = (scale + p/k) factor W_k``, and
+``Q_n U_n = w_n`` is formed one segment between consecutive checkpoints
+``a < b`` at a time, as ``w_b = C w_a + sum_{a<k<=b} C_k V_k`` with
+coefficients read off one power table of ``P`` by one of two rules:
 
-    V_k = (scale + p/k) factor G^k W_k,
+* Horner (every variant but the explosive one): ``C_k = P^{b-k}`` and
+  ``C = P^{b-a}``, so ``w_n = sum_k P^{n-k} V_k`` for ``dU_k = P^-k V_k``;
+* from the start (``from_start``, the explosive VAR): ``C_k = P^k`` and
+  ``C = I``, so ``w_n = sum_k P^k V_k``.
 
-``G`` the spec's ``increment_power`` (none unless a variant sets it).  With
-the spec's ``recursion`` ``R`` (``P`` unless a variant sets it),
-``Q_n U_n = w_n = sum_k R^{n-k} V_k``, formed one segment between
-consecutive checkpoints ``a < b`` at a time as
-``w_b = R^{b-a} w_a + sum_{a<k<=b} R^{b-k} V_k``, and
 ``B_n = P^n / (scale + p/n)`` divides the scale back out of it.
 
 ``SyntheticCanonical``
@@ -36,8 +37,8 @@ consecutive checkpoints ``a < b`` at a time as
 ``ExplosiveVar``
     ``U_n = A U_{n-1} + eps_n`` with every eigenvalue of ``A`` outside the
     unit circle, normalized by ``B_n = A^-n``.  Provided for the series
-    diagnostics; ``R = I`` and ``G = A^-1`` make its ``B_n U_n`` the partial
-    sum ``sum_k A^-k eps_k``.
+    diagnostics; with ``P = A^-1`` counted from the start its ``B_n U_n`` is
+    the partial sum ``sum_k A^-k eps_k``.
 
 Determinism: path ``i`` of an ensemble is a pure function of
 ``(seed, stream, i)`` and the checkpoint list; see :mod:`stablemix.streams`.
@@ -88,12 +89,14 @@ class ProcessSpec:
     (``atom_probs`` None, no latent uniform), lies in the conditioning
     event, and has neither a scale (``atom_scale`` None) nor a factor
     (``atom_factor`` None).  ``first_lag`` is the lowest power of ``P``
-    in the limit series of ``B_n U_n``.
+    in the limit series of ``B_n U_n``; ``from_start`` picks the rule that
+    gives lag ``k`` the coefficient ``P^k``, not ``P^{n-k}``.
     """
 
     noise_law: IncrementLaw
     dim: int
     first_lag = 0
+    from_start = False
 
     def __init__(self, P, noise_law: IncrementLaw):
         self.P = matalg.as_square(P, "P")
@@ -116,8 +119,6 @@ class ProcessSpec:
         self.atom_factor = None
         self.atom_in_g = np.ones(1, dtype=bool)
         self.perturbation = 0.0
-        self.recursion = self.P
-        self.increment_power = None
 
     @property
     def latent_uniforms(self) -> int:
@@ -207,6 +208,7 @@ class ExplosiveVar(ProcessSpec):
     ``sum_{k>=1} A^-k eps_k`` starts at lag one."""
 
     first_lag = 1
+    from_start = True
 
     def __init__(self, A, noise_law: IncrementLaw):
         arr = matalg.as_square(A, "A")
@@ -218,8 +220,6 @@ class ExplosiveVar(ProcessSpec):
             )
         # The contraction driving the series view is A^-1.
         super().__init__(matalg.inverse(arr), noise_law)
-        self.recursion = np.eye(self.dim)
-        self.increment_power = self.P
 
 
 def _draw_latent(spec: ProcessSpec, u: np.ndarray) -> np.ndarray:
@@ -231,19 +231,6 @@ def _draw_latent(spec: ProcessSpec, u: np.ndarray) -> np.ndarray:
     return np.minimum(np.searchsorted(cum, u[:, 0], side="right"), len(cum) - 1)
 
 
-def _transformed(spec: ProcessSpec, W, atom, powers) -> None:
-    """Overwrite the ``(count, n, d)`` noise ``W`` with ``factor G^k W_k``
-    for each path's atom; ``powers`` holds ``G^1..G^n`` or is None when the
-    spec has no ``G``."""
-    if powers is not None:
-        W[...] = np.einsum("kde,cke->ckd", powers, W)
-    if spec.atom_factor is not None:
-        for k, factor in enumerate(spec.atom_factor):
-            mask = atom == k
-            if mask.any():
-                W[mask] = W[mask] @ factor.T
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def _scaled_rows(spec: ProcessSpec, draws, checkpoints, qu, atom, prefix) -> None:
     """The one accumulation kernel, for the ``len(atom)`` paths of the
@@ -253,32 +240,34 @@ def _scaled_rows(spec: ProcessSpec, draws, checkpoints, qu, atom, prefix) -> Non
     Writes each row's atom into ``atom``, ``Q_n U_n`` at the ``i``-th
     checkpoint ``n`` of the sorted tuple ``checkpoints`` into ``qu[i]``,
     and the first raw noise increments into ``prefix``.  Each slice is cut
-    to its prefix, transformed in place, then copied lane-major (paths
-    innermost) into ``V``, one ``(n, d, lanes)`` buffer reused by every
-    slice like the scale coefficients, and scaled there.  The values come
-    from ``w_n = sum_{k<=n} R^{n-k} V_k``, the form free of huge inverse
-    powers, one segment between consecutive checkpoints ``a < b`` at a time:
-
-        w_b = R^{b-a} w_a + sum_{a<k<=b} R^{b-k} V_k,
-
-    one :func:`matalg.lag_contract` whose lag 0 is the carry ``w_a``,
-    written into the spent lag ``V_a``, and whose coefficients
-    ``R^{b-a} .. R^0`` are built once per segment length.  Each lane sums
-    its lags in order, whatever the slice's row count, so worker count and
+    to its prefix, multiplied in place by each path's atom factor, then
+    copied lane-major (paths innermost) into ``V``, one ``(n, d, lanes)``
+    buffer reused by every slice like the scale coefficients, and scaled
+    there.  The values come one segment between consecutive checkpoints
+    ``a < b`` at a time, ``w_b = C w_a + sum_{a<k<=b} C_k V_k``: one
+    :func:`matalg.lag_contract` whose lag 0 is the carry ``w_a``, written
+    into the spent lag ``V_a``.  Its coefficient block is read off one
+    power table of ``P`` once per chunk: ``P^{b-a}, P^{b-a-1} .. P^0`` by
+    the Horner rule, the form free of huge inverse powers, and
+    ``I, P^{a+1} .. P^b`` by the ``from_start`` rule.  Each lane sums its
+    lags in order, whatever the slice's row count, so worker count and
     chunking cannot move a bit; a checkpoint's last bits do depend on
-    where the checkpoint before it falls.  For ``R = I`` each segment is
-    the running sum in step order.
+    where the checkpoint before it falls.
     """
-    n, G = checkpoints[-1], spec.increment_power
-    powers = None if G is None else matalg.power_sequence(G, n)[1:]
+    n = checkpoints[-1]
     # Segment i sums the lags starts[i] .. checkpoints[i] - 1 of the slice:
     # V_1 .. V_b for the first, the carry and V_{a+1} .. V_b after it.
     starts = (0, *(a - 1 for a in checkpoints[:-1]))
-    lengths = {b - s - 1 for s, b in zip(starts, checkpoints)}
-    R_powers = matalg.power_sequence(spec.recursion, max(lengths))
-    coeffs = {
-        L: np.ascontiguousarray(R_powers[L::-1].transpose(0, 2, 1)) for L in lengths
-    }
+    segments = tuple(zip(starts, checkpoints))
+    top = n if spec.from_start else max(b - s - 1 for s, b in segments)
+    powers = matalg.power_sequence(spec.P, top)
+    coeffs = []
+    for i, (s, b) in enumerate(segments):
+        # A copy, never a view: the carry's identity must not reach powers.
+        block = powers[s + 1 : b + 1] if spec.from_start else powers[b - s - 1 :: -1]
+        coeffs.append(block.transpose(0, 2, 1).copy())
+        if spec.from_start and i:
+            coeffs[i][0] = np.eye(spec.dim)
     shift = spec.perturbation / np.arange(1, n + 1)[:, None]
     for rows, v, W in draws:
         k = len(W)
@@ -286,16 +275,19 @@ def _scaled_rows(spec: ProcessSpec, draws, checkpoints, qu, atom, prefix) -> Non
             V, scale = np.empty((n, spec.dim, k)), np.empty((n, k))
         atom[rows] = _draw_latent(spec, v)
         prefix[rows] = W[:, :PREFIX_KEEP]
-        _transformed(spec, W, atom[rows], powers)
+        if spec.atom_factor is not None:
+            for j, factor in enumerate(spec.atom_factor):
+                mask = atom[rows] == j
+                W[mask] = W[mask] @ factor.T
         lanes = V[..., :k]
         lanes[...] = W.transpose(1, 2, 0)
         if spec.atom_scale is not None:
             np.add(spec.atom_scale[atom[rows]], shift, out=scale[:, :k])
             lanes *= scale[:, None, :k]
-        for i, (s, b) in enumerate(zip(starts, checkpoints)):
+        for i, (s, b) in enumerate(segments):
             if i:
                 lanes[s] = qu[i - 1, rows].T
-            qu[i, rows] = matalg.lag_contract(coeffs[b - s - 1], lanes[s:b]).T
+            qu[i, rows] = matalg.lag_contract(coeffs[i], lanes[s:b]).T
 
 
 def _raw_states(spec: ProcessSpec, qu: dict, n: int) -> np.ndarray:

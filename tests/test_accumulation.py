@@ -1,14 +1,15 @@
 """Property tests for the ensemble accumulation and the condition checks.
 
 ``simulate_ensemble`` contracts each segment between consecutive
-checkpoints, ``w_b = R^{b-a} w_a + sum_{a<k<=b} R^{b-k} V_k``.  These tests
-pin it against the explicit sum ``sum_k P^{n-k} V_k`` (an einsum over the
-whole horizon, kept here as an oracle) and, for the explosive VAR
-(``R = I``), against the cumulative sum of ``A^-k eps_k``, across chunk
-boundaries, worker counts, dimensions up to 16 and awkward checkpoint
-lists.  Conditions (i) and (iii) are closed forms of the atom
-table; they must agree with the same forms in exact rational arithmetic to
-a few ulps, whatever the path or worker count.  The oracles rebuild the
+checkpoints, ``w_b = C w_a + sum_{a<k<=b} C_k V_k``.  These tests pin the
+Horner variants (``C_k = P^{b-k}``) against the explicit sum
+``sum_k P^{n-k} V_k`` (an einsum over the whole horizon, kept here as an
+oracle) and the explosive VAR (``C_k = P^k = A^-k``, ``C = I``) bit for bit
+against a running sum in the kernel's order, across chunk boundaries,
+worker counts, dimensions up to 16 and awkward checkpoint lists.
+Conditions (i) and (iii) are closed forms of the atom table; they must
+agree with the same forms in exact rational arithmetic to a few ulps,
+whatever the path or worker count.  The oracles rebuild the
 atom draw, the increment transform and the B-scale from the spec's atom
 table with their own arithmetic, so a fault in the package's transform
 shows.
@@ -47,6 +48,13 @@ def dense_contraction(d):
     return 0.6 / matalg.spectral_radius(M) * M
 
 
+def dense_explosive(d):
+    """A fixed dense ``d x d`` matrix whose eigenvalues all have modulus
+    1.5: an orthogonal matrix scaled by 1.5."""
+    Q, _ = np.linalg.qr(np.random.default_rng(d).standard_normal((d, d)))
+    return 1.5 * Q
+
+
 LAW2 = laws.NormalLaw(np.eye(2))
 SPECS = {
     "canonical": SyntheticCanonical(rotation_half(), LAW2),
@@ -63,11 +71,15 @@ SPECS = {
         [0.5, 0.5],
     ),
     "explosive": ExplosiveVar(np.array([[2.0, 0.5], [0.0, 1.5]]), LAW2),
-    # d = 3: the per-slice G^k einsum reduces over three coordinates.
     "explosive-3d": ExplosiveVar(
         np.array([[2.0, 1.0, 0.0], [0.0, 2.0, 1.0], [0.0, 0.0, 2.0]]),
         laws.NormalLaw(np.eye(3)),
     ),
+    # d = 1: a coefficient block slice of shape (k, 1, 1) is contiguous
+    # when transposed, so only an explicit copy keeps the carry's identity
+    # out of the power table.
+    "explosive-1d": ExplosiveVar(np.array([[1.5]]), laws.NormalLaw(np.eye(1))),
+    "explosive-8d": ExplosiveVar(dense_explosive(8), laws.NormalLaw(np.eye(8))),
     # d = 8 and d = 16: every segment contracts dense coefficient blocks.
     "scaled-8d": RandomScaled(
         dense_contraction(8), laws.NormalLaw(np.eye(8)), [1.0, 2.0], [0.5, 0.5],
@@ -118,6 +130,18 @@ def oracle_transform(spec, W, atom):
     return V
 
 
+def lag_order_sum(coefficients, terms):
+    """``sum_j C_j x_j`` for each row of the ``(count, d)`` terms ``x_j``, as
+    a running sum from +0.0 in lag-then-coordinate order, the order of
+    :func:`matalg.lag_contract`.  Not an einsum: a path-major einsum sums a
+    d = 1 row in an order that depends on its strides."""
+    out = np.zeros_like(terms[0])
+    for C, x in zip(coefficients, terms):
+        for e in range(x.shape[1]):
+            out = out + C[:, e] * x[:, e : e + 1]
+    return out
+
+
 def explicit_sum(spec, checkpoints, n_paths, seed):
     """Checkpoint values from the explicit sums, chunk by chunk."""
     cps = sorted(set(checkpoints))
@@ -131,10 +155,19 @@ def explicit_sum(spec, checkpoints, n_paths, seed):
         atom, noise_u = oracle_atoms(spec, u)
         W = spec.noise_law.from_uniforms(noise_u.reshape(count, n, -1))
         if isinstance(spec, ExplosiveVar):
-            csum = np.cumsum(np.einsum("kde,cke->ckd", kernel[1:], W), axis=1)
+            # eps_k weighs A^-k = P^k, segment by segment; each segment
+            # after the first carries the checkpoint before it in with the
+            # identity.
+            a, carry = 0, []
             for cp in cps:
-                bu[cp].append(csum[:, cp - 1])
-                qu[cp].append(csum[:, cp - 1])
+                lags = range(a + 1, cp + 1)
+                w = lag_order_sum(
+                    [np.eye(spec.dim)] * len(carry) + [kernel[k] for k in lags],
+                    carry + [W[:, k - 1] for k in lags],
+                )
+                bu[cp].append(w)
+                qu[cp].append(w)
+                a, carry = cp, [w]
             continue
         V = oracle_transform(spec, W, atom)
         scale = oracle_scale(spec, atom)
@@ -150,11 +183,12 @@ def explicit_sum(spec, checkpoints, n_paths, seed):
 
 
 def wide_examples(test):
-    """Run ``test`` on the d = 8 and d = 16 specs at every count of
-    ``WIDE_PATH_COUNTS``, with checkpoint 1 and a long last segment, and
-    with a 100-step horizon, whose slices of 81 and 40 paths leave every
-    count but 1 a ragged last slice in the kernel's reused lane buffer."""
-    for name in ("scaled-8d", "canonical-16d"):
+    """Run ``test`` on the d = 8 and d = 16 specs and the d = 1 and d = 8
+    explosive ones at every count of ``WIDE_PATH_COUNTS``, with checkpoint
+    1 and a long last segment, and with a 100-step horizon, whose slices of
+    81 and 40 paths at d = 8 and d = 16 leave every count but 1 a ragged
+    last slice in the kernel's reused lane buffer."""
+    for name in ("scaled-8d", "canonical-16d", "explosive-1d", "explosive-8d"):
         for n_paths in WIDE_PATH_COUNTS:
             for checkpoints in ([1, 4, 12], [1, 37, 100]):
                 test = example(
@@ -228,10 +262,12 @@ def test_recursion_matches_explicit_sum(name, n_paths, checkpoints, seed):
     checkpoints=checkpoint_lists,
     seed=st.integers(0, 2**32),
 )
+@example(n_paths=CHUNK + 1, checkpoints=[1, 5, 12], seed=3)
+@example(n_paths=CHUNK - 1, checkpoints=[4, 9], seed=8)
 def test_explosive_values_unchanged(n_paths, checkpoints, seed):
-    # The identity recursion over V_k = A^-k eps_k gives the oracle's
-    # cumulative sum, bit for bit.
-    for name in ("explosive", "explosive-3d"):
+    # The coefficients P^k and the identity carry give the oracle's lag
+    # order sum, bit for bit.
+    for name in ("explosive", "explosive-3d", "explosive-1d", "explosive-8d"):
         spec = SPECS[name]
         ens = simulate_ensemble(spec, checkpoints, n_paths, seed, workers=2)
         bu, qu = explicit_sum(spec, checkpoints, n_paths, seed)

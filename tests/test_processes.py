@@ -356,11 +356,21 @@ class TestEnsemble:
         # At d = 1 and more than 8192 lags, einsum sums a lone lane in
         # another order than two or more.  A 9000-step row is three paths to
         # a slice, so path 4096 is a lone lane at 4097 paths and shares its
-        # slice at 4100; matalg.lag_contract keeps one order.
-        spec = SyntheticCanonical(np.array([[0.9999]]), laws.NormalLaw(np.eye(1)))
-        a = simulate_ensemble(spec, [9000], 4097, seed=5)
-        b = simulate_ensemble(spec, [9000], 4100, seed=5)
-        assert a.qu[9000][4096].tobytes() == b.qu[9000][4096].tobytes()
+        # slice at 4100; matalg.lag_contract keeps one order.  So it does
+        # for the explosive VAR's coefficients P^k, whose checkpoint 1
+        # leaves a second segment of 9000 lags with the carry first, and at
+        # d = 8, where a 3000-step row is two paths to a slice.
+        cases = [
+            (SyntheticCanonical([[0.9999]], laws.NormalLaw(np.eye(1))), [9000], 4097),
+            (ExplosiveVar([[1.0001]], laws.NormalLaw(np.eye(1))), [1, 9000], 4097),
+            (ExplosiveVar(1.5 * np.eye(8)[::-1], laws.NormalLaw(np.eye(8))),
+             [1, 3000], 3),
+        ]
+        for spec, checkpoints, lone in cases:
+            a = simulate_ensemble(spec, checkpoints, lone, seed=5)
+            b = simulate_ensemble(spec, checkpoints, lone + 3, seed=5)
+            for cp in checkpoints:
+                assert a.qu[cp][lone - 1].tobytes() == b.qu[cp][lone - 1].tobytes()
 
     def test_growth_keeps_prefix(self):
         spec = SyntheticCanonical(rotation_half(), laws.NormalLaw(np.eye(2)))

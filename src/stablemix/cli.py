@@ -254,9 +254,9 @@ _CHECKS = {
     "verify-mixing": [("verify_mixing", {**_ECF_ARGS, "which": "statistic_of"})],
     "verify-stable": [("verify_stable", _ECF_ARGS)],
     "conditions": [
-        ("check_condition_i", {"tol": "tol"}),
+        ("check_condition_i", {}),
         ("check_condition_ii", {}),
-        ("check_condition_iii", {"tol": "tol"}),
+        ("check_condition_iii", {}),
     ],
 }
 

@@ -129,7 +129,6 @@ POSITIVE_INT = _bounded(integral, lambda n: n > 0, "positive")
 NONNEGATIVE_INT = _bounded(integral, lambda n: n >= 0, "nonnegative")
 SEED = _bounded(integral, lambda n: 0 <= n < 2**64, "in [0, 2**64)")
 POSITIVE_REAL = _bounded(real, lambda x: x > 0.0, "positive")
-NONNEGATIVE_REAL = _bounded(real, lambda x: x >= 0.0, "nonnegative")
 UNIT_INTERVAL = _bounded(real, lambda x: 0.0 < x < 1.0, "in the open interval (0, 1)")
 
 
@@ -245,7 +244,6 @@ COMMANDS = {
             processes.as_checkpoints, lambda cps: cps[0] > max(verify.CONDITION_LAGS),
             f"above the largest condition (iii) lag, {max(verify.CONDITION_LAGS)}",
         ),
-        "tol": Default(NONNEGATIVE_REAL, verify.DEFAULT_TOLERANCE),
     }),
 }
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -254,17 +255,22 @@ def decay_certificate(matrix, tol: float = 1.0) -> tuple[DecayCertificate, np.nd
 def tail_bound(
     norms: np.ndarray, cert: DecayCertificate, r: int, exponent: float = 1.0
 ) -> float:
-    """Upper bound on ``sum_{j>r} |P^j|^e``, ``e = exponent``:
+    """Upper bound on ``sum_{j>r} |P^j|^e``, ``e = exponent``, rounded
+    outward, from the certificate's
 
         sum_{j=r+1}^{H-1} |P^j|^e + q^(m e) / (1 - q^e) * sum_{i<H} |P^i|^e,
 
-    with ``H`` the certified horizon and ``m = max(1, (r + 1) // H)``.  The
-    tabulated norms below ``H`` enter exactly; every later ``j`` is
-    ``m' H + i`` with ``m' >= m``, bounded through the certificate.  The
-    ``m`` keeps the bound shrinking for an ``r`` past the horizon.  The
-    head is summed by ``math.fsum``, correctly rounded: the remainder is
-    far below one rounding step of a pairwise sum, which could otherwise
-    leave the bound under the tail it bounds.
+    with ``H`` the certified horizon and ``m = max(1, (r + 1) // H)``: every
+    later ``j`` is ``m' H + i`` with ``m' >= m``, and the ``m`` keeps the
+    bound shrinking for an ``r`` past the horizon.  Terms are summed by
+    ``math.fsum``, taken up past the roundings of their arithmetic, and the
+    sum is stepped up one float.  A chain table, each norm the rounded
+    product of the one before and ``|P|`` as at d = 1, has ``j - 1``
+    roundings in ``|P^j|``, and its norms are taken up past them too; with a
+    whole ``e`` the bound is instead the larger of the sum rounded to
+    nearest and the exact tail ``|P|^((r+1) e) / (1 - |P|^e)`` rounded up,
+    so a tail that is a float comes back exactly.  At d >= 2 the table is
+    taken as it stands.  A ``q`` within its roundings of 1 gives ``inf``.
     """
     if r < 0:
         raise InvalidInputError("truncation index r must be nonnegative")
@@ -273,13 +279,30 @@ def tail_bound(
     horizon = cert.horizon
     if len(norms) != horizon + 1:
         raise InvalidInputError("norm table length does not match certificate horizon")
-    powered = norms[:horizon] ** exponent
+    top = float(norms[1])
+    chain = np.array_equal(norms[1:], norms[:-1] * top)
+    closed = chain and top < 1.0 and float(exponent).is_integer()
+    unit = 0.0 if closed else np.finfo(float).eps / 2
+    # On a chain table P^1 is exact, and each later power and this scaling
+    # round once.
+    lag = np.arange(horizon + 1)
+    scale = np.where(chain & (lag > 1), 1.0 + (lag + 2.0) * unit, 1.0)
+    powered = (norms * scale)[:horizon] ** exponent * (1.0 + 4.0 * unit)
     m = max(1, (r + 1) // horizon)
     with np.errstate(divide="ignore"):
-        log_q = exponent * np.log(cert.q)
+        # log q taken up past the roundings of log and of the products.
+        log_q = exponent * np.log(cert.q * scale[horizon]) * (1.0 - 8.0 * unit)
+    if log_q >= 0.0:
+        return math.inf
     # 1 - q^e as -expm1(e log q): q^e itself can round to 1 when q is near 1.
-    rest = np.exp(m * log_q) / -np.expm1(log_q) * powered.sum()
-    return math.fsum(powered[r + 1 :]) + float(rest)
+    rest = np.exp(m * log_q) / -np.expm1(log_q) * math.fsum(powered)
+    total = math.fsum((*powered[r + 1 :], rest * (1.0 + 16.0 * unit)))
+    if not closed:
+        return float(np.nextafter(total, math.inf))
+    ratio = Fraction(top) ** int(exponent)
+    tail = ratio ** (r + 1) / (1 - ratio)
+    bound = float(tail)
+    return max(total, bound if bound >= tail else float(np.nextafter(bound, math.inf)))
 
 
 def psd_sqrt(matrix) -> np.ndarray:

@@ -88,14 +88,13 @@ class ProcessSpec:
     The table defaults to one implicit atom that is never drawn
     (``atom_probs`` None, no latent uniform), lies in the conditioning
     event, and has neither a scale (``atom_scale`` None) nor a factor
-    (``atom_factor`` None).  ``first_lag`` is the lowest power of ``P``
-    in the limit series of ``B_n U_n``; ``from_start`` picks the rule that
-    gives lag ``k`` the coefficient ``P^k``, not ``P^{n-k}``.
+    (``atom_factor`` None).  ``from_start`` picks the rule that gives lag
+    ``k`` the coefficient ``P^k``, not ``P^{n-k}``, and starts the limit
+    series of ``B_n U_n`` at ``P^1``, not ``P^0``.
     """
 
     noise_law: IncrementLaw
     dim: int
-    first_lag = 0
     from_start = False
 
     def __init__(self, P, noise_law: IncrementLaw):
@@ -207,7 +206,6 @@ class ExplosiveVar(ProcessSpec):
     normalized by inverse powers.  Diagnostics bench only.  Its limit
     ``sum_{k>=1} A^-k eps_k`` starts at lag one."""
 
-    first_lag = 1
     from_start = True
 
     def __init__(self, A, noise_law: IncrementLaw):

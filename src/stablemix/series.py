@@ -76,8 +76,8 @@ def truncation_index(P, tol: float) -> TruncationPlan:
     cert, norms = matalg.decay_certificate(P, tol)
     if matalg.tail_bound(norms, cert, cert.horizon - 1) > tol:
         raise HorizonExceededError(too_slow)
-    # Below the horizon the bound is an fsum of a shrinking suffix plus a
-    # constant, so it falls with r, and r = horizon - 1 qualifies.
+    # Below the horizon the bound, a closed form falling with r or a shrinking
+    # suffix plus a constant, falls with r, and r = horizon - 1 qualifies.
     r = bisect_left(
         range(cert.horizon), True,
         key=lambda j: matalg.tail_bound(norms, cert, j) <= tol,

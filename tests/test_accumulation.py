@@ -276,7 +276,7 @@ def test_explosive_values_unchanged(n_paths, checkpoints, seed):
             assert ens.qu[n].tobytes() == qu[n].tobytes(), name
 
 
-def exact_condition_stats(spec, checkpoints, r_list):
+def exact_condition_stats(spec, checkpoints):
     """Conditions (i) and (iii) in exact rational arithmetic from the atom
     table: with ``d(n) = lam + p/n``, (i) is ``p/n`` and (iii) is the
     largest ``|d(n-r)/d(n) - 1| |P^r|`` over the event's atoms and the
@@ -289,7 +289,10 @@ def exact_condition_stats(spec, checkpoints, r_list):
 
     first = [p / n for n in checkpoints]
     third = [
-        max(abs(d(lam, n - r) / d(lam, n) - 1) / 2**r for lam in lams for r in r_list)
+        max(
+            abs(d(lam, n - r) / d(lam, n) - 1) / 2**r
+            for lam in lams for r in verify.CONDITION_LAGS
+        )
         for n in checkpoints
     ]
     return first, third
@@ -304,11 +307,13 @@ ATOM_TABLES = (([1.0, 2.0, 3.5], [1.0, 3.5]), ([2.0, 0.5, 1.0], [2.0, 1.0]))
     table=st.sampled_from(ATOM_TABLES),
     perturbation=st.sampled_from([0.0, 0.3, 1.7]),
     n_paths=st.sampled_from(PATH_COUNTS[:2]),
-    checkpoints=st.lists(st.integers(3, 20), min_size=1, max_size=4),
+    checkpoints=st.lists(
+        st.integers(max(verify.CONDITION_LAGS) + 1, 20), min_size=1, max_size=4
+    ),
     seed=st.integers(0, 2**32),
 )
 @example(
-    table=ATOM_TABLES[1], perturbation=0.3, n_paths=CHUNK, checkpoints=[20, 3], seed=1
+    table=ATOM_TABLES[1], perturbation=0.3, n_paths=CHUNK, checkpoints=[20, 5], seed=1
 )
 def test_condition_stats_equal_exact_closed_forms(
     table, perturbation, n_paths, checkpoints, seed
@@ -320,8 +325,8 @@ def test_condition_stats_equal_exact_closed_forms(
     )
     ens = simulate_ensemble(spec, checkpoints, n_paths, seed)
     v1 = verify.check_condition_i(ens)
-    v3 = verify.check_condition_iii(ens, r_list=(1, 2))
-    first, third = exact_condition_stats(spec, ens.checkpoints, (1, 2))
+    v3 = verify.check_condition_iii(ens)
+    first, third = exact_condition_stats(spec, ens.checkpoints)
     # (i) rounds at the largest divisor's ulp; (iii) at the ratio's ulp
     # times |P^r| <= 1/2.
     ulp = np.spacing(np.abs(spec.b_divisor(min(ens.checkpoints))).max())
@@ -333,6 +338,6 @@ def test_condition_stats_equal_exact_closed_forms(
     # The statistics read the spec, not the paths.
     other = simulate_ensemble(spec, checkpoints, 1000, seed + 1, workers=2)
     assert verify.check_condition_i(other).statistics == v1.statistics
-    assert verify.check_condition_iii(other, r_list=(1, 2)).statistics == v3.statistics
+    assert verify.check_condition_iii(other).statistics == v3.statistics
     if perturbation == 0.0:
         assert set(v1.statistics) == {0.0} and set(v3.statistics) == {0.0}

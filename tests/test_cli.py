@@ -593,7 +593,7 @@ class TestConditions:
         stats = report["statistics"]
         assert stats["stochastic-boundedness.n50"] == 7685 / 20000
         assert stats["stochastic-boundedness.n200"] == 7718 / 20000
-        assert stats["stochastic-boundedness.threshold"] == 1.0
+        assert stats["stochastic-boundedness.threshold"] == 0.0
 
     @pytest.mark.parametrize(
         "lams, probs",
@@ -866,6 +866,7 @@ class TestConfigValidation:
             ("conditions", {"lags": [1, 2]}, "lags"),
             ("conditions", {"levels": [2, 4, 8, 16]}, "levels"),
             ("conditions", {"bound": 0.05}, "bound"),
+            ("conditions", {"tol": 1e-8}, "tol"),
             ("sample-law", {"law": {"law": "empirical", "pool": [[1.0]],
                                     "csv": "pool.csv"}}, "csv"),
             ("simulate", {"process": {**CANONICAL, "lam_values": [1.0, 2.0]}},
@@ -883,7 +884,7 @@ class TestConfigValidation:
             }}, "perturbation"),
         ],
         ids=["sample-law-grid", "series-grid", "min-paths", "stable-grid", "lags",
-             "conditions-levels", "conditions-bound",
+             "conditions-levels", "conditions-bound", "conditions-tol",
              "law-csv", "canonical-lam_values", "matrix-cols", "factor-junk",
              "explosive-perturbation"],
     )
@@ -900,10 +901,8 @@ class TestConfigValidation:
             ("sample-law", {"factor": math.inf}),
             ("series", {"P": SCALAR_P, "r": 3, "factor": math.nan}),
             ("verify-stable", {"factor": math.nan}),
-            ("conditions", {"tol": math.inf}),
         ],
-        ids=["sample-law-nan", "sample-law-inf", "series-nan", "stable-nan",
-             "conditions-tol"],
+        ids=["sample-law-nan", "sample-law-inf", "series-nan", "stable-nan"],
     )
     def test_non_finite_numbers_exit_2(self, tmp_path, capsys, command, entries):
         # json.dumps writes NaN and Infinity tokens, which json.load accepts.
@@ -1039,7 +1038,6 @@ class TestConfigValidation:
             ("series", {"tol": 0.0, "r": None}, "'tol'"),
             ("series", {"tol": -1.0, "r": None}, "'tol'"),
             ("lemma", {"law": {"law": "log-cauchy-ray"}}, "allow_diagnostic"),
-            ("conditions", {"tol": -1}, "'tol'"),
             ("simulate", {"process": VANISHING}, "vanishes for atom 0"),
             ("verify-stable", {"process": VANISHING}, "vanishes for atom 0"),
             ("verify-mixing", {"process": VANISHING}, "vanishes for atom 0"),
@@ -1049,7 +1047,6 @@ class TestConfigValidation:
         ],
         ids=["stable-delta", "mixing-delta", "sample-law-delta", "series-delta",
              "tol-and-r", "neither", "tol-zero", "tol-negative", "ray-not-allowed",
-             "conditions-tol-negative",
              "simulate-vanishing-divisor", "stable-vanishing-divisor",
              "mixing-vanishing-divisor", "conditions-vanishing-divisor",
              "sample-law-seed-2-64", "simulate-seed-2-64"],

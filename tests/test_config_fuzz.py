@@ -170,9 +170,7 @@ def configs(draw, command):
         )
         if command == "simulate":
             values["trajectories"] = draw(st.integers(0, 3))
-        elif command == "conditions":
-            values["tol"] = draw(st.floats(1e-9, 1e-3))
-        else:
+        elif command != "conditions":
             values.update(r=draw(st.integers(0, 8)), **ecf_check,
                           family=draw(st.sampled_from(["default", "omega"])))
             if command == "verify-mixing":

@@ -505,7 +505,7 @@ class TestTruncatedLimitCfs:
         # The explosive limit sum_{k>=1} A^-k eps_k starts at lag one.
         A = np.array([[2.0, 1.0], [0.0, 2.0]])
         spec = ExplosiveVar(A, law)
-        assert spec.first_lag == 1
+        assert spec.from_start
         lit = np.ones(len(grid), dtype=complex)
         for k in range(1, r + 2):
             lit *= law.cf(grid @ np.linalg.matrix_power(np.linalg.inv(A), k))

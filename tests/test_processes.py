@@ -11,7 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from stablemix import cli, config, laws, processes, series, streams
+from stablemix import cli, config, laws, processes, series, streams, verify
 from stablemix.config import process_from_json
 from stablemix.errors import (
     HypothesisViolationError,
@@ -463,6 +463,25 @@ class TestEnsemble:
                 assert shared or ens.bu[n] is not ens.bu[n]
                 divisor = spec.b_divisor(n)[ens.atom][:, None]
                 assert ens.bu[n].tobytes() == (ens.qu[n] / divisor).tobytes()
+
+    def test_structural_conditions_hold_by_construction(self):
+        # Every spec meets conditions (i)-(iii) by construction, so each
+        # verdict passes against 0, the limit of its statistics, the
+        # perturbed scales' 1/n rates included.
+        perturbed = RandomScaled(
+            rotation_half(), laws.NormalLaw(np.eye(2)), [1.0, 2.0], [0.5, 0.5],
+            perturbation=0.3,
+        )
+        checks = (
+            verify.check_condition_i,
+            verify.check_condition_ii,
+            verify.check_condition_iii,
+        )
+        for spec in all_specs() + [perturbed]:
+            ens = simulate_ensemble(spec, [5, 10], 1000, seed=2)
+            for check in checks:
+                v = check(ens)
+                assert v.passed and v.thresholds == (0.0, 0.0), (spec, v.condition)
 
     def test_validates_checkpoints(self):
         spec = SyntheticCanonical(rotation_half(), laws.NormalLaw(np.eye(2)))

@@ -16,7 +16,7 @@ and the explosive one at d = 1, 2 and 3 (on the 3-D stable law), through
 ``simulate``, ``verify-stable``, ``verify-mixing`` (``bu`` and ``qu``),
 both verdicts again at an explicit ``r`` below the default,
 ``verify-stable`` at a non-default ``delta`` and ``factor``, and
-``conditions`` at the default and at a non-default ``tol``; ``conditions``
+``conditions``; ``conditions``
 on two tight canonical processes whose ``Q_n U_n`` often lies past level
 16 of condition (ii)'s table, one on noise of covariance 100 I and one on
 a contraction with a coupling of 40; the random-scaled one on a dense
@@ -95,7 +95,6 @@ LEMMA_OFF_2D = {
 }
 # Non-default values of the keys that tune a check.
 TUNED = {"delta": 0.01, "factor": 2.5}
-TUNED_CONDITIONS = {"tol": 1e-6}
 
 # Contractions that decay slowly enough for ``truncation_index`` to build
 # more than one norm table or a long one, with the tol of each case.
@@ -222,8 +221,6 @@ def cases() -> list[tuple[str, str, dict]]:
                 add(f"mixing-omega.{pname}", "verify-mixing", size, workers,
                     {**base, "family": "omega"})
                 add(f"conditions.{pname}", "conditions", size, workers, base)
-                add(f"conditions-tuned.{pname}", "conditions", size, workers,
-                    {**base, **TUNED_CONDITIONS})
                 add(f"stable-tuned.{pname}", "verify-stable", size, workers,
                     {**base, **TUNED})
             for pname, proc in PAST_LEVEL_16.items():
